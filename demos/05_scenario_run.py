@@ -15,13 +15,14 @@ from importlib.resources import files
 
 import numpy as np
 
+from wbcsim.cli import load_scenario
 from wbcsim.model import RobotModel
-from wbcsim.simulator import Scenario, run_scenario
+from wbcsim.simulator import run_scenario
 
 
 def main():
     path = files("wbcsim").joinpath("data/scenarios/disturbance.scn")
-    scenario = Scenario.from_file(str(path))
+    scenario = load_scenario(str(path), {})
     print(f"scenario '{scenario.name}': duration {scenario.duration} s, "
           f"{len(scenario.disturbances)} disturbance(s)")
 

@@ -33,6 +33,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -77,13 +78,21 @@ class RunConfig:
 
 # -- configuration plumbing --------------------------------------------------
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML that also reads 1e-9 and 4.0e5 as floats, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+
+
 def parse_param(text: str) -> tuple[str, object]:
     """Split ``KEY=VALUE``; the value is YAML-typed (numbers, bools, lists)."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise ScenarioError(f"override '{text}' is not of the form KEY=VALUE")
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"override '{text}': unparsable value: {exc}") from exc
     return key.strip(), value
@@ -104,7 +113,7 @@ def apply_override(cfg: dict, key: str, value) -> None:
 def load_scenario(path: str, params: dict) -> Scenario:
     with open(path) as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -132,16 +141,22 @@ def write_artifacts(out_dir: str, records: list, metrics: MetricsSummary,
                 fh.write(f"{r.t:.9g},{r.psi_hat:.9g},{r.psi_true:.9g}\n")
 
 
+def _run_and_write(scenario_path: str, params: dict, seed: int,
+                   out_dir: str) -> MetricsSummary:
+    """Load a scenario, run it and write its artifacts to out_dir."""
+    scenario = load_scenario(scenario_path, params)
+    records, metrics = run_scenario(RobotModel(), scenario, seed=seed)
+    slope = not np.allclose(
+        [scenario.terrain.grad(x, 0.0) for x in np.linspace(-3, 3, 13)], 0.0)
+    write_artifacts(out_dir, records, metrics, slope)
+    return metrics
+
+
 def do_run(cfg: RunConfig) -> int:
     if cfg.scenario is None:
         print("error: --scenario is required for mode 'run'", file=sys.stderr)
         return 2
-    scenario = load_scenario(cfg.scenario, cfg.params)
-    model = RobotModel()
-    records, metrics = run_scenario(model, scenario, seed=cfg.seed)
-    slope = not np.allclose(
-        [scenario.terrain.grad(x, 0.0) for x in np.linspace(-3, 3, 13)], 0.0)
-    write_artifacts(cfg.out_dir, records, metrics, slope)
+    metrics = _run_and_write(cfg.scenario, cfg.params, cfg.seed, cfg.out_dir)
     if cfg.verbosity > 0 or metrics.failed or metrics.fell:
         print(metrics.to_text(), end="")
     print(f"artifacts written to {cfg.out_dir}")
@@ -158,13 +173,7 @@ def do_run(cfg: RunConfig) -> int:
 
 def _sweep_one(args: tuple) -> dict:
     scenario_path, params, key, value, seed, out_dir = args
-    params = dict(params)
-    params[key] = value
-    scenario = load_scenario(scenario_path, params)
-    records, metrics = run_scenario(RobotModel(), scenario, seed=seed)
-    slope = not np.allclose(
-        [scenario.terrain.grad(x, 0.0) for x in np.linspace(-3, 3, 13)], 0.0)
-    write_artifacts(out_dir, records, metrics, slope)
+    metrics = _run_and_write(scenario_path, {**params, key: value}, seed, out_dir)
     row = {"sweep_value": value}
     row.update(metrics.to_dict())
     return row
@@ -332,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.sweep:
             sweep_key, raw = parse_param(args.sweep)
             sweep_values = raw if isinstance(raw, list) else [
-                yaml.safe_load(v) for v in str(raw).split(",")]
+                yaml.load(v, Loader=_Loader) for v in str(raw).split(",")]
         cfg = RunConfig(scenario=args.scenario, out_dir=args.out,
                         seed=args.seed, verbosity=args.verbose,
                         mode=args.mode, params=params,
@@ -343,10 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.mode == "sweep":
             return do_sweep(cfg)
         return do_run(cfg)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

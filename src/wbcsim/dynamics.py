@@ -64,7 +64,7 @@ class ClosedLoopDynamics:
         return np.vstack([self.J_x[0], self.J_z[0], self.J_x[1], self.J_z[1]])
 
 
-def spanning_tree_dynamics(kc: KinematicsCache, gravity: float = GRAVITY) -> SpanningTreeDynamics:
+def spanning_tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
     """H via composite inertia assembly, C via Newton-Euler at zero acceleration.
 
     All 11 bodies at once: the stacked (11, 3, 16) CoM and angular Jacobians
@@ -80,7 +80,7 @@ def spanning_tree_dynamics(kc: KinematicsCache, gravity: float = GRAVITY) -> Spa
     H = 0.5 * (H + H.T)          # exactly symmetric, not only up to roundoff
     w = kc.omega
     Iw = np.einsum("bij,bj->bi", I_w, w)
-    f = desc.masses[:, None] * (kc.com_bias_acc - np.array([0.0, 0.0, -gravity]))
+    f = desc.masses[:, None] * (kc.com_bias_acc - np.array([0.0, 0.0, -GRAVITY]))
     torque = np.einsum("bij,bj->bi", I_w, kc.omega_dot_bias) + cross_rows(w, Iw)
     C = Jv.reshape(3 * n, NV_TREE).T @ f.ravel() + Jw.reshape(3 * n, NV_TREE).T @ torque.ravel()
     return SpanningTreeDynamics(H=H, C=C)
@@ -117,9 +117,7 @@ def friction_matrix(v_lat: np.ndarray, mu: float = 0.8, v_ref: float = 0.05) -> 
 
 
 def closed_loop_dynamics(model: RobotModel, y: MinimalState,
-                         n_l: np.ndarray, n_r: np.ndarray,
-                         gravity: float = GRAVITY,
-                         mu: float = 0.8, v_ref: float = 0.05,
+                         n_l: np.ndarray, n_r: np.ndarray, mu: float = 0.8,
                          kc: KinematicsCache | None = None) -> ClosedLoopDynamics:
     """Reduce the tree EoM through G and build the ground-contact map.
 
@@ -130,9 +128,9 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
     if kc is None:
         kc = model.kinematics(y)
     G = model.G
-    dyn = kc.tree_dynamics.get(gravity)
-    if dyn is None:
-        dyn = kc.tree_dynamics[gravity] = spanning_tree_dynamics(kc, gravity)
+    if kc.tree_dynamics is None:
+        kc.tree_dynamics = spanning_tree_dynamics(kc)
+    dyn = kc.tree_dynamics
     H_y = G.T @ dyn.H @ G
     C_y = G.T @ dyn.C
 
@@ -149,7 +147,7 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
 
     v_lat = np.array([F_l[:, 1] @ kc.point_velocity(WHEEL_L, p_cl),
                       F_r[:, 1] @ kc.point_velocity(WHEEL_R, p_cr)])
-    C_F = friction_matrix(v_lat, mu, v_ref)
+    C_F = friction_matrix(v_lat, mu)
 
     # J_gc in tree coordinates: (J^{x,z})^T + (J^y)^T C_F, F_C = (x_l, z_l, x_r, z_r)
     J_xz16 = np.vstack([F_l[:, 0] @ J_l16, F_l[:, 2] @ J_l16,
@@ -189,10 +187,10 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
                               contact=contact, p_cl=p_cl, p_cr=p_cr)
 
 
-def mechanical_energy(kc: KinematicsCache, gravity: float = GRAVITY) -> float:
+def mechanical_energy(kc: KinematicsCache) -> float:
     """Kinetic + gravitational potential energy of the current state."""
-    dyn = spanning_tree_dynamics(kc, gravity)
+    dyn = spanning_tree_dynamics(kc)
     u = kc.state.vel
     kinetic = 0.5 * u @ dyn.H @ u
-    potential = gravity * (kc.desc.masses @ kc.com_points[:, 2])
+    potential = GRAVITY * (kc.desc.masses @ kc.com_points[:, 2])
     return float(kinetic + potential)

@@ -4,12 +4,14 @@ Each priority level minimizes ||A_i x - b_i||^2 subject to the closed-loop
 dynamics equalities, the rolling-constraint rows, torque box inequalities,
 and achieved-value pins A_j x = A_j x_j* from all higher levels.  Levels
 are solved by a primal active-set iteration on the KKT system, stepping
-between feasible points so every working set stays consistent.
+between feasible points so every working set stays consistent.  Each level
+starts from the previous level's solution; no active set is carried over
+from one solve to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,23 +23,19 @@ from .task_control import TaskStack
 NX = 22                      # 12 accelerations + 4 contact forces + 6 torques
 TAU_SLICE = slice(16, 22)
 
-TIKHONOV = 1e-8
 CYCLE_LIMIT = 200
 FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-10
 
 
 class HqpError(RuntimeError):
-    def __init__(self, msg: str, level: int | None = None):
-        super().__init__(msg if level is None else f"level {level}: {msg}")
-        self.level = level
+    level: int | None = None     # priority level, set by HierarchySolver.solve
 
 
 class InfeasibleError(HqpError):
-    def __init__(self, residual: float, level: int | None = None,
+    def __init__(self, residual: float,
                  what: str = "equality constraints inconsistent"):
-        super().__init__(f"{what} (min residual {residual:.3e})", level)
-        self.residual = residual
+        super().__init__(f"{what} (min residual {residual:.3e})")
 
 
 class CycleLimitError(HqpError):
@@ -115,10 +113,8 @@ def feasible_start(E, f, G_in=None, h_in=None, n=NX):
 def solve_level(A: np.ndarray, b: np.ndarray,
                 E: np.ndarray, f: np.ndarray,
                 G_in: np.ndarray | None = None, h_in: np.ndarray | None = None,
-                x0: np.ndarray | None = None,
-                active0: frozenset = frozenset(),
-                eps: float = TIKHONOV):
-    """Min ||A x - b||^2 + eps ||x||^2 s.t. E x = f, G_in x <= h_in.
+                x0: np.ndarray | None = None):
+    """Min ||A x - b||^2 s.t. E x = f, G_in x <= h_in (unridged least squares).
 
     Primal active-set iteration from a feasible point.  Each working-set
     step is an unconstrained least squares in the nullspace of the tight
@@ -166,7 +162,7 @@ def solve_level(A: np.ndarray, b: np.ndarray,
         feas_scale = max(1.0, float(np.abs(x_qp).max()),
                          float(np.abs(f).max()) if len(f) else 0.0)
         p = x_qp - x
-        q = H0 @ x - g               # unridged objective gradient at x
+        q = H0 @ x - g               # objective gradient at x
         stationary = np.abs(p).max() <= 1e-11 * feas_scale
         if not stationary:
             # the KKT solve is accurate only to roundoff at the problem
@@ -177,9 +173,7 @@ def solve_level(A: np.ndarray, b: np.ndarray,
             obj1 = float(np.sum((A @ x_qp - b) ** 2))
             stationary = obj1 >= obj0 * (1.0 - 1e-10)
         if stationary:
-            # stationary on the working set: certify or escape.  The
-            # refinement converges to the unridged minimizer, so certify
-            # against the unridged gradient.
+            # stationary on the working set: certify or escape
             w = Z.T @ q
             if active:
                 M = Z.T @ Ga.T
@@ -217,25 +211,12 @@ def solve_level(A: np.ndarray, b: np.ndarray,
 
 
 class HierarchySolver:
-    """Cascaded lexicographic solver with warm-started active sets.
-
-    One instance per control loop; `debug_path` appends a CSV line of level
-    residuals and active-set sizes per solve.
-    """
-
-    def __init__(self, eps: float = TIKHONOV, debug_path: str | None = None):
-        self.eps = float(eps)
-        self.debug_path = debug_path
-        self._warm: list = []
-        if debug_path is not None:
-            with open(debug_path, "w") as fh:
-                fh.write("solve,level,residual,n_active\n")
-        self._solve_count = 0
+    """Cascaded lexicographic solver: one least-squares level at a time, each
+    started from the previous level's solution.  It keeps no state between
+    solves."""
 
     def solve(self, stack: TaskStack, constraints: ConstraintSet) -> HqpSolution:
         levels = stack.levels
-        if not self._warm or len(self._warm) != len(levels):
-            self._warm = [frozenset()] * len(levels)
         E = constraints.A_eq.copy()
         f = constraints.b_eq.copy()
         x = None               # previous level's solution is a feasible start
@@ -245,28 +226,21 @@ class HierarchySolver:
             try:
                 x, act = solve_level(lv.A, lv.b, E, f,
                                      constraints.A_ineq, constraints.b_ineq,
-                                     x0=x, active0=self._warm[i], eps=self.eps)
+                                     x0=x)
             except HqpError as exc:
                 exc.level = i
                 exc.args = (f"level {i}: {exc.args[0]}",)
                 raise
             residuals[i] = np.linalg.norm(lv.A @ x - lv.b)
             actives.append(act)
-            self._warm[i] = act
             # pin the achieved task value for all lower levels
             E = np.vstack([E, lv.A])
             f = np.concatenate([f, lv.A @ x])
-        if self.debug_path is not None:
-            with open(self.debug_path, "a") as fh:
-                for i, (r, a) in enumerate(zip(residuals, actives)):
-                    fh.write(f"{self._solve_count},{i},{r:.9e},{len(a)}\n")
-        self._solve_count += 1
         return HqpSolution(x=x, tau_a=x[TAU_SLICE].copy(), F_C=x[12:16].copy(),
                            udot_y=x[:12].copy(), residuals=residuals,
                            active_sets=actives)
 
 
-def solve_hierarchy(stack: TaskStack, constraints: ConstraintSet,
-                    eps: float = TIKHONOV) -> HqpSolution:
-    """One-shot cascade solve (no warm start)."""
-    return HierarchySolver(eps=eps).solve(stack, constraints)
+def solve_hierarchy(stack: TaskStack, constraints: ConstraintSet) -> HqpSolution:
+    """One-shot cascade solve."""
+    return HierarchySolver().solve(stack, constraints)

@@ -207,11 +207,6 @@ class RobotDescription:
         )
 
     @classmethod
-    def from_yaml(cls, path: str) -> "RobotDescription":
-        with open(path) as f:
-            return cls.from_dict(yaml.safe_load(f))
-
-    @classmethod
     def default(cls) -> "RobotDescription":
         text = resources.files("wbcsim.data").joinpath("robot_default.yaml").read_text()
         return cls.from_dict(yaml.safe_load(text))
@@ -304,8 +299,8 @@ class KinematicsCache:
         self.o = np.empty((n, 3))
         self.axis_w = np.empty((NQ_TREE, 3))      # joint axes in world frame
         self.joint_origin_w = np.empty((NQ_TREE, 3))
-        # gravity -> tree dynamics of this state, filled by dynamics.closed_loop_dynamics
-        self.tree_dynamics: dict = {}
+        # tree dynamics of this state, filled by dynamics.closed_loop_dynamics
+        self.tree_dynamics = None
 
         self.R[BASE] = state.rot
         self.o[BASE] = state.pos
@@ -449,7 +444,7 @@ class RobotModel:
             vel=q.vel[[0, 1, 2, 3, 4, 5, 6, 10, 9, 11, 15, 14]].copy(),
         )
 
-    def loop_jacobian(self, y: MinimalState | None = None) -> np.ndarray:
+    def loop_jacobian(self) -> np.ndarray:
         """G = d(gamma)/dy; constant for the parallelogram closure."""
         return self.G.copy()
 

@@ -52,11 +52,6 @@ def log_so3(R: np.ndarray) -> np.ndarray:
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def rot_y(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])

@@ -9,11 +9,11 @@ references, disturbances and the estimation mode of the controller.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
@@ -26,11 +26,12 @@ from .task_control import (
     default_gains,
     pd_accel,
 )
-from .terrain import Terrain, terrain_from_dict
+from .terrain import Terrain, finite_number, terrain_from_dict
 from .terrain_estimation import (
     NormalFilter,
     NormalMap,
     PointCloud,
+    incline_angle,
     query_normal,
 )
 from . import model as _model
@@ -95,8 +96,8 @@ class Scenario:
     disturbances: list = field(default_factory=list)
     sensor: SensorConfig = field(default_factory=SensorConfig)
     lookahead: float = 0.0       # m ahead of each contact for normal queries
-    kp: list | None = None       # pose-gain override (5 values)
-    lqr_q: list | None = None    # balance weight override (4 diagonal values)
+    kp: np.ndarray | None = None      # pose-gain override (5 values)
+    lqr_q: np.ndarray | None = None   # balance weight override (4 diagonal values)
     lqr_r: float = 1.0
 
     def __post_init__(self):
@@ -104,51 +105,43 @@ class Scenario:
             raise ScenarioError("missing key 'terrain'")
         if self.sim_rate < self.control_rate or self.control_rate <= 0.0:
             raise ScenarioError("'sim_rate' must be >= 'control_rate' > 0")
-        if self.estimation_mode not in ESTIMATION_MODES:
-            raise ScenarioError(f"'estimation_mode' must be one of {ESTIMATION_MODES}")
-        if self.duration <= 0.0:
-            raise ScenarioError("'duration' must be positive")
+        if not self.reference:
+            raise ScenarioError("'reference' must not be empty")
+        try:
+            if self.timing()[2] < 1:
+                raise ScenarioError(f"'duration' of {self.duration:g} s is "
+                                    "shorter than one control cycle")
+        except OverflowError:
+            raise ScenarioError("'duration', 'control_rate', 'sim_rate' or "
+                                "'sensor.rate_hz' out of range") from None
+
+    def timing(self) -> tuple[float, int, int, int]:
+        """Physics step (s), physics steps per control cycle, control cycles,
+        and control cycles per lidar frame."""
+        dt_sim = 1.0 / self.sim_rate
+        n_sub = max(1, int(round(self.sim_rate / self.control_rate)))
+        n_ctrl = int(round(self.duration / (n_sub * dt_sim)))
+        return dt_sim, n_sub, n_ctrl, max(1, int(round(self.control_rate
+                                                       / self.sensor.rate_hz)))
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        cfg = dict(cfg)
-        try:
-            terrain = terrain_from_dict(cfg.pop("terrain"))
-        except KeyError as exc:
-            raise ScenarioError(f"terrain config missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad 'terrain' section: {exc}") from exc
-        refs = [ReferenceSegment(**r) for r in cfg.pop("reference", [{}])]
-        refs.sort(key=lambda r: r.t_start)
-        dists = []
-        for d in cfg.pop("disturbances", []):
-            d = dict(d)
-            if d.get("kind") not in ("push", "block_impact"):
-                raise ScenarioError(f"disturbance 'kind' invalid: {d.get('kind')!r}")
-            if "direction" in d:
-                d["direction"] = np.asarray(d["direction"], dtype=float)
-            dists.append(Disturbance(**d))
-        sensor = SensorConfig(**cfg.pop("sensor", {}))
-        start_xy = np.asarray(cfg.pop("start_xy", [0.0, 0.0]), dtype=float)
-        known = {"name", "duration", "control_rate", "sim_rate",
-                 "estimation_mode", "start_yaw", "lookahead",
-                 "kp", "lqr_q", "lqr_r"}
-        bad = set(cfg) - known
-        if bad:
-            raise ScenarioError(f"unknown scenario key(s): {sorted(bad)}")
-        return cls(terrain=terrain, reference=refs, disturbances=dists,
-                   sensor=sensor, start_xy=start_xy, **cfg)
+        """Scenario from a scenario-file mapping.  Every section rejects
+        unknown keys and bad values with a ScenarioError naming the key."""
+        def section(c, **parse):
+            return lambda key, v: _section(c, v, key, **parse)
 
-    @classmethod
-    def from_file(cls, path: str) -> "Scenario":
-        with open(path) as fh:
-            try:
-                cfg = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ScenarioError("scenario file must contain a mapping")
-        return cls.from_dict(cfg)
+        def vector(n, optional=False):
+            return lambda key, v: (None if optional and v is None
+                                   else np.array(_list(key, v, _number, n)))
+
+        return _section(
+            cls, cfg, "", terrain=_terrain, sensor=section(SensorConfig),
+            start_xy=vector(2), kp=vector(5, True), lqr_q=vector(4, True),
+            reference=lambda key, v: sorted(_list(key, v, section(ReferenceSegment)),
+                                             key=lambda r: r.t_start),
+            disturbances=lambda key, v: _list(
+                key, v, section(Disturbance, direction=vector(3))))
 
     def segment_at(self, t: float) -> ReferenceSegment:
         seg = self.reference[0]
@@ -156,6 +149,78 @@ class Scenario:
             if r.t_start <= t:
                 seg = r
         return seg
+
+
+# scenario value checks by field name (list entries by the list's name):
+# lower bounds as (bound, whether the bound itself is allowed), and choices
+_LOWER = {"duration": (0.0, True), "control_rate": (0.0, False),
+          "rate_hz": (0.0, False), "radius": (0.0, False), "noise": (0.0, True),
+          "points": (1, True), "mass": (0.0, True), "drop_height": (0.0, True),
+          "lqr_r": (0.0, False), "kp": (0.0, False), "lqr_q": (0.0, False)}
+_CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODES}
+
+
+def _number(key: str, v, integer: bool = False):
+    """v as a finite float (or int) within the _LOWER bound of its key."""
+    try:
+        x = finite_number(key, v)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    if integer and not isinstance(v, int):
+        raise ScenarioError(f"'{key}' must be an integer, got {v!r}")
+    lo, closed = _LOWER.get(key.rpartition(".")[2].partition("[")[0], (-math.inf, True))
+    if x < lo or (x == lo and not closed):
+        raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
+    return v if integer else x
+
+
+def _list(key: str, v, item, n: int | None = None) -> list:
+    """The list v of length n (any if None), each entry checked by item(key, entry)."""
+    if not isinstance(v, list) or n not in (None, len(v)):
+        raise ScenarioError(f"'{key}' must be a list{f' of {n} numbers' if n else ''}, got {v!r}")
+    return [item(f"{key}[{i}]", x) for i, x in enumerate(v)]
+
+
+def _terrain(key: str, v) -> Terrain:
+    try:
+        return terrain_from_dict(v)
+    except KeyError as exc:
+        raise ScenarioError(f"missing key '{key}.{exc.args[0]}'") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad '{key}' section: {exc}") from None
+
+
+def _section(cls, cfg, path: str, **parse):
+    """Dataclass cls from the mapping cfg of the section at key `path`.
+
+    The keys must be fields of cls.  A field named in `parse` is converted
+    by that function of (key, value); any other is checked against its
+    annotation, str, int or float, and against _LOWER and _CHOICES.
+    """
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"'{path}' must be a mapping, got {cfg!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    key = (lambda k: f"{path}.{k}") if path else str
+    unknown = [key(k) for k in cfg if k not in fields]
+    if unknown:
+        raise ScenarioError(f"unknown scenario key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for name, f in fields.items():
+        if name not in cfg:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ScenarioError(f"missing key '{key(name)}'")
+        elif name in parse:
+            kwargs[name] = parse[name](key(name), cfg[name])
+        elif f.type == "str":
+            v, choices = cfg[name], _CHOICES.get(name)
+            if not isinstance(v, str) or (choices and v not in choices):
+                raise ScenarioError(f"'{key(name)}' must be "
+                                    f"{f'one of {choices}' if choices else 'a string'}"
+                                    f", got {v!r}")
+            kwargs[name] = v
+        else:
+            kwargs[name] = _number(key(name), cfg[name], integer=f.type == "int")
+    return cls(**kwargs)
 
 
 # -- state / logging --------------------------------------------------------
@@ -244,7 +309,6 @@ def true_normals(model: RobotModel, y: MinimalState, terrain: Terrain,
 
 def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
                      terrain: Terrain, ext_wrench: np.ndarray | None = None,
-                     baumgarte: bool = True,
                      kc: _model.KinematicsCache | None = None):
     """Accelerations and contact forces from the constrained EoM KKT solve.
 
@@ -257,15 +321,13 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     if ext_wrench is not None:
         rhs_top = rhs_top + np.concatenate([ext_wrench, np.zeros(6)])
 
-    drift = cl.Jdot_xz_u.copy()
-    if baumgarte:
-        cvel = cl.J_xz @ y.vel
-        gap = np.zeros(4)
-        for i, p in ((1, cl.p_cl), (3, cl.p_cr)):
-            n = cl.contact.n_l if i == 1 else cl.contact.n_r
-            gap[i] = n[2] * (p[2] - terrain.height(p[0], p[1]))
-        drift = (drift + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
-                 + BAUMGARTE_OMEGA**2 * gap)
+    cvel = cl.J_xz @ y.vel
+    gap = np.zeros(4)
+    for i, p in ((1, cl.p_cl), (3, cl.p_cr)):
+        n = cl.contact.n_l if i == 1 else cl.contact.n_r
+        gap[i] = n[2] * (p[2] - terrain.height(p[0], p[1]))
+    drift = (cl.Jdot_xz_u + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
+             + BAUMGARTE_OMEGA**2 * gap)
 
     KKT = np.block([[cl.H_y, -cl.G.T @ cl.J_gc],
                     [cl.J_xz, np.zeros((4, 4))]])
@@ -411,7 +473,7 @@ def initial_state(model: RobotModel, terrain: Terrain,
 # -- synthetic LiDAR --------------------------------------------------------
 
 def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
-                     rng: np.random.Generator, timestamp: float = 0.0) -> PointCloud:
+                     rng: np.random.Generator) -> PointCloud:
     """Uniform disc sample of the terrain surface with isotropic noise."""
     if cfg.radius <= 0.0:
         raise ValueError("sensor radius must be positive")
@@ -423,7 +485,7 @@ def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
     pts = np.column_stack([xs, ys, zs])
     if cfg.noise > 0.0:
         pts = pts + rng.normal(scale=cfg.noise, size=pts.shape)
-    return PointCloud(points=pts, timestamp=timestamp)
+    return PointCloud(points=pts)
 
 
 # -- scenario loop ----------------------------------------------------------
@@ -437,12 +499,7 @@ def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
     return np.concatenate([dist.f_max * frac * d, np.zeros(3)])
 
 
-def incline_of(n: np.ndarray) -> float:
-    return float(np.degrees(np.arccos(np.clip(n[2], -1.0, 1.0))))
-
-
-def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0,
-                 log_every: int = 1):
+def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     """Closed-loop run; returns (records, MetricsSummary)."""
     rng = np.random.default_rng(seed)
     terrain = scenario.terrain
@@ -452,11 +509,8 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0,
     state = SimState(y=y, F_C=np.zeros(4))
     e_start = mechanical_energy(model.kinematics(y))
 
-    dt_sim = 1.0 / scenario.sim_rate
-    n_sub = max(1, int(round(scenario.sim_rate / scenario.control_rate)))
+    dt_sim, n_sub, n_ctrl, lidar_every = scenario.timing()
     dt_ctrl = n_sub * dt_sim
-    n_ctrl = int(round(scenario.duration / dt_ctrl))
-    lidar_every = max(1, int(round(scenario.control_rate / scenario.sensor.rate_hz)))
 
     gains = (default_gains(np.asarray(scenario.kp, dtype=float))
              if scenario.kp is not None else default_gains())
@@ -491,7 +545,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0,
         # --- estimation ---------------------------------------------------
         if scenario.estimation_mode == "estimated_normal" and k % lidar_every == 0:
             cloud = synth_pointcloud(terrain, state.y.pos[:2], scenario.sensor,
-                                     rng, timestamp=t)
+                                     rng)
             nmap.update(cloud)
         if scenario.estimation_mode == "true_normal":
             nl_hat = terrain.normal(wl[0], wl[1])
@@ -503,9 +557,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0,
                                   filters["l"])
             nr_hat = query_normal(nmap, wr[:2], heading, scenario.lookahead,
                                   filters["r"])
-        psi_hat = 0.5 * (incline_of(nl_hat) + incline_of(nr_hat))
-        psi_true = 0.5 * (incline_of(terrain.normal(wl[0], wl[1]))
-                          + incline_of(terrain.normal(wr[0], wr[1])))
+        psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
+        psi_true = 0.5 * (incline_angle(terrain.normal(wl[0], wl[1]))
+                          + incline_angle(terrain.normal(wr[0], wr[1])))
 
         # --- controller ---------------------------------------------------
         seg = scenario.segment_at(t)
@@ -567,12 +621,11 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0,
             break
 
         s_ref += seg.speed * dt_ctrl
-        if k % log_every == 0:
-            records.append(LogRecord(
-                t=t, Lambda=ts.Lambda.copy(), Lambda_com=lam_com,
-                tau_a=tau.copy(), F_C=state.F_C.copy(),
-                psi_hat=psi_hat, psi_true=psi_true,
-                base_pos=state.y.pos.copy()))
+        records.append(LogRecord(
+            t=t, Lambda=ts.Lambda.copy(), Lambda_com=lam_com,
+            tau_a=tau.copy(), F_C=state.F_C.copy(),
+            psi_hat=psi_hat, psi_true=psi_true,
+            base_pos=state.y.pos.copy()))
         if abs(ts.Lambda[2]) > 1.0 or abs(ts.Lambda[3]) > 1.0:
             fell = True
             break

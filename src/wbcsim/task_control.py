@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dynamics import GRAVITY
 from .model import TaskJacobians
 from .rotations import wrap_angle
-
-GRAVITY = 9.81
 
 # Lambda order (phi, h, alpha, beta, gamma); angular entries get wrapped errors
 ANGULAR_TASKS = (0, 2, 3, 4)
@@ -74,20 +73,20 @@ class CareError(RuntimeError):
     pass
 
 
-def pendulum_state_matrices(r_z: float, gravity: float = GRAVITY):
+def pendulum_state_matrices(r_z: float):
     """Linearized wheeled-inverted-pendulum state space, x = (r, rdot, s, sdot)."""
     if r_z <= 0.0:
         raise ValueError("pendulum height must be positive")
     A = np.array([[0.0, 1.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0],
-                  [gravity / r_z, 0.0, 0.0, 0.0]])
+                  [GRAVITY / r_z, 0.0, 0.0, 0.0]])
     B = np.array([[0.0], [1.0], [0.0], [0.0]])
     return A, B
 
 
-def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q, R: float = DEFAULT_R,
-             gravity: float = GRAVITY) -> LqrDesign:
+def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q,
+             R: float = DEFAULT_R) -> LqrDesign:
     """Stabilizing LQR gain K = R^-1 B^T P from the Riccati equation."""
     Q = np.asarray(Q, dtype=float)
     R = float(R)
@@ -95,7 +94,7 @@ def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q, R: float = DEFAULT_R,
         raise ValueError("R must be positive")
     if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() < -1e-12:
         raise ValueError("Q must be positive semidefinite")
-    A, B = pendulum_state_matrices(r_z, gravity)
+    A, B = pendulum_state_matrices(r_z)
     P = scipy.linalg.solve_continuous_are(A, B, Q, np.array([[R]]))
     resid = np.linalg.norm(A.T @ P + P @ A - P @ B @ B.T @ P / R + Q)
     # relative to the equation scale, so large weight matrices are not
@@ -115,17 +114,16 @@ class GainScheduler:
     by more than the threshold (A depends on r_z)."""
 
     def __init__(self, Q: np.ndarray = DEFAULT_Q, R: float = DEFAULT_R,
-                 threshold: float = 0.01, gravity: float = GRAVITY):
+                 threshold: float = 0.01):
         self.Q = np.asarray(Q, dtype=float)
         self.R = float(R)
         self.threshold = float(threshold)
-        self.gravity = float(gravity)
         self.design: LqrDesign | None = None
         self.solve_count = 0
 
     def gain(self, r_z: float) -> LqrDesign:
         if self.design is None or abs(r_z - self.design.r_z) > self.threshold:
-            self.design = lqr_gain(r_z, self.Q, self.R, self.gravity)
+            self.design = lqr_gain(r_z, self.Q, self.R)
             self.solve_count += 1
         return self.design
 
@@ -137,11 +135,11 @@ def balance_accel(K: np.ndarray, ref_Lcom: np.ndarray, Lcom: np.ndarray) -> floa
 
 
 def balance_constraints_residual(F_NC: np.ndarray, r_com: np.ndarray,
-                                 mass: float, gravity: float = GRAVITY) -> np.ndarray:
+                                 mass: float) -> np.ndarray:
     """Sagittal equilibrium residuals (vertical force, CoM moment); zero at balance."""
     F_x, F_z = float(F_NC[0]), float(F_NC[1])
     r_x, r_z = float(r_com[0]), float(r_com[1])
-    return np.array([mass * gravity + F_z, -r_z * F_x + r_x * F_z])
+    return np.array([mass * GRAVITY + F_z, -r_z * F_x + r_x * F_z])
 
 
 @dataclass

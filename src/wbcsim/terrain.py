@@ -8,6 +8,8 @@ y = 0; each wheel stays in its own lane.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -65,7 +67,7 @@ class SlopeTerrain(Terrain):
     kind = "slope"
 
     def __init__(self, angle_deg: float, start: float = 0.0,
-                 blend: float = 0.3, mu: float = 0.8, z0: float = 0.0):
+                 blend: float = 0.3, mu: float = 0.8):
         super().__init__(mu)
         if blend <= 0.0:
             raise ValueError("blend length must be positive")
@@ -73,17 +75,16 @@ class SlopeTerrain(Terrain):
         self.m = float(np.tan(np.deg2rad(angle_deg)))
         self.start = float(start)
         self.blend = float(blend)
-        self.z0 = float(z0)
 
     def height(self, x, y):
         t = (x - self.start) / self.blend
         if t <= 0.0:
-            return self.z0
+            return 0.0
         if t >= 1.0:
             # integral of the smoothstep grade over the blend is m*L/2
-            return self.z0 + self.m * (self.blend * 0.5 + (x - self.start - self.blend))
+            return self.m * (self.blend * 0.5 + (x - self.start - self.blend))
         # integral of m*s^2(3-2s): m*L*(t^3 - t^4/2)
-        return self.z0 + self.m * self.blend * (t**3 - 0.5 * t**4)
+        return self.m * self.blend * (t**3 - 0.5 * t**4)
 
     def grad(self, x, y):
         t = (x - self.start) / self.blend
@@ -154,21 +155,42 @@ class CompositeTerrain(Terrain):
         return float(self._df(x)), 0.0
 
 
+def finite_number(key: str, v) -> float:
+    """v as a float; ValueError naming the key unless v is a finite int or
+    float (a YAML bool or string is not a number)."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ValueError(f"'{key}' must be a finite number, got {v!r}")
+
+
 def terrain_from_dict(cfg: dict) -> Terrain:
-    """Build a terrain from a scenario-file dictionary."""
+    """Build a terrain from a scenario-file dictionary.  KeyError names a
+    missing key; ValueError a key the kind does not take or a bad value."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", "flat")
-    mu = float(cfg.pop("mu", 0.8))
+
+    def num(key, *default):
+        return finite_number(key, cfg.pop(key, *default))
+
+    def nums(key):
+        return [finite_number(f"{key}[{i}]", v) for i, v in enumerate(cfg.pop(key))]
+
+    def lane(key):
+        return LaneProfile(**{k: finite_number(f"{key}.{k}", v)
+                              for k, v in dict(cfg.pop(key, {})).items()})
+
+    mu = num("mu", 0.8)
     if kind == "flat":
-        return FlatTerrain(z0=float(cfg.pop("z0", 0.0)), mu=mu)
-    if kind == "slope":
-        return SlopeTerrain(angle_deg=float(cfg.pop("angle_deg")),
-                            start=float(cfg.pop("start", 0.0)),
-                            blend=float(cfg.pop("blend", 0.3)), mu=mu)
-    if kind == "asymmetric_support":
-        left = LaneProfile(**cfg.pop("left", {}))
-        right = LaneProfile(**cfg.pop("right", {}))
-        return AsymmetricTerrain(left, right, mu=mu)
-    if kind == "composite":
-        return CompositeTerrain(cfg.pop("knots_x"), cfg.pop("knots_h"), mu=mu)
-    raise ValueError(f"unknown terrain kind: {kind!r}")
+        terrain = FlatTerrain(z0=num("z0", 0.0), mu=mu)
+    elif kind == "slope":
+        terrain = SlopeTerrain(angle_deg=num("angle_deg"), start=num("start", 0.0),
+                               blend=num("blend", 0.3), mu=mu)
+    elif kind == "asymmetric_support":
+        terrain = AsymmetricTerrain(lane("left"), lane("right"), mu=mu)
+    elif kind == "composite":
+        terrain = CompositeTerrain(nums("knots_x"), nums("knots_h"), mu=mu)
+    else:
+        raise ValueError(f"unknown terrain kind: {kind!r}")
+    if cfg:
+        raise ValueError(f"unknown key(s) {sorted(map(str, cfg))} for kind {kind!r}")
+    return terrain

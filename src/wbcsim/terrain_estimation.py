@@ -9,7 +9,6 @@ lookahead query with exponential smoothing.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from scipy.spatial import cKDTree
 
 UP = np.array([0.0, 0.0, 1.0])
 UPDATE_CHUNK = 64          # cells per batch in NormalMap.update
+SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 
 
 class InsufficientNeighborhoodError(ValueError):
@@ -30,7 +30,6 @@ class DegenerateNeighborhoodError(ValueError):
 @dataclass
 class PointCloud:
     points: np.ndarray                 # (n, 3), inertia frame
-    timestamp: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -49,10 +48,9 @@ class PointCloud:
         return self._tree
 
     @classmethod
-    def from_xyz_file(cls, path: str, timestamp: float | None = None) -> "PointCloud":
+    def from_xyz_file(cls, path: str) -> "PointCloud":
         """ASCII ingestion: one 'x y z' triple per line, meters."""
-        return cls(points=np.loadtxt(path, dtype=float).reshape(-1, 3),
-                   timestamp=timestamp)
+        return cls(points=np.loadtxt(path, dtype=float).reshape(-1, 3))
 
     def to_xyz_file(self, path: str) -> None:
         np.savetxt(path, self.points, fmt="%.9g")
@@ -150,16 +148,11 @@ def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k: int) -> Norma
 class MapCell:
     normal: np.ndarray
     sample_count: int
-    last_update: float
     k: int = 0                         # neighbor count the normal was estimated from
 
 
 class NormalMap:
-    """Sparse 2D grid of estimated ground normals.
-
-    Single-writer / multi-reader: cell values are replaced atomically under
-    a lock, so a concurrent query always sees a consistent normal.
-    """
+    """Sparse 2D grid of estimated ground normals."""
 
     def __init__(self, cell_size: float = 0.10, k_min: int = 10, k_max: int = 60):
         if cell_size <= 0.0:
@@ -171,13 +164,9 @@ class NormalMap:
         self.k_max = int(k_max)
         self.cells: dict[tuple[int, int], MapCell] = {}
         self.skipped_degenerate = 0
-        self._lock = threading.Lock()
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(np.floor(x / self.cell_size)), int(np.floor(y / self.cell_size)))
-
-    def cell_center(self, key: tuple[int, int]) -> np.ndarray:
-        return (np.array(key, dtype=float) + 0.5) * self.cell_size
 
     def update(self, cloud: PointCloud) -> int:
         """Re-estimate every cell occupied by the cloud; untouched cells persist.
@@ -192,7 +181,6 @@ class NormalMap:
         """
         if len(cloud) == 0:
             raise ValueError("cannot update the map from an empty cloud")
-        t = cloud.timestamp if cloud.timestamp is not None else 0.0
         pts = cloud.points
         ixy = np.floor(pts[:, :2] / self.cell_size).astype(np.int64)
         # occupied cells in order of first appearance, their counts and z sums
@@ -223,35 +211,33 @@ class NormalMap:
             # collinear when the middle eigenvalue vanishes against the largest
             ok = (lam[:, 1] > 1e-12 * np.maximum(lam[:, 2], 1e-300)) & (lam[:, 2] > 0.0)
             self.skipped_degenerate += int(len(ok) - ok.sum())
-            with self._lock:
-                for i in np.flatnonzero(ok):
-                    key = (int(keys[lo + i, 0]), int(keys[lo + i, 1]))
-                    self.cells[key] = MapCell(normal=normals[i],
-                                              sample_count=int(counts[lo + i]),
-                                              last_update=t, k=int(ks[best[i]]))
+            for i in np.flatnonzero(ok):
+                key = (int(keys[lo + i, 0]), int(keys[lo + i, 1]))
+                self.cells[key] = MapCell(normal=normals[i],
+                                          sample_count=int(counts[lo + i]),
+                                          k=int(ks[best[i]]))
             written += int(ok.sum())
         return written
 
-    def lookup(self, x: float, y: float, search_radius: float = 0.5) -> np.ndarray | None:
+    def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
-        cell within the search radius; None when nothing is found."""
-        with self._lock:
-            cell = self.cells.get(self.key_of(x, y))
-            if cell is not None:
-                return cell.normal.copy()
-            if not self.cells:
-                return None
-            keys = list(self.cells.keys())
-            centers = (np.array(keys) + 0.5) * self.cell_size
-            d2 = ((centers - [x, y]) ** 2).sum(axis=1)
-            i = int(np.argmin(d2))
-            if d2[i] <= search_radius**2:
-                return self.cells[keys[i]].normal.copy()
+        cell within SEARCH_RADIUS; None when nothing is found."""
+        cell = self.cells.get(self.key_of(x, y))
+        if cell is not None:
+            return cell.normal.copy()
+        if not self.cells:
+            return None
+        keys = list(self.cells.keys())
+        centers = (np.array(keys) + 0.5) * self.cell_size
+        d2 = ((centers - [x, y]) ** 2).sum(axis=1)
+        i = int(np.argmin(d2))
+        if d2[i] <= SEARCH_RADIUS**2:
+            return self.cells[keys[i]].normal.copy()
         return None
 
     def export_csv(self, path: str) -> None:
         """CSV export: ix,iy,nx,ny,nz,count."""
-        with self._lock, open(path, "w") as f:
+        with open(path, "w") as f:
             f.write("ix,iy,nx,ny,nz,count\n")
             for (ix, iy), cell in sorted(self.cells.items()):
                 n = cell.normal
@@ -277,8 +263,7 @@ class NormalFilter:
 
 
 def query_normal(nmap: NormalMap, position_xy: np.ndarray, heading: np.ndarray,
-                 lookahead: float, filt: NormalFilter,
-                 search_radius: float = 0.5) -> np.ndarray:
+                 lookahead: float, filt: NormalFilter) -> np.ndarray:
     """Filtered map normal at `position + lookahead * heading` (total with
     vertical fallback when the map is empty there)."""
     h = np.asarray(heading, dtype=float)[:2]
@@ -286,7 +271,7 @@ def query_normal(nmap: NormalMap, position_xy: np.ndarray, heading: np.ndarray,
     target = np.asarray(position_xy, dtype=float)[:2]
     if nh > 1e-12:
         target = target + lookahead * h / nh
-    n = nmap.lookup(target[0], target[1], search_radius)
+    n = nmap.lookup(target[0], target[1])
     if n is None:
         n = UP.copy()
     return filt.push(n)

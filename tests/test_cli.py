@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wbcsim.cli import apply_override, bench_normals, main, parse_param, RunConfig
-from wbcsim.simulator import LOG_COLUMNS, MetricsSummary, ScenarioError
+from wbcsim.cli import (apply_override, bench_normals, load_scenario, main,
+                        parse_param, RunConfig)
+from wbcsim.simulator import LOG_COLUMNS, MetricsSummary, Scenario, ScenarioError
 
 METRICS_KEYS = set(MetricsSummary.__dataclass_fields__)
 
@@ -36,6 +38,13 @@ duration: 0.3
 @pytest.fixture
 def slope_scn(tmp_path):
     p = tmp_path / "mini.scn"
+    p.write_text(MINI_SLOPE)
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def slope_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("scn") / "mini.scn"
     p.write_text(MINI_SLOPE)
     return str(p)
 
@@ -120,6 +129,65 @@ def test_malformed_scenario_diagnostic_names_key(tmp_path, capsys):
     bad.write_text("terrain: {kind: flat}\nspeeed: 1.0\n")
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "speeed" in capsys.readouterr().err
+
+
+# each override must exit 2 with a diagnostic naming the key, not a traceback
+BAD_PARAMS = [
+    ("terrain.bogus=1", "bogus"),
+    ("reference=[{sped: 1}]", "reference[0].sped"),
+    ("sensor={bogus: 1}", "sensor.bogus"),
+    ("disturbances=[{kind: push, t_start: 0, foo: 1}]", "disturbances[0].foo"),
+    ("reference=5", "reference"),
+    ("duration=.nan", "duration"),
+    ("duration=.inf", "duration"),
+    ("duration=1e-9", "duration"),
+    ("duration=1.0e-9", "duration"),
+    ("control_rate=.nan", "control_rate"),
+    ("sensor.rate_hz=0", "sensor.rate_hz"),
+    ("lookahead=abc", "lookahead"),
+    ("start_xy=[0]", "start_xy"),
+    ("kp=[1,2]", "kp"),
+    ("kp=[1,1,1,1,-1]", "kp[4]"),
+]
+
+
+@pytest.mark.parametrize("param,key", BAD_PARAMS)
+def test_bad_override_exits_2_naming_key(flat_scn, tmp_path, capsys, param, key):
+    rc = main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
+               "--param", param])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert any(line.startswith("error:") and key in line
+               for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
+SCENARIO_KEYS = [
+    "name", "duration", "control_rate", "sim_rate", "estimation_mode",
+    "start_xy", "start_yaw", "reference", "disturbances", "sensor",
+    "lookahead", "kp", "lqr_q", "lqr_r", "terrain", "terrain.kind",
+    "terrain.angle_deg", "terrain.start", "terrain.blend", "terrain.mu",
+    "terrain.left", "terrain.knots_x", "sensor.rate_hz", "sensor.points",
+    "sensor.radius", "bogus"]
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=5) | st.sampled_from(
+               ["push", "block_impact", "slope", "composite",
+                "asymmetric_support", "estimated_normal", "t_start", "kind"]))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(["kind", "t_start", "speed", "height",
+                                       "mass", "direction", "rate_hz",
+                                       "sped"]), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(SCENARIO_KEYS), VALUES, max_size=4))
+def test_random_overrides_give_scenario_or_scenario_error(slope_path, params):
+    try:
+        assert isinstance(load_scenario(slope_path, params), Scenario)
+    except ScenarioError:
+        pass
 
 
 def test_missing_scenario_file(tmp_path, capsys):

@@ -176,21 +176,10 @@ def test_tail_permutation_preserves_head():
 def test_deterministic():
     rng = np.random.default_rng(45)
     levels, E, f = random_problem(rng)
-    x1 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
-    x2 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
+    solver = HierarchySolver()
+    x1 = solver.solve(to_stack(levels), FakeConstraints(E, f)).x
+    x2 = solver.solve(to_stack(levels), FakeConstraints(E, f)).x
     assert np.array_equal(x1, x2)
-
-
-def test_warm_start_same_solution(tmp_path):
-    rng = np.random.default_rng(46)
-    levels, E, f = random_problem(rng)
-    solver = HierarchySolver(debug_path=str(tmp_path / "dbg.csv"))
-    s1 = solver.solve(to_stack(levels), FakeConstraints(E, f))
-    s2 = solver.solve(to_stack(levels), FakeConstraints(E, f))
-    assert np.allclose(s1.x, s2.x, atol=1e-12)
-    lines = (tmp_path / "dbg.csv").read_text().strip().splitlines()
-    assert lines[0] == "solve,level,residual,n_active"
-    assert len(lines) == 1 + 2 * 6
 
 
 # -- physical problem -------------------------------------------------------

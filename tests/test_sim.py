@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from wbcsim.model import MinimalState
 from wbcsim.simulator import (
@@ -298,7 +299,7 @@ def test_scenario_parse_errors(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("- just\n- a\n- list\n")
     with pytest.raises(ScenarioError, match="mapping"):
-        Scenario.from_file(str(bad))
+        load_scenario(str(bad), {})
 
 
 def test_bundled_scenarios_parse():
@@ -306,7 +307,7 @@ def test_bundled_scenarios_parse():
     base = files("wbcsim").joinpath("data/scenarios")
     names = {"disturbance", "asymmetric", "slope_impact", "slope_uturn"}
     for name in names:
-        sc = Scenario.from_file(str(base.joinpath(f"{name}.scn")))
+        sc = load_scenario(str(base.joinpath(f"{name}.scn")), {})
         assert sc.name == name
         assert sc.duration > 0.0
 
