@@ -44,6 +44,11 @@ BAUMGARTE_ZETA = 1.0
 
 ESTIMATION_MODES = ("true_normal", "estimated_normal", "horizontal_normal")
 
+# The wheel contact is bilateral, so the simulated ground can pull a wheel
+# down, which real ground cannot.  A run has fallen once either wheel has
+# been pulled down with an impulse of this many seconds of body weight.
+PULL_LIMIT_S = 0.05
+
 
 class SimulationError(RuntimeError):
     pass
@@ -535,6 +540,8 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     records = []
     failed, failure = False, ""
     fell = False
+    pull = np.zeros(2)           # downward impulse on each wheel so far, N*s
+    pull_limit = model.desc.total_mass * GRAVITY * PULL_LIMIT_S
 
     for k in range(n_ctrl):
         t = k * dt_ctrl
@@ -626,7 +633,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             tau_a=tau.copy(), F_C=state.F_C.copy(),
             psi_hat=psi_hat, psi_true=psi_true,
             base_pos=state.y.pos.copy()))
-        if abs(ts.Lambda[2]) > 1.0 or abs(ts.Lambda[3]) > 1.0:
+        pull += dt_ctrl * np.maximum(0.0, -state.F_C[[1, 3]])
+        if (abs(ts.Lambda[2]) > 1.0 or abs(ts.Lambda[3]) > 1.0
+                or pull.max() > pull_limit):
             fell = True
             break
 
