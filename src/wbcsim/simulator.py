@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
+from .dynamics import (
+    GRAVITY,
+    ClosedLoopDynamics,
+    closed_loop_dynamics,
+    mechanical_energy,
+)
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
 from .model import MinimalState, RobotModel
 from .rotations import euler_zyx, exp_so3, project_to_so3, rot_z, wrap_angle
@@ -34,7 +39,6 @@ from .terrain_estimation import (
     incline_angle,
     query_normal,
 )
-from . import model as _model
 from .model import leg_ik
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -304,24 +308,23 @@ def write_log_csv(records: list, path: str) -> None:
 
 # -- forward dynamics -------------------------------------------------------
 
-def true_normals(model: RobotModel, y: MinimalState, terrain: Terrain,
-                 kc: _model.KinematicsCache | None = None):
-    if kc is None:
-        kc = model.kinematics(y)
+def true_normals(model: RobotModel, y: MinimalState, terrain: Terrain):
+    kc = model.kinematics(y)
     wl, wr = kc.wheel_centers()
     return terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1]), kc
 
 
 def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
                      terrain: Terrain, ext_wrench: np.ndarray | None = None,
-                     kc: _model.KinematicsCache | None = None):
+                     cl: ClosedLoopDynamics | None = None):
     """Accelerations and contact forces from the constrained EoM KKT solve.
 
     ext_wrench is a world-frame (force, moment) pair acting on the base;
-    kc, when given, is the kinematics cache of y.
+    cl, when given, is the closed-loop dynamics of y at the true normals.
     """
-    n_l, n_r, kc = true_normals(model, y, terrain, kc)
-    cl = closed_loop_dynamics(model, y, n_l, n_r, mu=terrain.mu, kc=kc)
+    if cl is None:
+        n_l, n_r, kc = true_normals(model, y, terrain)
+        cl = closed_loop_dynamics(model, y, n_l, n_r, mu=terrain.mu, kc=kc)
     rhs_top = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
     if ext_wrench is not None:
         rhs_top = rhs_top + np.concatenate([ext_wrench, np.zeros(6)])
@@ -354,16 +357,15 @@ def forward_dynamics_free(model: RobotModel, y: MinimalState,
 
 def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
          terrain: Terrain, ext_wrench: np.ndarray | None = None,
-         kc: _model.KinematicsCache | None = None) -> SimState:
+         cl: ClosedLoopDynamics | None = None) -> SimState:
     """Semi-implicit Euler step; rotation integrated via the exponential map.
 
-    kc, when given, is the kinematics cache of state.y.
+    cl, when given, is the closed-loop dynamics of state.y at the true normals.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     y = state.y
-    udot, F_C, cl = forward_dynamics(model, y, tau_a, terrain, ext_wrench,
-                                     kc=kc)
+    udot, F_C, cl = forward_dynamics(model, y, tau_a, terrain, ext_wrench, cl)
     u_new = y.vel + dt * udot
     if not np.isfinite(u_new).all():
         raise SimulationError(f"NaN/Inf velocity at t = {state.t:.4f}")
@@ -554,9 +556,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             cloud = synth_pointcloud(terrain, state.y.pos[:2], scenario.sensor,
                                      rng)
             nmap.update(cloud)
+        nl, nr = terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1])
         if scenario.estimation_mode == "true_normal":
-            nl_hat = terrain.normal(wl[0], wl[1])
-            nr_hat = terrain.normal(wr[0], wr[1])
+            nl_hat, nr_hat = nl, nr
         elif scenario.estimation_mode == "horizontal_normal":
             nl_hat, nr_hat = EZ.copy(), EZ.copy()
         else:
@@ -565,8 +567,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             nr_hat = query_normal(nmap, wr[:2], heading, scenario.lookahead,
                                   filters["r"])
         psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
-        psi_true = 0.5 * (incline_angle(terrain.normal(wl[0], wl[1]))
-                          + incline_angle(terrain.normal(wr[0], wr[1])))
+        psi_true = 0.5 * (incline_angle(nl) + incline_angle(nr))
 
         # --- controller ---------------------------------------------------
         seg = scenario.segment_at(t)
@@ -575,8 +576,13 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             tj = model.task_jacobians(state.y, nl_hat, nr_hat, kc)
             ts = model.task_state(state.y, nl_hat, nr_hat, kc, tj)
             cs = model.com_state(state.y, nl_hat, nr_hat, kc)
-            cl_hat = closed_loop_dynamics(model, state.y, nl_hat, nr_hat,
-                                          mu=terrain.mu, kc=kc)
+            # the true-normal dynamics serve the first physics substep and,
+            # with true normals, the controller
+            cl = closed_loop_dynamics(model, state.y, nl, nr, mu=terrain.mu,
+                                      kc=kc)
+            cl_hat = (cl if scenario.estimation_mode == "true_normal"
+                      else closed_loop_dynamics(model, state.y, nl_hat, nr_hat,
+                                                mu=terrain.mu, kc=kc))
 
             # express the yaw reference in the branch nearest the current
             # yaw so the PD error stays wrapped across the +/-pi seam
@@ -602,9 +608,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
 
         # --- physics ------------------------------------------------------
         # the first substep starts from the controller's state and reuses
-        # its kinematics (and the tree dynamics cached on it) unless an
-        # impact has changed the velocity in between
-        kc_step = kc
+        # its closed-loop dynamics unless an impact has changed the velocity
+        # in between
+        cl_step = cl
         try:
             for d in list(pending_impacts):
                 if d.t_start <= t:
@@ -613,7 +619,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
                                        None if np.all(d.direction == 0.0)
                                        else d.direction)
                     pending_impacts.remove(d)
-                    kc_step = None
+                    cl_step = None
             for _ in range(n_sub):
                 wrench = None
                 for d in pushes:
@@ -621,8 +627,8 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
                     if w is not None:
                         wrench = w if wrench is None else wrench + w
                 state = step(model, state, tau, dt_sim, terrain, wrench,
-                             kc=kc_step)
-                kc_step = None
+                             cl=cl_step)
+                cl_step = None
         except SimulationError as exc:
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break
