@@ -144,13 +144,18 @@ class Scenario:
             return lambda key, v: (None if optional and v is None
                                    else np.array(_list(key, v, _number, n)))
 
+        def disturbance(key, v):
+            d = _section(Disturbance, v, key, direction=vector(3))
+            if d.kind == "push" and not np.linalg.norm(d.direction) > 0.0:
+                raise ScenarioError(f"'{key}.direction' of a push must not be zero")
+            return d
+
         return _section(
             cls, cfg, "", terrain=_terrain, sensor=section(SensorConfig),
             start_xy=vector(2), kp=vector(5, True), lqr_q=vector(4, True),
             reference=lambda key, v: sorted(_list(key, v, section(ReferenceSegment)),
                                              key=lambda r: r.t_start),
-            disturbances=lambda key, v: _list(
-                key, v, section(Disturbance, direction=vector(3))))
+            disturbances=lambda key, v: _list(key, v, disturbance))
 
     def segment_at(self, t: float) -> ReferenceSegment:
         seg = self.reference[0]
@@ -511,8 +516,12 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     rng = np.random.default_rng(seed)
     terrain = scenario.terrain
     seg0 = scenario.segment_at(0.0)
-    y = initial_state(model, terrain, scenario.start_xy, scenario.start_yaw,
-                      seg0.height, seg0.speed)
+    try:
+        y = initial_state(model, terrain, scenario.start_xy, scenario.start_yaw,
+                          seg0.height, seg0.speed)
+    except ValueError as exc:
+        key = f"reference[{scenario.reference.index(seg0)}].height"
+        raise ScenarioError(f"'{key}' of {seg0.height:g} m: {exc}") from None
     state = SimState(y=y, F_C=np.zeros(4))
     e_start = mechanical_energy(model.kinematics(y))
 

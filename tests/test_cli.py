@@ -148,6 +148,9 @@ BAD_PARAMS = [
     ("start_xy=[0]", "start_xy"),
     ("kp=[1,2]", "kp"),
     ("kp=[1,1,1,1,-1]", "kp[4]"),
+    ("reference=[{height: 5}]", "reference[0].height"),
+    ("disturbances=[{kind: push, t_start: 0, duration: 0.05, f_max: 8, "
+     "direction: [0, 0, 0]}]", "disturbances[0].direction"),
 ]
 
 
