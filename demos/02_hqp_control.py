@@ -1,9 +1,9 @@
 """One whole-body control cycle: task stack, hierarchy solve, torques.
 
-Six priority levels are solved lexicographically over the 22-dim decision
-vector (12 accelerations, 4 contact forces, 6 torques): dynamics and rolling
-constraints are hard equalities, torque limits hard inequalities, and each
-level's achieved value is pinned before the next is optimized.
+The dynamics and rolling constraints are hard equalities that fix the 12
+accelerations and 4 contact forces once the 6 torques are known, so the six
+priority levels are solved lexicographically over the torques, within their
+limits; each level's achieved value is kept while the next is optimized.
 """
 
 import numpy as np

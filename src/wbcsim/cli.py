@@ -21,7 +21,10 @@ max_abs_beta, max_abs_r_x, settle_time, height_mean, height_sd, roll_mean,
 roll_sd, psi_hat_mean, psi_err_mean, com_dev_max, energy_residual_frac.
 
 Exit status: 0 on success, 1 when the scenario falls or the solver fails
-(the metrics files are still written), 2 on configuration errors.
+(the metrics files are still written), 2 on configuration errors.  A run
+falls when roll or pitch passes 1 rad or when the ground has pulled a wheel
+down with more than 0.05 s of body weight in total (the bilateral contact
+can pull; see :data:`wbcsim.simulator.PULL_LIMIT_S`).
 
 The output directory may also be set with the ``WBCSIM_OUT`` environment
 variable; an explicit ``--out`` wins.

@@ -22,7 +22,6 @@ from wbcsim.dynamics import (
     mechanical_energy,
     spanning_tree_dynamics,
 )
-from wbcsim.hqp import solve_hierarchy
 from wbcsim.model import NV_TREE
 from wbcsim.simulator import SensorConfig, run_scenario, step, synth_pointcloud
 from wbcsim.task_control import balance_accel, lqr_gain
@@ -36,6 +35,7 @@ from wbcsim.terrain_estimation import (
 )
 
 from conftest import random_minimal_state
+from hqp_cascade import solve_hierarchy
 from test_dynamics import rnea_oracle
 from test_hqp import FakeConstraints, nullspace_lex_oracle, random_problem, to_stack
 from test_model import tangent_difference

@@ -1,23 +1,22 @@
-"""Hierarchical QP tests against a nullspace lexicographic oracle."""
+"""Hierarchical QP tests: the generic 22-unknown cascade against a nullspace
+lexicographic oracle, and the run-path torque-space solver against the
+cascade."""
+
+from importlib.resources import files
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from wbcsim.cli import load_scenario
 from wbcsim.dynamics import closed_loop_dynamics
-from wbcsim.hqp import (
-    NX,
-    CycleLimitError,
-    HierarchySolver,
-    InfeasibleError,
-    dynamics_constraints,
-    solve_hierarchy,
-    solve_level,
-)
+from wbcsim.hqp import NX, HierarchySolver, dynamics_constraints
 from wbcsim.model import selection_matrix
+from wbcsim.simulator import run_scenario
 from wbcsim.task_control import QpLevel, TaskStack, assemble_task_stack
 
 from conftest import random_minimal_state
+from hqp_cascade import TORQUE_BOX, InfeasibleError, solve_hierarchy, solve_level
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -176,9 +175,8 @@ def test_tail_permutation_preserves_head():
 def test_deterministic():
     rng = np.random.default_rng(45)
     levels, E, f = random_problem(rng)
-    solver = HierarchySolver()
-    x1 = solver.solve(to_stack(levels), FakeConstraints(E, f)).x
-    x2 = solver.solve(to_stack(levels), FakeConstraints(E, f)).x
+    x1 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
+    x2 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
     assert np.array_equal(x1, x2)
 
 
@@ -199,6 +197,7 @@ def test_dynamics_constraint_layout(model):
 
 
 def test_full_solve_satisfies_eom_and_bounds(model):
+    """The run-path solver and the cascade, on the same problems."""
     rng = np.random.default_rng(48)
     for _ in range(5):
         y = random_minimal_state(rng)
@@ -206,14 +205,18 @@ def test_full_solve_satisfies_eom_and_bounds(model):
         cs = dynamics_constraints(cl, selection_matrix(), 40.0)
         tj = model.task_jacobians(y, EZ, EZ)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
-        sol = solve_hierarchy(stack, cs)
-        assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
-        assert np.all(cs.A_ineq @ sol.x <= cs.b_ineq + 1e-10)
-        assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
-        # EoM residual in closed-loop coordinates
-        lhs = cl.H_y @ sol.udot_y + cl.C_y
-        rhs = cl.G.T @ (cl.J_gc @ sol.F_C + selection_matrix().T @ sol.tau_a)
-        assert np.allclose(lhs, rhs, atol=1e-7)
+        for solve in (HierarchySolver().solve, solve_hierarchy):
+            _check_solution(cl, cs, solve(stack, cs))
+
+
+def _check_solution(cl, cs, sol):
+    assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
+    assert np.all(TORQUE_BOX @ sol.x <= cs.b_ineq + 1e-10)
+    assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
+    # EoM residual in closed-loop coordinates
+    lhs = cl.H_y @ sol.udot_y + cl.C_y
+    rhs = cl.G.T @ (cl.J_gc @ sol.F_C + selection_matrix().T @ sol.tau_a)
+    assert np.allclose(lhs, rhs, atol=1e-7)
 
 
 def test_level_index_in_error(model):
@@ -225,3 +228,61 @@ def test_level_index_in_error(model):
         solve_hierarchy(to_stack(levels), FakeConstraints(E, f))
     assert exc_info.value.level == 0
     assert "level 0" in str(exc_info.value)
+
+
+# -- run-path solver against the cascade --------------------------------------
+
+def _assert_matches_cascade(stack, cs):
+    """Same residual profile and torques as the cascade; True when a torque
+    bound is active in the cascade's solution."""
+    sol = HierarchySolver().solve(stack, cs)
+    ref = solve_hierarchy(stack, cs)
+    assert np.allclose(sol.residuals, ref.residuals, rtol=1e-9, atol=1e-7)
+    assert np.allclose(sol.tau_a, ref.tau_a, rtol=0.0, atol=1e-7)
+    return any(ref.active_sets)
+
+
+def test_torque_space_solver_matches_cascade_200_physical_problems(model):
+    """Random states and contact normals, with the desired accelerations
+    scaled by up to 1000 so that torque bounds bind in many problems."""
+    rng = np.random.default_rng(49)
+
+    def tilted():
+        n = np.array([*rng.uniform(-0.5, 0.5, 2), 1.0])
+        return n / np.linalg.norm(n)
+
+    saturated = 0
+    for _ in range(200):
+        y = random_minimal_state(rng)
+        n_l, n_r = tilted(), tilted()
+        cl = closed_loop_dynamics(model, y, n_l, n_r)
+        cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+        tj = model.task_jacobians(y, n_l, n_r)
+        scale = 10.0 ** rng.uniform(0.0, 3.0)
+        stack = assemble_task_stack(scale * rng.normal(size=5),
+                                    scale * rng.normal(), tj)
+        saturated += _assert_matches_cascade(stack, cs)
+    assert saturated >= 50
+
+
+def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypatch):
+    """Every cycle with an active torque bound in a horizontal-normal
+    slope_impact run, re-solved by the cascade."""
+    seen = []
+    solve = HierarchySolver.solve
+
+    def recording(self, stack, cs):
+        sol = solve(self, stack, cs)
+        if any(sol.active_sets):
+            seen.append((stack, cs))
+        return sol
+
+    monkeypatch.setattr(HierarchySolver, "solve", recording)
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath("data/scenarios/slope_impact.scn")),
+        {"estimation_mode": "horizontal_normal"})
+    run_scenario(model, scenario, seed=5)
+    monkeypatch.undo()
+    assert len(seen) >= 5
+    for stack, cs in seen:
+        assert _assert_matches_cascade(stack, cs)

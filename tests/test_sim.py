@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from importlib.resources import files
+
+from wbcsim import dynamics
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from wbcsim.model import MinimalState
@@ -337,3 +340,33 @@ def test_short_stationkeeping(model):
     assert not m.fell and not m.failed
     assert m.height_mean == pytest.approx(0.25, abs=0.01)
     assert m.energy_residual_frac < 0.01
+
+
+# -- fall rule ----------------------------------------------------------------
+
+def _horizontal_slope_impact(model, dy=0.0):
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath("data/scenarios/slope_impact.scn")),
+        {"estimation_mode": "horizontal_normal"})
+    scenario.start_xy = scenario.start_xy + np.array([0.0, dy])
+    return run_scenario(model, scenario, seed=5)[1]
+
+
+@pytest.mark.parametrize("dy", [0.0, 1e-9, 1e-6, 0.01, 0.3, -0.2])
+def test_horizontal_slope_impact_falls_at_every_offset(model, dy):
+    """The symmetric run's asymmetric modes grow from roundoff; whichever way
+    they grow, the ground ends up pulling a wheel down, which is a fall."""
+    m = _horizontal_slope_impact(model, dy)
+    assert m.fell and not m.failed
+
+
+def test_horizontal_slope_impact_falls_with_inertia_nudged_one_ulp(model, monkeypatch):
+    tree = dynamics.spanning_tree_dynamics
+
+    def nudged(kc):
+        d = tree(kc)
+        return dynamics.SpanningTreeDynamics(H=np.nextafter(d.H, np.inf), C=d.C)
+
+    monkeypatch.setattr(dynamics, "spanning_tree_dynamics", nudged)
+    m = _horizontal_slope_impact(model)
+    assert m.fell and not m.failed
