@@ -143,6 +143,6 @@ class HierarchySolver:
         tau, tight = _bounded_lex(M, r, constraints.b_ineq[::2])
         x = np.concatenate([x0 + T @ tau, tau])
         residuals = np.array([np.linalg.norm(lv.A @ x - lv.b) for lv in levels])
-        return HqpSolution(x=x, tau_a=tau.copy(), F_C=x[12:16].copy(),
+        return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(),
                            udot_y=x[:12].copy(), residuals=residuals,
                            active_sets=tight)
