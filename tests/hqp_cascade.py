@@ -171,6 +171,8 @@ def solve_hierarchy(stack, constraints) -> HqpSolution:
     """Cascaded lexicographic solve: one least-squares level at a time, each
     started from the previous level's solution."""
     levels = stack.levels
+    # a ConstraintSet carries only the box's right side; test problems
+    # may bring rows of their own
     A_ineq = getattr(constraints, "A_ineq", TORQUE_BOX)
     E = constraints.A_eq.copy()
     f = constraints.b_eq.copy()

@@ -206,17 +206,14 @@ def test_full_solve_satisfies_eom_and_bounds(model):
         tj = model.task_jacobians(y, EZ, EZ)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
         for solve in (HierarchySolver().solve, solve_hierarchy):
-            _check_solution(cl, cs, solve(stack, cs))
-
-
-def _check_solution(cl, cs, sol):
-    assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
-    assert np.all(TORQUE_BOX @ sol.x <= cs.b_ineq + 1e-10)
-    assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
-    # EoM residual in closed-loop coordinates
-    lhs = cl.H_y @ sol.udot_y + cl.C_y
-    rhs = cl.G.T @ (cl.J_gc @ sol.F_C + selection_matrix().T @ sol.tau_a)
-    assert np.allclose(lhs, rhs, atol=1e-7)
+            sol = solve(stack, cs)
+            assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
+            assert np.all(TORQUE_BOX @ sol.x <= cs.b_ineq + 1e-10)
+            assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
+            # EoM residual in closed-loop coordinates
+            lhs = cl.H_y @ sol.udot_y + cl.C_y
+            rhs = cl.G.T @ (cl.J_gc @ sol.F_C + selection_matrix().T @ sol.tau_a)
+            assert np.allclose(lhs, rhs, atol=1e-7)
 
 
 def test_level_index_in_error(model):
