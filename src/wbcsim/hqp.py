@@ -1,15 +1,13 @@
 """Lexicographic whole-body QP over x = (udot_y, F_C, tau_a) in R^22.
 
-The 16 equality rows (12 dynamics, 4 rolling) give x = x0 + T tau through
-one LU of K = A_eq[:, :16], so the hierarchy is a lexicographic least
-squares over the six torques in their box: the torque-space form of
-task-space inverse dynamics (Del Prete et al., 2016), solved level by level
-(Escande, Mansard & Wieber, IJRR 2014) as a bounded-variable least squares
-(Stark & Parker, 1995) whose first iterate is tau = (A_levels T)^-1 r.
+The 16 equality rows give x = x0 + T tau: a lexicographic least squares over
+the six boxed torques (torque-space TSID, Del Prete et al., 2016), solved
+level by level (Escande et al., IJRR 2014) by BVLS (Stark & Parker, 1995).
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,7 @@ class HqpError(RuntimeError):
 class ConstraintSet:
     A_eq: np.ndarray             # 16x22
     b_eq: np.ndarray             # (16,)
-    b_ineq: np.ndarray           # (12,) torque box: tau_j <= b[2j], -tau_j <= b[2j+1]
+    torque_limit: float          # box |tau_j| <= torque_limit
 
 
 @dataclass
@@ -52,8 +50,21 @@ def dynamics_constraints(cl: ClosedLoopDynamics, S: np.ndarray,
     A_eq = np.block([[cl.H_y, -cl.G.T @ cl.J_gc, -cl.G.T @ S.T],
                      [cl.J_xz, np.zeros((4, 10))]])
     b_eq = np.concatenate([-cl.C_y, -cl.Jdot_xz_u])
-    return ConstraintSet(A_eq=A_eq, b_eq=b_eq,
-                         b_ineq=np.full(12, float(torque_limit)))
+    return ConstraintSet(A_eq=A_eq, b_eq=b_eq, torque_limit=float(torque_limit))
+
+
+def feasible_start(constraints: ConstraintSet):
+    """x0, T with (x0 + T tau, tau) meeting the equalities for every tau;
+    tau = 0 is in the box, so (x0, 0) is feasible."""
+    A_eq = constraints.A_eq
+    try:                                 # one LU of K for all 7 right sides
+        KiB = np.linalg.solve(A_eq[:, :16], np.column_stack(
+            [constraints.b_eq, A_eq[:, TAU_SLICE]]))
+    except np.linalg.LinAlgError as exc:
+        raise HqpError(f"dynamics equalities singular: {exc}") from None
+    if not np.isfinite(KiB).all():
+        raise HqpError("dynamics equalities not finite")
+    return KiB[:, 0], -KiB[:, 1:]
 
 
 def _projector(free: np.ndarray, pins: list) -> np.ndarray:
@@ -67,56 +78,55 @@ def _projector(free: np.ndarray, pins: list) -> np.ndarray:
     return P
 
 
-def _bounded_lex(M: np.ndarray, r: np.ndarray, lim: np.ndarray):
-    """Lexicographic min of (M_i tau - r_i)^2 over |tau| <= lim; returns tau
-    and the bound rows held after each level.
+def solve_level(m, ri, tau, lim, fixed, pins):
+    """Min of (m tau - ri)^2 over |tau| <= lim keeping ``fixed`` torques and
+    ``pins`` rows; updates all three in place, returns the torques held.
 
     A torque that blocks a step is held at its bound until its multiplier
-    has the wrong sign.  A level met exactly pins its row.  A level the
-    bounds stop fixes the torques with positive multipliers, since its
-    minimizers are exactly the points with those torques on their bounds.
-    """
-    try:                                 # no torque held: the closed form
-        tau = np.linalg.solve(M, r)
+    has the wrong sign.  A level met exactly pins its row; a level the bounds
+    stop fixes the torques with positive multipliers, bound in all its minima."""
+    held = fixed.copy()
+    for _ in range(CYCLE_LIMIT):
+        g = _projector(~held, pins) @ m
+        e = ri - m @ tau
+        gg = g @ g
+        if gg > DEP_TOL * (m @ m):
+            d = g * (e / gg)             # meets the level exactly
+            room = np.full(len(tau), np.inf)
+            move = ~held & (np.abs(d) > 1e-12 * np.abs(d).max())
+            room[move] = (np.copysign(lim, d) - tau)[move] / d[move]
+            j = int(np.argmin(room))
+            tau += min(max(room[j], 0.0), 1.0) * d
+            if room[j] >= 1.0:
+                pins.append(m)
+                return held
+            tau[j] = np.copysign(lim, d[j])
+            held[j] = True
+            continue
+        mu = np.zeros_like(tau)          # stationary: multipliers of the bounds
+        for j in np.flatnonzero(held & ~fixed):
+            Q = _projector(~held | (np.arange(len(tau)) == j), pins)
+            mu[j] = e * np.sign(tau[j]) * (Q[j] @ m) / Q[j, j]
+        scale = MU_TOL * abs(e) * np.sqrt(m @ m)
+        if mu.min() < -scale:
+            held[np.argmin(mu)] = False
+            continue
+        fixed |= mu > scale
+        return held
+    raise HqpError(f"active set did not settle in {CYCLE_LIMIT} iterations")
+
+
+def _bounded_lex(M: np.ndarray, r: np.ndarray, lim: float):
+    """Lexicographic min of (M_i tau - r_i)^2 over |tau| <= lim; returns tau
+    and the bound rows held after each level."""
+    with suppress(np.linalg.LinAlgError):    # M singular: no closed form
+        tau = np.linalg.solve(M, r)          # no torque held: the closed form
         if (np.abs(tau) <= lim).all():
             return tau, [frozenset()] * len(r)
-    except np.linalg.LinAlgError:        # singular or not square
-        pass
-    n = len(lim)
-    tau = np.zeros(n)                    # always feasible
-    fixed = np.zeros(n, dtype=bool)      # held at a bound by a higher level
-    pins, tight = [], []
-    for i, (m, ri) in enumerate(zip(M, r)):
-        held = fixed.copy()
-        for _ in range(CYCLE_LIMIT):
-            g = _projector(~held, pins) @ m
-            e = ri - m @ tau
-            gg = g @ g
-            if gg > DEP_TOL * (m @ m):
-                d = g * (e / gg)         # meets the level exactly
-                room = np.full(n, np.inf)
-                move = ~held & (np.abs(d) > 1e-12 * np.abs(d).max())
-                room[move] = (np.copysign(lim, d) - tau)[move] / d[move]
-                j = int(np.argmin(room))
-                tau += min(max(room[j], 0.0), 1.0) * d
-                if room[j] >= 1.0:
-                    pins.append(m)
-                    break
-                tau[j] = np.copysign(lim[j], d[j])
-                held[j] = True
-                continue
-            mu = np.zeros(n)             # stationary: multipliers of the bounds
-            for j in np.flatnonzero(held & ~fixed):
-                Q = _projector(~held | (np.arange(n) == j), pins)
-                mu[j] = e * np.sign(tau[j]) * (Q[j] @ m) / Q[j, j]
-            scale = MU_TOL * abs(e) * np.sqrt(m @ m)
-            if mu.min() < -scale:
-                held[np.argmin(mu)] = False
-                continue
-            fixed |= mu > scale
-            break
-        else:
-            raise HqpError(f"level {i}: active set did not settle")
+    tau, fixed = np.zeros(len(r)), np.zeros(len(r), dtype=bool)  # tau = 0 is feasible
+    pins, tight = [], []                 # fixed: held by a higher level
+    for m, ri in zip(M, r):
+        held = solve_level(m, ri, tau, lim, fixed, pins)
         tight.append(frozenset(2 * j + (tau[j] < 0.0) for j in np.flatnonzero(held)))
     return tau, tight
 
@@ -128,21 +138,12 @@ class HierarchySolver:
         levels = stack.levels
         if any(len(lv.b) != 1 for lv in levels):
             raise ValueError("every priority level must be one row")
-        A_eq = constraints.A_eq
-        try:                             # one LU of K for all 7 right sides
-            KiB = np.linalg.solve(A_eq[:, :16], np.column_stack(
-                [constraints.b_eq, A_eq[:, TAU_SLICE]]))
-        except np.linalg.LinAlgError as exc:
-            raise HqpError(f"dynamics equalities singular: {exc}") from None
-        if not np.isfinite(KiB).all():
-            raise HqpError("dynamics equalities not finite")
-        x0, T = KiB[:, 0], -KiB[:, 1:]
+        x0, T = feasible_start(constraints)
         A = np.vstack([lv.A for lv in levels])
         M = A[:, :16] @ T + A[:, TAU_SLICE]
         r = np.concatenate([lv.b for lv in levels]) - A[:, :16] @ x0
-        tau, tight = _bounded_lex(M, r, constraints.b_ineq[::2])
+        tau, tight = _bounded_lex(M, r, constraints.torque_limit)
         x = np.concatenate([x0 + T @ tau, tau])
         residuals = np.array([np.linalg.norm(lv.A @ x - lv.b) for lv in levels])
-        return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(),
-                           udot_y=x[:12].copy(), residuals=residuals,
-                           active_sets=tight)
+        return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(), udot_y=x[:12].copy(),
+                           residuals=residuals, active_sets=tight)

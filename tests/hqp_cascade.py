@@ -171,9 +171,12 @@ def solve_hierarchy(stack, constraints) -> HqpSolution:
     """Cascaded lexicographic solve: one least-squares level at a time, each
     started from the previous level's solution."""
     levels = stack.levels
-    # a ConstraintSet carries only the box's right side; test problems
-    # may bring rows of their own
-    A_ineq = getattr(constraints, "A_ineq", TORQUE_BOX)
+    # a ConstraintSet carries only the torque limit; test problems may
+    # bring rows of their own
+    if hasattr(constraints, "A_ineq"):
+        A_ineq, b_ineq = constraints.A_ineq, constraints.b_ineq
+    else:
+        A_ineq, b_ineq = TORQUE_BOX, np.full(12, constraints.torque_limit)
     E = constraints.A_eq.copy()
     f = constraints.b_eq.copy()
     x = None               # previous level's solution is a feasible start
@@ -182,7 +185,7 @@ def solve_hierarchy(stack, constraints) -> HqpSolution:
     for i, lv in enumerate(levels):
         try:
             x, act = solve_level(lv.A, lv.b, E, f,
-                                 A_ineq, constraints.b_ineq,
+                                 A_ineq, b_ineq,
                                  x0=x)
         except HqpError as exc:
             exc.level = i

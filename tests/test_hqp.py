@@ -193,7 +193,7 @@ def test_dynamics_constraint_layout(model):
     assert np.all(cs.A_eq[12:, 12:] == 0.0)
     assert np.array_equal(cs.b_eq[:12], -cl.C_y)
     assert np.array_equal(cs.b_eq[12:], -cl.Jdot_xz_u)
-    assert np.all(cs.b_ineq == 40.0)
+    assert cs.torque_limit == 40.0
 
 
 def test_full_solve_satisfies_eom_and_bounds(model):
@@ -208,7 +208,7 @@ def test_full_solve_satisfies_eom_and_bounds(model):
         for solve in (HierarchySolver().solve, solve_hierarchy):
             sol = solve(stack, cs)
             assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
-            assert np.all(TORQUE_BOX @ sol.x <= cs.b_ineq + 1e-10)
+            assert np.all(TORQUE_BOX @ sol.x <= cs.torque_limit + 1e-10)
             assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
             # EoM residual in closed-loop coordinates
             lhs = cl.H_y @ sol.udot_y + cl.C_y
