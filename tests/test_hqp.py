@@ -7,10 +7,12 @@ from importlib.resources import files
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linprog
 
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import closed_loop_dynamics
-from wbcsim.hqp import NX, HierarchySolver, dynamics_constraints
+from wbcsim.hqp import (NX, ConstraintSet, HierarchySolver, HqpError, _bounded_lex,
+                        _projector, dynamics_constraints)
 from wbcsim.model import selection_matrix
 from wbcsim.simulator import run_scenario
 from wbcsim.task_control import QpLevel, TaskStack, assemble_task_stack
@@ -283,3 +285,86 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
     assert len(seen) >= 5
     for stack, cs in seen:
         assert _assert_matches_cascade(stack, cs)
+
+
+def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
+    rng = np.random.default_rng(50)
+    y = random_minimal_state(rng)
+    cl = closed_loop_dynamics(model, y, EZ, EZ)
+    cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+    stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
+                                model.task_jacobians(y, EZ, EZ))
+    for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):
+        bad = ConstraintSet(A_eq=cs.A_eq.copy(), b_eq=cs.b_eq, torque_limit=40.0)
+        bad.A_eq[:, col] = value
+        with pytest.raises(HqpError, match=match):
+            HierarchySolver().solve(stack, bad)
+
+
+# -- run-path solver against a linear-programming oracle ---------------------
+
+def lp_lex_oracle(M, r, lim):
+    """Per-level residuals of the lexicographic problem over |tau| <= lim.
+
+    With one-row levels, level i's best value is r_i clipped to the range of
+    m_i tau over the box and the values the earlier levels reached; two
+    HiGHS LPs give that range, so no least-squares step is shared with the
+    solver under test.
+    """
+    A, b, res = np.zeros((0, M.shape[1])), np.zeros(0), []
+    for m, ri in zip(M, r):
+        eq = {"A_eq": A, "b_eq": b} if len(b) else {}
+        lo = linprog(m, bounds=(-lim, lim), method="highs", **eq)
+        hi = linprog(-m, bounds=(-lim, lim), method="highs", **eq)
+        assert lo.status == 0 and hi.status == 0
+        s = min(max(ri, lo.fun), -hi.fun)
+        res.append(abs(s - ri))
+        A, b = np.vstack([A, m]), np.append(b, s)
+    return np.array(res)
+
+
+def rank_deficient_problem(rng):
+    """Six one-row levels over six torques, some rows repeated (scaled),
+    summed from the first two or nearly axis-aligned, so that levels depend
+    on earlier ones; the targets are large enough for the box to bind."""
+    M = rng.normal(size=(6, 6))
+    for i in range(1, 6):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            M[i] = M[rng.integers(i)] * rng.choice([1.0, -2.0])
+        elif kind == 1 and i > 1:
+            M[i] = M[0] + M[1]
+        elif kind == 2:
+            M[i] = 0.0
+            M[i, rng.integers(6)] = 1.0
+            M[i, rng.integers(6)] += 0.5
+    r = rng.normal(size=6) * 10.0 ** rng.uniform(-1.0, 2.0, 6)
+    return M, r, rng.uniform(0.2, 3.0)
+
+
+def test_projector_skips_pinned_rows_that_pin_nothing_new():
+    """A pinned row that is a multiple of an earlier one, or that lies on
+    held torques only, leaves the projector unchanged."""
+    rng = np.random.default_rng(52)
+    free = np.array([False, True, True, True, True, False])
+    a = rng.normal(size=6)
+    on_held = np.array([1.0, 0.0, 0.0, 0.0, 0.0, -2.0])
+    P = _projector(free, [a])
+    assert np.allclose(P @ P, P) and np.allclose(P @ a, 0.0)
+    assert np.allclose(P[~free], 0.0) and np.allclose(P[:, ~free], 0.0)
+    assert np.array_equal(_projector(free, [a, -2.0 * a]), P)
+    assert np.array_equal(_projector(free, [on_held, a]), P)
+
+
+def test_bounded_lex_matches_lp_oracle_on_rank_deficient_levels():
+    rng = np.random.default_rng(51)
+    deficient = held = 0
+    for _ in range(300):
+        M, r, lim = rank_deficient_problem(rng)
+        tau, tight = _bounded_lex(M, r, lim)
+        assert np.abs(tau).max() <= lim * (1.0 + 1e-12)
+        assert np.allclose(np.abs(M @ tau - r), lp_lex_oracle(M, r, lim),
+                           rtol=1e-9, atol=1e-7)
+        deficient += np.linalg.matrix_rank(M) < 6
+        held += any(tight)
+    assert deficient >= 100 and held >= 100
