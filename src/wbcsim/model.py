@@ -636,6 +636,10 @@ class RobotModel:
         return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, gimbal=gimbal)
 
 
+class OutOfReachError(ValueError):
+    """A wheel target farther from or nearer to the hip than the leg reaches."""
+
+
 def leg_ik(desc: RobotDescription, hip_to_wheel: np.ndarray) -> tuple[float, float]:
     """Hip and knee angle (q_hip, q_knee) placing the wheel center at the
     given offset from the hip joint, expressed in the base frame (x, z used).
@@ -649,7 +653,7 @@ def leg_ik(desc: RobotDescription, hip_to_wheel: np.ndarray) -> tuple[float, flo
     r2 = a * a + z * z
     c2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     if not -1.0 <= c2 <= 1.0:
-        raise ValueError("wheel target out of reach of the leg")
+        raise OutOfReachError("wheel target out of reach of the leg")
     q_knee = -np.arccos(c2)
     q_hip = np.arctan2(a, -z) - np.arctan2(l2 * np.sin(q_knee), l1 + l2 * np.cos(q_knee))
     return float(q_hip), float(q_knee)

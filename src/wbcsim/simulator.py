@@ -22,7 +22,7 @@ from .dynamics import (
     mechanical_energy,
 )
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
-from .model import MinimalState, RobotModel
+from .model import MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import euler_zyx, exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
     GainScheduler,
@@ -39,7 +39,6 @@ from .terrain_estimation import (
     incline_angle,
     query_normal,
 )
-from .model import leg_ik
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -50,7 +49,9 @@ ESTIMATION_MODES = ("true_normal", "estimated_normal", "horizontal_normal")
 
 # The wheel contact is bilateral, so the simulated ground can pull a wheel
 # down, which real ground cannot.  A run has fallen once either wheel has
-# been pulled down with an impulse of this many seconds of body weight.
+# been pulled down with an impulse of this many seconds of body weight.  The
+# impulse adds up over the whole run and never decays, so brief pulls spread
+# over a long run count as much as one sustained pull.
 PULL_LIMIT_S = 0.05
 
 
@@ -153,13 +154,13 @@ class Scenario:
         return _section(
             cls, cfg, "", terrain=_terrain, sensor=section(SensorConfig),
             start_xy=vector(2), kp=vector(5, True), lqr_q=vector(4, True),
-            reference=lambda key, v: sorted(_list(key, v, section(ReferenceSegment)),
-                                             key=lambda r: r.t_start),
+            reference=lambda key, v: _list(key, v, section(ReferenceSegment)),
             disturbances=lambda key, v: _list(key, v, disturbance))
 
     def segment_at(self, t: float) -> ReferenceSegment:
-        seg = self.reference[0]
-        for r in self.reference:
+        ordered = sorted(self.reference, key=lambda r: r.t_start)
+        seg = ordered[0]
+        for r in ordered:
             if r.t_start <= t:
                 seg = r
         return seg
@@ -519,7 +520,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     try:
         y = initial_state(model, terrain, scenario.start_xy, scenario.start_yaw,
                           seg0.height, seg0.speed)
-    except ValueError as exc:
+    except OutOfReachError as exc:
         key = f"reference[{scenario.reference.index(seg0)}].height"
         raise ScenarioError(f"'{key}' of {seg0.height:g} m: {exc}") from None
     state = SimState(y=y, F_C=np.zeros(4))

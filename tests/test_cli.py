@@ -149,6 +149,7 @@ BAD_PARAMS = [
     ("kp=[1,2]", "kp"),
     ("kp=[1,1,1,1,-1]", "kp[4]"),
     ("reference=[{height: 5}]", "reference[0].height"),
+    ("reference=[{t_start: 1}, {t_start: 0, height: 5}]", "reference[1].height"),
     ("disturbances=[{kind: push, t_start: 0, duration: 0.05, f_max: 8, "
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
 ]

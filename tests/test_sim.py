@@ -315,6 +315,14 @@ def test_bundled_scenarios_parse():
         assert sc.duration > 0.0
 
 
+def test_segment_at_takes_segments_in_start_time_order():
+    sc = Scenario.from_dict({"terrain": {"kind": "flat"}, "reference": [
+        {"t_start": 1.0, "speed": 1.0}, {"t_start": 0.0, "speed": 2.0}]})
+    assert [r.t_start for r in sc.reference] == [1.0, 0.0]    # as written
+    assert sc.segment_at(0.5).speed == 2.0
+    assert sc.segment_at(1.5).speed == 1.0
+
+
 # -- determinism -------------------------------------------------------------
 
 def test_run_scenario_deterministic(model):
