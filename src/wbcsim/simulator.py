@@ -48,10 +48,9 @@ BAUMGARTE_ZETA = 1.0
 ESTIMATION_MODES = ("true_normal", "estimated_normal", "horizontal_normal")
 
 # The wheel contact is bilateral, so the simulated ground can pull a wheel
-# down, which real ground cannot.  A run has fallen once either wheel has
-# been pulled down with an impulse of this many seconds of body weight.  The
-# impulse adds up over the whole run and never decays, so brief pulls spread
-# over a long run count as much as one sustained pull.
+# down, which real ground cannot.  A run has fallen once either wheel's pull,
+# summed over the whole run without decay (so brief pulls in a long run add
+# up), passes an impulse of this many seconds of body weight.
 PULL_LIMIT_S = 0.05
 
 
@@ -158,12 +157,10 @@ class Scenario:
             disturbances=lambda key, v: _list(key, v, disturbance))
 
     def segment_at(self, t: float) -> ReferenceSegment:
+        """The latest-starting segment begun by t, else the earliest one."""
         ordered = sorted(self.reference, key=lambda r: r.t_start)
-        seg = ordered[0]
-        for r in ordered:
-            if r.t_start <= t:
-                seg = r
-        return seg
+        started = [r for r in ordered if r.t_start <= t]
+        return started[-1] if started else ordered[0]
 
 
 # scenario value checks by field name (list entries by the list's name):
