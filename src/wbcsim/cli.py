@@ -189,6 +189,9 @@ def do_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_key:
         print("error: mode 'sweep' needs --sweep KEY=V1,V2,...", file=sys.stderr)
         return 2
+    if not cfg.sweep_values:
+        print(f"error: --sweep {cfg.sweep_key} has no values", file=sys.stderr)
+        return 2
     load_scenario(cfg.scenario, cfg.params)   # validate before forking
     jobs = []
     for value in cfg.sweep_values:
@@ -197,7 +200,7 @@ def do_sweep(cfg: RunConfig) -> int:
                            f"{cfg.sweep_key.replace('.', '_')}_{tag}")
         jobs.append((cfg.scenario, cfg.params, cfg.sweep_key, value,
                      cfg.seed, sub))
-    workers = cfg.jobs or min(len(jobs), os.cpu_count() or 1)
+    workers = min(len(jobs), cfg.jobs or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_one, jobs))
@@ -329,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sweep one override key over comma-separated values "
                          "(mode 'sweep')")
     ap.add_argument("--jobs", type=int, metavar="N",
-                    help="parallel workers for mode 'sweep' (default: #values "
-                         "capped at CPU count)")
+                    help="parallel workers for mode 'sweep', at most one per "
+                         "value (default: CPU count)")
     ap.add_argument("-v", "--verbose", action="count", default=0,
                     help="print the metrics summary after a run")
     return ap
@@ -338,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for opt, value, low in (("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+        if value is not None and value < low:
+            print(f"error: {opt} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
     try:
         params = dict(parse_param(p) for p in args.param)
         sweep_key, sweep_values = None, []

@@ -50,18 +50,13 @@ class ClosedLoopDynamics:
     C_y: np.ndarray              # 12
     G: np.ndarray                # 16x12
     J_gc: np.ndarray             # 16x4 contact map (tree coordinates)
-    J_x: np.ndarray              # 2x12, row 0 left wheel, row 1 right
-    J_y: np.ndarray
-    J_z: np.ndarray
+    J_xz: np.ndarray             # 4x12 rolling-constraint rows, order (x_l, z_l, x_r, z_r)
+    J_y: np.ndarray              # 2x12 lateral rows, row 0 left wheel, row 1 right
     Jdot_xz_u: np.ndarray        # (4,) bias accelerations, order (x_l, z_l, x_r, z_r)
+    K: np.ndarray                # 16x16 contact KKT [H_y, -G^T J_gc; J_xz, 0]
     contact: ContactModel
     p_cl: np.ndarray
     p_cr: np.ndarray
-
-    @property
-    def J_xz(self) -> np.ndarray:
-        """4x12 stacked rolling-constraint rows in F_C order (x_l, z_l, x_r, z_r)."""
-        return np.vstack([self.J_x[0], self.J_z[0], self.J_x[1], self.J_z[1]])
 
 
 def spanning_tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
@@ -141,19 +136,18 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
 
     J_l16 = kc.point_jacobian(WHEEL_L, p_cl)
     J_r16 = kc.point_jacobian(WHEEL_R, p_cr)
-    J_x = np.vstack([F_l[:, 0] @ J_l16, F_r[:, 0] @ J_r16]) @ G
-    J_y = np.vstack([F_l[:, 1] @ J_l16, F_r[:, 1] @ J_r16]) @ G
-    J_z = np.vstack([F_l[:, 2] @ J_l16, F_r[:, 2] @ J_r16]) @ G
-
-    v_lat = np.array([F_l[:, 1] @ kc.point_velocity(WHEEL_L, p_cl),
-                      F_r[:, 1] @ kc.point_velocity(WHEEL_R, p_cr)])
-    C_F = friction_matrix(v_lat, mu)
-
-    # J_gc in tree coordinates: (J^{x,z})^T + (J^y)^T C_F, F_C = (x_l, z_l, x_r, z_r)
     J_xz16 = np.vstack([F_l[:, 0] @ J_l16, F_l[:, 2] @ J_l16,
                         F_r[:, 0] @ J_r16, F_r[:, 2] @ J_r16])
     J_y16 = np.vstack([F_l[:, 1] @ J_l16, F_r[:, 1] @ J_r16])
+    J_xz = J_xz16 @ G
+
+    v_l = kc.point_velocity(WHEEL_L, p_cl)
+    v_r = kc.point_velocity(WHEEL_R, p_cr)
+    C_F = friction_matrix(np.array([F_l[:, 1] @ v_l, F_r[:, 1] @ v_r]), mu)
+
+    # J_gc in tree coordinates: (J^{x,z})^T + (J^y)^T C_F, F_C = (x_l, z_l, x_r, z_r)
     J_gc = J_xz16.T + J_y16.T @ C_F
+    K = np.block([[H_y, -G.T @ J_gc], [J_xz, np.zeros((4, 4))]])
 
     # Constraint rows are e^T (v_center + omega_wheel x (-r n)) with a fixed
     # lever (-r n), so the drift term has no centripetal part over the lever;
@@ -164,26 +158,24 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
     a_r = (kc.point_bias_acc(SHANK_R, wc_r)
            + cross3(kc.omega_dot_bias[WHEEL_R], p_cr - wc_r))
 
-    def x_axis_rate(F, n):
+    def x_axis_rate(F):
+        x, n = F[:, 0], F[:, 2]
         t = head - (head @ n) * n
         tdot = cross3(kc.omega[0], head)
         tdot = tdot - (tdot @ n) * n
-        x = F[:, 0]
         return (tdot - (x @ tdot) * x) / np.linalg.norm(t)
 
-    v_l = kc.point_velocity(WHEEL_L, p_cl)
-    v_r = kc.point_velocity(WHEEL_R, p_cr)
     Jdot_xz_u = np.array([
-        F_l[:, 0] @ a_l + x_axis_rate(F_l, np.asarray(n_l, float)) @ v_l,
+        F_l[:, 0] @ a_l + x_axis_rate(F_l) @ v_l,
         F_l[:, 2] @ a_l,
-        F_r[:, 0] @ a_r + x_axis_rate(F_r, np.asarray(n_r, float)) @ v_r,
+        F_r[:, 0] @ a_r + x_axis_rate(F_r) @ v_r,
         F_r[:, 2] @ a_r,
     ])
 
     contact = ContactModel(n_l=np.asarray(n_l, float), n_r=np.asarray(n_r, float),
                            frame_l=F_l, frame_r=F_r, C_F=C_F)
     return ClosedLoopDynamics(H_y=H_y, C_y=C_y, G=G.copy(), J_gc=J_gc,
-                              J_x=J_x, J_y=J_y, J_z=J_z, Jdot_xz_u=Jdot_xz_u,
+                              J_xz=J_xz, J_y=J_y16 @ G, Jdot_xz_u=Jdot_xz_u, K=K,
                               contact=contact, p_cl=p_cl, p_cr=p_cr)
 
 

@@ -1,8 +1,9 @@
 """Lexicographic whole-body QP over x = (udot_y, F_C, tau_a) in R^22.
 
-The 16 equality rows give x = x0 + T tau: a lexicographic least squares over
-the six boxed torques (torque-space TSID, Del Prete et al., 2016), solved
-level by level (Escande et al., IJRR 2014) by BVLS (Stark & Parker, 1995).
+The contact KKT rows K (udot_y, F_C) = b + B tau give (udot_y, F_C) = x0 + T tau:
+the six task rows over udot_y become a lexicographic least squares over the
+six boxed torques (torque-space TSID, Del Prete et al., 2016), solved level by
+level (Escande et al., IJRR 2014) by BVLS (Stark & Parker, 1995).
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 from .dynamics import ClosedLoopDynamics
 from .task_control import TaskStack
 
-NX = 22                      # 12 accelerations + 4 contact forces + 6 torques
-TAU_SLICE = slice(16, 22)
-
 CYCLE_LIMIT = 200            # active-set iterations per level
 DEP_TOL = 1e-20              # squared norm ratio below which a row is dependent
 MU_TOL = 1e-10               # relative size of a nonzero bound multiplier
@@ -29,8 +27,9 @@ class HqpError(RuntimeError):
 
 @dataclass
 class ConstraintSet:
-    A_eq: np.ndarray             # 16x22
-    b_eq: np.ndarray             # (16,)
+    K: np.ndarray                # 16x16 contact KKT: K (udot_y, F_C) = b + B tau_a
+    b: np.ndarray                # (16,)
+    B: np.ndarray                # 16x6
     torque_limit: float          # box |tau_j| <= torque_limit
 
 
@@ -40,31 +39,29 @@ class HqpSolution:
     tau_a: np.ndarray
     F_C: np.ndarray
     udot_y: np.ndarray
-    residuals: np.ndarray        # per-level ||A_i x* - b_i||
+    residuals: np.ndarray        # per-level |J_i udot_y* - b_i|
     active_sets: list            # per level, the bound rows held at its solution
 
 
 def dynamics_constraints(cl: ClosedLoopDynamics, S: np.ndarray,
                          torque_limit: float) -> ConstraintSet:
     """Equality rows (12 dynamics + 4 rolling) and the torque box."""
-    A_eq = np.block([[cl.H_y, -cl.G.T @ cl.J_gc, -cl.G.T @ S.T],
-                     [cl.J_xz, np.zeros((4, 10))]])
-    b_eq = np.concatenate([-cl.C_y, -cl.Jdot_xz_u])
-    return ConstraintSet(A_eq=A_eq, b_eq=b_eq, torque_limit=float(torque_limit))
+    return ConstraintSet(K=cl.K, b=np.concatenate([-cl.C_y, -cl.Jdot_xz_u]),
+                         B=np.vstack([cl.G.T @ S.T, np.zeros((4, 6))]),
+                         torque_limit=float(torque_limit))
 
 
 def feasible_start(constraints: ConstraintSet):
     """x0, T with (x0 + T tau, tau) meeting the equalities for every tau;
     tau = 0 is in the box, so (x0, 0) is feasible."""
-    A_eq = constraints.A_eq
     try:                                 # one LU of K for all 7 right sides
-        KiB = np.linalg.solve(A_eq[:, :16], np.column_stack(
-            [constraints.b_eq, A_eq[:, TAU_SLICE]]))
+        KiB = np.linalg.solve(constraints.K, np.column_stack(
+            [constraints.b, constraints.B]))
     except np.linalg.LinAlgError as exc:
         raise HqpError(f"dynamics equalities singular: {exc}") from None
     if not np.isfinite(KiB).all():
         raise HqpError("dynamics equalities not finite")
-    return KiB[:, 0], -KiB[:, 1:]
+    return KiB[:, 0], KiB[:, 1:]
 
 
 def _projector(free: np.ndarray, pins: list) -> np.ndarray:
@@ -132,18 +129,14 @@ def _bounded_lex(M: np.ndarray, r: np.ndarray, lim: float):
 
 
 class HierarchySolver:
-    """Lexicographic solver over the torques, for one-row levels; stateless."""
+    """Lexicographic solver over the torques, one level per task row; stateless."""
 
     def solve(self, stack: TaskStack, constraints: ConstraintSet) -> HqpSolution:
-        levels = stack.levels
-        if any(len(lv.b) != 1 for lv in levels):
-            raise ValueError("every priority level must be one row")
         x0, T = feasible_start(constraints)
-        A = np.vstack([lv.A for lv in levels])
-        M = A[:, :16] @ T + A[:, TAU_SLICE]
-        r = np.concatenate([lv.b for lv in levels]) - A[:, :16] @ x0
+        M = stack.J @ T[:12]
+        r = stack.b - stack.J @ x0[:12]
         tau, tight = _bounded_lex(M, r, constraints.torque_limit)
         x = np.concatenate([x0 + T @ tau, tau])
-        residuals = np.array([np.linalg.norm(lv.A @ x - lv.b) for lv in levels])
+        residuals = np.abs(stack.J @ x[:12] - stack.b)
         return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(), udot_y=x[:12].copy(),
                            residuals=residuals, active_sets=tight)

@@ -340,11 +340,8 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     drift = (cl.Jdot_xz_u + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
              + BAUMGARTE_OMEGA**2 * gap)
 
-    KKT = np.block([[cl.H_y, -cl.G.T @ cl.J_gc],
-                    [cl.J_xz, np.zeros((4, 4))]])
-    rhs = np.concatenate([rhs_top, -drift])
     try:
-        sol = np.linalg.solve(KKT, rhs)
+        sol = np.linalg.solve(cl.K, np.concatenate([rhs_top, -drift]))
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"singular contact KKT system: {exc}") from exc
     return sol[:12], sol[12:16], cl
@@ -414,11 +411,8 @@ def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,
 
     n_l, n_r, kc = true_normals(model, state.y, terrain)
     cl = closed_loop_dynamics(model, state.y, n_l, n_r, mu=terrain.mu, kc=kc)
-    KKT = np.block([[cl.H_y, -cl.G.T @ cl.J_gc],
-                    [cl.J_xz, np.zeros((4, 4))]])
-    p_gen = np.concatenate([imp, np.zeros(9)])
-    rhs = np.concatenate([p_gen, -cl.J_xz @ state.y.vel])
-    du = np.linalg.solve(KKT, rhs)[:12]
+    rhs = np.concatenate([imp, np.zeros(9), -cl.J_xz @ state.y.vel])
+    du = np.linalg.solve(cl.K, rhs)[:12]
 
     e0 = mechanical_energy(model.kinematics(state.y))
     state.y.vel = state.y.vel + du

@@ -11,7 +11,7 @@ balance, roll, split, yaw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -143,46 +143,25 @@ def balance_constraints_residual(F_NC: np.ndarray, r_com: np.ndarray,
 
 
 @dataclass
-class QpLevel:
-    A: np.ndarray                # (m, 22)
-    b: np.ndarray                # (m,)
-    name: str = ""
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.A.shape != (len(self.b), 22):
-            raise ValueError("level shape mismatch: A must be m x 22")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
-            raise ValueError("level contains non-finite entries")
-
-
-@dataclass
 class TaskStack:
-    levels: list = field(default_factory=list)
-
-    @property
-    def names(self):
-        return [lv.name for lv in self.levels]
+    J: np.ndarray                # 6x12, J_i udot_y = b_i is level i, highest first
+    b: np.ndarray                # (6,)
+    names: list
 
 
 def assemble_task_stack(pose_acc: np.ndarray, bal_acc: float,
                         tj: TaskJacobians) -> TaskStack:
-    """Order the six desired accelerations by priority and pad to x-space.
+    """Order the six desired accelerations by priority as task rows.
 
     pose_acc follows the Lambda order (phi, h, alpha, beta, gamma); the
     stack follows the priority order height, pitch, balance, roll, split,
-    yaw, matching the task-Jacobian row order.  Each level reads
-    A_i = [J_i 0 0] (zeros over F_C and tau_a), b_i = des_a_i - Jdot_i u_y.
+    yaw, matching the task-Jacobian row order.  Row i reads
+    J_i udot_y = des_a_i - Jdot_i u_y, over the 12 accelerations udot_y.
     """
     pose_acc = np.asarray(pose_acc, dtype=float).reshape(5)
     des = np.array([pose_acc[1], pose_acc[3], float(bal_acc),
                     pose_acc[2], pose_acc[0], pose_acc[4]])
-    if not np.isfinite(des).all():
-        raise ValueError("desired accelerations must be finite")
-    levels = []
-    for i, name in enumerate(tj.names):
-        A = np.zeros((1, 22))
-        A[0, :12] = tj.J[i]
-        levels.append(QpLevel(A=A, b=np.array([des[i] - tj.Jdot_u[i]]), name=name))
-    return TaskStack(levels=levels)
+    b = des - tj.Jdot_u
+    if not (np.isfinite(b).all() and np.isfinite(tj.J).all()):
+        raise ValueError("task rows must be finite")
+    return TaskStack(J=tj.J, b=b, names=list(tj.names))

@@ -1,6 +1,10 @@
 """The generic 22-unknown lexicographic active-set cascade, kept as the
 test oracle of the run-path solver in ``wbcsim.hqp``.
 
+On a run-path problem the six task rows are padded with zeros over F_C and
+tau, and the contact KKT K (udot_y, F_C) = b + B tau becomes the equality
+rows [K, -B] x = b (:func:`solve_stack`).
+
 Each priority level minimizes ||A_i x - b_i||^2 subject to the equality
 rows, the inequality rows, and achieved-value pins A_j x = A_j x_j* from
 all higher levels.  Levels are solved by a primal active-set iteration on
@@ -10,12 +14,16 @@ stays consistent.  Each level starts from the previous level's solution.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from wbcsim.hqp import NX, TAU_SLICE, HqpError, HqpSolution
+from wbcsim.hqp import HqpError, HqpSolution
 
+NX = 22                      # 12 accelerations + 4 contact forces + 6 torques
+TAU_SLICE = slice(16, 22)
 CYCLE_LIMIT = 200
 FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-10
@@ -24,6 +32,13 @@ ACTIVE_TOL = 1e-10
 TORQUE_BOX = np.zeros((12, NX))
 TORQUE_BOX[0::2, TAU_SLICE] = np.eye(6)
 TORQUE_BOX[1::2, TAU_SLICE] = -np.eye(6)
+
+
+@dataclass
+class Level:
+    """One priority level over the 22 unknowns: min ||A x - b||^2."""
+    A: np.ndarray                # (m, 22)
+    b: np.ndarray                # (m,)
 
 
 class CycleLimitError(HqpError):
@@ -167,18 +182,20 @@ def solve_level(A: np.ndarray, b: np.ndarray,
     raise CycleLimitError(f"active set did not settle in {CYCLE_LIMIT} iterations")
 
 
-def solve_hierarchy(stack, constraints) -> HqpSolution:
-    """Cascaded lexicographic solve: one least-squares level at a time, each
+def solve_stack(stack, constraints) -> HqpSolution:
+    """The cascade on a ``TaskStack`` and a ``ConstraintSet``: one padded
+    level per task row, the equality rows [K, -B] and the torque box."""
+    A = np.hstack([stack.J, np.zeros((len(stack.b), NX - 12))])
+    levels = [Level(A=A[i:i + 1], b=stack.b[i:i + 1]) for i in range(len(A))]
+    return solve_hierarchy(levels, np.hstack([constraints.K, -constraints.B]),
+                           constraints.b, TORQUE_BOX,
+                           np.full(12, constraints.torque_limit))
+
+
+def solve_hierarchy(levels, E, f, A_ineq=None, b_ineq=None) -> HqpSolution:
+    """Cascaded lexicographic solve of ``levels`` (a list of Level) subject to
+    E x = f and A_ineq x <= b_ineq: one least-squares level at a time, each
     started from the previous level's solution."""
-    levels = stack.levels
-    # a ConstraintSet carries only the torque limit; test problems may
-    # bring rows of their own
-    if hasattr(constraints, "A_ineq"):
-        A_ineq, b_ineq = constraints.A_ineq, constraints.b_ineq
-    else:
-        A_ineq, b_ineq = TORQUE_BOX, np.full(12, constraints.torque_limit)
-    E = constraints.A_eq.copy()
-    f = constraints.b_eq.copy()
     x = None               # previous level's solution is a feasible start
     residuals = np.empty(len(levels))
     actives = []

@@ -37,7 +37,7 @@ from wbcsim.terrain_estimation import (
 from conftest import random_minimal_state
 from hqp_cascade import solve_hierarchy
 from test_dynamics import rnea_oracle
-from test_hqp import FakeConstraints, nullspace_lex_oracle, random_problem, to_stack
+from test_hqp import nullspace_lex_oracle, random_problem, to_levels
 from test_model import tangent_difference
 from test_sim import settled_hanging_state
 
@@ -144,7 +144,7 @@ def test_hqp_matches_nullspace_oracle_200_problems():
     rng = np.random.default_rng(102)
     for _ in range(200):
         levels, E, f = random_problem(rng)
-        sol = solve_hierarchy(to_stack(levels), FakeConstraints(E, f))
+        sol = solve_hierarchy(to_levels(levels), E, f)
         _, res_oracle = nullspace_lex_oracle(levels, E, f)
         assert np.allclose(sol.residuals, res_oracle, atol=1e-7)
         for i, (A, b) in enumerate(levels):

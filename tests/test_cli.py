@@ -1,5 +1,6 @@
 """CLI tests: artifacts, determinism, overrides, sweep fan-out, error paths."""
 
+import concurrent.futures
 import json
 import os
 
@@ -222,6 +223,51 @@ def test_sweep_requires_key(flat_scn, tmp_path, capsys):
     assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
                  "--mode", "sweep"]) == 2
     assert "--sweep" in capsys.readouterr().err
+
+
+BAD_OPTIONS = [
+    (["--seed", "-1"], "--seed"),
+    (["--mode", "bench-normals", "--seed", "-1"], "--seed"),
+    (["--mode", "sweep", "--sweep", "duration=0.1", "--seed", "-1"], "--seed"),
+    (["--mode", "sweep", "--sweep", "duration=[]"], "--sweep"),
+    (["--mode", "sweep", "--sweep", "duration=0.1,0.2", "--jobs", "0"], "--jobs"),
+]
+
+
+@pytest.mark.parametrize("args,option", BAD_OPTIONS)
+def test_bad_option_exits_2_naming_it(flat_scn, tmp_path, capsys, args, option):
+    rc = main(["--scenario", flat_scn, "--out", str(tmp_path / "o"), *args])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert any(line.startswith("error:") and option in line
+               for line in err.splitlines()), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_workers_capped_at_value_count(flat_scn, tmp_path, monkeypatch):
+    """--jobs 1000 over two values asks the pool for two workers; the pool
+    is replaced by an in-process recorder, so no process is started."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
+                 "--mode", "sweep", "--sweep", "duration=0.1,0.2",
+                 "--jobs", "1000"]) == 0
+    assert asked == [2]
 
 
 # -- bench-normals -----------------------------------------------------------

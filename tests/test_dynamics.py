@@ -241,8 +241,9 @@ def test_contact_jacobian_matches_material_point_fd(model, states):
         v_l = material_point_fd_velocity(model, y, WHEEL_L, cl.p_cl)
         v_r = material_point_fd_velocity(model, y, WHEEL_R, cl.p_cr)
         F_l, F_r = cl.contact.frame_l, cl.contact.frame_r
-        for k, col in enumerate(["x", "y", "z"]):
-            J = getattr(cl, f"J_{col}")
+        # rows (left, right) per frame axis: J_xz rows (0, 2) for x,
+        # J_y rows (0, 1) for y, J_xz rows (1, 3) for z
+        for k, J in enumerate([cl.J_xz[[0, 2]], cl.J_y, cl.J_xz[[1, 3]]]):
             assert J[0] @ y.vel == pytest.approx(F_l[:, k] @ v_l, abs=1e-5)
             assert J[1] @ y.vel == pytest.approx(F_r[:, k] @ v_r, abs=1e-5)
 
@@ -267,7 +268,7 @@ def test_contact_jacobian_opposite_leg_decoupled(model, states):
     # u_y joint order: q1, q5, q4 (left), q6, q10, q9 (right)
     for y in states:
         cl = closed_loop_dynamics(model, y, EZ, EZ)
-        for J in (cl.J_x, cl.J_y, cl.J_z):
+        for J in (cl.J_xz[[0, 2]], cl.J_y, cl.J_xz[[1, 3]]):
             assert np.allclose(J[0, 9:12], 0.0, atol=1e-12)   # left row, right joints
             assert np.allclose(J[1, 6:9], 0.0, atol=1e-12)    # right row, left joints
 

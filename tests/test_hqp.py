@@ -1,6 +1,6 @@
 """Hierarchical QP tests: the generic 22-unknown cascade against a nullspace
 lexicographic oracle, and the run-path torque-space solver against the
-cascade."""
+cascade over the padded six task rows."""
 
 from importlib.resources import files
 
@@ -11,14 +11,15 @@ from scipy.optimize import linprog
 
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import closed_loop_dynamics
-from wbcsim.hqp import (NX, ConstraintSet, HierarchySolver, HqpError, _bounded_lex,
+from wbcsim.hqp import (ConstraintSet, HierarchySolver, HqpError, _bounded_lex,
                         _projector, dynamics_constraints)
 from wbcsim.model import selection_matrix
 from wbcsim.simulator import run_scenario
-from wbcsim.task_control import QpLevel, TaskStack, assemble_task_stack
+from wbcsim.task_control import assemble_task_stack
 
 from conftest import random_minimal_state
-from hqp_cascade import TORQUE_BOX, InfeasibleError, solve_hierarchy, solve_level
+from hqp_cascade import (NX, TORQUE_BOX, InfeasibleError, Level, solve_hierarchy,
+                         solve_level, solve_stack)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -56,15 +57,8 @@ def random_problem(rng, n_eq=8, n_levels=6):
     return levels, E, f
 
 
-def to_stack(levels):
-    return TaskStack(levels=[QpLevel(A=A, b=b) for A, b in levels])
-
-
-class FakeConstraints:
-    def __init__(self, E, f, n_in=0):
-        self.A_eq, self.b_eq = E, f
-        self.A_ineq = np.zeros((n_in, NX))
-        self.b_ineq = np.zeros(n_in)
+def to_levels(levels):
+    return [Level(A=A, b=b) for A, b in levels]
 
 
 # -- single level -----------------------------------------------------------
@@ -134,7 +128,7 @@ def test_cascade_matches_nullspace_oracle():
     rng = np.random.default_rng(43)
     for _ in range(200):
         levels, E, f = random_problem(rng)
-        sol = solve_hierarchy(to_stack(levels), FakeConstraints(E, f))
+        sol = solve_hierarchy(to_levels(levels), E, f)
         _, res_oracle = nullspace_lex_oracle(levels, E, f)
         assert np.allclose(sol.residuals, res_oracle, atol=1e-7)
         # monotonicity: the final x never degrades any solved level
@@ -147,8 +141,8 @@ def test_orthogonal_levels_both_exact():
     A1 = np.zeros((2, NX)); A1[0, 0] = A1[1, 1] = 1.0
     A2 = np.zeros((2, NX)); A2[0, 2] = A2[1, 3] = 1.0
     b1, b2 = np.array([1.0, -2.0]), np.array([0.5, 4.0])
-    sol = solve_hierarchy(to_stack([(A1, b1), (A2, b2)]),
-                          FakeConstraints(np.zeros((0, NX)), np.zeros(0)))
+    sol = solve_hierarchy(to_levels([(A1, b1), (A2, b2)]),
+                          np.zeros((0, NX)), np.zeros(0))
     assert np.allclose(sol.residuals, 0.0, atol=1e-7)
     joint = np.linalg.lstsq(np.vstack([A1, A2]),
                             np.concatenate([b1, b2]), rcond=None)[0]
@@ -158,8 +152,7 @@ def test_orthogonal_levels_both_exact():
 def test_conflicting_rows_lexicographic():
     a = np.zeros((1, NX)); a[0, 0] = 1.0
     levels = [(a, np.array([1.0])), (a.copy(), np.array([3.0]))]
-    sol = solve_hierarchy(to_stack(levels),
-                          FakeConstraints(np.zeros((0, NX)), np.zeros(0)))
+    sol = solve_hierarchy(to_levels(levels), np.zeros((0, NX)), np.zeros(0))
     assert sol.residuals[0] == pytest.approx(0.0, abs=1e-7)
     assert sol.residuals[1] == pytest.approx(2.0, abs=1e-6)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
@@ -169,16 +162,16 @@ def test_tail_permutation_preserves_head():
     rng = np.random.default_rng(44)
     levels, E, f = random_problem(rng)
     swapped = levels[:4] + [levels[5], levels[4]]
-    r1 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).residuals
-    r2 = solve_hierarchy(to_stack(swapped), FakeConstraints(E, f)).residuals
+    r1 = solve_hierarchy(to_levels(levels), E, f).residuals
+    r2 = solve_hierarchy(to_levels(swapped), E, f).residuals
     assert np.allclose(r1[:4], r2[:4], atol=1e-9)
 
 
 def test_deterministic():
     rng = np.random.default_rng(45)
     levels, E, f = random_problem(rng)
-    x1 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
-    x2 = solve_hierarchy(to_stack(levels), FakeConstraints(E, f)).x
+    x1 = solve_hierarchy(to_levels(levels), E, f).x
+    x2 = solve_hierarchy(to_levels(levels), E, f).x
     assert np.array_equal(x1, x2)
 
 
@@ -189,12 +182,19 @@ def test_dynamics_constraint_layout(model):
     y = random_minimal_state(rng)
     cl = closed_loop_dynamics(model, y, EZ, EZ)
     cs = dynamics_constraints(cl, selection_matrix(), 40.0)
-    assert cs.A_eq.shape == (16, NX)
-    assert np.array_equal(cs.A_eq[:12, :12], cl.H_y)
-    assert np.array_equal(cs.A_eq[12:, :12], cl.J_xz)
-    assert np.all(cs.A_eq[12:, 12:] == 0.0)
-    assert np.array_equal(cs.b_eq[:12], -cl.C_y)
-    assert np.array_equal(cs.b_eq[12:], -cl.Jdot_xz_u)
+    assert cs.K is cl.K
+    assert cs.K.shape == (16, 16)
+    assert np.array_equal(cs.K[:12, :12], cl.H_y)
+    assert np.array_equal(cs.K[:12, 12:], -cl.G.T @ cl.J_gc)
+    assert np.array_equal(cs.K[12:, :12], cl.J_xz)
+    assert np.all(cs.K[12:, 12:] == 0.0)
+    assert np.array_equal(cs.b[:12], -cl.C_y)
+    assert np.array_equal(cs.b[12:], -cl.Jdot_xz_u)
+    assert cs.B.shape == (16, 6)
+    assert np.array_equal(cs.B[:12], cl.G.T @ selection_matrix().T)
+    assert np.all(cs.B[12:] == 0.0)
+    # the actuated joints are the independent joints, in the same order
+    assert np.all(cs.B[:6] == 0.0) and np.array_equal(cs.B[6:12], np.eye(6))
     assert cs.torque_limit == 40.0
 
 
@@ -207,9 +207,9 @@ def test_full_solve_satisfies_eom_and_bounds(model):
         cs = dynamics_constraints(cl, selection_matrix(), 40.0)
         tj = model.task_jacobians(y, EZ, EZ)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
-        for solve in (HierarchySolver().solve, solve_hierarchy):
+        for solve in (HierarchySolver().solve, solve_stack):
             sol = solve(stack, cs)
-            assert np.abs(cs.A_eq @ sol.x - cs.b_eq).max() < 1e-8
+            assert np.abs(cs.K @ sol.x[:16] - cs.B @ sol.tau_a - cs.b).max() < 1e-8
             assert np.all(TORQUE_BOX @ sol.x <= cs.torque_limit + 1e-10)
             assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
             # EoM residual in closed-loop coordinates
@@ -224,7 +224,7 @@ def test_level_index_in_error(model):
     f = np.array([1.0, 2.0])
     levels = [(np.eye(NX), np.zeros(NX))] * 3
     with pytest.raises(InfeasibleError) as exc_info:
-        solve_hierarchy(to_stack(levels), FakeConstraints(E, f))
+        solve_hierarchy(to_levels(levels), E, f)
     assert exc_info.value.level == 0
     assert "level 0" in str(exc_info.value)
 
@@ -235,7 +235,7 @@ def _assert_matches_cascade(stack, cs):
     """Same residual profile and torques as the cascade; True when a torque
     bound is active in the cascade's solution."""
     sol = HierarchySolver().solve(stack, cs)
-    ref = solve_hierarchy(stack, cs)
+    ref = solve_stack(stack, cs)
     assert np.allclose(sol.residuals, ref.residuals, rtol=1e-9, atol=1e-7)
     assert np.allclose(sol.tau_a, ref.tau_a, rtol=0.0, atol=1e-7)
     return any(ref.active_sets)
@@ -295,8 +295,8 @@ def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
     stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
                                 model.task_jacobians(y, EZ, EZ))
     for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):
-        bad = ConstraintSet(A_eq=cs.A_eq.copy(), b_eq=cs.b_eq, torque_limit=40.0)
-        bad.A_eq[:, col] = value
+        bad = ConstraintSet(K=cs.K.copy(), b=cs.b, B=cs.B, torque_limit=40.0)
+        bad.K[:, col] = value
         with pytest.raises(HqpError, match=match):
             HierarchySolver().solve(stack, bad)
 

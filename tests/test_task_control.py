@@ -5,7 +5,6 @@ import pytest
 
 from wbcsim.task_control import (
     GainScheduler,
-    QpLevel,
     assemble_task_stack,
     balance_accel,
     balance_constraints_residual,
@@ -217,18 +216,17 @@ def _random_tj(rng):
     return TaskJacobians(J=rng.normal(size=(6, 12)), Jdot_u=rng.normal(size=6))
 
 
-def test_stack_order_and_padding():
+def test_stack_order_and_rows():
     rng = np.random.default_rng(33)
     tj = _random_tj(rng)
     pose = rng.normal(size=5)                  # (phi, h, alpha, beta, gamma)
     stack = assemble_task_stack(pose, 1.7, tj)
     assert stack.names == ["height", "pitch", "balance", "roll", "split", "yaw"]
     des = [pose[1], pose[3], 1.7, pose[2], pose[0], pose[4]]
-    for i, lv in enumerate(stack.levels):
-        assert lv.A.shape == (1, 22)
-        assert np.array_equal(lv.A[0, :12], tj.J[i])
-        assert np.all(lv.A[0, 12:] == 0.0)
-        assert lv.b[0] == des[i] - tj.Jdot_u[i]
+    assert stack.J.shape == (6, 12) and stack.b.shape == (6,)
+    for i in range(6):
+        assert np.array_equal(stack.J[i], tj.J[i])
+        assert stack.b[i] == des[i] - tj.Jdot_u[i]
 
 
 def test_stack_rejects_nonfinite():
@@ -238,7 +236,10 @@ def test_stack_rejects_nonfinite():
 
 
 def test_qp_level_validation():
+    rng = np.random.default_rng(35)
     with pytest.raises(ValueError):
-        QpLevel(A=np.zeros((1, 21)), b=np.zeros(1))
+        assemble_task_stack(np.zeros(4), 0.0, _random_tj(rng))
+    tj = _random_tj(rng)
+    tj.J[2, 5] = np.inf
     with pytest.raises(ValueError):
-        QpLevel(A=np.full((1, 22), np.inf), b=np.zeros(1))
+        assemble_task_stack(np.zeros(5), 0.0, tj)
