@@ -192,7 +192,8 @@ def do_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_values:
         print(f"error: --sweep {cfg.sweep_key} has no values", file=sys.stderr)
         return 2
-    load_scenario(cfg.scenario, cfg.params)   # validate before forking
+    for value in cfg.sweep_values:            # validate every run before any starts
+        load_scenario(cfg.scenario, {**cfg.params, cfg.sweep_key: value})
     jobs = []
     for value in cfg.sweep_values:
         tag = str(value).replace("/", "_").replace(" ", "")

@@ -3,19 +3,20 @@
 Adaptive-neighborhood PCA: for a query point, the neighbor count k is
 chosen to minimize the Shannon entropy of the normalized covariance
 eigenvalues; the normal is the eigenvector of the smallest eigenvalue.
-Estimates are cached in a sparse 2D grid map and served through a
-lookahead query with exponential smoothing.
+Estimates are kept in a sparse 2D grid map, made when a cell is first
+read, and served through a lookahead query with exponential smoothing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 UP = np.array([0.0, 0.0, 1.0])
-UPDATE_CHUNK = 64          # cells per batch in NormalMap.update
 SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 
 
@@ -151,8 +152,44 @@ class MapCell:
     k: int = 0                         # neighbor count the normal was estimated from
 
 
+class _Frame(NamedTuple):
+    """One recorded cloud.  Its i-th occupied cell has map position base + i."""
+    base: int
+    cloud: PointCloud
+    queries: np.ndarray                # (cells, 3): centre, mean height of the points
+    counts: np.ndarray                 # points per cell
+
+
+@dataclass(slots=True)
+class _Slot:
+    """One key: the cell it holds and the estimates not yet made.
+
+    Positions order estimates by frame, then by first appearance in the
+    frame.  `first` is the position of the oldest non-degenerate estimate
+    found, where re-estimating every cell on every update would have
+    inserted the key.  `newer` and `older` hold (position, frame) pairs,
+    oldest first: those newer than `cell` may replace it, those older than
+    `first` may move the key earlier.
+    """
+    cell: MapCell | None = None
+    first: int | None = None
+    newer: list = field(default_factory=list)
+    older: list = field(default_factory=list)
+
+
 class NormalMap:
-    """Sparse 2D grid of estimated ground normals."""
+    """Sparse 2D grid of estimated ground normals, estimated on first read.
+
+    `update` only records the cells a cloud occupies.  A cell is estimated
+    when it is first read, from the newest cloud that covers it, falling
+    back to older clouds while the newer estimates are degenerate.  Normals,
+    counts, k and the order of `cells` equal those of re-estimating every
+    occupied cell on every update.  A cloud is freed once no pending
+    estimate refers to it.  `skipped_degenerate` counts degenerate
+    estimates as reads find them, so an estimate superseded before any read
+    is never counted; every cell of a cloud too small to estimate counts at
+    once.
+    """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = 10, k_max: int = 60):
         if cell_size <= 0.0:
@@ -162,22 +199,38 @@ class NormalMap:
         self.cell_size = float(cell_size)
         self.k_min = int(k_min)
         self.k_max = int(k_max)
-        self.cells: dict[tuple[int, int], MapCell] = {}
+        self._slots: dict[tuple[int, int], _Slot] = {}
+        self._recorded = 0             # cells recorded by all updates
         self.skipped_degenerate = 0
+
+    @property
+    def cells(self) -> Mapping[tuple[int, int], MapCell]:
+        """Estimated cells, ordered by each key's oldest non-degenerate
+        estimate: by frame, then by first appearance in the frame.
+
+        `key in cells` and `cells[key]` estimate that key only; iteration,
+        `len`, `items` and `export_csv` estimate every pending cell.
+        """
+        return _Cells(self)
+
+    @cells.setter
+    def cells(self, cells: Mapping[tuple[int, int], MapCell]) -> None:
+        n = len(cells)                 # positions before any update's
+        self._slots = {key: _Slot(cell, i - n)
+                       for i, (key, cell) in enumerate(cells.items())}
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(np.floor(x / self.cell_size)), int(np.floor(y / self.cell_size)))
 
     def update(self, cloud: PointCloud) -> int:
-        """Re-estimate every cell occupied by the cloud; untouched cells persist.
+        """Record every cell occupied by the cloud; untouched cells persist.
 
-        Returns the number of cells written.  Degenerate cells are skipped and
-        counted, never aborting the batch.  Each cell is queried at the mean
-        height of its points.  All cells share one k_max tree query; the
-        entropy scan of `optimal_neighborhood` and the eigen-decomposition of
-        the covariance at the chosen k then run batched over UPDATE_CHUNK
-        cells at a time, so each cell gets the k of `optimal_neighborhood`
-        and the normal of `estimate_normal` (to roundoff).
+        Each cell is queried at its centre and the mean height of its points.
+        The estimate is made on the cell's first read, so update builds no
+        tree.  Returns the number of cells recorded: the number an eager
+        re-estimate would write when no cell is degenerate (telling them
+        apart needs the estimates).  A cloud with fewer than k_min points
+        records nothing and counts every cell it occupies as degenerate.
         """
         if len(cloud) == 0:
             raise ValueError("cannot update the map from an empty cloud")
@@ -196,44 +249,93 @@ class NormalMap:
             self.skipped_degenerate += len(keys)
             return 0
 
-        queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        _, idx = cloud.tree.query(queries, k=min(self.k_max, len(cloud)))
-        idx = idx.reshape(len(keys), -1)
-        written = 0
-        # cells in chunks bound the (cells, k, 3, 3) temporaries
-        for lo in range(0, len(keys), UPDATE_CHUNK):
-            ks, cov = _prefix_covariances(pts[idx[lo:lo + UPDATE_CHUNK]], self.k_min)
-            best = _min_entropy_index(cov)
-            lam, vec = np.linalg.eigh(cov[np.arange(len(best)), best])   # ascending
-            normals = vec[:, :, 0]
-            flip = (normals[:, 2] < 0.0) | ((normals[:, 2] == 0.0) & (normals[:, 0] < 0.0))
-            normals[flip] *= -1.0
-            # collinear when the middle eigenvalue vanishes against the largest
-            ok = (lam[:, 1] > 1e-12 * np.maximum(lam[:, 2], 1e-300)) & (lam[:, 2] > 0.0)
-            self.skipped_degenerate += int(len(ok) - ok.sum())
-            for i in np.flatnonzero(ok):
-                key = (int(keys[lo + i, 0]), int(keys[lo + i, 1]))
-                self.cells[key] = MapCell(normal=normals[i],
-                                          sample_count=int(counts[lo + i]),
-                                          k=int(ks[best[i]]))
-            written += int(ok.sum())
-        return written
+        frame = _Frame(self._recorded, cloud,
+                       np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts]),
+                       counts)
+        for pos, key in enumerate(map(tuple, keys.tolist()), start=self._recorded):
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = _Slot()
+            slot.newer.append((pos, frame))
+        self._recorded += len(keys)
+        return len(keys)
+
+    def _estimate(self, pos: int, frame: _Frame) -> MapCell | None:
+        """One recorded cell: the k of `optimal_neighborhood` and the normal
+        of `estimate_normal` at its query point, or None when degenerate."""
+        row = pos - frame.base
+        cloud = frame.cloud
+        _, idx = cloud.tree.query(frame.queries[row:row + 1],
+                                  k=min(self.k_max, len(cloud)))
+        ks, cov = _prefix_covariances(cloud.points[idx], self.k_min)
+        best = _min_entropy_index(cov)[0]
+        lam, vec = np.linalg.eigh(cov[0, best])      # ascending
+        # collinear when the middle eigenvalue vanishes against the largest
+        if not (lam[1] > 1e-12 * max(lam[2], 1e-300) and lam[2] > 0.0):
+            self.skipped_degenerate += 1
+            return None
+        n = vec[:, 0]
+        if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0):
+            n = -n
+        return MapCell(normal=n, sample_count=int(frame.counts[row]), k=int(ks[best]))
+
+    def _resolve(self, key: tuple[int, int]) -> MapCell | None:
+        """The key's cell from its newest non-degenerate estimate; makes only
+        the estimates newer than the one the cell holds."""
+        slot = self._slots.get(key)
+        if slot is None:
+            return None
+        while slot.newer:
+            pos, frame = slot.newer.pop()
+            cell = self._estimate(pos, frame)
+            if cell is not None:
+                slot.cell = cell
+                if slot.first is None:         # an older one may be the first
+                    slot.first, slot.older = pos, slot.newer
+                slot.newer = []
+                break
+        return slot.cell
+
+    def _position(self, key: tuple[int, int]) -> int:
+        """Position of the key's oldest non-degenerate estimate; for a key
+        `_resolve` has found a cell for."""
+        slot = self._slots[key]
+        for pos, frame in slot.older:
+            if self._estimate(pos, frame) is not None:
+                slot.first = pos
+                break
+        slot.older = []
+        return slot.first
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
-        cell within SEARCH_RADIUS; None when nothing is found."""
-        cell = self.cells.get(self.key_of(x, y))
+        cell within SEARCH_RADIUS; None when nothing is found.
+
+        The fallback estimates the keys around (x, y) nearest first and stops
+        at the first distance that holds a non-degenerate cell.  It computes
+        the distances and breaks ties (the first estimated key wins) as an
+        argmin over all of `cells` would.
+        """
+        key = self.key_of(x, y)
+        cell = self._resolve(key)
         if cell is not None:
             return cell.normal.copy()
-        if not self.cells:
+        r = int(np.ceil(SEARCH_RADIUS / self.cell_size)) + 1
+        near = np.mgrid[key[0] - r:key[0] + r + 1,
+                        key[1] - r:key[1] + r + 1].reshape(2, -1).T
+        d2 = (((near + 0.5) * self.cell_size - [x, y]) ** 2).sum(axis=1)
+        found, d2_found = [], SEARCH_RADIUS**2
+        for i in np.argsort(d2):
+            if d2[i] > d2_found:
+                break
+            near_key = tuple(near[i].tolist())
+            if self._resolve(near_key) is not None:
+                found.append(near_key)
+                d2_found = d2[i]
+        if not found:
             return None
-        keys = list(self.cells.keys())
-        centers = (np.array(keys) + 0.5) * self.cell_size
-        d2 = ((centers - [x, y]) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        if d2[i] <= SEARCH_RADIUS**2:
-            return self.cells[keys[i]].normal.copy()
-        return None
+        best = found[0] if len(found) == 1 else min(found, key=self._position)
+        return self._slots[best].cell.normal.copy()
 
     def export_csv(self, path: str) -> None:
         """CSV export: ix,iy,nx,ny,nz,count."""
@@ -242,6 +344,28 @@ class NormalMap:
             for (ix, iy), cell in sorted(self.cells.items()):
                 n = cell.normal
                 f.write(f"{ix},{iy},{n[0]:.9g},{n[1]:.9g},{n[2]:.9g},{cell.sample_count}\n")
+
+
+class _Cells(Mapping):
+    """The estimated cells of a NormalMap, read-only; see NormalMap.cells."""
+
+    def __init__(self, nmap: NormalMap):
+        self._nmap = nmap
+
+    def __getitem__(self, key: tuple[int, int]) -> MapCell:
+        cell = self._nmap._resolve(key)
+        if cell is None:
+            raise KeyError(key)
+        return cell
+
+    def __iter__(self):
+        nmap = self._nmap
+        keys = [key for key in nmap._slots if nmap._resolve(key) is not None]
+        return iter(sorted(keys, key=nmap._position))
+
+    def __len__(self) -> int:
+        nmap = self._nmap
+        return sum(nmap._resolve(key) is not None for key in nmap._slots)
 
 
 @dataclass

@@ -231,6 +231,8 @@ BAD_OPTIONS = [
     (["--mode", "sweep", "--sweep", "duration=0.1", "--seed", "-1"], "--seed"),
     (["--mode", "sweep", "--sweep", "duration=[]"], "--sweep"),
     (["--mode", "sweep", "--sweep", "duration=0.1,0.2", "--jobs", "0"], "--jobs"),
+    # a bad value after a good one stops the sweep before any run
+    (["--mode", "sweep", "--sweep", "duration=0.1,abc", "--jobs", "1"], "'duration'"),
 ]
 
 

@@ -288,3 +288,153 @@ def test_lookahead_targets_correct_cell():
     filt = NormalFilter(alpha=1.0)
     n = query_normal(nmap, np.zeros(2), np.array([1.0, 0.0]), 0.9, filt)
     assert np.allclose(n, n_slope)
+
+
+# -- lazy map against the eager oracle --------------------------------------
+
+def _patch_cloud(rng, cells, cell_size, normal):
+    """A few noisy points of the plane normal . p = 0 in each given cell."""
+    pts = []
+    for ix, iy in cells:
+        m = int(rng.integers(1, 6))
+        xy = (np.array([ix, iy]) + rng.uniform(0.0, 1.0, (m, 2))) * cell_size
+        z = -(normal[0] * xy[:, 0] + normal[1] * xy[:, 1]) / normal[2]
+        pts.append(np.column_stack([xy, z + rng.normal(scale=0.01, size=m)]))
+    return np.vstack(pts)
+
+
+def _line_cloud(rng, x0, x1, y0, n):
+    """n points on one straight 3D line: every neighborhood is collinear."""
+    t = np.sort(rng.uniform(0.0, 1.0, n))
+    return np.column_stack([x0 + (x1 - x0) * t, y0 + 0.3 * t, 0.2 * t])
+
+
+def _random_frame(rng, cell_size):
+    kind = rng.choice(["patch", "patch", "line", "mixed", "few"])
+    if kind == "few":                     # fewer than k_min points
+        return _patch_cloud(rng, [(int(rng.integers(0, 12)), 3)], cell_size, UP)[:3]
+    if kind == "line":                    # collinear, over cells estimated earlier
+        x0 = rng.uniform(0.0, 1.5)
+        return _line_cloud(rng, x0, x0 + 1.5, rng.uniform(0.0, 1.5), 40)
+    normal = np.array([*rng.uniform(-0.3, 0.3, 2), 1.0])
+    cells = [(ix, iy) for ix in range(12) for iy in range(8) if rng.random() < 0.4]
+    pts = _patch_cloud(rng, cells, cell_size, normal / np.linalg.norm(normal))
+    if kind == "mixed":                   # plus a collinear strip far from it
+        pts = np.vstack([pts, _line_cloud(rng, 4.0, 5.5, rng.uniform(0.0, 1.5), 40)])
+    return pts
+
+
+def _lookup_points(rng, cell_size):
+    """Random points (some beyond SEARCH_RADIUS of any cell), and cell edges
+    and corners, which sit on exact ties between cell centres."""
+    pts = [tuple(p) for p in rng.uniform([-1.0, -1.0], [6.5, 3.0], (12, 2))]
+    for _ in range(12):
+        ix, iy = rng.integers(-1, 23), rng.integers(-1, 9)
+        pts.append((ix * cell_size, (iy + 0.5) * cell_size))
+        pts.append((ix * cell_size, iy * cell_size))
+    return pts
+
+
+def _assert_same_cells(lazy, eager):
+    assert list(lazy.cells) == list(eager.cells)
+    for key, cell in eager.cells.items():
+        got = lazy.cells[key]
+        assert np.array_equal(got.normal, cell.normal)
+        assert (got.sample_count, got.k) == (cell.sample_count, cell.k)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lazy_map_matches_eager_oracle(seed, tmp_path):
+    """Over overlapping clouds, with degenerate and too-small frames, the lazy
+    map returns bit-equal lookups, the same cells in the same order and the
+    same CSV bytes as the eager map it replaced."""
+    from eager_normal_map import EagerNormalMap
+    rng = np.random.default_rng(100 + seed)
+    cell_size = 0.25                      # centres and edges are exact in binary
+    lazy = NormalMap(cell_size=cell_size, k_min=5, k_max=20)
+    eager = EagerNormalMap(cell_size=cell_size, k_min=5, k_max=20)
+    assert lazy.lookup(0.1, 0.1) is None
+    for _ in range(10):
+        cloud = PointCloud(points=_random_frame(rng, cell_size))
+        skipped = eager.skipped_degenerate, lazy.skipped_degenerate
+        written = eager.update(cloud)
+        recorded = lazy.update(cloud)
+        if eager.skipped_degenerate == skipped[0]:
+            assert recorded == written
+        if len(cloud) < lazy.k_min:       # every cell counted at once
+            assert (lazy.skipped_degenerate - skipped[1]
+                    == eager.skipped_degenerate - skipped[0] > 0)
+        if rng.random() < 0.5:
+            for x, y in _lookup_points(rng, cell_size):
+                got, want = lazy.lookup(x, y), eager.lookup(x, y)
+                assert (got is None) == (want is None), (x, y)
+                assert want is None or np.array_equal(got, want), (x, y)
+        if rng.random() < 0.2:
+            _assert_same_cells(lazy, eager)
+    _assert_same_cells(lazy, eager)
+    assert len(lazy.cells) == len(eager.cells)
+    assert lazy.skipped_degenerate <= eager.skipped_degenerate
+    lazy.export_csv(str(tmp_path / "lazy.csv"))
+    eager.export_csv(str(tmp_path / "eager.csv"))
+    assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+
+def _count_estimates(monkeypatch, nmap):
+    made = []
+    estimate = nmap._estimate
+
+    def counting(pos, frame):
+        made.append(pos)
+        return estimate(pos, frame)
+
+    monkeypatch.setattr(nmap, "_estimate", counting)
+    return made
+
+
+def test_lazy_map_estimates_only_what_is_read(monkeypatch):
+    """update builds no tree; a hit estimates one cell, a miss only the
+    nearest occupied cells up to the first non-degenerate distance."""
+    from wbcsim.simulator import SensorConfig, synth_pointcloud
+    from wbcsim.terrain import SlopeTerrain
+    rng = np.random.default_rng(1)
+    cloud = synth_pointcloud(SlopeTerrain(angle_deg=15.0, start=1.0, blend=0.5),
+                             (0.7, 0.0), SensorConfig(points=1200), rng)
+    nmap = NormalMap()
+    made = _count_estimates(monkeypatch, nmap)
+    assert nmap.update(cloud) > 800
+    assert cloud._tree is None and made == []
+
+    occupied = {nmap.key_of(*p[:2]) for p in cloud.points}
+    assert nmap.key_of(1.0, 0.0) in occupied
+    assert nmap.lookup(1.0, 0.0) is not None
+    assert len(made) == 1 and cloud._tree is not None
+
+    # a miss: an empty cell inside the cloud, next to occupied ones
+    hole = next((ix, iy) for ix in range(5, 20) for iy in range(-5, 5)
+                if (ix, iy) not in occupied and (ix + 1, iy) in occupied)
+    x, y = (np.array(hole) + [0.3, 0.6]) * nmap.cell_size
+    made.clear()
+    assert nmap.lookup(x, y) is not None
+    d2 = [float((((np.array(k) + 0.5) * nmap.cell_size - [x, y]) ** 2).sum())
+          for k in occupied]
+    assert len(made) == d2.count(min(d2))       # the nearest cells, no others
+
+
+def test_lazy_map_miss_skips_degenerate_cells(monkeypatch):
+    """A miss estimates the degenerate cells nearer than the first good one,
+    and no cell farther away."""
+    rng = np.random.default_rng(2)
+    t = np.sort(rng.uniform(0.0, 1.0, 40))
+    line = np.column_stack([1.1 + 0.05 * t, 0.9 * t, 0.2 * t])   # cells (4, 0..3)
+    good = _patch_cloud(rng, [(ix, iy) for ix in range(4) for iy in range(4)],
+                        0.25, UP)
+    nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
+    nmap.update(PointCloud(points=line))
+    nmap.update(PointCloud(points=good))
+    made = _count_estimates(monkeypatch, nmap)
+    # from the empty cell (5, 1): line cells (4, 1), (4, 0), (4, 2) lie nearer
+    # than the planar cell (3, 1); the line cell (4, 3) lies farther
+    n = nmap.lookup(1.3, 0.375)
+    assert n is not None and n[2] > 0.99          # the planar cell
+    assert nmap.skipped_degenerate == 3
+    assert len(made) == 4
