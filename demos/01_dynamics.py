@@ -26,7 +26,7 @@ def main():
 
     kc = model.kinematics(y)
     tree = spanning_tree_dynamics(kc)
-    cl = closed_loop_dynamics(model, y, n, n)
+    cl = closed_loop_dynamics(model, kc, n, n)
 
     print("spanning tree: H is 16x16, minimal coordinates: 12")
     print(f"  H symmetric to {np.abs(tree.H - tree.H.T).max():.1e}, "

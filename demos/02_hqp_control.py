@@ -28,10 +28,11 @@ def main():
     y = initial_state(model, terrain, height=0.23)   # 2 cm below reference
     n = terrain.normal(0.0, 0.0)
 
-    ts = model.task_state(y, n, n)
-    cs = model.com_state(y, n, n)
-    tj = model.task_jacobians(y, n, n)
-    cl = closed_loop_dynamics(model, y, n, n)
+    kc = model.kinematics(y)
+    tj = model.task_jacobians(kc, n, n)
+    ts = model.task_state(kc, tj)
+    cs = model.com_state(kc, tj)
+    cl = closed_loop_dynamics(model, kc, n, n)
 
     # pose task wants height 0.25 and level attitude; balance task wants the
     # CoM over the contact line at zero forward speed

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import re
@@ -149,9 +150,7 @@ def _run_and_write(scenario_path: str, params: dict, seed: int,
     """Load a scenario, run it and write its artifacts to out_dir."""
     scenario = load_scenario(scenario_path, params)
     records, metrics = run_scenario(RobotModel(), scenario, seed=seed)
-    slope = not np.allclose(
-        [scenario.terrain.grad(x, 0.0) for x in np.linspace(-3, 3, 13)], 0.0)
-    write_artifacts(out_dir, records, metrics, slope)
+    write_artifacts(out_dir, records, metrics, scenario.terrain.kind != "flat")
     return metrics
 
 
@@ -209,11 +208,10 @@ def do_sweep(cfg: RunConfig) -> int:
         rows = [_sweep_one(j) for j in jobs]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    cols = list(rows[0].keys())
-    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     bad = [r for r in rows if r["failed"] or r["fell"]]
     for r in bad:
         print(f"error: {cfg.sweep_key}={r['sweep_value']}: "

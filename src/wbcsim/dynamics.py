@@ -14,10 +14,8 @@ from .rotations import cross3, cross_rows
 
 from .model import (
     KinematicsCache,
-    MinimalState,
     UNIT_TOL,
     RobotModel,
-    SpanningTreeState,
     SHANK_L,
     SHANK_R,
     WHEEL_L,
@@ -27,6 +25,8 @@ from .model import (
 )
 
 GRAVITY = 9.81
+# lateral slip speed (m/s) at which the friction coefficient saturates at mu
+FRICTION_V_REF = 0.05
 
 
 @dataclass
@@ -95,33 +95,32 @@ def contact_frame(n: np.ndarray, heading: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y, n])
 
 
-def friction_matrix(v_lat: np.ndarray, mu: float = 0.8, v_ref: float = 0.05) -> np.ndarray:
+def friction_matrix(v_lat: np.ndarray, mu: float = 0.8) -> np.ndarray:
     """Saturated-linear lateral friction coefficients C_F (2x4).
 
     Per wheel i the lateral force is F_y,i = c_i * F_z,i with
-    c_i = -mu * clamp(v_y,i / v_ref, -1, 1); c_i sits in wheel i's row at
-    that wheel's z-force column of F_C = (F_x_l, F_z_l, F_x_r, F_z_r).
+    c_i = -mu * clamp(v_y,i / FRICTION_V_REF, -1, 1); c_i sits in wheel i's
+    row at that wheel's z-force column of F_C = (F_x_l, F_z_l, F_x_r, F_z_r).
     """
-    if mu < 0.0 or v_ref <= 0.0:
-        raise ValueError("require mu >= 0 and v_ref > 0")
-    c = -mu * np.clip(np.asarray(v_lat, dtype=float) / v_ref, -1.0, 1.0)
+    if mu < 0.0:
+        raise ValueError("require mu >= 0")
+    c = -mu * np.clip(np.asarray(v_lat, dtype=float) / FRICTION_V_REF, -1.0, 1.0)
     C_F = np.zeros((2, 4))
     C_F[0, 1] = c[0]
     C_F[1, 3] = c[1]
     return C_F
 
 
-def closed_loop_dynamics(model: RobotModel, y: MinimalState,
-                         n_l: np.ndarray, n_r: np.ndarray, mu: float = 0.8,
-                         kc: KinematicsCache | None = None) -> ClosedLoopDynamics:
-    """Reduce the tree EoM through G and build the ground-contact map.
+def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
+                         n_l: np.ndarray, n_r: np.ndarray,
+                         mu: float = 0.8) -> ClosedLoopDynamics:
+    """Reduce the tree EoM of the state in kc through G and build the
+    ground-contact map.
 
     Contact Jacobians are taken at the wheel material point currently at the
     contact location (they include the wheel spin), expressed in the contact
     frame axes.
     """
-    if kc is None:
-        kc = model.kinematics(y)
     G = model.G
     if kc.tree_dynamics is None:
         kc.tree_dynamics = spanning_tree_dynamics(kc)
@@ -129,7 +128,7 @@ def closed_loop_dynamics(model: RobotModel, y: MinimalState,
     H_y = G.T @ dyn.H @ G
     C_y = G.T @ dyn.C
 
-    p_cl, p_cr = model.contact_points(y, n_l, n_r, kc)
+    p_cl, p_cr = model.contact_points(kc, n_l, n_r)
     head = kc.R[0] @ np.array([1.0, 0.0, 0.0])
     F_l = contact_frame(n_l, head)
     F_r = contact_frame(n_r, head)

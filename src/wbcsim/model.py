@@ -275,6 +275,8 @@ class TaskJacobians:
 
     J: np.ndarray                # 6x12
     Jdot_u: np.ndarray           # (6,)
+    p_cl: np.ndarray             # contact points the rows were built at
+    p_cr: np.ndarray
     names: tuple = ("height", "pitch", "balance", "roll", "split", "yaw")
     gimbal: bool = False
 
@@ -289,10 +291,13 @@ def _check_normal(n: np.ndarray, label: str) -> np.ndarray:
 
 
 class KinematicsCache:
-    """World poses, velocities and bias accelerations for one tree configuration."""
+    """World poses, velocities and bias accelerations of one closed-loop state
+    y, kept with the tree state it expands to."""
 
-    def __init__(self, desc: RobotDescription, state: SpanningTreeState):
+    def __init__(self, desc: RobotDescription, y: MinimalState,
+                 state: SpanningTreeState):
         self.desc = desc
+        self.y = y
         self.state = state
         n = len(desc.bodies)
         self.R = np.empty((n, 3, 3))
@@ -405,12 +410,37 @@ class KinematicsCache:
         """(13, 3) a point on each of those axes."""
         return np.vstack([np.tile(self.o[BASE], (3, 1)), self.joint_origin_w])
 
+    @cached_property
     def com(self) -> tuple[np.ndarray, float]:
+        """Whole-body CoM and total mass."""
         M = self.desc.total_mass
         return self.desc.masses @ self.com_points / M, M
 
+    @cached_property
     def com_jacobian(self) -> np.ndarray:
+        """(3, 16) linear-velocity Jacobian of the whole-body CoM."""
         return np.tensordot(self.desc.masses, self.com_jacobians, axes=1) / self.desc.total_mass
+
+    @cached_property
+    def heading_axis(self):
+        """Heading axis x_N = P head / |P head| (P drops z, head = R e_x), its
+        norm |P head|, and its first two time derivatives along the current
+        velocity with udot = 0 (head rotates with the base: head' = w x head).
+        """
+        head = self.R[BASE][:, 0]
+        hx = np.array([head[0], head[1], 0.0])
+        nh = np.linalg.norm(hx)
+        if nh < 1e-8:
+            raise ValueError("heading is vertical; frame N undefined")
+        x_n = hx / nh
+        w = self.omega[BASE]
+        h1 = cross3(w, head)
+        h2 = cross3(w, h1)
+        h1[2] = h2[2] = 0.0
+        nd = x_n @ h1
+        x_d = (h1 - nd * x_n) / nh
+        x_dd = (h2 - (x_n @ h2) * x_n - 2.0 * nd * x_d - (x_d @ h1) * x_n) / nh
+        return x_n, nh, x_d, x_dd
 
 
 class RobotModel:
@@ -449,7 +479,7 @@ class RobotModel:
         return self.G.copy()
 
     def kinematics(self, y: MinimalState) -> KinematicsCache:
-        return KinematicsCache(self.desc, self.expand_coordinates(y))
+        return KinematicsCache(self.desc, y, self.expand_coordinates(y))
 
     # -- forward kinematics ------------------------------------------------
 
@@ -460,38 +490,16 @@ class RobotModel:
         wl, wr = kc.wheel_centers()
         return {"poses": poses, "wheel_center_l": wl, "wheel_center_r": wr}
 
-    def contact_points(self, y: MinimalState, n_l: np.ndarray, n_r: np.ndarray,
-                       kc: KinematicsCache | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def contact_points(self, kc: KinematicsCache, n_l: np.ndarray,
+                       n_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contact point of each wheel: center - wheel_radius * normal."""
         n_l = _check_normal(n_l, "left")
         n_r = _check_normal(n_r, "right")
-        if kc is None:
-            kc = self.kinematics(y)
         wl, wr = kc.wheel_centers()
         r = self.desc.wheel_radius
         return wl - r * n_l, wr - r * n_r
 
     # -- task space --------------------------------------------------------
-
-    def _heading_axis(self, kc: KinematicsCache):
-        """Heading axis x_N = P head / |P head| (P drops z, head = R e_x), its
-        norm |P head|, and its first two time derivatives along the current
-        velocity with udot = 0 (head rotates with the base: head' = w x head).
-        """
-        head = kc.R[BASE][:, 0]
-        hx = np.array([head[0], head[1], 0.0])
-        nh = np.linalg.norm(hx)
-        if nh < 1e-8:
-            raise ValueError("heading is vertical; frame N undefined")
-        x_n = hx / nh
-        w = kc.omega[BASE]
-        h1 = cross3(w, head)
-        h2 = cross3(w, h1)
-        h1[2] = h2[2] = 0.0
-        nd = x_n @ h1
-        x_d = (h1 - nd * x_n) / nh
-        x_dd = (h2 - (x_n @ h2) * x_n - 2.0 * nd * x_d - (x_d @ h1) * x_n) / nh
-        return x_n, nh, x_d, x_dd
 
     def _pendulum_angle(self, kc: KinematicsCache, side: str, x_n: np.ndarray) -> float:
         hip = kc.point_on_body(BASE, self._hip_origin[side])
@@ -499,55 +507,42 @@ class RobotModel:
         d = hip - wc
         return float(np.arctan2(d @ x_n, d[2]))
 
-    def task_state(self, y: MinimalState, n_l: np.ndarray, n_r: np.ndarray,
-                   kc: KinematicsCache | None = None,
-                   tj: TaskJacobians | None = None) -> TaskState:
-        """Pose task values and rates; `kc` and `tj` are reused when given."""
-        if kc is None:
-            kc = self.kinematics(y)
-        p_cl, p_cr = self.contact_points(y, n_l, n_r, kc)
+    def task_state(self, kc: KinematicsCache, tj: TaskJacobians) -> TaskState:
+        """Pose task values, and their rates through the task rows tj of kc."""
+        p_cl, p_cr = tj.p_cl, tj.p_cr
         origin = 0.5 * (p_cl + p_cr)
-        x_n = self._heading_axis(kc)[0]
+        x_n = kc.heading_axis[0]
         (roll, pitch, yaw), gimbal = euler_zyx(kc.R[BASE])
         h = float((kc.o[BASE] - origin)[2])
         phi = self._pendulum_angle(kc, "l", x_n) - self._pendulum_angle(kc, "r", x_n)
         d_w = float((p_cl - p_cr) @ x_n)
-        if tj is None:
-            tj = self.task_jacobians(y, n_l, n_r, kc)
         J_phi, J_h = tj.J[4], tj.J[0]
         J_alpha, J_beta, J_gamma = tj.J[3], tj.J[1], tj.J[5]
+        u_y = kc.y.vel
         Lam = np.array([phi, h, roll, pitch, yaw])
-        Lam_dot = np.array([J_phi @ y.vel, J_h @ y.vel, J_alpha @ y.vel,
-                            J_beta @ y.vel, J_gamma @ y.vel])
+        Lam_dot = np.array([J_phi @ u_y, J_h @ u_y, J_alpha @ u_y,
+                            J_beta @ u_y, J_gamma @ u_y])
         return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w,
                          p_cl=p_cl, p_cr=p_cr, gimbal=gimbal or tj.gimbal)
 
-    def com_state(self, y: MinimalState, n_l: np.ndarray | None = None,
-                  n_r: np.ndarray | None = None,
-                  kc: KinematicsCache | None = None) -> ComState:
+    def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
         """CoM position/velocity in heading (x) and vertical (z) axes.
 
-        r is measured from the frame-N origin (contact midpoint); s is the
-        absolute position.  The forward rate s_dot[0] is the CoM velocity
-        along the current heading (the rotation of the heading axis itself
-        is excluded: projecting the absolute position onto a turning axis
-        would otherwise report a spurious forward rate proportional to the
-        distance from the world origin).  Vertical normals are assumed when
-        none are given.
+        r is measured from the frame-N origin, the midpoint of the contact
+        points tj was built at; s is the absolute position.  The forward
+        rate s_dot[0] is the CoM velocity along the current heading (the
+        rotation of the heading axis itself is excluded: projecting the
+        absolute position onto a turning axis would otherwise report a
+        spurious forward rate proportional to the distance from the world
+        origin).
         """
-        ez = np.array([0.0, 0.0, 1.0])
-        n_l = ez if n_l is None else n_l
-        n_r = ez if n_r is None else n_r
-        if kc is None:
-            kc = self.kinematics(y)
-        p_cl, p_cr = self.contact_points(y, n_l, n_r, kc)
-        x_n, _, x_d, _ = self._heading_axis(kc)
-        p_com, M = kc.com()
-        v_com = kc.com_jacobian() @ kc.state.vel
+        x_n, _, x_d, _ = kc.heading_axis
+        p_com, M = kc.com
+        v_com = kc.com_jacobian @ kc.state.vel
         # the contacts move with the wheel centers (the normals are held fixed)
         v_mid = 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
 
-        r_vec = p_com - 0.5 * (p_cl + p_cr)
+        r_vec = p_com - 0.5 * (tj.p_cl + tj.p_cr)
         r = np.array([r_vec @ x_n, r_vec[2]])
         s = np.array([p_com @ x_n, p_com[2]])
         return ComState(r=r, s=s,
@@ -556,10 +551,10 @@ class RobotModel:
                         s_dot=np.array([x_n @ v_com, v_com[2]]),
                         total_mass=M)
 
-    def task_jacobians(self, y: MinimalState, n_l: np.ndarray, n_r: np.ndarray,
-                       kc: KinematicsCache | None = None) -> TaskJacobians:
+    def task_jacobians(self, kc: KinematicsCache, n_l: np.ndarray,
+                       n_r: np.ndarray) -> TaskJacobians:
         """Analytic 6x12 task rows (h, beta, r_com_x, alpha, phi, gamma) and
-        their Jdot*u_y terms.
+        their Jdot*u_y terms, at the contact points of the given normals.
 
         Jdot*u_y is each task's second time derivative along the current
         velocity with udot = 0.  It is assembled from the bias accelerations
@@ -568,10 +563,8 @@ class RobotModel:
         rows the rate of the Euler-rate map: with E(theta) theta_dot = w,
         theta_ddot = -E^-1 Edot theta_dot at constant w.
         """
-        if kc is None:
-            kc = self.kinematics(y)
-        p_cl, p_cr = self.contact_points(y, n_l, n_r, kc)
-        x_n, nh, x_d, x_dd = self._heading_axis(kc)
+        p_cl, p_cr = self.contact_points(kc, n_l, n_r)
+        x_n, nh, x_d, x_dd = kc.heading_axis
         ez = np.array([0.0, 0.0, 1.0])
         head = kc.R[BASE][:, 0]
         w = kc.omega[BASE]
@@ -619,8 +612,8 @@ class RobotModel:
 
         # r_com_x = (p_com - mid) . x_N with the contact midpoint moving as
         # the wheel-center midpoint (the normals are held fixed)
-        p_com, M = kc.com()
-        J_com = kc.com_jacobian()
+        p_com, M = kc.com
+        J_com = kc.com_jacobian
         J_mid = 0.5 * (kc.point_jacobian(SHANK_L, kc.o[WHEEL_L])
                        + kc.point_jacobian(SHANK_R, kc.o[WHEEL_R]))
         r_vec = p_com - 0.5 * (p_cl + p_cr)
@@ -633,7 +626,8 @@ class RobotModel:
         J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], row_l - row_r, J_euler[2]])
         jdot_u = np.array([0.0, euler_bias[1], rx_bias, euler_bias[0],
                            bias_l - bias_r, euler_bias[2]])
-        return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, gimbal=gimbal)
+        return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr,
+                             gimbal=gimbal)
 
 
 class OutOfReachError(ValueError):

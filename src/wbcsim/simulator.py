@@ -22,7 +22,7 @@ from .dynamics import (
     mechanical_energy,
 )
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
-from .model import MinimalState, OutOfReachError, RobotModel, leg_ik
+from .model import KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import euler_zyx, exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
     GainScheduler,
@@ -148,6 +148,8 @@ class Scenario:
             d = _section(Disturbance, v, key, direction=vector(3))
             if d.kind == "push" and not np.linalg.norm(d.direction) > 0.0:
                 raise ScenarioError(f"'{key}.direction' of a push must not be zero")
+            if d.kind == "push" and not d.duration > 0.0:
+                raise ScenarioError(f"'{key}.duration' of a push must be > 0")
             return d
 
         return _section(
@@ -311,10 +313,10 @@ def write_log_csv(records: list, path: str) -> None:
 
 # -- forward dynamics -------------------------------------------------------
 
-def true_normals(model: RobotModel, y: MinimalState, terrain: Terrain):
-    kc = model.kinematics(y)
+def true_normals(kc: KinematicsCache, terrain: Terrain):
+    """Terrain normals under the left and right wheel centers of kc."""
     wl, wr = kc.wheel_centers()
-    return terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1]), kc
+    return terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1])
 
 
 def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
@@ -326,8 +328,8 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     cl, when given, is the closed-loop dynamics of y at the true normals.
     """
     if cl is None:
-        n_l, n_r, kc = true_normals(model, y, terrain)
-        cl = closed_loop_dynamics(model, y, n_l, n_r, mu=terrain.mu, kc=kc)
+        kc = model.kinematics(y)
+        cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
     rhs_top = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
     if ext_wrench is not None:
         rhs_top = rhs_top + np.concatenate([ext_wrench, np.zeros(6)])
@@ -350,7 +352,7 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
 def forward_dynamics_free(model: RobotModel, y: MinimalState,
                           tau_a: np.ndarray) -> np.ndarray:
     """Contact-free accelerations (test hook for ballistic checks)."""
-    cl = closed_loop_dynamics(model, y, EZ, EZ)
+    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
     rhs = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
     return np.linalg.solve(cl.H_y, rhs)
 
@@ -409,13 +411,14 @@ def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,
     direction = direction / np.linalg.norm(direction)
     imp = J_mag * direction
 
-    n_l, n_r, kc = true_normals(model, state.y, terrain)
-    cl = closed_loop_dynamics(model, state.y, n_l, n_r, mu=terrain.mu, kc=kc)
+    kc = model.kinematics(state.y)
+    cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
     rhs = np.concatenate([imp, np.zeros(9), -cl.J_xz @ state.y.vel])
     du = np.linalg.solve(cl.K, rhs)[:12]
 
-    e0 = mechanical_energy(model.kinematics(state.y))
-    state.y.vel = state.y.vel + du
+    e0 = mechanical_energy(kc)
+    # a new state, so that no cache of the old one sees the new velocity
+    state.y = dataclasses.replace(state.y, vel=state.y.vel + du)
     e1 = mechanical_energy(model.kinematics(state.y))
     state.work_in += e1 - e0     # book the kinetic energy the impact injects
     return imp
@@ -450,8 +453,8 @@ def initial_state(model: RobotModel, terrain: Terrain,
         y = MinimalState(pos=pos.copy(), rot=R.copy(), qj=qj,
                          vel=np.zeros(12))
     u0 = np.concatenate([speed * R[:, 0], np.zeros(9)])
-    n_l, n_r, kc = true_normals(model, y, terrain)
-    cl = closed_loop_dynamics(model, y, n_l, n_r, mu=terrain.mu, kc=kc)
+    kc = model.kinematics(y)
+    cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
     # seed the wheel spin consistent with rolling at the requested speed
     # (otherwise the min-norm correction below prefers stopping the base
     # over spinning the wheels); pick the spin sign that best satisfies
@@ -550,6 +553,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         t = k * dt_ctrl
         kc = model.kinematics(state.y)
         wl, wr = kc.wheel_centers()
+        nl, nr = true_normals(kc, terrain)
         heading = state.y.rot[:, 0]
 
         # --- estimation ---------------------------------------------------
@@ -557,7 +561,6 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             cloud = synth_pointcloud(terrain, state.y.pos[:2], scenario.sensor,
                                      rng)
             nmap.update(cloud)
-        nl, nr = terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1])
         if scenario.estimation_mode == "true_normal":
             nl_hat, nr_hat = nl, nr
         elif scenario.estimation_mode == "horizontal_normal":
@@ -574,16 +577,15 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         seg = scenario.segment_at(t)
         yaw_ref = wrap_angle(yaw_ref + seg.yaw_rate * dt_ctrl)
         try:
-            tj = model.task_jacobians(state.y, nl_hat, nr_hat, kc)
-            ts = model.task_state(state.y, nl_hat, nr_hat, kc, tj)
-            cs = model.com_state(state.y, nl_hat, nr_hat, kc)
+            tj = model.task_jacobians(kc, nl_hat, nr_hat)
+            ts = model.task_state(kc, tj)
+            cs = model.com_state(kc, tj)
             # the true-normal dynamics serve the first physics substep and,
             # with true normals, the controller
-            cl = closed_loop_dynamics(model, state.y, nl, nr, mu=terrain.mu,
-                                      kc=kc)
+            cl = closed_loop_dynamics(model, kc, nl, nr, mu=terrain.mu)
             cl_hat = (cl if scenario.estimation_mode == "true_normal"
-                      else closed_loop_dynamics(model, state.y, nl_hat, nr_hat,
-                                                mu=terrain.mu, kc=kc))
+                      else closed_loop_dynamics(model, kc, nl_hat, nr_hat,
+                                                mu=terrain.mu))
 
             # express the yaw reference in the branch nearest the current
             # yaw so the PD error stays wrapped across the +/-pi seam

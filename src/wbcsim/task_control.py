@@ -26,6 +26,8 @@ ANGULAR_TASKS = (0, 2, 3, 4)
 DEFAULT_KP = np.array([100.0, 400.0, 400.0, 400.0, 50.0])
 DEFAULT_Q = np.diag([100.0, 1.0, 10.0, 1.0])
 DEFAULT_R = 1.0
+# pendulum height change (m) that makes the GainScheduler re-solve the LQR
+RESCHEDULE_DZ = 0.01
 
 
 @dataclass
@@ -111,18 +113,16 @@ def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q,
 
 class GainScheduler:
     """Caches the LQR gain, re-solving only when the pendulum height moves
-    by more than the threshold (A depends on r_z)."""
+    by more than RESCHEDULE_DZ (A depends on r_z)."""
 
-    def __init__(self, Q: np.ndarray = DEFAULT_Q, R: float = DEFAULT_R,
-                 threshold: float = 0.01):
+    def __init__(self, Q: np.ndarray = DEFAULT_Q, R: float = DEFAULT_R):
         self.Q = np.asarray(Q, dtype=float)
         self.R = float(R)
-        self.threshold = float(threshold)
         self.design: LqrDesign | None = None
         self.solve_count = 0
 
     def gain(self, r_z: float) -> LqrDesign:
-        if self.design is None or abs(r_z - self.design.r_z) > self.threshold:
+        if self.design is None or abs(r_z - self.design.r_z) > RESCHEDULE_DZ:
             self.design = lqr_gain(r_z, self.Q, self.R)
             self.solve_count += 1
         return self.design

@@ -110,7 +110,7 @@ def test_loop_closure_map_and_kinetic_energy_preservation(model):
         assert np.abs(fd - model.G @ u).max() < 1e-6
 
         dyn = spanning_tree_dynamics(model.kinematics(y))
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         u16 = model.G @ y.vel
         assert abs(y.vel @ cl.H_y @ y.vel - u16 @ dyn.H @ u16) < 1e-10
 
@@ -122,7 +122,7 @@ def test_zero_torque_frictionless_energy_conservation(model):
     state = settled_hanging_state(model, terrain)
     state.y.vel[6], state.y.vel[9] = 1.0, -1.0
     n = terrain.normal(*state.y.pos[:2])
-    cl = closed_loop_dynamics(model, state.y, n, n)
+    cl = closed_loop_dynamics(model, model.kinematics(state.y), n, n)
     kkt = np.block([[cl.H_y, -cl.J_xz.T], [cl.J_xz, np.zeros((4, 4))]])
     rhs = np.concatenate([np.zeros(12), -cl.J_xz @ state.y.vel])
     state.y.vel += np.linalg.solve(kkt, rhs)[:12]

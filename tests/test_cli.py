@@ -1,6 +1,7 @@
 """CLI tests: artifacts, determinism, overrides, sweep fan-out, error paths."""
 
 import concurrent.futures
+import csv
 import json
 import os
 
@@ -107,6 +108,17 @@ def test_flat_terrain_has_no_psi_trace(flat_scn, tmp_path):
     assert not (out / "psi_trace.csv").exists()
 
 
+@pytest.mark.parametrize("terrain", [
+    "{kind: slope, angle_deg: 10.0, start: 4.0}",       # the slope begins beyond x = 3
+    "{kind: asymmetric_support, left: {height: 0.1, start: 0.8, ramp: 0.5}}",
+])
+def test_every_terrain_but_flat_has_psi_trace(flat_scn, tmp_path, terrain):
+    out = tmp_path / "out"
+    assert main(["--scenario", flat_scn, "--out", str(out),
+                 "--param", f"terrain={terrain}", "--param", "duration=0.02"]) == 0
+    assert (out / "psi_trace.csv").read_text().startswith("t,psi_hat,psi_true\n")
+
+
 def test_env_var_sets_output_dir(flat_scn, tmp_path, monkeypatch):
     out = tmp_path / "from_env"
     monkeypatch.setenv("WBCSIM_OUT", str(out))
@@ -153,6 +165,8 @@ BAD_PARAMS = [
     ("reference=[{t_start: 1}, {t_start: 0, height: 5}]", "reference[1].height"),
     ("disturbances=[{kind: push, t_start: 0, duration: 0.05, f_max: 8, "
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
+    ("disturbances=[{kind: push, t_start: 0.0, f_max: 500.0}]",
+     "disturbances[0].duration"),
 ]
 
 
@@ -217,6 +231,18 @@ def test_sweep_writes_per_value_runs_and_summary(flat_scn, tmp_path):
     assert len(lines) == 3
     for tag in ("duration_0.1", "duration_0.2"):
         assert (out / tag / "metrics.json").exists()
+
+
+def test_sweep_csv_quotes_values_with_commas(flat_scn, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["--scenario", flat_scn, "--out", str(out), "--mode", "sweep",
+                 "--sweep", "start_xy=[[0,0],[0.5,0]]", "--param", "duration=0.02",
+                 "--jobs", "1"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [row[0] for row in rows[1:]] == ["[0, 0]", "[0.5, 0]"]
 
 
 def test_sweep_requires_key(flat_scn, tmp_path, capsys):

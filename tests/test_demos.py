@@ -1,4 +1,5 @@
-"""Smoke test: the dynamics and control-cycle demos run to completion."""
+"""Smoke test: the dynamics, control-cycle, LQR and normal-estimation demos
+run to completion."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_dynamics.py", "02_hqp_control.py"])
+@pytest.mark.parametrize("demo", ["01_dynamics.py", "02_hqp_control.py",
+                                  "03_balance_lqr.py", "04_normal_estimation.py"])
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -142,7 +142,7 @@ def test_closed_loop_reduction(model, states):
     for y in states:
         kc = model.kinematics(y)
         dyn = spanning_tree_dynamics(kc)
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         G = model.G
         assert np.allclose(cl.H_y, G.T @ dyn.H @ G, atol=1e-12)
         assert np.allclose(cl.C_y, G.T @ dyn.C, atol=1e-12)
@@ -155,7 +155,7 @@ def test_closed_loop_spd_scan(model):
     rng = np.random.default_rng(21)
     for _ in range(1000):
         y = random_minimal_state(rng, with_velocity=False)
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         assert np.allclose(cl.H_y, cl.H_y.T, atol=1e-10)
         assert np.linalg.eigvalsh(cl.H_y).min() > 0.0
 
@@ -214,12 +214,12 @@ def test_contact_frame_rejects_parallel_heading():
 
 def test_friction_matrix():
     assert np.allclose(friction_matrix(np.zeros(2)), 0.0)
-    C_F = friction_matrix(np.array([0.05, -0.5]), mu=0.8, v_ref=0.05)
+    C_F = friction_matrix(np.array([0.05, -0.5]), mu=0.8)
     assert C_F[0, 1] == pytest.approx(-0.8)
     assert C_F[1, 3] == pytest.approx(0.8)
     rng = np.random.default_rng(23)
     for _ in range(50):
-        C_F = friction_matrix(rng.normal(scale=3.0, size=2), mu=0.8, v_ref=0.05)
+        C_F = friction_matrix(rng.normal(scale=3.0, size=2), mu=0.8)
         assert np.abs(C_F).max() <= 0.8 + 1e-12
 
 
@@ -237,7 +237,7 @@ def material_point_fd_velocity(model, y, body, p0, eps=1e-7):
 
 def test_contact_jacobian_matches_material_point_fd(model, states):
     for y in states:
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         v_l = material_point_fd_velocity(model, y, WHEEL_L, cl.p_cl)
         v_r = material_point_fd_velocity(model, y, WHEEL_R, cl.p_cr)
         F_l, F_r = cl.contact.frame_l, cl.contact.frame_r
@@ -253,21 +253,21 @@ def test_contact_jacobian_bias_matches_constraint_drift(model, states):
     eps = 1e-5
     for y in states:
         def c_val(s):
-            cl = closed_loop_dynamics(model, s, EZ, EZ)
+            cl = closed_loop_dynamics(model, model.kinematics(s), EZ, EZ)
             return cl.J_xz @ s.vel
 
         yp, ym = y.perturbed(y.vel, eps), y.perturbed(y.vel, -eps)
         yp.vel = y.vel.copy()
         ym.vel = y.vel.copy()
         fd = (c_val(yp) - c_val(ym)) / (2 * eps)
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         assert np.allclose(cl.Jdot_xz_u, fd, atol=1e-4)
 
 
 def test_contact_jacobian_opposite_leg_decoupled(model, states):
     # u_y joint order: q1, q5, q4 (left), q6, q10, q9 (right)
     for y in states:
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         for J in (cl.J_xz[[0, 2]], cl.J_y, cl.J_xz[[1, 3]]):
             assert np.allclose(J[0, 9:12], 0.0, atol=1e-12)   # left row, right joints
             assert np.allclose(J[1, 6:9], 0.0, atol=1e-12)    # right row, left joints

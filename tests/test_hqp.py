@@ -180,7 +180,7 @@ def test_deterministic():
 def test_dynamics_constraint_layout(model):
     rng = np.random.default_rng(47)
     y = random_minimal_state(rng)
-    cl = closed_loop_dynamics(model, y, EZ, EZ)
+    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
     cs = dynamics_constraints(cl, selection_matrix(), 40.0)
     assert cs.K is cl.K
     assert cs.K.shape == (16, 16)
@@ -203,9 +203,9 @@ def test_full_solve_satisfies_eom_and_bounds(model):
     rng = np.random.default_rng(48)
     for _ in range(5):
         y = random_minimal_state(rng)
-        cl = closed_loop_dynamics(model, y, EZ, EZ)
+        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
         cs = dynamics_constraints(cl, selection_matrix(), 40.0)
-        tj = model.task_jacobians(y, EZ, EZ)
+        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
         for solve in (HierarchySolver().solve, solve_stack):
             sol = solve(stack, cs)
@@ -256,9 +256,9 @@ def test_torque_space_solver_matches_cascade_200_physical_problems(model):
     for _ in range(200):
         y = random_minimal_state(rng)
         n_l, n_r = tilted(), tilted()
-        cl = closed_loop_dynamics(model, y, n_l, n_r)
+        cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r)
         cs = dynamics_constraints(cl, selection_matrix(), 40.0)
-        tj = model.task_jacobians(y, n_l, n_r)
+        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
         scale = 10.0 ** rng.uniform(0.0, 3.0)
         stack = assemble_task_stack(scale * rng.normal(size=5),
                                     scale * rng.normal(), tj)
@@ -292,10 +292,10 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
 def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
     rng = np.random.default_rng(50)
     y = random_minimal_state(rng)
-    cl = closed_loop_dynamics(model, y, EZ, EZ)
+    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
     cs = dynamics_constraints(cl, selection_matrix(), 40.0)
     stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
-                                model.task_jacobians(y, EZ, EZ))
+                                model.task_jacobians(model.kinematics(y), EZ, EZ))
     for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):
         bad = ConstraintSet(K=cs.K.copy(), b=cs.b, B=cs.B, torque_limit=40.0)
         bad.K[:, col] = value

@@ -148,7 +148,7 @@ def test_fk_matches_homogeneous_chain_oracle(model):
 
 def test_contact_point_flat(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
-    p_cl, p_cr = model.contact_points(y, EZ, EZ)
+    p_cl, p_cr = model.contact_points(model.kinematics(y), EZ, EZ)
     wl = model.forward_kinematics(y)["wheel_center_l"]
     assert np.allclose(p_cl, wl - 0.09 * EZ)
     assert p_cl[2] == pytest.approx(wl[2] - 0.09)
@@ -157,7 +157,7 @@ def test_contact_point_flat(model):
 def test_contact_point_slope_geometry(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     n = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    p_cl, _ = model.contact_points(y, n, EZ)
+    p_cl, _ = model.contact_points(model.kinematics(y), n, EZ)
     wl = model.forward_kinematics(y)["wheel_center_l"]
     assert np.allclose(wl - p_cl, 0.09 * n)
     assert np.linalg.norm(wl - p_cl) == pytest.approx(0.09, abs=1e-12)
@@ -166,12 +166,24 @@ def test_contact_point_slope_geometry(model):
 def test_contact_point_rejects_bad_normals(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     with pytest.raises(ValueError):
-        model.contact_points(y, np.array([0.0, 0.0, 2.0]), EZ)
+        model.contact_points(model.kinematics(y), np.array([0.0, 0.0, 2.0]), EZ)
     with pytest.raises(ValueError):
-        model.contact_points(y, EZ, np.array([0.0, 0.0, -1.0]))
+        model.contact_points(model.kinematics(y), EZ, np.array([0.0, 0.0, -1.0]))
 
 
 # -- task state -------------------------------------------------------------
+
+def task_state(model, y, n_l, n_r):
+    """Pose task state of y at the contact points of the given normals."""
+    kc = model.kinematics(y)
+    return model.task_state(kc, model.task_jacobians(kc, n_l, n_r))
+
+
+def com_state(model, y, n_l, n_r):
+    """CoM state of y at the contact points of the given normals."""
+    kc = model.kinematics(y)
+    return model.com_state(kc, model.task_jacobians(kc, n_l, n_r))
+
 
 def symmetric_stance(model, h=0.25, x=0.0):
     """Level, symmetric crouch with wheels below hips and base height h."""
@@ -184,7 +196,7 @@ def symmetric_stance(model, h=0.25, x=0.0):
 
 def test_task_state_symmetric(model):
     y = symmetric_stance(model, 0.25)
-    ts = model.task_state(y, EZ, EZ)
+    ts = task_state(model, y, EZ, EZ)
     phi, h, alpha, beta, gamma = ts.Lambda
     assert phi == pytest.approx(0.0, abs=1e-10)
     assert alpha == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +207,7 @@ def test_task_state_symmetric(model):
 
 def test_task_state_height_tracks_base(model):
     y = symmetric_stance(model, 0.25)
-    ts = model.task_state(y, EZ, EZ)
+    ts = task_state(model, y, EZ, EZ)
     assert ts.Lambda[1] == pytest.approx(0.25, abs=1e-9)
 
 
@@ -204,22 +216,22 @@ def test_task_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(8):
         y = random_minimal_state(rng)
-        lam_p = model.task_state(y.perturbed(y.vel, eps), EZ, EZ).Lambda
-        lam_m = model.task_state(y.perturbed(y.vel, -eps), EZ, EZ).Lambda
+        lam_p = task_state(model, y.perturbed(y.vel, eps), EZ, EZ).Lambda
+        lam_m = task_state(model, y.perturbed(y.vel, -eps), EZ, EZ).Lambda
         fd = wrap_angle(lam_p - lam_m) / (2 * eps)
         fd[1] = y.vel[2]   # height rate differentiates the base motion only
-        ts = model.task_state(y, EZ, EZ)
+        ts = task_state(model, y, EZ, EZ)
         assert np.allclose(ts.Lambda_dot, fd, atol=1e-6)
 
 
 def test_task_state_yaw_invariance(model):
     rng = np.random.default_rng(6)
     y = random_minimal_state(rng, with_velocity=False)
-    ts = model.task_state(y, EZ, EZ)
+    ts = task_state(model, y, EZ, EZ)
     ang = 0.7
     Rz = exp_so3(np.array([0.0, 0.0, ang]))
     y2 = MinimalState(Rz @ y.pos, Rz @ y.rot, y.qj.copy())
-    ts2 = model.task_state(y2, EZ, EZ)
+    ts2 = task_state(model, y2, EZ, EZ)
     assert np.allclose(ts2.Lambda[:4], ts.Lambda[:4], atol=1e-9)
     assert wrap_angle(ts2.Lambda[4] - ts.Lambda[4] - ang) == pytest.approx(0.0, abs=1e-9)
 
@@ -233,15 +245,15 @@ def task_values(model, y):
     measurement in the height task, so its Jacobian differentiates the base
     motion alone.
     """
-    ts = model.task_state(y, EZ, EZ)
-    cs = model.com_state(y, EZ, EZ)
+    ts = task_state(model, y, EZ, EZ)
+    cs = com_state(model, y, EZ, EZ)
     phi, h, alpha, beta, gamma = ts.Lambda
     return np.array([y.pos[2], beta, cs.r[0], alpha, phi, gamma])
 
 
 def test_task_jacobian_height_row(model):
     y = symmetric_stance(model)
-    tj = model.task_jacobians(y, EZ, EZ)
+    tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
     row = tj.J[0]
     assert row[2] == pytest.approx(1.0, abs=1e-9)   # base vertical velocity
     assert abs(row[0]) < 1e-9 and abs(row[1]) < 1e-9
@@ -258,7 +270,7 @@ def test_task_jacobians_match_finite_difference(model):
         fd = (vp - vm) / (2 * eps)
         for i in angular:
             fd[i] = wrap_angle(vp[i] - vm[i]) / (2 * eps)
-        tj = model.task_jacobians(y, EZ, EZ)
+        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
         assert np.allclose(tj.J @ y.vel, fd, atol=1e-5)
 
 
@@ -272,15 +284,15 @@ def test_task_jacobian_bias_matches_second_difference(model):
         vm = task_values(model, y.perturbed(y.vel, -eps))
         # second difference along the flow (udot = 0): d2(task)/dt2 = Jdot u
         fd2 = (vp - 2 * v0 + vm) / eps**2
-        tj = model.task_jacobians(y, EZ, EZ)
+        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
         assert np.allclose(tj.Jdot_u, fd2, atol=1e-4)
 
 
 def finite_difference_jdot_u(model, y, n_l, n_r, eps=1e-6):
     """Jdot*u_y by central differencing of the analytic task rows along the
     state flow (the method the library used before the analytic form)."""
-    Jp = model.task_jacobians(y.perturbed(y.vel, eps), n_l, n_r).J
-    Jm = model.task_jacobians(y.perturbed(y.vel, -eps), n_l, n_r).J
+    Jp = model.task_jacobians(model.kinematics(y.perturbed(y.vel, eps)), n_l, n_r).J
+    Jm = model.task_jacobians(model.kinematics(y.perturbed(y.vel, -eps)), n_l, n_r).J
     return ((Jp - Jm) / (2.0 * eps)) @ y.vel
 
 
@@ -295,7 +307,7 @@ def test_task_jacobian_bias_matches_finite_difference_oracle(model, normals):
         n_r = np.array([0.1, -0.2, 1.0]) / np.linalg.norm([0.1, -0.2, 1.0])
     for _ in range(20):
         y = random_minimal_state(rng)
-        tj = model.task_jacobians(y, n_l, n_r)
+        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
         fd = finite_difference_jdot_u(model, y, n_l, n_r)
         assert np.allclose(tj.Jdot_u, fd, rtol=0.0, atol=1e-7)
 
@@ -315,9 +327,9 @@ def test_com_matches_brute_force(model):
             num += m * (p + R @ model.desc.bodies[b].com)
             M += m
         com = num / M
-        cs = model.com_state(y, EZ, EZ)
+        cs = com_state(model, y, EZ, EZ)
         kc = model.kinematics(y)
-        p_com, _ = kc.com()
+        p_com, _ = kc.com
         assert np.allclose(p_com, com, atol=1e-12)
         assert cs.total_mass == pytest.approx(M)
 
@@ -325,7 +337,7 @@ def test_com_matches_brute_force(model):
 def test_com_upright_stance_centered(model):
     # straight-leg zero configuration: every CoM lies in the x = 0 plane
     y = MinimalState(np.array([0.0, 0.0, 0.4]), np.eye(3), np.zeros(6))
-    cs = model.com_state(y, EZ, EZ)
+    cs = com_state(model, y, EZ, EZ)
     assert cs.r[0] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -334,9 +346,9 @@ def test_com_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(6):
         y = random_minimal_state(rng)
-        cp = model.com_state(y.perturbed(y.vel, eps), EZ, EZ)
-        cm = model.com_state(y.perturbed(y.vel, -eps), EZ, EZ)
-        cs = model.com_state(y, EZ, EZ)
+        cp = com_state(model, y.perturbed(y.vel, eps), EZ, EZ)
+        cm = com_state(model, y.perturbed(y.vel, -eps), EZ, EZ)
+        cs = com_state(model, y, EZ, EZ)
         assert np.allclose(cs.r_dot, (cp.r - cm.r) / (2 * eps), atol=1e-5)
         # vertical rate is the plain derivative
         assert cs.s_dot[1] == pytest.approx((cp.s[1] - cm.s[1]) / (2 * eps),
@@ -344,8 +356,8 @@ def test_com_rates_match_finite_difference(model):
         # forward rate is the CoM velocity along the heading, excluding the
         # rotation of the heading axis itself
         kc = model.kinematics(y)
-        com_p, _ = model.kinematics(y.perturbed(y.vel, eps)).com()
-        com_m, _ = model.kinematics(y.perturbed(y.vel, -eps)).com()
+        com_p, _ = model.kinematics(y.perturbed(y.vel, eps)).com
+        com_m, _ = model.kinematics(y.perturbed(y.vel, -eps)).com
         head = kc.R[0] @ np.array([1.0, 0.0, 0.0])
         x_n = np.array([head[0], head[1], 0.0])
         x_n /= np.linalg.norm(x_n)

@@ -1,14 +1,18 @@
 """Simulator tests: statics, ballistics, energy audit, impacts, scenario parsing."""
 
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from importlib.resources import files
 
-from wbcsim import dynamics
+from wbcsim import dynamics, simulator
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
-from wbcsim.model import MinimalState
+from wbcsim.hqp import HierarchySolver
+from wbcsim.model import KinematicsCache, MinimalState
 from wbcsim.simulator import (
     Disturbance,
     Scenario,
@@ -31,7 +35,7 @@ def static_actuation(model, y, terrain):
     """Least-squares torques/forces holding the robot still (statics oracle)."""
     n_l = terrain.normal(*model.kinematics(y).wheel_centers()[0][:2])
     n_r = terrain.normal(*model.kinematics(y).wheel_centers()[1][:2])
-    cl = closed_loop_dynamics(model, y, n_l, n_r, mu=terrain.mu)
+    cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r, mu=terrain.mu)
     # 0 = G^T J_gc F + G^T S^T tau - C_y  ->  solve for (F, tau)
     A = np.hstack([cl.G.T @ cl.J_gc, cl.G.T @ model.S.T])
     sol = np.linalg.lstsq(A, cl.C_y, rcond=None)[0]
@@ -64,7 +68,7 @@ def balanced_state(model, terrain, height=0.25):
 
     def imbalance(delta):
         kc = model.kinematics(with_offset(delta))
-        com, _ = kc.com()
+        com, _ = kc.com
         wc = kc.wheel_centers()
         return com[0] - 0.5 * (wc[0][0] + wc[1][0])
 
@@ -104,7 +108,7 @@ def test_initial_velocity_satisfies_rolling(model):
     y = initial_state(model, terrain, height=0.25, speed=1.0)
     n_l = terrain.normal(*model.kinematics(y).wheel_centers()[0][:2])
     n_r = terrain.normal(*model.kinematics(y).wheel_centers()[1][:2])
-    cl = closed_loop_dynamics(model, y, n_l, n_r)
+    cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r)
     assert np.abs(cl.J_xz @ y.vel).max() < 1e-9
     # forward speed is preserved by the min-norm projection
     assert y.vel[:3] @ y.rot[:, 0] == pytest.approx(1.0, abs=0.05)
@@ -140,7 +144,7 @@ def test_free_fall_com_parabola(model):
     y = MinimalState(pos=y.pos + [0.0, 0.0, 2.0], rot=y.rot.copy(),
                      qj=y.qj.copy(), vel=np.zeros(12))
     dt, n = 1e-3, 200
-    com0, _ = model.kinematics(y).com()
+    com0, _ = model.kinematics(y).com
     e0 = mechanical_energy(model.kinematics(y))
     for _ in range(n):
         udot = forward_dynamics_free(model, y, np.zeros(6))
@@ -150,7 +154,7 @@ def test_free_fall_com_parabola(model):
                          rot=project_to_so3(exp_so3(dt * u[3:6]) @ y.rot),
                          qj=y.qj + dt * u[6:], vel=u)
     t = n * dt
-    com1, _ = model.kinematics(y).com()
+    com1, _ = model.kinematics(y).com
     # CoM falls on the analytic parabola (semi-implicit Euler is O(dt))
     assert com1[2] - com0[2] == pytest.approx(-0.5 * GRAVITY * t**2,
                                               abs=GRAVITY * t * dt)
@@ -168,7 +172,7 @@ def test_zero_torque_frictionless_energy(model):
     # seed a leg swing consistent with the rolling constraints
     state.y.vel[6], state.y.vel[9] = 1.0, -1.0
     n = terrain.normal(*state.y.pos[:2])
-    cl = closed_loop_dynamics(model, state.y, n, n)
+    cl = closed_loop_dynamics(model, model.kinematics(state.y), n, n)
     kkt = np.block([[cl.H_y, -cl.J_xz.T], [cl.J_xz, np.zeros((4, 4))]])
     rhs = np.concatenate([np.zeros(12), -cl.J_xz @ state.y.vel])
     state.y.vel += np.linalg.solve(kkt, rhs)[:12]
@@ -244,7 +248,7 @@ def test_block_impact_impulse_and_constraints(model):
     # post-impact velocity still satisfies the rolling constraints
     n_l = terrain.normal(*model.kinematics(state.y).wheel_centers()[0][:2])
     n_r = terrain.normal(*model.kinematics(state.y).wheel_centers()[1][:2])
-    cl = closed_loop_dynamics(model, state.y, n_l, n_r)
+    cl = closed_loop_dynamics(model, model.kinematics(state.y), n_l, n_r)
     assert np.abs(cl.J_xz @ state.y.vel).max() < 1e-8
     # injected kinetic energy is booked in the work audit
     e1 = mechanical_energy(model.kinematics(state.y))
@@ -378,3 +382,54 @@ def test_horizontal_slope_impact_falls_with_inertia_nudged_one_ulp(model, monkey
     monkeypatch.setattr(dynamics, "spanning_tree_dynamics", nudged)
     m = _horizontal_slope_impact(model)
     assert m.fell and not m.failed
+
+
+# -- per-cycle sharing ----------------------------------------------------------
+
+@pytest.mark.parametrize("name, mode, closed_loop_calls", [
+    ("disturbance", "true_normal", 2), ("slope_uturn", "estimated_normal", 3)])
+def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name,
+                                                        mode, closed_loop_calls):
+    """Between two HQP solves lie one control cycle and its two physics
+    substeps: one cache for the controller's state (which also serves the
+    first substep) and one for the second substep's state."""
+    counts = Counter()
+
+    def counted(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def count_property(key):
+        prop = functools.cached_property(counted(key, KinematicsCache.__dict__[key].func))
+        prop.__set_name__(KinematicsCache, key)
+        monkeypatch.setattr(KinematicsCache, key, prop)
+
+    monkeypatch.setattr(KinematicsCache, "__init__",
+                        counted("builds", KinematicsCache.__init__))
+    monkeypatch.setattr(simulator, "closed_loop_dynamics",
+                        counted("closed_loop", simulator.closed_loop_dynamics))
+    monkeypatch.setattr(dynamics, "spanning_tree_dynamics",
+                        counted("tree", dynamics.spanning_tree_dynamics))
+    count_property("heading_axis")
+    count_property("com_jacobian")
+    per_cycle = []
+    solve = HierarchySolver.solve
+
+    def marked_solve(self, *args):
+        per_cycle.append(counts.copy())
+        return solve(self, *args)
+
+    monkeypatch.setattr(HierarchySolver, "solve", marked_solve)
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath(f"data/scenarios/{name}.scn")),
+        {"duration": 0.04, "estimation_mode": mode})
+    _, m = run_scenario(model, scenario, seed=1)
+    assert not m.failed and not m.fell
+    assert len(per_cycle) == 20
+    expected = {"builds": 2, "closed_loop": closed_loop_calls, "tree": 2,
+                "heading_axis": 1, "com_jacobian": 1}
+    for before, after in zip(per_cycle, per_cycle[1:]):
+        assert {k: after[k] - before[k] for k in expected} == expected

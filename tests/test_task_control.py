@@ -176,7 +176,7 @@ def test_balance_accel_linearity_and_zero():
 
 
 def test_gain_scheduler_threshold():
-    sched = GainScheduler(threshold=0.01)
+    sched = GainScheduler()
     d1 = sched.gain(0.25)
     assert sched.gain(0.255) is d1             # within band: cached
     assert sched.solve_count == 1
@@ -213,7 +213,8 @@ def test_balance_residual_linearity():
 # -- task stack -------------------------------------------------------------
 
 def _random_tj(rng):
-    return TaskJacobians(J=rng.normal(size=(6, 12)), Jdot_u=rng.normal(size=6))
+    return TaskJacobians(J=rng.normal(size=(6, 12)), Jdot_u=rng.normal(size=6),
+                         p_cl=np.zeros(3), p_cr=np.zeros(3))
 
 
 def test_stack_order_and_rows():
