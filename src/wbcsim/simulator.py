@@ -78,9 +78,15 @@ class Disturbance:
     t_start: float
     duration: float = 0.0        # push window (ramp 0 -> f_max)
     f_max: float = 0.0           # N
-    direction: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
+    # world direction; a push defaults to +x, a block impact to (as with a
+    # zero direction) the inward top-plate normal, -base z at impact time
+    direction: np.ndarray | None = None
     mass: float = 0.0            # block kg
     drop_height: float = 0.0     # m
+
+    def __post_init__(self):
+        if self.direction is None and self.kind == "push":
+            self.direction = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass
@@ -398,14 +404,15 @@ def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,
                        direction: np.ndarray | None = None) -> np.ndarray:
     """Instantaneous momentum transfer from a dropped frictionless block.
 
-    Impulse magnitude mass * sqrt(2 g h), default direction the inward
-    normal of the base top plate (-base z).  The velocity jump is solved
-    with the rolling constraints active (impulsive KKT).
+    Impulse magnitude mass * sqrt(2 g h) along `direction`; without one (None
+    or zero) along the inward normal of the base top plate (-base z).  The
+    velocity jump is solved with the rolling constraints active (impulsive
+    KKT).
     """
     if mass < 0.0 or drop_height < 0.0:
         raise ValueError("mass and drop height must be non-negative")
     J_mag = mass * math.sqrt(2.0 * GRAVITY * drop_height)
-    if direction is None:
+    if direction is None or not np.any(direction):
         direction = -state.y.rot[:, 2]
     direction = np.asarray(direction, float)
     direction = direction / np.linalg.norm(direction)
@@ -618,9 +625,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             for d in list(pending_impacts):
                 if d.t_start <= t:
                     apply_block_impact(model, state, terrain, d.mass,
-                                       d.drop_height,
-                                       None if np.all(d.direction == 0.0)
-                                       else d.direction)
+                                       d.drop_height, d.direction)
                     pending_impacts.remove(d)
                     cl_step = None
             for _ in range(n_sub):

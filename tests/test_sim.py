@@ -256,6 +256,31 @@ def test_block_impact_impulse_and_constraints(model):
     assert e1 > e0
 
 
+def test_block_impact_without_direction_strikes_the_top_plate(model, monkeypatch):
+    """A scenario's block impact with no direction, or a zero one, pushes
+    along -base z; a push without a direction still pushes along world +x."""
+    hits = []
+
+    def recorded(model, state, *args):
+        imp = apply_block_impact(model, state, *args)
+        hits.append((imp, state.y.rot[:, 2].copy()))
+        return imp
+
+    monkeypatch.setattr(simulator, "apply_block_impact", recorded)
+    impact = {"kind": "block_impact", "t_start": 0.0, "mass": 6.0, "drop_height": 0.4}
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath("data/scenarios/slope_impact.scn")),
+        {"duration": 0.004, "disturbances": [
+            impact, {**impact, "direction": [0.0, 0.0, 0.0]},
+            {"kind": "push", "t_start": 0.0, "duration": 0.1, "f_max": 1.0}]})
+    assert np.array_equal(scenario.disturbances[2].direction, [1.0, 0.0, 0.0])
+    run_scenario(model, scenario, seed=0)
+    J_mag = 6.0 * np.sqrt(2.0 * GRAVITY * 0.4)
+    assert len(hits) == 2
+    for imp, base_z in hits:
+        assert np.allclose(imp, -J_mag * base_z, rtol=0.0, atol=1e-12)
+
+
 def test_block_impact_rejects_negative(model):
     state = SimState(y=initial_state(model, FlatTerrain()), F_C=np.zeros(4))
     with pytest.raises(ValueError):
