@@ -5,7 +5,7 @@ Modes
 run           Load a scenario file, simulate it, and write artifacts to the
               output directory: ``log.csv`` (per-control-cycle trace, columns
               in :data:`wbcsim.simulator.LOG_COLUMNS`), ``metrics.txt`` and
-              ``metrics.json`` (summary), and for sloped terrains
+              ``metrics.json`` (summary), and for every terrain but flat
               ``psi_trace.csv`` (estimated vs true incline angle over time).
 bench-normals Monte-Carlo accuracy table for the ground-normal estimator:
               noiseless inclined planes, noisy planes, the full synthetic

@@ -252,8 +252,6 @@ class TaskState:
     Lambda: np.ndarray
     Lambda_dot: np.ndarray
     d_w: float
-    p_cl: np.ndarray
-    p_cr: np.ndarray
     gimbal: bool = False
 
 
@@ -523,7 +521,7 @@ class RobotModel:
         Lam_dot = np.array([J_phi @ u_y, J_h @ u_y, J_alpha @ u_y,
                             J_beta @ u_y, J_gamma @ u_y])
         return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w,
-                         p_cl=p_cl, p_cr=p_cr, gimbal=gimbal or tj.gimbal)
+                         gimbal=gimbal or tj.gimbal)
 
     def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
         """CoM position/velocity in heading (x) and vertical (z) axes.

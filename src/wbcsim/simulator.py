@@ -480,8 +480,7 @@ def initial_state(model: RobotModel, terrain: Terrain,
     # project onto the rolling-constraint manifold (min-norm correction)
     c = cl.J_xz @ u0
     du = np.linalg.lstsq(cl.J_xz, -c, rcond=None)[0]
-    y.vel = u0 + du
-    return y
+    return dataclasses.replace(y, vel=u0 + du)
 
 
 # -- synthetic LiDAR --------------------------------------------------------
