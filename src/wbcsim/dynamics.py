@@ -81,6 +81,13 @@ def spanning_tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
     return SpanningTreeDynamics(H=H, C=C)
 
 
+def _tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
+    """Tree dynamics of the state in kc, evaluated once and kept on the cache."""
+    if kc.tree_dynamics is None:
+        kc.tree_dynamics = spanning_tree_dynamics(kc)
+    return kc.tree_dynamics
+
+
 def contact_frame(n: np.ndarray, heading: np.ndarray) -> np.ndarray:
     """Orthonormal triad (columns x, y, z) with z = n and x the in-plane heading."""
     n = np.asarray(n, dtype=float)
@@ -122,9 +129,7 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     frame axes.
     """
     G = model.G
-    if kc.tree_dynamics is None:
-        kc.tree_dynamics = spanning_tree_dynamics(kc)
-    dyn = kc.tree_dynamics
+    dyn = _tree_dynamics(kc)
     H_y = G.T @ dyn.H @ G
     C_y = G.T @ dyn.C
 
@@ -180,7 +185,7 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
 
 def mechanical_energy(kc: KinematicsCache) -> float:
     """Kinetic + gravitational potential energy of the current state."""
-    dyn = spanning_tree_dynamics(kc)
+    dyn = _tree_dynamics(kc)
     u = kc.state.vel
     kinetic = 0.5 * u @ dyn.H @ u
     potential = GRAVITY * (kc.desc.masses @ kc.com_points[:, 2])

@@ -252,7 +252,6 @@ class TaskState:
     Lambda: np.ndarray
     Lambda_dot: np.ndarray
     d_w: float
-    gimbal: bool = False
 
 
 @dataclass
@@ -276,7 +275,6 @@ class TaskJacobians:
     p_cl: np.ndarray             # contact points the rows were built at
     p_cr: np.ndarray
     names: tuple = ("height", "pitch", "balance", "roll", "split", "yaw")
-    gimbal: bool = False
 
 
 def _check_normal(n: np.ndarray, label: str) -> np.ndarray:
@@ -510,7 +508,7 @@ class RobotModel:
         p_cl, p_cr = tj.p_cl, tj.p_cr
         origin = 0.5 * (p_cl + p_cr)
         x_n = kc.heading_axis[0]
-        (roll, pitch, yaw), gimbal = euler_zyx(kc.R[BASE])
+        roll, pitch, yaw = euler_zyx(kc.R[BASE])
         h = float((kc.o[BASE] - origin)[2])
         phi = self._pendulum_angle(kc, "l", x_n) - self._pendulum_angle(kc, "r", x_n)
         d_w = float((p_cl - p_cr) @ x_n)
@@ -520,8 +518,7 @@ class RobotModel:
         Lam = np.array([phi, h, roll, pitch, yaw])
         Lam_dot = np.array([J_phi @ u_y, J_h @ u_y, J_alpha @ u_y,
                             J_beta @ u_y, J_gamma @ u_y])
-        return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w,
-                         gimbal=gimbal or tj.gimbal)
+        return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w)
 
     def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
         """CoM position/velocity in heading (x) and vertical (z) axes.
@@ -582,7 +579,7 @@ class RobotModel:
         # c1 = Rz e_y = ez x x_N and ez, so Edot theta_dot =
         # roll_dot (yaw_dot ez + pitch_dot c1) x head + pitch_dot yaw_dot ez x c1,
         # where ez x c1 = -x_N.
-        Einv, gimbal = euler_rates_from_omega(kc.R[BASE])
+        Einv = euler_rates_from_omega(kc.R[BASE])
         J_euler = np.zeros((3, NV_TREE))
         J_euler[:, 3:6] = Einv
         rd, pd, yd = Einv @ w
@@ -624,8 +621,7 @@ class RobotModel:
         J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], row_l - row_r, J_euler[2]])
         jdot_u = np.array([0.0, euler_bias[1], rx_bias, euler_bias[0],
                            bias_l - bias_r, euler_bias[2]])
-        return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr,
-                             gimbal=gimbal)
+        return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
 
 
 class OutOfReachError(ValueError):

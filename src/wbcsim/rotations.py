@@ -62,16 +62,12 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def euler_zyx(R: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(roll, pitch, yaw) with R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
-
-    Returns the angles and a gimbal-proximity flag (|cos pitch| < GIMBAL_COS_TOL).
-    """
+def euler_zyx(R: np.ndarray) -> np.ndarray:
+    """(roll, pitch, yaw) with R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     pitch = -np.arcsin(float(np.clip(R[2, 0], -1.0, 1.0)))
-    gimbal = abs(np.cos(pitch)) < GIMBAL_COS_TOL
     roll = np.arctan2(R[2, 1], R[2, 2])
     yaw = np.arctan2(R[1, 0], R[0, 0])
-    return np.array([roll, pitch, yaw]), gimbal
+    return np.array([roll, pitch, yaw])
 
 
 def euler_zyx_rate_map(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -86,17 +82,17 @@ def euler_zyx_rate_map(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return E
 
 
-def euler_rates_from_omega(R: np.ndarray) -> tuple[np.ndarray, bool]:
+def euler_rates_from_omega(R: np.ndarray) -> np.ndarray:
     """Matrix mapping world angular velocity to (roll, pitch, yaw) rates at R.
 
-    Near gimbal lock the map is ill-conditioned; the flag is set and a
-    least-squares inverse is returned instead of failing.
+    Near gimbal lock (|cos pitch| < GIMBAL_COS_TOL) the map is
+    ill-conditioned; a least-squares inverse is returned instead of failing.
     """
-    (roll, pitch, yaw), gimbal = euler_zyx(R)
+    roll, pitch, yaw = euler_zyx(R)
     E = euler_zyx_rate_map(roll, pitch, yaw)
-    if gimbal:
-        return np.linalg.pinv(E), True
-    return np.linalg.inv(E), False
+    if abs(np.cos(pitch)) < GIMBAL_COS_TOL:
+        return np.linalg.pinv(E)
+    return np.linalg.inv(E)
 
 
 def wrap_angle(a: float | np.ndarray):

@@ -23,7 +23,7 @@ from .dynamics import (
 )
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
 from .model import KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
-from .rotations import euler_zyx, exp_so3, project_to_so3, rot_z, wrap_angle
+from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
     GainScheduler,
     assemble_task_stack,
@@ -524,7 +524,6 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         key = f"reference[{scenario.reference.index(seg0)}].height"
         raise ScenarioError(f"'{key}' of {seg0.height:g} m: {exc}") from None
     state = SimState(y=y, F_C=np.zeros(4))
-    e_start = mechanical_energy(model.kinematics(y))
 
     dt_sim, n_sub, n_ctrl, lidar_every = scenario.timing()
     dt_ctrl = n_sub * dt_sim
@@ -558,6 +557,8 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     for k in range(n_ctrl):
         t = k * dt_ctrl
         kc = model.kinematics(state.y)
+        if k == 0:
+            e_start = mechanical_energy(kc)
         wl, wr = kc.wheel_centers()
         nl, nr = true_normals(kc, terrain)
         heading = state.y.rot[:, 0]
@@ -685,11 +686,10 @@ def _summarize(scenario, records, state, e_start, model,
                 disp = np.abs(com[:, 2] - s_origin)
                 band = max(0.02 * disp[influenced].max(), 0.005)
                 ok = disp <= band
-                settle = float("inf")
-                for i in np.where(after)[0]:
-                    if ok[i:].all():
-                        settle = t_arr[i] - t_rel
-                        break
+                # the first sample after the push from which disp stays in band
+                bad = np.flatnonzero(~ok)
+                i = max(int(np.argmax(after)), bad[-1] + 1 if bad.size else 0)
+                settle = t_arr[i] - t_rel if i < len(ok) else float("inf")
         e_end = mechanical_energy(model.kinematics(state.y))
         denom = max(abs(state.work_in) + state.dissipated + abs(e_start), 1.0)
         e_resid = abs((e_end - e_start) - (state.work_in - state.dissipated)) / denom
