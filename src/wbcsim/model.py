@@ -29,7 +29,6 @@ from .rotations import (
     euler_zyx,
     exp_so3,
     hat,
-    rot_y,
 )
 
 NQ_TREE = 10
@@ -48,10 +47,10 @@ BODY_NAMES = [
 ]
 
 # Joint i corresponds to tree coordinate q_{i+1}; child body of each joint.
-JOINT_CHILD = [THIGH_L, SHANK_L, LINK_L, WHEEL_L, ROCKER_L,
-               THIGH_R, SHANK_R, LINK_R, WHEEL_R, ROCKER_R]
-JOINT_PARENT = [BASE, THIGH_L, SHANK_L, SHANK_L, THIGH_L,
-                BASE, THIGH_R, SHANK_R, SHANK_R, THIGH_R]
+JOINT_CHILD = np.array([THIGH_L, SHANK_L, LINK_L, WHEEL_L, ROCKER_L,
+                        THIGH_R, SHANK_R, LINK_R, WHEEL_R, ROCKER_R])
+JOINT_PARENT = np.array([BASE, THIGH_L, SHANK_L, SHANK_L, THIGH_L,
+                         BASE, THIGH_R, SHANK_R, SHANK_R, THIGH_R])
 
 # Independent joints (q1, q5, q4, q6, q10, q9) as 0-based tree indices.
 INDEP_JOINTS = [0, 4, 3, 5, 9, 8]
@@ -94,6 +93,12 @@ def _rotation_mask() -> np.ndarray:
 
 
 ROTATION_MASK = _rotation_mask()
+# (11, 10): 1 where joint j lies on body b's path from the base
+JOINT_PATH = ROTATION_MASK[:, 3:].astype(float)
+# (joints, children, parents) at each depth of the tree, root side first
+_DEPTH = ROTATION_MASK[JOINT_CHILD, 3:].sum(axis=1)
+JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
+                for j in (np.flatnonzero(_DEPTH == d) for d in range(1, _DEPTH.max() + 1))]
 
 
 def loop_closure_matrix() -> np.ndarray:
@@ -166,6 +171,12 @@ class RobotDescription:
         self.coms = np.array([b.com for b in self.bodies], dtype=float)
         self.inertias = np.array([b.inertia for b in self.bodies], dtype=float)
         self.total_mass = float(self.masses.sum())
+        # per-joint (3, 2) blocks [origin, axis] in the parent frame, and the
+        # hat matrix K of the unit axis with K^2, for Rodrigues' formula
+        self.joint_vectors = np.array([np.column_stack([j.origin, j.axis])
+                                       for j in self.joints], dtype=float)
+        self.axis_hats = np.array([hat(j.axis / np.linalg.norm(j.axis)) for j in self.joints])
+        self.axis_hats_sq = self.axis_hats @ self.axis_hats
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RobotDescription":
@@ -288,54 +299,42 @@ def _check_normal(n: np.ndarray, label: str) -> np.ndarray:
 
 class KinematicsCache:
     """World poses, velocities and bias accelerations of one closed-loop state
-    y, kept with the tree state it expands to."""
+    y, kept with the tree state it expands to.
+
+    The forward recursion over the tree (Featherstone, Rigid Body Dynamics
+    Algorithms, 2008, ch. 5) is stated as sums over each body's path from
+    the base: a body's origin, angular velocity, origin velocity and bias
+    accelerations are the base value plus JOINT_PATH times one term per
+    joint, and that term reads only the joint's parent body.  Only the
+    rotations are chained, one depth level of the tree at a time.
+    """
 
     def __init__(self, desc: RobotDescription, y: MinimalState,
                  state: SpanningTreeState):
         self.desc = desc
         self.y = y
         self.state = state
-        n = len(desc.bodies)
-        self.R = np.empty((n, 3, 3))
-        self.o = np.empty((n, 3))
-        self.axis_w = np.empty((NQ_TREE, 3))      # joint axes in world frame
-        self.joint_origin_w = np.empty((NQ_TREE, 3))
-        # tree dynamics of this state, filled by dynamics.closed_loop_dynamics
+        # tree dynamics of this state, filled on first use by wbcsim.dynamics
         self.tree_dynamics = None
 
+        q = state.qj[:, None, None]
+        R_joint = np.eye(3) + np.sin(q) * desc.axis_hats + (1.0 - np.cos(q)) * desc.axis_hats_sq
+        self.R = np.empty((len(desc.bodies), 3, 3))
         self.R[BASE] = state.rot
-        self.o[BASE] = state.pos
-        for i, joint in enumerate(desc.joints):
-            Rp, op = self.R[joint.parent], self.o[joint.parent]
-            self.joint_origin_w[i] = op + Rp @ joint.origin
-            self.axis_w[i] = Rp @ joint.axis
-            c = joint.child
-            if joint.axis[0] == 0.0 and joint.axis[2] == 0.0:
-                self.R[c] = Rp @ rot_y(joint.axis[1] * state.qj[i])
-            else:
-                self.R[c] = Rp @ exp_so3(np.asarray(joint.axis) * state.qj[i])
-            self.o[c] = self.joint_origin_w[i]
+        for j, c, p in JOINT_LEVELS:
+            self.R[c] = self.R[p] @ R_joint[j]
+        # parent-to-child origin offsets r and joint axes, in the world frame
+        r, self.axis_w = (self.R[JOINT_PARENT] @ desc.joint_vectors).transpose(2, 0, 1)
+        self.o = state.pos + JOINT_PATH @ r
+        self.joint_origin_w = self.o[JOINT_CHILD]
 
-        u = state.vel
-        self.omega = np.empty((n, 3))
-        self.v_origin = np.empty((n, 3))
-        self.omega_dot_bias = np.empty((n, 3))
-        self.a_origin_bias = np.empty((n, 3))
-        self.omega[BASE] = u[3:6]
-        self.v_origin[BASE] = u[0:3]
-        self.omega_dot_bias[BASE] = 0.0
-        self.a_origin_bias[BASE] = 0.0
-        for i, joint in enumerate(desc.joints):
-            p, c = joint.parent, joint.child
-            r = self.o[c] - self.o[p]
-            wp = self.omega[p]
-            qd = u[6 + i]
-            self.omega[c] = wp + self.axis_w[i] * qd
-            self.v_origin[c] = self.v_origin[p] + cross3(wp, r)
-            self.omega_dot_bias[c] = self.omega_dot_bias[p] + cross3(wp, self.axis_w[i]) * qd
-            self.a_origin_bias[c] = (self.a_origin_bias[p]
-                                     + cross3(self.omega_dot_bias[p], r)
-                                     + cross3(wp, cross3(wp, r)))
+        u, qd = state.vel, state.vel[6:, None]
+        self.omega = u[3:6] + JOINT_PATH @ (self.axis_w * qd)
+        wp = self.omega[JOINT_PARENT]
+        self.v_origin = u[0:3] + JOINT_PATH @ cross_rows(wp, r)
+        self.omega_dot_bias = JOINT_PATH @ (cross_rows(wp, self.axis_w) * qd)
+        self.a_origin_bias = JOINT_PATH @ (cross_rows(self.omega_dot_bias[JOINT_PARENT], r)
+                                           + cross_rows(wp, cross_rows(wp, r)))
 
     # -- geometry ----------------------------------------------------------
 

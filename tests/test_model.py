@@ -7,14 +7,19 @@ from wbcsim.model import (
     BODY_NAMES,
     INDEP_JOINTS,
     JOINT_EXPANSION,
+    NQ_TREE,
+    NV_TREE,
+    KinematicsCache,
     MinimalState,
     RobotDescription,
     RobotModel,
+    SpanningTreeState,
     leg_ik,
 )
 from wbcsim.rotations import exp_so3, log_so3, wrap_angle
 
 from conftest import random_minimal_state
+from kinematics_oracle import FIELDS, per_joint_kinematics
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -142,6 +147,36 @@ def test_fk_matches_homogeneous_chain_oracle(model):
             R, p = fk["poses"][name]
             assert np.allclose(p, world[b][:3, 3], atol=1e-9)
             assert np.allclose(R, world[b][:3, :3], atol=1e-9)
+
+
+def tilted_robot(rng):
+    """The default robot with every joint axis tilted off +y to a random unit vector."""
+    desc = RobotDescription.default()
+    for joint in desc.joints:
+        a = joint.axis + rng.uniform(-0.5, 0.5, 3)
+        joint.axis = a / np.linalg.norm(a)
+    return RobotDescription(bodies=desc.bodies, joints=desc.joints,
+                            wheel_radius=desc.wheel_radius,
+                            torque_limit=desc.torque_limit)
+
+
+@pytest.mark.parametrize("robot", ["default", "tilted"])
+def test_kinematics_cache_matches_per_joint_oracle(robot):
+    """The path sums give every field of the per-joint recursion, at random
+    tree states (the cache reads only the tree state, so the joint values
+    need not satisfy the loop closure)."""
+    rng = np.random.default_rng(11)
+    desc = RobotDescription.default() if robot == "default" else tilted_robot(rng)
+    for _ in range(50):
+        state = SpanningTreeState(pos=rng.uniform(-1.0, 1.0, 3),
+                                  rot=exp_so3(rng.uniform(-1.0, 1.0, 3)),
+                                  qj=rng.uniform(-3.0, 3.0, NQ_TREE),
+                                  vel=rng.uniform(-2.0, 2.0, NV_TREE))
+        kc = KinematicsCache(desc, None, state)
+        expected = per_joint_kinematics(desc, state)
+        for name in FIELDS:
+            np.testing.assert_allclose(getattr(kc, name), expected[name],
+                                       rtol=0.0, atol=1e-12, err_msg=name)
 
 
 # -- contact points ---------------------------------------------------------
