@@ -45,7 +45,7 @@ def main():
     bal_a = balance_accel(design.K, np.array([0.0, 0.0, cs.s[0], 0.0]), lam_com)
 
     stack = assemble_task_stack(pose_a, bal_a, tj)
-    constraints = dynamics_constraints(cl, model.S, model.desc.torque_limit)
+    constraints = dynamics_constraints(cl, model.B, model.desc.torque_limit)
     sol = HierarchySolver().solve(stack, constraints)
 
     print("priority levels (residual after solve, active torque bounds):")

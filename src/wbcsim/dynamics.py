@@ -13,15 +13,16 @@ import numpy as np
 from .rotations import cross3, cross_rows
 
 from .model import (
-    KinematicsCache,
-    UNIT_TOL,
-    RobotModel,
-    SHANK_L,
-    SHANK_R,
-    WHEEL_L,
-    WHEEL_R,
-    NV_TREE,
+    BASE,
     NV_MIN,
+    NV_TREE,
+    WHEEL_L,
+    WHEEL_POINTS,
+    WHEEL_R,
+    KinematicsCache,
+    RobotModel,
+    ground_normals,
+    reject_side,
 )
 
 GRAVITY = 9.81
@@ -33,6 +34,21 @@ FRICTION_V_REF = 0.05
 class SpanningTreeDynamics:
     H: np.ndarray                # 16x16 generalized inertia
     C: np.ndarray                # 16 bias (Coriolis + centripetal + gravity)
+
+
+@dataclass
+class ClosedLoopState:
+    """The part of the closed-loop dynamics that depends on the state only,
+    shared by every normal set."""
+
+    H_y: np.ndarray              # 12x12
+    C_y: np.ndarray              # 12
+    # (2, 6, 18) per wheel (left, right), the wheel center's motion (rows
+    # 0-2) and the wheel's rotation (rows 3-5): their Jacobians (columns
+    # 0-15), velocities (16) and bias accelerations with udot = 0 (17)
+    wheels: np.ndarray
+    head: np.ndarray             # base x axis
+    head_dot: np.ndarray         # its rate, omega_base x head
 
 
 @dataclass
@@ -88,99 +104,84 @@ def _tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
     return kc.tree_dynamics
 
 
-def contact_frame(n: np.ndarray, heading: np.ndarray) -> np.ndarray:
-    """Orthonormal triad (columns x, y, z) with z = n and x the in-plane heading."""
-    n = np.asarray(n, dtype=float)
-    if not abs(np.linalg.norm(n) - 1.0) <= UNIT_TOL or n[2] <= 0.0:
-        raise ValueError("normal must be unit length and upward")
-    t = heading - (heading @ n) * n
-    nt = np.linalg.norm(t)
-    if nt < 1e-8:
-        raise ValueError("heading parallel to the ground normal")
-    x = t / nt
-    y = cross3(n, x)
-    return np.column_stack([x, y, n])
-
-
-def friction_matrix(v_lat: np.ndarray, mu: float = 0.8) -> np.ndarray:
-    """Saturated-linear lateral friction coefficients C_F (2x4).
-
-    Per wheel i the lateral force is F_y,i = c_i * F_z,i with
-    c_i = -mu * clamp(v_y,i / FRICTION_V_REF, -1, 1); c_i sits in wheel i's
-    row at that wheel's z-force column of F_C = (F_x_l, F_z_l, F_x_r, F_z_r).
-    """
-    if mu < 0.0:
-        raise ValueError("require mu >= 0")
-    c = -mu * np.clip(np.asarray(v_lat, dtype=float) / FRICTION_V_REF, -1.0, 1.0)
-    C_F = np.zeros((2, 4))
-    C_F[0, 1] = c[0]
-    C_F[1, 3] = c[1]
-    return C_F
+def _closed_loop_state(model: RobotModel, kc: KinematicsCache) -> ClosedLoopState:
+    """Per-state part of the closed-loop dynamics of kc, built once and kept on the cache."""
+    if kc.closed_loop_state is None:
+        G = model.G
+        dyn = _tree_dynamics(kc)
+        w = [WHEEL_L, WHEEL_R]
+        wheels = np.empty((2, 6, NV_TREE + 2))
+        wheels[:, :3, :NV_TREE] = kc.point_jacobians[WHEEL_POINTS]
+        wheels[:, 3:, :NV_TREE] = kc.angular_jacobians[w]
+        wheels[:, :, NV_TREE] = np.hstack([kc.point_velocities[WHEEL_POINTS], kc.omega[w]])
+        wheels[:, :, NV_TREE + 1] = np.hstack([kc.point_bias_acc[WHEEL_POINTS],
+                                               kc.omega_dot_bias[w]])
+        head = kc.R[BASE][:, 0]
+        kc.closed_loop_state = ClosedLoopState(
+            H_y=G.T @ dyn.H @ G, C_y=G.T @ dyn.C, wheels=wheels,
+            head=head, head_dot=cross3(kc.omega[BASE], head))
+    return kc.closed_loop_state
 
 
 def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
                          n_l: np.ndarray, n_r: np.ndarray,
                          mu: float = 0.8) -> ClosedLoopDynamics:
     """Reduce the tree EoM of the state in kc through G and build the
-    ground-contact map.
+    ground-contact map at the given normals, both wheels at once.
 
-    Contact Jacobians are taken at the wheel material point currently at the
-    contact location (they include the wheel spin), expressed in the contact
-    frame axes.
+    The contact rows are taken at the wheel material point currently at the
+    contact, expressed in the contact frame axes (x the heading in the
+    ground plane, z the normal, y = z x x).  That point is the wheel center
+    plus the lever l = -r n, so its velocity is v_center + omega_wheel x l
+    and the row of an axis e is [e | l x e] times the stacked wheel-center
+    and wheel angular Jacobians (Featherstone, Rigid Body Dynamics
+    Algorithms, 2008, ch. 2): [x | -r y], [y | r x] and [n | 0].
     """
     G = model.G
-    dyn = _tree_dynamics(kc)
-    H_y = G.T @ dyn.H @ G
-    C_y = G.T @ dyn.C
+    st = _closed_loop_state(model, kc)
+    n = ground_normals(n_l, n_r)
+    r = model.desc.wheel_radius
+    p = kc.o[[WHEEL_L, WHEEL_R]] - r * n
 
-    p_cl, p_cr = model.contact_points(kc, n_l, n_r)
-    head = kc.R[0] @ np.array([1.0, 0.0, 0.0])
-    F_l = contact_frame(n_l, head)
-    F_r = contact_frame(n_r, head)
+    t = st.head - (n @ st.head)[:, None] * n
+    nt = np.sqrt((t * t).sum(axis=1))
+    reject_side(~(nt >= 1e-8), "is parallel to the heading")
+    x = t / nt[:, None]
+    y = cross_rows(n, x)
+    E = np.zeros((2, 3, 6))                  # per wheel, rows x, y, z
+    E[:, 0, :3], E[:, 0, 3:] = x, -r * y
+    E[:, 1, :3], E[:, 1, 3:] = y, r * x
+    E[:, 2, :3] = n
+    # per wheel and axis: the contact row, velocity and bias acceleration
+    out = E @ st.wheels
+    rows, v, acc = out[:, :, :NV_TREE], out[:, :, NV_TREE], out[:, :, NV_TREE + 1]
+    rows_y = rows @ G
 
-    J_l16 = kc.point_jacobian(WHEEL_L, p_cl)
-    J_r16 = kc.point_jacobian(WHEEL_R, p_cr)
-    J_xz16 = np.vstack([F_l[:, 0] @ J_l16, F_l[:, 2] @ J_l16,
-                        F_r[:, 0] @ J_r16, F_r[:, 2] @ J_r16])
-    J_y16 = np.vstack([F_l[:, 1] @ J_l16, F_r[:, 1] @ J_r16])
-    J_xz = J_xz16 @ G
+    # lateral friction F_y = c F_z, c = -mu clamp(v_y / FRICTION_V_REF, -1, 1),
+    # folded into the z columns of J_gc; F_C = (x_l, z_l, x_r, z_r)
+    c = -mu * np.clip(v[:, 1] / FRICTION_V_REF, -1.0, 1.0)
+    C_F = np.zeros((2, 4))
+    C_F[[0, 1], [1, 3]] = c
+    J_gc_rows = rows[:, [0, 2]]
+    J_gc_rows[:, 1] += c[:, None] * rows[:, 1]
+    J_gc = J_gc_rows.reshape(4, NV_TREE).T
+    J_xz = rows_y[:, [0, 2]].reshape(4, NV_MIN)
+    K = np.zeros((NV_MIN + 4, NV_MIN + 4))
+    K[:NV_MIN, :NV_MIN] = st.H_y
+    K[:NV_MIN, NV_MIN:] = -G.T @ J_gc
+    K[NV_MIN:, :NV_MIN] = J_xz
 
-    v_l = kc.point_velocity(WHEEL_L, p_cl)
-    v_r = kc.point_velocity(WHEEL_R, p_cr)
-    C_F = friction_matrix(np.array([F_l[:, 1] @ v_l, F_r[:, 1] @ v_r]), mu)
+    # The lever (-r n) is fixed, so the drift has no centripetal part over
+    # it; the x axis turns with the projected heading at the rate
+    # ((head_dot . y) / |t|) y, adding that times v_y to the x row.
+    Jdot_xz_u = np.column_stack([acc[:, 0] + (y @ st.head_dot) / nt * v[:, 1],
+                                 acc[:, 2]]).ravel()
 
-    # J_gc in tree coordinates: (J^{x,z})^T + (J^y)^T C_F, F_C = (x_l, z_l, x_r, z_r)
-    J_gc = J_xz16.T + J_y16.T @ C_F
-    K = np.block([[H_y, -G.T @ J_gc], [J_xz, np.zeros((4, 4))]])
-
-    # Constraint rows are e^T (v_center + omega_wheel x (-r n)) with a fixed
-    # lever (-r n), so the drift term has no centripetal part over the lever;
-    # the x-axis itself rotates with the projected heading, adding edot^T v.
-    wc_l, wc_r = kc.wheel_centers()
-    a_l = (kc.point_bias_acc(SHANK_L, wc_l)
-           + cross3(kc.omega_dot_bias[WHEEL_L], p_cl - wc_l))
-    a_r = (kc.point_bias_acc(SHANK_R, wc_r)
-           + cross3(kc.omega_dot_bias[WHEEL_R], p_cr - wc_r))
-
-    def x_axis_rate(F):
-        x, n = F[:, 0], F[:, 2]
-        t = head - (head @ n) * n
-        tdot = cross3(kc.omega[0], head)
-        tdot = tdot - (tdot @ n) * n
-        return (tdot - (x @ tdot) * x) / np.linalg.norm(t)
-
-    Jdot_xz_u = np.array([
-        F_l[:, 0] @ a_l + x_axis_rate(F_l) @ v_l,
-        F_l[:, 2] @ a_l,
-        F_r[:, 0] @ a_r + x_axis_rate(F_r) @ v_r,
-        F_r[:, 2] @ a_r,
-    ])
-
-    contact = ContactModel(n_l=np.asarray(n_l, float), n_r=np.asarray(n_r, float),
-                           frame_l=F_l, frame_r=F_r, C_F=C_F)
-    return ClosedLoopDynamics(H_y=H_y, C_y=C_y, G=G.copy(), J_gc=J_gc,
-                              J_xz=J_xz, J_y=J_y16 @ G, Jdot_xz_u=Jdot_xz_u, K=K,
-                              contact=contact, p_cl=p_cl, p_cr=p_cr)
+    frames = np.stack([x, y, n], axis=2)
+    contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
+    return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
+                              J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u, K=K,
+                              contact=contact, p_cl=p[0], p_cr=p[1])
 
 
 def mechanical_energy(kc: KinematicsCache) -> float:

@@ -43,12 +43,12 @@ class HqpSolution:
     active_sets: list            # per level, the bound rows held at its solution
 
 
-def dynamics_constraints(cl: ClosedLoopDynamics, S: np.ndarray,
+def dynamics_constraints(cl: ClosedLoopDynamics, B: np.ndarray,
                          torque_limit: float) -> ConstraintSet:
-    """Equality rows (12 dynamics + 4 rolling) and the torque box."""
+    """Equality rows (12 dynamics + 4 rolling) and the torque box; B is the
+    model's constant [G^T S^T; 0] (RobotModel.B)."""
     return ConstraintSet(K=cl.K, b=np.concatenate([-cl.C_y, -cl.Jdot_xz_u]),
-                         B=np.vstack([cl.G.T @ S.T, np.zeros((4, 6))]),
-                         torque_limit=float(torque_limit))
+                         B=B, torque_limit=float(torque_limit))
 
 
 def feasible_start(constraints: ConstraintSet):

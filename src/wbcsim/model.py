@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 import yaml
@@ -27,7 +26,6 @@ from .rotations import (
     cross_rows,
     euler_rates_from_omega,
     euler_zyx,
-    exp_so3,
     hat,
 )
 
@@ -56,6 +54,8 @@ JOINT_PARENT = np.array([BASE, THIGH_L, SHANK_L, SHANK_L, THIGH_L,
 INDEP_JOINTS = [0, 4, 3, 5, 9, 8]
 # Actuated tree joints in torque order (hip_l, knee_l, wheel_l, hip_r, knee_r, wheel_r).
 ACTUATED_JOINTS = [0, 4, 3, 5, 9, 8]
+# Hip joints (q1, q6), left and right.
+HIP_JOINTS = [0, 5]
 
 # accepted deviation of a ground normal's length from 1 (the absolute plus
 # relative tolerance of np.isclose(norm, 1, atol=1e-6), without its overhead)
@@ -99,6 +99,12 @@ JOINT_PATH = ROTATION_MASK[:, 3:].astype(float)
 _DEPTH = ROTATION_MASK[JOINT_CHILD, 3:].sum(axis=1)
 JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
                 for j in (np.flatnonzero(_DEPTH == d) for d in range(1, _DEPTH.max() + 1))]
+# the points of KinematicsCache's point pass and the body each is fixed to:
+# the 11 body CoMs, the two wheel centres (on the wheels' own axes, so the
+# wheel spin does not move them) and the two hips on the base, left first
+POINT_BODIES = np.r_[np.arange(len(BODY_NAMES)), WHEEL_L, WHEEL_R, BASE, BASE]
+WHEEL_POINTS, HIP_POINTS = slice(11, 13), slice(13, 15)
+SIDES = ("left", "right")
 
 
 def loop_closure_matrix() -> np.ndarray:
@@ -177,6 +183,8 @@ class RobotDescription:
                                        for j in self.joints], dtype=float)
         self.axis_hats = np.array([hat(j.axis / np.linalg.norm(j.axis)) for j in self.joints])
         self.axis_hats_sq = self.axis_hats @ self.axis_hats
+        # (2, 3) hip joint origins in the base frame, left and right
+        self.hip_origins = self.joint_vectors[HIP_JOINTS, :, 0]
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RobotDescription":
@@ -245,16 +253,6 @@ class MinimalState:
     def copy(self) -> "MinimalState":
         return MinimalState(self.pos.copy(), self.rot.copy(), self.qj.copy(), self.vel.copy())
 
-    def perturbed(self, direction: np.ndarray, eps: float) -> "MinimalState":
-        """State moved along tangent direction (a u_y-like 12-vector) by eps."""
-        d = np.asarray(direction, dtype=float)
-        return MinimalState(
-            pos=self.pos + eps * d[0:3],
-            rot=exp_so3(eps * d[3:6]) @ self.rot,
-            qj=self.qj + eps * d[6:12],
-            vel=self.vel.copy(),
-        )
-
 
 @dataclass
 class TaskState:
@@ -288,12 +286,18 @@ class TaskJacobians:
     names: tuple = ("height", "pitch", "balance", "roll", "split", "yaw")
 
 
-def _check_normal(n: np.ndarray, label: str) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if not abs(np.linalg.norm(n) - 1.0) <= UNIT_TOL:
-        raise ValueError(f"{label} ground normal is not unit length")
-    if n[2] <= 0.0:
-        raise ValueError(f"{label} ground normal must point into the upper hemisphere")
+def reject_side(bad: np.ndarray, problem: str) -> None:
+    """Raise a ValueError naming the first side (left, right) marked bad."""
+    if bad.any():
+        raise ValueError(f"{SIDES[int(np.argmax(bad))]} ground normal {problem}")
+
+
+def ground_normals(n_l: np.ndarray, n_r: np.ndarray) -> np.ndarray:
+    """(2, 3) left and right ground normals, checked to be unit and upward."""
+    n = np.array([n_l, n_r], dtype=float)
+    reject_side(~(np.abs(np.sqrt((n * n).sum(axis=1)) - 1.0) <= UNIT_TOL),
+                "is not unit length")
+    reject_side(n[:, 2] <= 0.0, "must point into the upper hemisphere")
     return n
 
 
@@ -314,8 +318,10 @@ class KinematicsCache:
         self.desc = desc
         self.y = y
         self.state = state
-        # tree dynamics of this state, filled on first use by wbcsim.dynamics
+        # tree dynamics and the per-state part of the closed-loop dynamics
+        # of this state, filled on first use by wbcsim.dynamics
         self.tree_dynamics = None
+        self.closed_loop_state = None
 
         q = state.qj[:, None, None]
         R_joint = np.eye(3) + np.sin(q) * desc.axis_hats + (1.0 - np.cos(q)) * desc.axis_hats_sq
@@ -336,19 +342,8 @@ class KinematicsCache:
         self.a_origin_bias = JOINT_PATH @ (cross_rows(self.omega_dot_bias[JOINT_PARENT], r)
                                            + cross_rows(wp, cross_rows(wp, r)))
 
-    # -- geometry ----------------------------------------------------------
-
-    def point_on_body(self, body: int, local: np.ndarray) -> np.ndarray:
-        return self.o[body] + self.R[body] @ local
-
     def wheel_centers(self) -> tuple[np.ndarray, np.ndarray]:
         return self.o[WHEEL_L].copy(), self.o[WHEEL_R].copy()
-
-    # -- Jacobians (w.r.t. the 16 tree velocities) -------------------------
-
-    def point_jacobian(self, body: int, point: np.ndarray) -> np.ndarray:
-        """Linear-velocity Jacobian of a point rigidly attached to `body`."""
-        return self._point_jacobians(np.asarray(point)[None], ROTATION_MASK[body][None])[0]
 
     def _point_jacobians(self, points: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """(m, 3, 16) Jacobians of points, each turned by the rotation axes its mask row selects."""
@@ -358,23 +353,42 @@ class KinematicsCache:
         J[:, :, 3:] = (cross_rows(self._axes[None], r) * mask[:, :, None]).transpose(0, 2, 1)
         return J
 
-    def point_velocity(self, body: int, point: np.ndarray) -> np.ndarray:
-        w = self.omega[body]
-        return self.v_origin[body] + cross3(w, point - self.o[body])
-
-    def point_bias_acc(self, body: int, point: np.ndarray) -> np.ndarray:
-        """Acceleration of a body-fixed point for the current u with udot = 0."""
-        r = point - self.o[body]
-        w = self.omega[body]
-        return (self.a_origin_bias[body] + cross3(self.omega_dot_bias[body], r)
-                + cross3(w, cross3(w, r)))
-
-    # -- all bodies at once -------------------------------------------------
+    # -- the point pass: every point the cycle reads (POINT_BODIES) ---------
 
     @cached_property
     def com_points(self) -> np.ndarray:
         """(11, 3) world CoM of every body."""
         return self.o + np.einsum("bij,bj->bi", self.R, self.desc.coms)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(15, 3) world positions of the pass's points."""
+        hips = self.o[BASE] + self.desc.hip_origins @ self.R[BASE].T
+        return np.vstack([self.com_points, self.o[[WHEEL_L, WHEEL_R]], hips])
+
+    @cached_property
+    def point_jacobians(self) -> np.ndarray:
+        """(15, 3, 16) linear-velocity Jacobians of those points, in one pass."""
+        return self._point_jacobians(self.points, ROTATION_MASK[POINT_BODIES])
+
+    @cached_property
+    def _point_offsets(self) -> np.ndarray:
+        """(15, 3) each point less the origin of its body."""
+        return self.points - self.o[POINT_BODIES]
+
+    @cached_property
+    def point_velocities(self) -> np.ndarray:
+        """(15, 3) velocities of those points."""
+        return (self.v_origin[POINT_BODIES]
+                + cross_rows(self.omega[POINT_BODIES], self._point_offsets))
+
+    @cached_property
+    def point_bias_acc(self) -> np.ndarray:
+        """(15, 3) accelerations of those points for the current u with udot = 0."""
+        r, w = self._point_offsets, self.omega[POINT_BODIES]
+        return (self.a_origin_bias[POINT_BODIES]
+                + cross_rows(self.omega_dot_bias[POINT_BODIES], r)
+                + cross_rows(w, cross_rows(w, r)))
 
     @cached_property
     def angular_jacobians(self) -> np.ndarray:
@@ -383,17 +397,15 @@ class KinematicsCache:
         J[:, :, 3:] = (self._axes[None] * ROTATION_MASK[:, :, None]).transpose(0, 2, 1)
         return J
 
-    @cached_property
+    @property
     def com_jacobians(self) -> np.ndarray:
         """(11, 3, 16) linear-velocity Jacobians of every body CoM."""
-        return self._point_jacobians(self.com_points, ROTATION_MASK)
+        return self.point_jacobians[:len(BODY_NAMES)]
 
-    @cached_property
+    @property
     def com_bias_acc(self) -> np.ndarray:
         """(11, 3) CoM accelerations for the current u with udot = 0."""
-        r = self.com_points - self.o
-        return (self.a_origin_bias + cross_rows(self.omega_dot_bias, r)
-                + cross_rows(self.omega, cross_rows(self.omega, r)))
+        return self.point_bias_acc[:len(BODY_NAMES)]
 
     @cached_property
     def _axes(self) -> np.ndarray:
@@ -445,10 +457,8 @@ class RobotModel:
         self.desc = desc if desc is not None else RobotDescription.default()
         self.G = loop_closure_matrix()
         self.S = selection_matrix()
-        self._hip_origin = {
-            "l": self.desc.joints[0].origin.copy(),
-            "r": self.desc.joints[5].origin.copy(),
-        }
+        # (16, 6) the torques' share of the contact KKT rows: [G^T S^T; 0]
+        self.B = np.vstack([self.G.T @ self.S.T, np.zeros((4, 6))])
 
     # -- coordinate maps ---------------------------------------------------
 
@@ -461,46 +471,16 @@ class RobotModel:
             vel=self.G @ y.vel,
         )
 
-    def extract_independent(self, q: SpanningTreeState) -> MinimalState:
-        return MinimalState(
-            pos=q.pos.copy(),
-            rot=q.rot.copy(),
-            qj=q.qj[INDEP_JOINTS].copy(),
-            vel=q.vel[[0, 1, 2, 3, 4, 5, 6, 10, 9, 11, 15, 14]].copy(),
-        )
-
-    def loop_jacobian(self) -> np.ndarray:
-        """G = d(gamma)/dy; constant for the parallelogram closure."""
-        return self.G.copy()
-
     def kinematics(self, y: MinimalState) -> KinematicsCache:
         return KinematicsCache(self.desc, y, self.expand_coordinates(y))
-
-    # -- forward kinematics ------------------------------------------------
-
-    def forward_kinematics(self, y: MinimalState) -> dict:
-        """World poses of all 11 bodies plus both wheel centers."""
-        kc = self.kinematics(y)
-        poses = {name: (kc.R[i].copy(), kc.o[i].copy()) for i, name in enumerate(BODY_NAMES)}
-        wl, wr = kc.wheel_centers()
-        return {"poses": poses, "wheel_center_l": wl, "wheel_center_r": wr}
 
     def contact_points(self, kc: KinematicsCache, n_l: np.ndarray,
                        n_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contact point of each wheel: center - wheel_radius * normal."""
-        n_l = _check_normal(n_l, "left")
-        n_r = _check_normal(n_r, "right")
-        wl, wr = kc.wheel_centers()
-        r = self.desc.wheel_radius
-        return wl - r * n_l, wr - r * n_r
+        p = kc.o[[WHEEL_L, WHEEL_R]] - self.desc.wheel_radius * ground_normals(n_l, n_r)
+        return p[0], p[1]
 
     # -- task space --------------------------------------------------------
-
-    def _pendulum_angle(self, kc: KinematicsCache, side: str, x_n: np.ndarray) -> float:
-        hip = kc.point_on_body(BASE, self._hip_origin[side])
-        wc = kc.o[WHEEL_L if side == "l" else WHEEL_R]
-        d = hip - wc
-        return float(np.arctan2(d @ x_n, d[2]))
 
     def task_state(self, kc: KinematicsCache, tj: TaskJacobians) -> TaskState:
         """Pose task values, and their rates through the task rows tj of kc."""
@@ -509,7 +489,11 @@ class RobotModel:
         x_n = kc.heading_axis[0]
         roll, pitch, yaw = euler_zyx(kc.R[BASE])
         h = float((kc.o[BASE] - origin)[2])
-        phi = self._pendulum_angle(kc, "l", x_n) - self._pendulum_angle(kc, "r", x_n)
+        # split: the difference of the legs' pendulum angles atan2(d . x_N, d_z),
+        # d = hip - wheel center
+        d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
+        theta = np.arctan2(d @ x_n, d[:, 2])
+        phi = float(theta[0] - theta[1])
         d_w = float((p_cl - p_cr) @ x_n)
         J_phi, J_h = tj.J[4], tj.J[0]
         J_alpha, J_beta, J_gamma = tj.J[3], tj.J[1], tj.J[5]
@@ -551,8 +535,9 @@ class RobotModel:
         their Jdot*u_y terms, at the contact points of the given normals.
 
         Jdot*u_y is each task's second time derivative along the current
-        velocity with udot = 0.  It is assembled from the bias accelerations
-        the cache holds (points on the base and shanks, body CoMs), the
+        velocity with udot = 0.  It is assembled from the Jacobians and bias
+        accelerations of the cache's point pass (body CoMs, wheel centers and
+        hips), the
         first two rates of the rotating heading axis x_N, and for the Euler
         rows the rate of the Euler-rate map: with E(theta) theta_dot = w,
         theta_ddot = -E^-1 Edot theta_dot at constant w.
@@ -585,41 +570,35 @@ class RobotModel:
         c1 = cross3(ez, x_n)
         euler_bias = -Einv @ (rd * cross3(yd * ez + pd * c1, head) - pd * yd * x_n)
 
-        def theta(side: str, wheel: int, shank: int):
-            """Row and bias of the pendulum angle atan2(d . x_N, d_z), d = hip - wheel center."""
-            hip = kc.point_on_body(BASE, self._hip_origin[side])
-            d = hip - kc.o[wheel]
-            d_d = kc.point_velocity(BASE, hip) - kc.v_origin[wheel]
-            d_dd = kc.point_bias_acc(BASE, hip) - kc.a_origin_bias[wheel]
-            a, b = d @ x_n, d[2]
-            a_d, b_d = d_d @ x_n + d @ x_d, d_d[2]
-            a_dd, b_dd = d_dd @ x_n + 2.0 * (d_d @ x_d) + d @ x_dd, d_dd[2]
-            D = a * a + b * b
-            Jd = kc.point_jacobian(BASE, hip) - kc.point_jacobian(shank, kc.o[wheel])
-            row = (b * (x_n @ Jd + d @ Jx_n) - a * Jd[2]) / D
-            bias = ((b * a_dd - a * b_dd) / D
-                    - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
-            return row, bias
-
-        row_l, bias_l = theta("l", WHEEL_L, SHANK_L)
-        row_r, bias_r = theta("r", WHEEL_R, SHANK_R)
+        # both legs' pendulum angles atan2(d . x_N, d_z), d = hip - wheel
+        # center, from the cache's point pass
+        J, wc, hip = kc.point_jacobians, WHEEL_POINTS, HIP_POINTS
+        d, d_d, d_dd = (q[hip] - q[wc] for q in (kc.points, kc.point_velocities,
+                                                   kc.point_bias_acc))
+        a, b = d @ x_n, d[:, 2]
+        a_d, b_d = d_d @ x_n + d @ x_d, d_d[:, 2]
+        a_dd, b_dd = d_dd @ x_n + 2.0 * (d_d @ x_d) + d @ x_dd, d_dd[:, 2]
+        D = a * a + b * b
+        Jd = J[hip] - J[wc]
+        rows = (b[:, None] * (x_n @ Jd + d @ Jx_n) - a[:, None] * Jd[:, 2]) / D[:, None]
+        bias = ((b * a_dd - a * b_dd) / D
+                - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
 
         # r_com_x = (p_com - mid) . x_N with the contact midpoint moving as
         # the wheel-center midpoint (the normals are held fixed)
         p_com, M = kc.com
         J_com = kc.com_jacobian
-        J_mid = 0.5 * (kc.point_jacobian(SHANK_L, kc.o[WHEEL_L])
-                       + kc.point_jacobian(SHANK_R, kc.o[WHEEL_R]))
+        J_mid = 0.5 * J[wc].sum(axis=0)
         r_vec = p_com - 0.5 * (p_cl + p_cr)
         r_d = (J_com - J_mid) @ u
         r_dd = (self.desc.masses @ kc.com_bias_acc / M
-                - 0.5 * (kc.a_origin_bias[WHEEL_L] + kc.a_origin_bias[WHEEL_R]))
+                - 0.5 * kc.point_bias_acc[wc].sum(axis=0))
         J_rx = x_n @ (J_com - J_mid) + r_vec @ Jx_n
         rx_bias = r_dd @ x_n + 2.0 * (r_d @ x_d) + r_vec @ x_dd
 
-        J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], row_l - row_r, J_euler[2]])
+        J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], rows[0] - rows[1], J_euler[2]])
         jdot_u = np.array([0.0, euler_bias[1], rx_bias, euler_bias[0],
-                           bias_l - bias_r, euler_bias[2]])
+                           bias[0] - bias[1], euler_bias[2]])
         return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
 
 

@@ -40,18 +40,6 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + (np.sin(th) / th) * W + ((1.0 - np.cos(th)) / th**2) * (W @ W)
 
 
-def log_so3(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of R (inverse of exp_so3), valid away from angle pi."""
-    c = 0.5 * (np.trace(R) - 1.0)
-    c = float(np.clip(c, -1.0, 1.0))
-    th = np.arccos(c)
-    if th < 1e-10:
-        A = 0.5 * (R - R.T)
-        return np.array([A[2, 1], A[0, 2], A[1, 0]])
-    A = (th / (2.0 * np.sin(th))) * (R - R.T)
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
-
-
 def rot_y(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])

@@ -336,7 +336,7 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     if cl is None:
         kc = model.kinematics(y)
         cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
-    rhs_top = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
+    rhs_top = model.B[:12] @ np.asarray(tau_a, float) - cl.C_y
     if ext_wrench is not None:
         rhs_top = rhs_top + np.concatenate([ext_wrench, np.zeros(6)])
 
@@ -353,14 +353,6 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"singular contact KKT system: {exc}") from exc
     return sol[:12], sol[12:16], cl
-
-
-def forward_dynamics_free(model: RobotModel, y: MinimalState,
-                          tau_a: np.ndarray) -> np.ndarray:
-    """Contact-free accelerations (test hook for ballistic checks)."""
-    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    rhs = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
-    return np.linalg.solve(cl.H_y, rhs)
 
 
 def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
@@ -441,24 +433,16 @@ def initial_state(model: RobotModel, terrain: Terrain,
     R = rot_z(yaw)
     r_w = desc.wheel_radius
     pos = np.array([start_xy[0], start_xy[1], height])
-    qj = np.zeros(6)
-    y = None
     for _ in range(6):
-        hips = {s: pos + R @ model._hip_origin[s] for s in ("l", "r")}
-        targets = {}
-        for s in ("l", "r"):
-            hx, hy = hips[s][0], hips[s][1]
-            n = terrain.normal(hx, hy)
-            targets[s] = terrain.surface_point(hx, hy) + r_w * n
-        mid_z = 0.5 * (terrain.height(*hips["l"][:2]) + terrain.height(*hips["r"][:2]))
-        pos[2] = mid_z + height
-        hips = {s: pos + R @ model._hip_origin[s] for s in ("l", "r")}
-        q = {}
-        for s in ("l", "r"):
-            q[s] = leg_ik(desc, R.T @ (targets[s] - hips[s]))
-        qj = np.array([q["l"][0], q["l"][1], 0.0, q["r"][0], q["r"][1], 0.0])
-        y = MinimalState(pos=pos.copy(), rot=R.copy(), qj=qj,
-                         vel=np.zeros(12))
+        hips = pos + desc.hip_origins @ R.T
+        targets = [terrain.surface_point(hx, hy) + r_w * terrain.normal(hx, hy)
+                   for hx, hy in hips[:, :2]]
+        pos[2] = 0.5 * (terrain.height(*hips[0, :2]) + terrain.height(*hips[1, :2])) + height
+        hips = pos + desc.hip_origins @ R.T
+        (q_hl, q_kl), (q_hr, q_kr) = (leg_ik(desc, R.T @ (tg - hip))
+                                      for tg, hip in zip(targets, hips))
+    y = MinimalState(pos=pos, rot=R, qj=np.array([q_hl, q_kl, 0.0, q_hr, q_kr, 0.0]),
+                     vel=np.zeros(12))
     u0 = np.concatenate([speed * R[:, 0], np.zeros(9)])
     kc = model.kinematics(y)
     cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
@@ -609,7 +593,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             bal_a = balance_accel(design.K, ref_com, lam_com)
 
             stack = assemble_task_stack(pose_a, bal_a, tj)
-            constraints = dynamics_constraints(cl_hat, model.S, tau_limit)
+            constraints = dynamics_constraints(cl_hat, model.B, tau_limit)
             sol = solver.solve(stack, constraints)
             tau = sol.tau_a
         except (HqpError, SimulationError, ValueError) as exc:

@@ -119,12 +119,10 @@ class GainScheduler:
         self.Q = np.asarray(Q, dtype=float)
         self.R = float(R)
         self.design: LqrDesign | None = None
-        self.solve_count = 0
 
     def gain(self, r_z: float) -> LqrDesign:
         if self.design is None or abs(r_z - self.design.r_z) > RESCHEDULE_DZ:
             self.design = lqr_gain(r_z, self.Q, self.R)
-            self.solve_count += 1
         return self.design
 
 
@@ -132,14 +130,6 @@ def balance_accel(K: np.ndarray, ref_Lcom: np.ndarray, Lcom: np.ndarray) -> floa
     """des rddot = -K (Lambda_CoM - ref), state (r, rdot, s, sdot)."""
     e = np.asarray(Lcom, float) - np.asarray(ref_Lcom, float)
     return float(-np.asarray(K, float) @ e)
-
-
-def balance_constraints_residual(F_NC: np.ndarray, r_com: np.ndarray,
-                                 mass: float) -> np.ndarray:
-    """Sagittal equilibrium residuals (vertical force, CoM moment); zero at balance."""
-    F_x, F_z = float(F_NC[0]), float(F_NC[1])
-    r_x, r_z = float(r_com[0]), float(r_com[1])
-    return np.array([mass * GRAVITY + F_z, -r_z * F_x + r_x * F_z])
 
 
 @dataclass

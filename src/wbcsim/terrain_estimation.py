@@ -48,14 +48,6 @@ class PointCloud:
             self._tree = cKDTree(self.points)
         return self._tree
 
-    @classmethod
-    def from_xyz_file(cls, path: str) -> "PointCloud":
-        """ASCII ingestion: one 'x y z' triple per line, meters."""
-        return cls(points=np.loadtxt(path, dtype=float).reshape(-1, 3))
-
-    def to_xyz_file(self, path: str) -> None:
-        np.savetxt(path, self.points, fmt="%.9g")
-
 
 @dataclass
 class NormalEstimate:

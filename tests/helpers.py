@@ -1,0 +1,100 @@
+"""Helpers that only the tests use: finite-difference state moves, coordinate
+and pose views of a state, ballistic accelerations, point-cloud files, an
+equilibrium residual and an LQR solve counter."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wbcsim.dynamics import GRAVITY, closed_loop_dynamics
+from wbcsim.model import BODY_NAMES, INDEP_JOINTS, MinimalState, RobotModel, SpanningTreeState
+from wbcsim.rotations import exp_so3
+from wbcsim.task_control import GainScheduler, LqrDesign
+from wbcsim.terrain_estimation import PointCloud
+
+EZ = np.array([0.0, 0.0, 1.0])
+
+
+def perturbed(y: MinimalState, direction: np.ndarray, eps: float) -> MinimalState:
+    """State moved along tangent direction (a u_y-like 12-vector) by eps."""
+    d = np.asarray(direction, dtype=float)
+    return MinimalState(
+        pos=y.pos + eps * d[0:3],
+        rot=exp_so3(eps * d[3:6]) @ y.rot,
+        qj=y.qj + eps * d[6:12],
+        vel=y.vel.copy(),
+    )
+
+
+def log_so3(R: np.ndarray) -> np.ndarray:
+    """Rotation vector of R (inverse of exp_so3), valid away from angle pi."""
+    c = 0.5 * (np.trace(R) - 1.0)
+    c = float(np.clip(c, -1.0, 1.0))
+    th = np.arccos(c)
+    if th < 1e-10:
+        A = 0.5 * (R - R.T)
+        return np.array([A[2, 1], A[0, 2], A[1, 0]])
+    A = (th / (2.0 * np.sin(th))) * (R - R.T)
+    return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def extract_independent(q: SpanningTreeState) -> MinimalState:
+    """The independent coordinates of a tree state (inverse of expand_coordinates)."""
+    return MinimalState(
+        pos=q.pos.copy(),
+        rot=q.rot.copy(),
+        qj=q.qj[INDEP_JOINTS].copy(),
+        vel=q.vel[[0, 1, 2, 3, 4, 5, 6, 10, 9, 11, 15, 14]].copy(),
+    )
+
+
+def loop_jacobian(model: RobotModel) -> np.ndarray:
+    """G = d(gamma)/dy; constant for the parallelogram closure."""
+    return model.G.copy()
+
+
+def forward_kinematics(model: RobotModel, y: MinimalState) -> dict:
+    """World poses of all 11 bodies plus both wheel centers."""
+    kc = model.kinematics(y)
+    poses = {name: (kc.R[i].copy(), kc.o[i].copy()) for i, name in enumerate(BODY_NAMES)}
+    wl, wr = kc.wheel_centers()
+    return {"poses": poses, "wheel_center_l": wl, "wheel_center_r": wr}
+
+
+def forward_dynamics_free(model: RobotModel, y: MinimalState,
+                          tau_a: np.ndarray) -> np.ndarray:
+    """Contact-free accelerations (for ballistic checks)."""
+    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
+    rhs = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
+    return np.linalg.solve(cl.H_y, rhs)
+
+
+def balance_constraints_residual(F_NC: np.ndarray, r_com: np.ndarray,
+                                 mass: float) -> np.ndarray:
+    """Sagittal equilibrium residuals (vertical force, CoM moment); zero at balance."""
+    F_x, F_z = float(F_NC[0]), float(F_NC[1])
+    r_x, r_z = float(r_com[0]), float(r_com[1])
+    return np.array([mass * GRAVITY + F_z, -r_z * F_x + r_x * F_z])
+
+
+class CountingGainScheduler(GainScheduler):
+    """GainScheduler that counts its LQR solves in solve_count."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.solve_count = 0
+
+    def gain(self, r_z: float) -> LqrDesign:
+        before = self.design
+        design = super().gain(r_z)
+        self.solve_count += design is not before
+        return design
+
+
+def cloud_from_xyz_file(path: str) -> PointCloud:
+    """ASCII ingestion: one 'x y z' triple per line, meters."""
+    return PointCloud(points=np.loadtxt(path, dtype=float).reshape(-1, 3))
+
+
+def cloud_to_xyz_file(cloud: PointCloud, path: str) -> None:
+    np.savetxt(path, cloud.points, fmt="%.9g")

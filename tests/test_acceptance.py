@@ -35,6 +35,7 @@ from wbcsim.terrain_estimation import (
 )
 
 from conftest import random_minimal_state
+from helpers import perturbed
 from hqp_cascade import solve_hierarchy
 from test_dynamics import rnea_oracle
 from test_hqp import nullspace_lex_oracle, random_problem, to_levels
@@ -104,8 +105,8 @@ def test_loop_closure_map_and_kinetic_energy_preservation(model):
     for _ in range(100):
         y = random_minimal_state(rng)
         u = rng.uniform(-1.0, 1.0, 12)
-        qp = model.expand_coordinates(y.perturbed(u, eps))
-        qm = model.expand_coordinates(y.perturbed(u, -eps))
+        qp = model.expand_coordinates(perturbed(y, u, eps))
+        qm = model.expand_coordinates(perturbed(y, u, -eps))
         fd = tangent_difference(qp, qm, 2.0 * eps)
         assert np.abs(fd - model.G @ u).max() < 1e-6
 

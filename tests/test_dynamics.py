@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from wbcsim.dynamics import (
-    closed_loop_dynamics,
-    contact_frame,
-    friction_matrix,
-    spanning_tree_dynamics,
-)
+from wbcsim.dynamics import closed_loop_dynamics, spanning_tree_dynamics
 from wbcsim.model import (
     JOINT_CHILD,
     JOINT_PARENT,
@@ -16,10 +11,14 @@ from wbcsim.model import (
     NV_TREE,
     WHEEL_L,
     WHEEL_R,
+    RobotDescription,
+    RobotModel,
 )
 from wbcsim.rotations import hat
 
-from conftest import random_minimal_state
+from closed_loop_oracle import contact_frame, friction_matrix, per_wheel_closed_loop_dynamics
+from conftest import random_minimal_state, random_normal, tilted_robot
+from helpers import perturbed
 
 EZ = np.array([0.0, 0.0, 1.0])
 GRAV = 9.81
@@ -160,14 +159,53 @@ def test_closed_loop_spd_scan(model):
         assert np.linalg.eigvalsh(cl.H_y).min() > 0.0
 
 
+@pytest.mark.parametrize("robot", ["default", "tilted"])
+def test_closed_loop_dynamics_matches_per_wheel_oracle(robot):
+    """Both wheels at once, from the cache's per-state part, give every field
+    of the per-wheel form; a second normal set on the same cache reuses the
+    per-state part and still matches."""
+    rng = np.random.default_rng(25)
+    model = RobotModel(RobotDescription.default() if robot == "default" else tilted_robot(rng))
+    for _ in range(50):
+        y = random_minimal_state(rng)
+        kc = model.kinematics(y)
+        for _ in range(2):
+            n_l, n_r = random_normal(rng), random_normal(rng)
+            mu = rng.uniform(0.2, 1.0)
+            cl = closed_loop_dynamics(model, kc, n_l, n_r, mu=mu)
+            expected = per_wheel_closed_loop_dynamics(model, model.kinematics(y), n_l, n_r, mu)
+            for name in ("H_y", "C_y", "G", "J_gc", "J_xz", "J_y", "Jdot_xz_u", "K",
+                         "p_cl", "p_cr"):
+                np.testing.assert_allclose(getattr(cl, name), getattr(expected, name),
+                                           rtol=0.0, atol=1e-12, err_msg=name)
+            for name in ("n_l", "n_r", "frame_l", "frame_r", "C_F"):
+                np.testing.assert_allclose(getattr(cl.contact, name),
+                                           getattr(expected.contact, name),
+                                           rtol=0.0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("normal, problem", [
+    ([0.0, 0.0, 2.0], "is not unit length"),
+    ([0.0, 0.0, -1.0], "must point into the upper hemisphere"),
+    ([1.0, 0.0, 1e-9], "is parallel to the heading"),   # the heading is +x
+])
+def test_closed_loop_dynamics_rejects_bad_normal_naming_side(model, side, normal, problem):
+    y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
+    normals = [EZ, EZ]
+    normals[side == "right"] = np.array(normal)
+    with pytest.raises(ValueError, match=f"^{side} ground normal {problem}$"):
+        closed_loop_dynamics(model, model.kinematics(y), *normals)
+
+
 def test_coriolis_skew_proxy(model, states):
     eps = 1e-6
     for y in states:
         u = y.vel
         kc = model.kinematics(y)
         H0 = spanning_tree_dynamics(kc).H
-        Hp = spanning_tree_dynamics(model.kinematics(y.perturbed(u, eps))).H
-        Hm = spanning_tree_dynamics(model.kinematics(y.perturbed(u, -eps))).H
+        Hp = spanning_tree_dynamics(model.kinematics(perturbed(y, u, eps))).H
+        Hm = spanning_tree_dynamics(model.kinematics(perturbed(y, u, -eps))).H
         Hdot = (Hp - Hm) / (2 * eps)
         y0 = y.copy()
         y0.vel = np.zeros(12)
@@ -232,7 +270,7 @@ def material_point_fd_velocity(model, y, body, p0, eps=1e-7):
         kc = model.kinematics(s)
         return kc.o[body] + kc.R[body] @ local
 
-    return (pos(y.perturbed(y.vel, eps)) - pos(y.perturbed(y.vel, -eps))) / (2 * eps)
+    return (pos(perturbed(y, y.vel, eps)) - pos(perturbed(y, y.vel, -eps))) / (2 * eps)
 
 
 def test_contact_jacobian_matches_material_point_fd(model, states):
@@ -256,7 +294,7 @@ def test_contact_jacobian_bias_matches_constraint_drift(model, states):
             cl = closed_loop_dynamics(model, model.kinematics(s), EZ, EZ)
             return cl.J_xz @ s.vel
 
-        yp, ym = y.perturbed(y.vel, eps), y.perturbed(y.vel, -eps)
+        yp, ym = perturbed(y, y.vel, eps), perturbed(y, y.vel, -eps)
         yp.vel = y.vel.copy()
         ym.vel = y.vel.copy()
         fd = (c_val(yp) - c_val(ym)) / (2 * eps)

@@ -181,7 +181,7 @@ def test_dynamics_constraint_layout(model):
     rng = np.random.default_rng(47)
     y = random_minimal_state(rng)
     cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+    cs = dynamics_constraints(cl, model.B, 40.0)
     assert cs.K is cl.K
     assert cs.K.shape == (16, 16)
     assert np.array_equal(cs.K[:12, :12], cl.H_y)
@@ -204,7 +204,7 @@ def test_full_solve_satisfies_eom_and_bounds(model):
     for _ in range(5):
         y = random_minimal_state(rng)
         cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-        cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+        cs = dynamics_constraints(cl, model.B, 40.0)
         tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
         for solve in (HierarchySolver().solve, solve_stack):
@@ -257,7 +257,7 @@ def test_torque_space_solver_matches_cascade_200_physical_problems(model):
         y = random_minimal_state(rng)
         n_l, n_r = tilted(), tilted()
         cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r)
-        cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+        cs = dynamics_constraints(cl, model.B, 40.0)
         tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
         scale = 10.0 ** rng.uniform(0.0, 3.0)
         stack = assemble_task_stack(scale * rng.normal(size=5),
@@ -293,7 +293,7 @@ def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
     rng = np.random.default_rng(50)
     y = random_minimal_state(rng)
     cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    cs = dynamics_constraints(cl, selection_matrix(), 40.0)
+    cs = dynamics_constraints(cl, model.B, 40.0)
     stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
                                 model.task_jacobians(model.kinematics(y), EZ, EZ))
     for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):

@@ -16,9 +16,12 @@ from wbcsim.model import (
     SpanningTreeState,
     leg_ik,
 )
-from wbcsim.rotations import exp_so3, log_so3, wrap_angle
+from wbcsim.rotations import exp_so3, wrap_angle
 
-from conftest import random_minimal_state
+from conftest import random_minimal_state, random_normal, tilted_robot
+from helpers import (extract_independent, forward_kinematics, log_so3, loop_jacobian,
+                     perturbed)
+from closed_loop_oracle import per_point_task_jacobians
 from kinematics_oracle import FIELDS, per_joint_kinematics
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -54,7 +57,7 @@ def test_expand_extract_roundtrip(model):
     rng = np.random.default_rng(0)
     for _ in range(20):
         y = random_minimal_state(rng)
-        y2 = model.extract_independent(model.expand_coordinates(y))
+        y2 = extract_independent(model.expand_coordinates(y))
         assert np.allclose(y2.pos, y.pos)
         assert np.allclose(y2.rot, y.rot)
         assert np.allclose(y2.qj, y.qj)
@@ -62,7 +65,7 @@ def test_expand_extract_roundtrip(model):
 
 
 def test_loop_jacobian_structure(model):
-    G = model.loop_jacobian()
+    G = loop_jacobian(model)
     assert np.allclose(G[:6, :6], np.eye(6))
     # column for q5 (col 7): +1 at q2, q5 rows, -1 at q3 row
     col = G[:, 7]
@@ -76,8 +79,8 @@ def test_loop_jacobian_finite_difference(model):
     for _ in range(10):
         y = random_minimal_state(rng)
         u = rng.uniform(-1.0, 1.0, 12)
-        qp = model.expand_coordinates(y.perturbed(u, eps))
-        qm = model.expand_coordinates(y.perturbed(u, -eps))
+        qp = model.expand_coordinates(perturbed(y, u, eps))
+        qm = model.expand_coordinates(perturbed(y, u, -eps))
         fd = tangent_difference(qp, qm, 2.0 * eps)
         assert np.allclose(fd, model.G @ u, atol=1e-6)
 
@@ -120,7 +123,7 @@ def independent_fk(desc, y):
 
 def test_fk_zero_configuration(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
-    fk = model.forward_kinematics(y)
+    fk = forward_kinematics(model, y)
     wl, wr = fk["wheel_center_l"], fk["wheel_center_r"]
     assert wl == pytest.approx([0.0, 0.175, 0.5 - 0.28])
     assert wr == pytest.approx([0.0, -0.175, 0.5 - 0.28])
@@ -131,8 +134,8 @@ def test_fk_translation_invariance(model):
     y = random_minimal_state(rng)
     d = np.array([0.3, -0.2, 0.15])
     y2 = MinimalState(y.pos + d, y.rot.copy(), y.qj.copy())
-    fk1 = model.forward_kinematics(y)
-    fk2 = model.forward_kinematics(y2)
+    fk1 = forward_kinematics(model, y)
+    fk2 = forward_kinematics(model, y2)
     for name in BODY_NAMES:
         assert np.allclose(fk2["poses"][name][1], fk1["poses"][name][1] + d, atol=1e-12)
 
@@ -141,23 +144,12 @@ def test_fk_matches_homogeneous_chain_oracle(model):
     rng = np.random.default_rng(4)
     for _ in range(10):
         y = random_minimal_state(rng)
-        fk = model.forward_kinematics(y)
+        fk = forward_kinematics(model, y)
         world = independent_fk(model.desc, y)
         for b, name in enumerate(BODY_NAMES):
             R, p = fk["poses"][name]
             assert np.allclose(p, world[b][:3, 3], atol=1e-9)
             assert np.allclose(R, world[b][:3, :3], atol=1e-9)
-
-
-def tilted_robot(rng):
-    """The default robot with every joint axis tilted off +y to a random unit vector."""
-    desc = RobotDescription.default()
-    for joint in desc.joints:
-        a = joint.axis + rng.uniform(-0.5, 0.5, 3)
-        joint.axis = a / np.linalg.norm(a)
-    return RobotDescription(bodies=desc.bodies, joints=desc.joints,
-                            wheel_radius=desc.wheel_radius,
-                            torque_limit=desc.torque_limit)
 
 
 @pytest.mark.parametrize("robot", ["default", "tilted"])
@@ -184,7 +176,7 @@ def test_kinematics_cache_matches_per_joint_oracle(robot):
 def test_contact_point_flat(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     p_cl, p_cr = model.contact_points(model.kinematics(y), EZ, EZ)
-    wl = model.forward_kinematics(y)["wheel_center_l"]
+    wl = forward_kinematics(model, y)["wheel_center_l"]
     assert np.allclose(p_cl, wl - 0.09 * EZ)
     assert p_cl[2] == pytest.approx(wl[2] - 0.09)
 
@@ -193,7 +185,7 @@ def test_contact_point_slope_geometry(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     n = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
     p_cl, _ = model.contact_points(model.kinematics(y), n, EZ)
-    wl = model.forward_kinematics(y)["wheel_center_l"]
+    wl = forward_kinematics(model, y)["wheel_center_l"]
     assert np.allclose(wl - p_cl, 0.09 * n)
     assert np.linalg.norm(wl - p_cl) == pytest.approx(0.09, abs=1e-12)
 
@@ -251,8 +243,8 @@ def test_task_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(8):
         y = random_minimal_state(rng)
-        lam_p = task_state(model, y.perturbed(y.vel, eps), EZ, EZ).Lambda
-        lam_m = task_state(model, y.perturbed(y.vel, -eps), EZ, EZ).Lambda
+        lam_p = task_state(model, perturbed(y, y.vel, eps), EZ, EZ).Lambda
+        lam_m = task_state(model, perturbed(y, y.vel, -eps), EZ, EZ).Lambda
         fd = wrap_angle(lam_p - lam_m) / (2 * eps)
         fd[1] = y.vel[2]   # height rate differentiates the base motion only
         ts = task_state(model, y, EZ, EZ)
@@ -300,8 +292,8 @@ def test_task_jacobians_match_finite_difference(model):
     angular = [1, 3, 4, 5]
     for _ in range(8):
         y = random_minimal_state(rng)
-        vp = task_values(model, y.perturbed(y.vel, eps))
-        vm = task_values(model, y.perturbed(y.vel, -eps))
+        vp = task_values(model, perturbed(y, y.vel, eps))
+        vm = task_values(model, perturbed(y, y.vel, -eps))
         fd = (vp - vm) / (2 * eps)
         for i in angular:
             fd[i] = wrap_angle(vp[i] - vm[i]) / (2 * eps)
@@ -315,8 +307,8 @@ def test_task_jacobian_bias_matches_second_difference(model):
     for _ in range(6):
         y = random_minimal_state(rng)
         v0 = task_values(model, y)
-        vp = task_values(model, y.perturbed(y.vel, eps))
-        vm = task_values(model, y.perturbed(y.vel, -eps))
+        vp = task_values(model, perturbed(y, y.vel, eps))
+        vm = task_values(model, perturbed(y, y.vel, -eps))
         # second difference along the flow (udot = 0): d2(task)/dt2 = Jdot u
         fd2 = (vp - 2 * v0 + vm) / eps**2
         tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
@@ -326,8 +318,8 @@ def test_task_jacobian_bias_matches_second_difference(model):
 def finite_difference_jdot_u(model, y, n_l, n_r, eps=1e-6):
     """Jdot*u_y by central differencing of the analytic task rows along the
     state flow (the method the library used before the analytic form)."""
-    Jp = model.task_jacobians(model.kinematics(y.perturbed(y.vel, eps)), n_l, n_r).J
-    Jm = model.task_jacobians(model.kinematics(y.perturbed(y.vel, -eps)), n_l, n_r).J
+    Jp = model.task_jacobians(model.kinematics(perturbed(y, y.vel, eps)), n_l, n_r).J
+    Jm = model.task_jacobians(model.kinematics(perturbed(y, y.vel, -eps)), n_l, n_r).J
     return ((Jp - Jm) / (2.0 * eps)) @ y.vel
 
 
@@ -347,13 +339,29 @@ def test_task_jacobian_bias_matches_finite_difference_oracle(model, normals):
         assert np.allclose(tj.Jdot_u, fd, rtol=0.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("robot", ["default", "tilted"])
+def test_task_jacobians_match_per_point_oracle(robot):
+    """Both legs' rows from the cache's point pass equal the rows built one
+    point Jacobian and one pendulum angle at a time."""
+    rng = np.random.default_rng(13)
+    model = RobotModel(RobotDescription.default() if robot == "default" else tilted_robot(rng))
+    for _ in range(50):
+        y = random_minimal_state(rng)
+        n_l, n_r = random_normal(rng), random_normal(rng)
+        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
+        expected = per_point_task_jacobians(model, model.kinematics(y), n_l, n_r)
+        for name in ("J", "Jdot_u", "p_cl", "p_cr"):
+            np.testing.assert_allclose(getattr(tj, name), getattr(expected, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+
+
 # -- CoM --------------------------------------------------------------------
 
 def test_com_matches_brute_force(model):
     rng = np.random.default_rng(9)
     for _ in range(10):
         y = random_minimal_state(rng)
-        fk = model.forward_kinematics(y)
+        fk = forward_kinematics(model, y)
         num = np.zeros(3)
         M = 0.0
         for b, name in enumerate(BODY_NAMES):
@@ -381,8 +389,8 @@ def test_com_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(6):
         y = random_minimal_state(rng)
-        cp = com_state(model, y.perturbed(y.vel, eps), EZ, EZ)
-        cm = com_state(model, y.perturbed(y.vel, -eps), EZ, EZ)
+        cp = com_state(model, perturbed(y, y.vel, eps), EZ, EZ)
+        cm = com_state(model, perturbed(y, y.vel, -eps), EZ, EZ)
         cs = com_state(model, y, EZ, EZ)
         assert np.allclose(cs.r_dot, (cp.r - cm.r) / (2 * eps), atol=1e-5)
         # vertical rate is the plain derivative
@@ -391,8 +399,8 @@ def test_com_rates_match_finite_difference(model):
         # forward rate is the CoM velocity along the heading, excluding the
         # rotation of the heading axis itself
         kc = model.kinematics(y)
-        com_p, _ = model.kinematics(y.perturbed(y.vel, eps)).com
-        com_m, _ = model.kinematics(y.perturbed(y.vel, -eps)).com
+        com_p, _ = model.kinematics(perturbed(y, y.vel, eps)).com
+        com_m, _ = model.kinematics(perturbed(y, y.vel, -eps)).com
         head = kc.R[0] @ np.array([1.0, 0.0, 0.0])
         x_n = np.array([head[0], head[1], 0.0])
         x_n /= np.linalg.norm(x_n)
@@ -419,7 +427,7 @@ def test_leg_ik_roundtrip(model):
         q_knee = rng.uniform(-2.2, -0.3)
         qj = np.array([q_hip, q_knee, 0.0, 0.0, -1.0, 0.0])
         y = MinimalState(np.zeros(3), np.eye(3), qj)
-        fk = model.forward_kinematics(y)
+        fk = forward_kinematics(model, y)
         hip = model.desc.joints[0].origin
         target = fk["wheel_center_l"] - hip
         qh, qk = leg_ik(model.desc, target)

@@ -20,7 +20,6 @@ from wbcsim.simulator import (
     SimState,
     apply_block_impact,
     forward_dynamics,
-    forward_dynamics_free,
     initial_state,
     run_scenario,
     step,
@@ -29,6 +28,8 @@ from wbcsim.simulator import (
     _push_wrench,
 )
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
+
+from helpers import forward_dynamics_free
 
 
 def static_actuation(model, y, terrain):
@@ -57,8 +58,8 @@ def balanced_state(model, terrain, height=0.25):
 
     def with_offset(delta):
         qj = np.zeros(6)
-        for k, s in enumerate(("l", "r")):
-            hip = y.pos + R @ model._hip_origin[s]
+        for k in range(2):
+            hip = y.pos + R @ model.desc.hip_origins[k]
             hx, hy = hip[0] + delta, hip[1]
             n = terrain.normal(hx, hy)
             target = terrain.surface_point(hx, hy) + r_w * n
@@ -409,6 +410,27 @@ def test_horizontal_slope_impact_falls_with_inertia_nudged_one_ulp(model, monkey
     assert m.fell and not m.failed
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("normal, problem", [
+    ([0.0, 0.0, 2.0], "is not unit length"),
+    ([0.0, 0.0, -1.0], "must point into the upper hemisphere"),
+    ([1.0, 0.0, 1e-9], "is parallel to the heading"),   # the start heading is +x
+])
+def test_bad_estimated_normal_fails_the_run_naming_side(model, monkeypatch, side,
+                                                         normal, problem):
+    """A bad normal from the estimator ends the run as a failure, not a traceback."""
+    def query(nmap, xy, heading, lookahead, filt):
+        left = xy[1] > 0.0           # the left wheel starts at +y
+        return np.array(normal) if left == (side == "left") else np.array([0.0, 0.0, 1.0])
+
+    monkeypatch.setattr(simulator, "query_normal", query)
+    scenario = load_scenario(str(files("wbcsim").joinpath("data/scenarios/disturbance.scn")),
+                             {"duration": 0.01, "estimation_mode": "estimated_normal"})
+    _, m = run_scenario(model, scenario, seed=1)
+    assert m.failed and not m.fell
+    assert m.failure == f"t=0.000: {side} ground normal {problem}"
+
+
 # -- per-cycle sharing ----------------------------------------------------------
 
 @pytest.mark.parametrize("name, mode, closed_loop_calls", [
@@ -438,6 +460,8 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
                         counted("closed_loop", simulator.closed_loop_dynamics))
     monkeypatch.setattr(dynamics, "spanning_tree_dynamics",
                         counted("tree", dynamics.spanning_tree_dynamics))
+    monkeypatch.setattr(KinematicsCache, "_point_jacobians",
+                        counted("point_jacobians", KinematicsCache._point_jacobians))
     count_property("heading_axis")
     count_property("com_jacobian")
     per_cycle = []
@@ -455,6 +479,6 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
     assert not m.failed and not m.fell
     assert len(per_cycle) == 20
     expected = {"builds": 2, "closed_loop": closed_loop_calls, "tree": 2,
-                "heading_axis": 1, "com_jacobian": 1}
+                "heading_axis": 1, "com_jacobian": 1, "point_jacobians": 2}
     for before, after in zip(per_cycle, per_cycle[1:]):
         assert {k: after[k] - before[k] for k in expected} == expected

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from wbcsim.task_control import (
-    GainScheduler,
     assemble_task_stack,
     balance_accel,
-    balance_constraints_residual,
     default_gains,
     lqr_gain,
     pd_accel,
     pendulum_state_matrices,
 )
 from wbcsim.model import TaskJacobians
+
+from helpers import CountingGainScheduler, balance_constraints_residual
 
 GRAV = 9.81
 
@@ -176,7 +176,7 @@ def test_balance_accel_linearity_and_zero():
 
 
 def test_gain_scheduler_threshold():
-    sched = GainScheduler()
+    sched = CountingGainScheduler()
     d1 = sched.gain(0.25)
     assert sched.gain(0.255) is d1             # within band: cached
     assert sched.solve_count == 1

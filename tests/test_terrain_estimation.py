@@ -16,6 +16,8 @@ from wbcsim.terrain_estimation import (
     query_normal,
 )
 
+from helpers import cloud_from_xyz_file, cloud_to_xyz_file
+
 UP = np.array([0.0, 0.0, 1.0])
 
 
@@ -231,8 +233,8 @@ def test_pointcloud_file_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     cloud = plane_cloud(rng, n=50)
     path = tmp_path / "cloud.xyz"
-    cloud.to_xyz_file(str(path))
-    back = PointCloud.from_xyz_file(str(path))
+    cloud_to_xyz_file(cloud, str(path))
+    back = cloud_from_xyz_file(str(path))
     assert np.allclose(back.points, cloud.points, atol=1e-8)
 
 
