@@ -21,8 +21,8 @@ from .model import (
     WHEEL_R,
     KinematicsCache,
     RobotModel,
+    SIDES,
     ground_normals,
-    reject_side,
 )
 
 GRAVITY = 9.81
@@ -141,17 +141,20 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     st = _closed_loop_state(model, kc)
     n = ground_normals(n_l, n_r)
     r = model.desc.wheel_radius
-    p = kc.o[[WHEEL_L, WHEEL_R]] - r * n
+    p = kc.points[WHEEL_POINTS] - r * n
 
     t = st.head - (n @ st.head)[:, None] * n
     nt = np.sqrt((t * t).sum(axis=1))
-    reject_side(~(nt >= 1e-8), "is parallel to the heading")
+    for side, ok in zip(SIDES, (nt >= 1e-8).tolist()):
+        if not ok:
+            raise ValueError(f"{side} ground normal is parallel to the heading")
     x = t / nt[:, None]
     y = cross_rows(n, x)
     E = np.zeros((2, 3, 6))                  # per wheel, rows x, y, z
     E[:, 0, :3], E[:, 0, 3:] = x, -r * y
     E[:, 1, :3], E[:, 1, 3:] = y, r * x
     E[:, 2, :3] = n
+    frames = E[:, :, :3].transpose(0, 2, 1)  # per wheel, columns x, y, z
     # per wheel and axis: the contact row, velocity and bias acceleration
     out = E @ st.wheels
     rows, v, acc = out[:, :, :NV_TREE], out[:, :, NV_TREE], out[:, :, NV_TREE + 1]
@@ -159,13 +162,13 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
 
     # lateral friction F_y = c F_z, c = -mu clamp(v_y / FRICTION_V_REF, -1, 1),
     # folded into the z columns of J_gc; F_C = (x_l, z_l, x_r, z_r)
-    c = -mu * np.clip(v[:, 1] / FRICTION_V_REF, -1.0, 1.0)
+    c = -mu * np.minimum(np.maximum(v[:, 1] / FRICTION_V_REF, -1.0), 1.0)
     C_F = np.zeros((2, 4))
-    C_F[[0, 1], [1, 3]] = c
-    J_gc_rows = rows[:, [0, 2]]
+    C_F[0, 1], C_F[1, 3] = c
+    J_gc_rows = rows[:, ::2].copy()          # per wheel, rows x and z
     J_gc_rows[:, 1] += c[:, None] * rows[:, 1]
     J_gc = J_gc_rows.reshape(4, NV_TREE).T
-    J_xz = rows_y[:, [0, 2]].reshape(4, NV_MIN)
+    J_xz = rows_y[:, ::2].reshape(4, NV_MIN)
     K = np.zeros((NV_MIN + 4, NV_MIN + 4))
     K[:NV_MIN, :NV_MIN] = st.H_y
     K[:NV_MIN, NV_MIN:] = -G.T @ J_gc
@@ -174,10 +177,10 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     # The lever (-r n) is fixed, so the drift has no centripetal part over
     # it; the x axis turns with the projected heading at the rate
     # ((head_dot . y) / |t|) y, adding that times v_y to the x row.
-    Jdot_xz_u = np.column_stack([acc[:, 0] + (y @ st.head_dot) / nt * v[:, 1],
-                                 acc[:, 2]]).ravel()
+    Jdot_xz_u = acc[:, ::2].copy()
+    Jdot_xz_u[:, 0] += (y @ st.head_dot) / nt * v[:, 1]
+    Jdot_xz_u = Jdot_xz_u.ravel()
 
-    frames = np.stack([x, y, n], axis=2)
     contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
                               J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u, K=K,

@@ -14,6 +14,7 @@ the inertia frame; the closed loop has 12, u_y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -103,6 +104,7 @@ JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
 # the 11 body CoMs, the two wheel centres (on the wheels' own axes, so the
 # wheel spin does not move them) and the two hips on the base, left first
 POINT_BODIES = np.r_[np.arange(len(BODY_NAMES)), WHEEL_L, WHEEL_R, BASE, BASE]
+POINT_MASK = ROTATION_MASK[POINT_BODIES]
 WHEEL_POINTS, HIP_POINTS = slice(11, 13), slice(13, 15)
 SIDES = ("left", "right")
 
@@ -286,18 +288,15 @@ class TaskJacobians:
     names: tuple = ("height", "pitch", "balance", "roll", "split", "yaw")
 
 
-def reject_side(bad: np.ndarray, problem: str) -> None:
-    """Raise a ValueError naming the first side (left, right) marked bad."""
-    if bad.any():
-        raise ValueError(f"{SIDES[int(np.argmax(bad))]} ground normal {problem}")
-
-
 def ground_normals(n_l: np.ndarray, n_r: np.ndarray) -> np.ndarray:
-    """(2, 3) left and right ground normals, checked to be unit and upward."""
+    """(2, 3) left and right ground normals, checked to be unit and upward
+    (on Python floats: for two 3-vectors far cheaper than array calls)."""
     n = np.array([n_l, n_r], dtype=float)
-    reject_side(~(np.abs(np.sqrt((n * n).sum(axis=1)) - 1.0) <= UNIT_TOL),
-                "is not unit length")
-    reject_side(n[:, 2] <= 0.0, "must point into the upper hemisphere")
+    for side, (a, b, c) in zip(SIDES, n.tolist()):
+        if not abs(math.sqrt(a * a + b * b + c * c) - 1.0) <= UNIT_TOL:
+            raise ValueError(f"{side} ground normal is not unit length")
+        if c <= 0.0:
+            raise ValueError(f"{side} ground normal must point into the upper hemisphere")
     return n
 
 
@@ -311,6 +310,10 @@ class KinematicsCache:
     accelerations are the base value plus JOINT_PATH times one term per
     joint, and that term reads only the joint's parent body.  Only the
     rotations are chained, one depth level of the tree at a time.
+
+    One point pass then gives the positions, linear-velocity Jacobians,
+    velocities and bias accelerations (udot = 0) of every point the cycle
+    reads (POINT_BODIES): the first 11 are the body CoMs.
     """
 
     def __init__(self, desc: RobotDescription, y: MinimalState,
@@ -342,6 +345,24 @@ class KinematicsCache:
         self.a_origin_bias = JOINT_PATH @ (cross_rows(self.omega_dot_bias[JOINT_PARENT], r)
                                            + cross_rows(wp, cross_rows(wp, r)))
 
+        # world axes of the base rotation (x, y, z) and of the 10 joints, a
+        # point on each, and every body's angular-velocity Jacobian (11, 3, 16)
+        self._axes = np.vstack([np.eye(3), self.axis_w])
+        self._axis_origins = np.vstack([np.tile(self.o[BASE], (3, 1)), self.joint_origin_w])
+        self.angular_jacobians = np.zeros((len(desc.bodies), 3, NV_TREE))
+        self.angular_jacobians[:, :, 3:] = (self._axes * ROTATION_MASK[:, :, None]).transpose(0, 2, 1)
+
+        # the point pass
+        self.com_points = self.o + np.einsum("bij,bj->bi", self.R, desc.coms)
+        hips = self.o[BASE] + desc.hip_origins @ self.R[BASE].T
+        self.points = np.vstack([self.com_points, self.o[[WHEEL_L, WHEEL_R]], hips])
+        self.point_jacobians = self._point_jacobians(self.points, POINT_MASK)
+        b = POINT_BODIES
+        r, w = self.points - self.o[b], self.omega[b]
+        self.point_velocities = self.v_origin[b] + cross_rows(w, r)
+        self.point_bias_acc = (self.a_origin_bias[b] + cross_rows(self.omega_dot_bias[b], r)
+                               + cross_rows(w, cross_rows(w, r)))
+
     def wheel_centers(self) -> tuple[np.ndarray, np.ndarray]:
         return self.o[WHEEL_L].copy(), self.o[WHEEL_R].copy()
 
@@ -353,50 +374,6 @@ class KinematicsCache:
         J[:, :, 3:] = (cross_rows(self._axes[None], r) * mask[:, :, None]).transpose(0, 2, 1)
         return J
 
-    # -- the point pass: every point the cycle reads (POINT_BODIES) ---------
-
-    @cached_property
-    def com_points(self) -> np.ndarray:
-        """(11, 3) world CoM of every body."""
-        return self.o + np.einsum("bij,bj->bi", self.R, self.desc.coms)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """(15, 3) world positions of the pass's points."""
-        hips = self.o[BASE] + self.desc.hip_origins @ self.R[BASE].T
-        return np.vstack([self.com_points, self.o[[WHEEL_L, WHEEL_R]], hips])
-
-    @cached_property
-    def point_jacobians(self) -> np.ndarray:
-        """(15, 3, 16) linear-velocity Jacobians of those points, in one pass."""
-        return self._point_jacobians(self.points, ROTATION_MASK[POINT_BODIES])
-
-    @cached_property
-    def _point_offsets(self) -> np.ndarray:
-        """(15, 3) each point less the origin of its body."""
-        return self.points - self.o[POINT_BODIES]
-
-    @cached_property
-    def point_velocities(self) -> np.ndarray:
-        """(15, 3) velocities of those points."""
-        return (self.v_origin[POINT_BODIES]
-                + cross_rows(self.omega[POINT_BODIES], self._point_offsets))
-
-    @cached_property
-    def point_bias_acc(self) -> np.ndarray:
-        """(15, 3) accelerations of those points for the current u with udot = 0."""
-        r, w = self._point_offsets, self.omega[POINT_BODIES]
-        return (self.a_origin_bias[POINT_BODIES]
-                + cross_rows(self.omega_dot_bias[POINT_BODIES], r)
-                + cross_rows(w, cross_rows(w, r)))
-
-    @cached_property
-    def angular_jacobians(self) -> np.ndarray:
-        """(11, 3, 16) angular-velocity Jacobians of every body."""
-        J = np.zeros((len(self.desc.bodies), 3, NV_TREE))
-        J[:, :, 3:] = (self._axes[None] * ROTATION_MASK[:, :, None]).transpose(0, 2, 1)
-        return J
-
     @property
     def com_jacobians(self) -> np.ndarray:
         """(11, 3, 16) linear-velocity Jacobians of every body CoM."""
@@ -406,16 +383,6 @@ class KinematicsCache:
     def com_bias_acc(self) -> np.ndarray:
         """(11, 3) CoM accelerations for the current u with udot = 0."""
         return self.point_bias_acc[:len(BODY_NAMES)]
-
-    @cached_property
-    def _axes(self) -> np.ndarray:
-        """(13, 3) world axes of the base rotation (x, y, z) and the 10 joints."""
-        return np.vstack([np.eye(3), self.axis_w])
-
-    @cached_property
-    def _axis_origins(self) -> np.ndarray:
-        """(13, 3) a point on each of those axes."""
-        return np.vstack([np.tile(self.o[BASE], (3, 1)), self.joint_origin_w])
 
     @cached_property
     def com(self) -> tuple[np.ndarray, float]:
@@ -477,7 +444,7 @@ class RobotModel:
     def contact_points(self, kc: KinematicsCache, n_l: np.ndarray,
                        n_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contact point of each wheel: center - wheel_radius * normal."""
-        p = kc.o[[WHEEL_L, WHEEL_R]] - self.desc.wheel_radius * ground_normals(n_l, n_r)
+        p = kc.points[WHEEL_POINTS] - self.desc.wheel_radius * ground_normals(n_l, n_r)
         return p[0], p[1]
 
     # -- task space --------------------------------------------------------

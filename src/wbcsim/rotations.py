@@ -14,15 +14,12 @@ def cross3(a, b) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of broadcastable (..., 3) arrays (cheaper than np.cross)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast(a, b).shape)
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def hat(w: np.ndarray) -> np.ndarray:
