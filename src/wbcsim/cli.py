@@ -290,8 +290,8 @@ def bench_normals(cfg: RunConfig) -> int:
         k_adaptive = optimal_neighborhood(cloud, q, 10, 60)
         ents = []
         for k in range(10, min(60, len(cloud)) + 1):
-            _, idx = cloud.tree.query(q, k=k)
-            lam = np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True))
+            lam = np.linalg.eigvalsh(np.cov(cloud.points[cloud.nearest(q, k)].T,
+                                            bias=True))
             ents.append(eigenvalue_entropy(lam))
         k_brute = 10 + int(np.argmin(ents))
         agree += int(k_adaptive == k_brute)

@@ -22,13 +22,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .rotations import (
-    cross3,
-    cross_rows,
-    euler_rates_from_omega,
-    euler_zyx,
-    hat,
-)
+from .rotations import cross3, cross_rows, euler_zyx, hat
 
 NQ_TREE = 10
 NV_TREE = 16
@@ -527,14 +521,15 @@ class RobotModel:
         J_h[2] = 1.0
 
         # Euler rates theta_dot = E^-1 w; E's columns are head (= Rz Ry e_x),
-        # c1 = Rz e_y = ez x x_N and ez, so Edot theta_dot =
-        # roll_dot (yaw_dot ez + pitch_dot c1) x head + pitch_dot yaw_dot ez x c1,
-        # where ez x c1 = -x_N.
-        Einv = euler_rates_from_omega(kc.R[BASE])
+        # c1 = Rz e_y = ez x x_N and ez.  With head = |P head| x_N + head_z ez,
+        # the rows of E^-1 are x_N / |P head|, c1 and ez - head_z x_N / |P head|.
+        # Edot theta_dot = roll_dot (yaw_dot ez + pitch_dot c1) x head
+        # + pitch_dot yaw_dot ez x c1, where ez x c1 = -x_N.
+        c1 = cross3(ez, x_n)
+        Einv = np.array([x_n / nh, c1, ez - (head[2] / nh) * x_n])
         J_euler = np.zeros((3, NV_TREE))
         J_euler[:, 3:6] = Einv
         rd, pd, yd = Einv @ w
-        c1 = cross3(ez, x_n)
         euler_bias = -Einv @ (rd * cross3(yd * ez + pd * c1, head) - pd * yd * x_n)
 
         # both legs' pendulum angles atan2(d . x_N, d_z), d = hip - wheel

@@ -1,10 +1,8 @@
-"""SO(3) helpers: hat maps, exponential map, ZYX Euler angles and their rate maps."""
+"""SO(3) helpers: hat maps, exponential map, ZYX Euler angles."""
 
 from __future__ import annotations
 
 import numpy as np
-
-GIMBAL_COS_TOL = 1e-6
 
 
 def cross3(a, b) -> np.ndarray:
@@ -53,31 +51,6 @@ def euler_zyx(R: np.ndarray) -> np.ndarray:
     roll = np.arctan2(R[2, 1], R[2, 2])
     yaw = np.arctan2(R[1, 0], R[0, 0])
     return np.array([roll, pitch, yaw])
-
-
-def euler_zyx_rate_map(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Matrix E with omega_world = E @ [roll_dot, pitch_dot, yaw_dot].
-
-    Columns: Rz(yaw) Ry(pitch) e_x, Rz(yaw) e_y, e_z.
-    """
-    E = np.empty((3, 3))
-    E[:, 0] = rot_z(yaw) @ rot_y(pitch) @ np.array([1.0, 0.0, 0.0])
-    E[:, 1] = rot_z(yaw) @ np.array([0.0, 1.0, 0.0])
-    E[:, 2] = np.array([0.0, 0.0, 1.0])
-    return E
-
-
-def euler_rates_from_omega(R: np.ndarray) -> np.ndarray:
-    """Matrix mapping world angular velocity to (roll, pitch, yaw) rates at R.
-
-    Near gimbal lock (|cos pitch| < GIMBAL_COS_TOL) the map is
-    ill-conditioned; a least-squares inverse is returned instead of failing.
-    """
-    roll, pitch, yaw = euler_zyx(R)
-    E = euler_zyx_rate_map(roll, pitch, yaw)
-    if abs(np.cos(pitch)) < GIMBAL_COS_TOL:
-        return np.linalg.pinv(E)
-    return np.linalg.inv(E)
 
 
 def wrap_angle(a: float | np.ndarray):

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# NumPy loads its random module on first use; load it with the simulator, so
+# it is part of start-up rather than of a run's first control cycle
+from numpy.random import default_rng
 
 from .dynamics import (
     GRAVITY,
@@ -25,6 +28,7 @@ from .hqp import HierarchySolver, HqpError, dynamics_constraints
 from .model import KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
+    CareError,
     GainScheduler,
     assemble_task_stack,
     balance_accel,
@@ -498,7 +502,7 @@ def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
 
 def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     """Closed-loop run; returns (records, MetricsSummary)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     terrain = scenario.terrain
     seg0 = scenario.segment_at(0.0)
     try:
@@ -596,7 +600,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             constraints = dynamics_constraints(cl_hat, model.B, tau_limit)
             sol = solver.solve(stack, constraints)
             tau = sol.tau_a
-        except (HqpError, SimulationError, ValueError) as exc:
+        except (CareError, HqpError, SimulationError, ValueError) as exc:
             failed, failure = True, f"t={t:.3f}: {exc}"
             break
 

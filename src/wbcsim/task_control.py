@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import GRAVITY
 from .model import TaskJacobians
@@ -87,9 +86,16 @@ def pendulum_state_matrices(r_z: float):
     return A, B
 
 
+# extreme weights overflow the solve; the residual check reports them
+@np.errstate(over="ignore", invalid="ignore")
 def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q,
              R: float = DEFAULT_R) -> LqrDesign:
-    """Stabilizing LQR gain K = R^-1 B^T P from the Riccati equation."""
+    """Stabilizing LQR gain K = R^-1 B^T P from the Riccati equation.
+
+    P = U2 U1^-1 from the stable invariant subspace [U1; U2] of the
+    Hamiltonian [[A, -B B^T / R], [-Q, -A^T]] (Laub 1979), spanned by its
+    four eigenvectors of least real part.
+    """
     Q = np.asarray(Q, dtype=float)
     R = float(R)
     if R <= 0.0:
@@ -97,7 +103,13 @@ def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q,
     if np.linalg.eigvalsh(0.5 * (Q + Q.T)).min() < -1e-12:
         raise ValueError("Q must be positive semidefinite")
     A, B = pendulum_state_matrices(r_z)
-    P = scipy.linalg.solve_continuous_are(A, B, Q, np.array([[R]]))
+    try:
+        w, V = np.linalg.eig(np.block([[A, -B @ B.T / R], [-Q, -A.T]]))
+        U = V[:, np.argsort(w.real)[:4]]
+        P = np.linalg.solve(U[:4].T, U[4:].T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise CareError(f"Riccati solve failed: {exc}") from None
+    P = 0.5 * (P + P.T)
     resid = np.linalg.norm(A.T @ P + P @ A - P @ B @ B.T @ P / R + Q)
     # relative to the equation scale, so large weight matrices are not
     # rejected for honest floating-point roundoff

@@ -11,7 +11,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 def _smoothstep(t: np.ndarray):
@@ -137,6 +136,9 @@ class CompositeTerrain(Terrain):
     kind = "composite"
 
     def __init__(self, knots_x, knots_h, mu: float = 0.8):
+        # imported here: SciPy's import costs more than most runs, and only
+        # this terrain needs it
+        from scipy.interpolate import PchipInterpolator
         super().__init__(mu)
         x = np.asarray(knots_x, dtype=float)
         h = np.asarray(knots_h, dtype=float)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 UP = np.array([0.0, 0.0, 1.0])
 SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
@@ -37,16 +36,22 @@ class PointCloud:
         if not np.isfinite(pts).all():
             raise ValueError("point cloud contains non-finite coordinates")
         self.points = pts
-        self._tree = None
 
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
+    def nearest(self, query_point: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the k points nearest the query point, nearest first;
+        equal distances in index order.
+
+        A brute-force scan: a cloud is searched only for the few map cells
+        read from it, too few searches to pay for building a tree.
+        """
+        d = self.points - query_point
+        d2 = (d * d).sum(axis=1)
+        # every point within the k-th smallest distance, ties at it included
+        idx = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+        return idx[np.argsort(d2[idx], kind="stable")[:k]]
 
 
 @dataclass
@@ -69,8 +74,7 @@ def eigenvalue_entropy(lam: np.ndarray) -> float:
 
 
 def _neighborhood_eigen(cloud: PointCloud, query_point: np.ndarray, k: int):
-    _, idx = cloud.tree.query(np.asarray(query_point, float), k=k)
-    pts = cloud.points[np.atleast_1d(idx)]
+    pts = cloud.points[cloud.nearest(query_point, k)]
     cov = np.cov(pts.T, bias=True)
     lam, vec = np.linalg.eigh(cov)
     return lam[::-1], vec[:, ::-1]     # descending
@@ -82,7 +86,7 @@ def optimal_neighborhood(cloud: PointCloud, query_point: np.ndarray,
 
     Ties break toward smaller k.  The scan shares one sorted k_max query:
     prefix sums give every prefix covariance, and the 3x3 eigenvalues are
-    batched, so the cost is one tree query per call instead of one per k.
+    batched, so the cost is one neighbor search per call instead of one per k.
     """
     if not 3 <= k_min < k_max:
         raise ValueError("require 3 <= k_min < k_max")
@@ -90,8 +94,8 @@ def optimal_neighborhood(cloud: PointCloud, query_point: np.ndarray,
         raise InsufficientNeighborhoodError(
             f"insufficient neighborhood: cloud has {len(cloud)} < k_min={k_min} points")
     k_hi = min(k_max, len(cloud))
-    _, idx = cloud.tree.query(np.asarray(query_point, float), k=k_hi)
-    ks, cov = _prefix_covariances(cloud.points[np.atleast_1d(idx)][None], k_min)
+    idx = cloud.nearest(query_point, k_hi)
+    ks, cov = _prefix_covariances(cloud.points[idx][None], k_min)
     return int(ks[_min_entropy_index(cov)[0]])
 
 
@@ -218,10 +222,10 @@ class NormalMap:
         """Record every cell occupied by the cloud; untouched cells persist.
 
         Each cell is queried at its centre and the mean height of its points.
-        The estimate is made on the cell's first read, so update builds no
-        tree.  Returns the number of cells recorded: the number an eager
-        re-estimate would write when no cell is degenerate (telling them
-        apart needs the estimates).  A cloud with fewer than k_min points
+        The estimate is made on the cell's first read, so update searches
+        no neighbors.  Returns the number of cells recorded: the number an
+        eager re-estimate would write when no cell is degenerate (telling
+        them apart needs the estimates).  A cloud with fewer than k_min points
         records nothing and counts every cell it occupies as degenerate.
         """
         if len(cloud) == 0:
@@ -257,9 +261,8 @@ class NormalMap:
         of `estimate_normal` at its query point, or None when degenerate."""
         row = pos - frame.base
         cloud = frame.cloud
-        _, idx = cloud.tree.query(frame.queries[row:row + 1],
-                                  k=min(self.k_max, len(cloud)))
-        ks, cov = _prefix_covariances(cloud.points[idx], self.k_min)
+        idx = cloud.nearest(frame.queries[row], min(self.k_max, len(cloud)))
+        ks, cov = _prefix_covariances(cloud.points[idx][None], self.k_min)
         best = _min_entropy_index(cov)[0]
         lam, vec = np.linalg.eigh(cov[0, best])      # ascending
         # collinear when the middle eigenvalue vanishes against the largest

@@ -5,7 +5,9 @@ legs as (2, ...) arrays from the cache's one point pass.
 
 Here each wheel and each leg is handled on its own: a contact frame per
 wheel, a point Jacobian per contact point, wheel centre and hip, built
-column by column from the world joint axes.
+column by column from the world joint axes.  The Euler-rate map is built
+from the Euler angles and inverted numerically, where ``task_jacobians``
+writes its inverse in closed form from the heading axis.
 """
 
 from __future__ import annotations
@@ -29,7 +31,34 @@ from wbcsim.model import (
     WHEEL_R,
     TaskJacobians,
 )
-from wbcsim.rotations import cross3, euler_rates_from_omega, hat
+from wbcsim.rotations import cross3, euler_zyx, hat, rot_y, rot_z
+
+GIMBAL_COS_TOL = 1e-6
+
+
+def euler_zyx_rate_map(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    """Matrix E with omega_world = E @ [roll_dot, pitch_dot, yaw_dot].
+
+    Columns: Rz(yaw) Ry(pitch) e_x, Rz(yaw) e_y, e_z.
+    """
+    E = np.empty((3, 3))
+    E[:, 0] = rot_z(yaw) @ rot_y(pitch) @ np.array([1.0, 0.0, 0.0])
+    E[:, 1] = rot_z(yaw) @ np.array([0.0, 1.0, 0.0])
+    E[:, 2] = np.array([0.0, 0.0, 1.0])
+    return E
+
+
+def euler_rates_from_omega(R: np.ndarray) -> np.ndarray:
+    """Matrix mapping world angular velocity to (roll, pitch, yaw) rates at R.
+
+    Near gimbal lock (|cos pitch| < GIMBAL_COS_TOL) the map is
+    ill-conditioned; a least-squares inverse is returned instead of failing.
+    """
+    roll, pitch, yaw = euler_zyx(R)
+    E = euler_zyx_rate_map(roll, pitch, yaw)
+    if abs(np.cos(pitch)) < GIMBAL_COS_TOL:
+        return np.linalg.pinv(E)
+    return np.linalg.inv(E)
 
 
 def contact_frame(n: np.ndarray, heading: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ fallback scans every key.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from wbcsim.terrain_estimation import (SEARCH_RADIUS, MapCell, PointCloud,
                                        _min_entropy_index, _prefix_covariances)
@@ -52,7 +53,7 @@ class EagerNormalMap:
             return 0
 
         queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        _, idx = cloud.tree.query(queries, k=min(self.k_max, len(cloud)))
+        _, idx = cKDTree(pts).query(queries, k=min(self.k_max, len(cloud)))
         idx = idx.reshape(len(keys), -1)
         written = 0
         # cells in chunks bound the (cells, k, 3, 3) temporaries

@@ -15,6 +15,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wbcsim.cli import _plane_cloud, load_scenario, main as cli_main
 from wbcsim.dynamics import (
@@ -217,9 +218,10 @@ def test_normal_estimation_accuracy():
         cloud, _ = _plane_cloud(rng, angle, n=150, noise=0.02)
         q = cloud.points[rng.integers(len(cloud))]
         k_adaptive = optimal_neighborhood(cloud, q, 10, 60)
+        tree = cKDTree(cloud.points)
         ents = []
         for k in range(10, min(60, len(cloud)) + 1):
-            _, idx = cloud.tree.query(q, k=k)
+            _, idx = tree.query(q, k=k)
             lam = np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True))
             ents.append(eigenvalue_entropy(lam))
         assert k_adaptive == 10 + int(np.argmin(ents))

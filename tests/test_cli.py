@@ -4,6 +4,9 @@ import concurrent.futures
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,32 @@ def test_param_override_applied(flat_scn, tmp_path):
     assert len((out / "log.csv").read_text().splitlines()) < 60
 
 
+def test_run_loads_no_scipy(slope_scn):
+    """Loading the CLI and running an estimated-normal slope scenario loads
+    no SciPy module, whose import alone costs more than a short run, and
+    the run itself imports nothing: every module it needs is loaded before
+    the first control cycle."""
+    code = ("import sys\n"
+            "from wbcsim import cli, simulator\n"
+            "from wbcsim.model import RobotModel\n"
+            f"scenario = cli.load_scenario({slope_scn!r}, "
+            "{'duration': 0.1, 'estimation_mode': 'estimated_normal'})\n"
+            "model = RobotModel()\n"
+            "loaded = set(sys.modules)\n"
+            "records, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
+            "assert records and not metrics.failed\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
+            "      sorted(set(sys.modules) - loaded))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
+
+
 # -- error paths -------------------------------------------------------------
 
 def test_malformed_scenario_diagnostic_names_key(tmp_path, capsys):
@@ -207,6 +236,19 @@ def test_random_overrides_give_scenario_or_scenario_error(slope_path, params):
         assert isinstance(load_scenario(slope_path, params), Scenario)
     except ScenarioError:
         pass
+
+
+def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys):
+    """A balance weight too large for the Riccati solve ends the run as a
+    recorded solver failure: exit 1, metrics written, no traceback."""
+    out = tmp_path / "out"
+    assert main(["--scenario", flat_scn, "--out", str(out),
+                 "--param", "lqr_q=[1e200,1,1,1]"]) == 1
+    err = capsys.readouterr().err
+    assert "error: solver failure: t=0.000: Riccati solve did not converge" in err
+    assert "Traceback" not in err and "Warning" not in err
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["failed"] is True
 
 
 def test_missing_scenario_file(tmp_path, capsys):

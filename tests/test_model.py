@@ -21,7 +21,7 @@ from wbcsim.rotations import exp_so3, wrap_angle
 from conftest import random_minimal_state, random_normal, tilted_robot
 from helpers import (extract_independent, forward_kinematics, log_so3, loop_jacobian,
                      perturbed)
-from closed_loop_oracle import per_point_task_jacobians
+from closed_loop_oracle import euler_rates_from_omega, per_point_task_jacobians
 from kinematics_oracle import FIELDS, per_joint_kinematics
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -353,6 +353,22 @@ def test_task_jacobians_match_per_point_oracle(robot):
         for name in ("J", "Jdot_u", "p_cl", "p_cr"):
             np.testing.assert_allclose(getattr(tj, name), getattr(expected, name),
                                        rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def test_euler_rows_match_inverted_rate_map(model):
+    """The roll, pitch and yaw rows' base angular columns are E^-1, written
+    in closed form from the heading axis; the oracle inverts E built from
+    the Euler angles.  Orientations cover every yaw and pitch up to 1.4 rad."""
+    rng = np.random.default_rng(14)
+    up = np.array([0.0, 0.0, 1.0])
+    for _ in range(200):
+        y = random_minimal_state(rng)
+        y.rot = (exp_so3([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
+                 @ exp_so3([0.0, rng.uniform(-1.4, 1.4), 0.0])
+                 @ exp_so3([rng.uniform(-1.4, 1.4), 0.0, 0.0]))
+        tj = model.task_jacobians(model.kinematics(y), up, up)
+        np.testing.assert_allclose(tj.J[[3, 1, 5], 3:6],
+                                   euler_rates_from_omega(y.rot), rtol=0.0, atol=1e-12)
 
 
 # -- CoM --------------------------------------------------------------------

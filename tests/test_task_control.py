@@ -1,9 +1,15 @@
-"""Pose PD / balance LQR tests, with an independent Riccati oracle."""
+"""Pose PD / balance LQR tests, with SciPy's Riccati solver as the oracle."""
+
+from importlib.resources import files
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from wbcsim.cli import load_scenario
 from wbcsim.task_control import (
+    DEFAULT_Q,
+    CareError,
     assemble_task_stack,
     balance_accel,
     default_gains,
@@ -16,24 +22,6 @@ from wbcsim.model import TaskJacobians
 from helpers import CountingGainScheduler, balance_constraints_residual
 
 GRAV = 9.81
-
-
-def care_hamiltonian_oracle(A, B, Q, R):
-    """Stabilizing CARE solution via the Hamiltonian stable invariant subspace.
-
-    Independent of scipy's solver route (Schur on the 2n x 2n Hamiltonian,
-    ordered by stable eigenvalues, P = U21 U11^-1).
-    """
-    n = A.shape[0]
-    Rinv = np.linalg.inv(np.atleast_2d(R))
-    Ham = np.block([[A, -B @ Rinv @ B.T], [-Q, -A.T]])
-    w, V = np.linalg.eig(Ham)
-    stable = np.argsort(w.real)[:n]
-    U = V[:, stable]
-    U11, U21 = U[:n, :], U[n:, :]
-    P = U21 @ np.linalg.inv(U11)
-    P = np.real(0.5 * (P + P.conj().T))
-    return P
 
 
 # -- PD pose tasks ----------------------------------------------------------
@@ -91,10 +79,34 @@ def test_care_residual_and_oracle_nominal():
     resid = np.linalg.norm(d.A.T @ d.P + d.P @ d.A
                            - d.P @ d.B @ d.B.T @ d.P / d.R + d.Q)
     assert resid < 1e-8
-    P_oracle = care_hamiltonian_oracle(d.A, d.B, d.Q, d.R)
+    P_oracle = scipy.linalg.solve_continuous_are(d.A, d.B, d.Q, np.array([[d.R]]))
     assert np.allclose(d.P, P_oracle, atol=1e-6)
     K_oracle = (d.B.T @ P_oracle / d.R).ravel()
     assert np.allclose(d.K, K_oracle, atol=1e-6)
+
+
+def _bundled_balance_weights():
+    """Each distinct (Q diagonal, R) of the bundled scenarios, DEFAULT_Q
+    where none is set, named after the first scenario using it."""
+    weights = {}
+    for scn in sorted(files("wbcsim").joinpath("data/scenarios").iterdir(),
+                      key=lambda f: f.name):
+        sc = load_scenario(str(scn), {})
+        q = DEFAULT_Q.diagonal() if sc.lqr_q is None else sc.lqr_q
+        weights.setdefault((tuple(q), sc.lqr_r), scn.name.removesuffix(".scn"))
+    return [pytest.param(q, r, id=name) for (q, r), name in weights.items()]
+
+
+@pytest.mark.parametrize("q, r", _bundled_balance_weights())
+def test_care_matches_scipy_over_scheduled_heights(q, r):
+    """The Hamiltonian eigenvector solve gives SciPy's CARE solution (an
+    ordered generalized Schur method) over the pendulum heights the
+    scheduler asks for, clamped at 0.05 m, for each bundled weight set."""
+    Q = np.diag(np.asarray(q, dtype=float))
+    for r_z in np.linspace(0.05, 0.5, 19):
+        d = lqr_gain(r_z, Q, r)
+        P = scipy.linalg.solve_continuous_are(d.A, d.B, Q, np.array([[r]]))
+        np.testing.assert_allclose(d.P, P, rtol=0.0, atol=1e-12 * np.abs(P).max())
 
 
 def test_care_solution_spd():
@@ -193,6 +205,11 @@ def test_lqr_input_validation():
         lqr_gain(0.25, R=0.0)
     with pytest.raises(ValueError):
         lqr_gain(0.25, Q=np.diag([1.0, 1.0, -1.0, 1.0]))
+    # extreme weights: the solve overflows, or its stable subspace is singular
+    with pytest.raises(CareError, match="did not converge"):
+        lqr_gain(0.25, Q=np.diag([1e200, 1.0, 1.0, 1.0]))
+    with pytest.raises(CareError, match="Singular matrix"):
+        lqr_gain(0.25, R=1e-300)
 
 
 # -- equilibrium diagnostics ------------------------------------------------

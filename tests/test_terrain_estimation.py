@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wbcsim.terrain_estimation import (
     DegenerateNeighborhoodError,
@@ -38,13 +39,43 @@ def plane_cloud(rng, n=200, normal=UP, offset=0.0, extent=1.0, noise=0.0):
 
 
 def brute_force_k(cloud, query, k_min, k_max):
+    tree = cKDTree(cloud.points)
     ents = []
     for k in range(k_min, min(k_max, len(cloud)) + 1):
-        _, idx = cloud.tree.query(query, k=k)
+        _, idx = tree.query(query, k=k)
         pts = cloud.points[idx]
         lam = np.linalg.eigvalsh(np.cov(pts.T, bias=True))
         ents.append(eigenvalue_entropy(lam))
     return k_min + int(np.argmin(ents))
+
+
+# -- neighbor search --------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 10, 60, None])
+def test_nearest_matches_kdtree(k):
+    """The brute-force search returns SciPy's k-d tree neighbors, in the
+    same order, for k = 1, 10, 60 and the whole cloud (None)."""
+    rng = np.random.default_rng(20)
+    for n in (60, 200, 1200):
+        cloud = PointCloud(points=rng.normal(size=(n, 3)))
+        kk = n if k is None else k
+        tree = cKDTree(cloud.points)
+        for q in rng.normal(size=(20, 3)):
+            np.testing.assert_array_equal(cloud.nearest(q, kk),
+                                          np.atleast_1d(tree.query(q, k=kk)[1]))
+
+
+def test_nearest_breaks_ties_by_index():
+    """Equal distances come in index order, also across the k-th distance:
+    a shuffled integer grid, whose distances to the origin tie often."""
+    rng = np.random.default_rng(21)
+    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3), axis=-1)
+    pts = rng.permutation(grid.reshape(-1, 3))
+    cloud = PointCloud(points=pts)
+    d2 = (pts ** 2).sum(axis=1)
+    order = sorted(range(len(pts)), key=lambda i: (d2[i], i))
+    for k in range(1, len(pts) + 1):
+        assert cloud.nearest(np.zeros(3), k).tolist() == order[:k]
 
 
 # -- optimal neighborhood ---------------------------------------------------
@@ -53,7 +84,7 @@ def test_planar_cloud_entropy_and_tiebreak():
     rng = np.random.default_rng(0)
     cloud = plane_cloud(rng, n=100)
     q = np.zeros(3)
-    _, idx = cloud.tree.query(q, k=20)
+    _, idx = cKDTree(cloud.points).query(q, k=20)
     lam = np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True))
     # isotropic planar spread: eta = (1/2, 1/2, 0), entropy = ln 2
     assert eigenvalue_entropy(lam) == pytest.approx(np.log(2.0), abs=0.05)
@@ -89,7 +120,7 @@ def test_optimal_neighborhood_excludes_curved_region():
     assert k < k_max
 
     def entropy_at(kk):
-        _, idx = cloud.tree.query(q, k=kk)
+        _, idx = cKDTree(cloud.points).query(q, k=kk)
         return eigenvalue_entropy(np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True)))
 
     assert entropy_at(k) < entropy_at(k_max)
@@ -394,8 +425,9 @@ def _count_estimates(monkeypatch, nmap):
 
 
 def test_lazy_map_estimates_only_what_is_read(monkeypatch):
-    """update builds no tree; a hit estimates one cell, a miss only the
-    nearest occupied cells up to the first non-degenerate distance."""
+    """update searches no neighbors; a hit estimates one cell with one
+    search, a miss only the nearest occupied cells up to the first
+    non-degenerate distance."""
     from wbcsim.simulator import SensorConfig, synth_pointcloud
     from wbcsim.terrain import SlopeTerrain
     rng = np.random.default_rng(1)
@@ -403,13 +435,17 @@ def test_lazy_map_estimates_only_what_is_read(monkeypatch):
                              (0.7, 0.0), SensorConfig(points=1200), rng)
     nmap = NormalMap()
     made = _count_estimates(monkeypatch, nmap)
+    searches = []
+    nearest = PointCloud.nearest
+    monkeypatch.setattr(PointCloud, "nearest",
+                        lambda self, q, k: searches.append(k) or nearest(self, q, k))
     assert nmap.update(cloud) > 800
-    assert cloud._tree is None and made == []
+    assert searches == [] and made == []
 
     occupied = {nmap.key_of(*p[:2]) for p in cloud.points}
     assert nmap.key_of(1.0, 0.0) in occupied
     assert nmap.lookup(1.0, 0.0) is not None
-    assert len(made) == 1 and cloud._tree is not None
+    assert len(made) == 1 and searches == [nmap.k_max]
 
     # a miss: an empty cell inside the cloud, next to occupied ones
     hole = next((ix, iy) for ix in range(5, 20) for iy in range(-5, 5)
