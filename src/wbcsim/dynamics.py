@@ -14,6 +14,7 @@ from .rotations import cross3, cross_rows
 
 from .model import (
     BASE,
+    N_BODIES,
     NV_MIN,
     NV_TREE,
     WHEEL_L,
@@ -22,10 +23,12 @@ from .model import (
     KinematicsCache,
     RobotModel,
     SIDES,
+    TREE_ROWS,
     ground_normals,
 )
 
 GRAVITY = 9.81
+GRAVITY_ACC = np.array([0.0, 0.0, -GRAVITY])
 # lateral slip speed (m/s) at which the friction coefficient saturates at mu
 FRICTION_V_REF = 0.05
 
@@ -78,23 +81,25 @@ class ClosedLoopDynamics:
 def spanning_tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
     """H via composite inertia assembly, C via Newton-Euler at zero acceleration.
 
-    All 11 bodies at once: the stacked (11, 3, 16) CoM and angular Jacobians
-    of the cache are contracted with the body masses and world inertias.
+    All 11 bodies at once: the stacked (66, 16) rows [J_v; J_w] of the
+    cache's CoM and angular Jacobians meet [m J_v, f; I_w J_w, torque] in
+    one product, which gives H and C together.
     """
     desc = kc.desc
-    n = len(desc.bodies)
-    Jv, Jw = kc.com_jacobians, kc.angular_jacobians
+    J = kc.jacobians[TREE_ROWS]
+    Jv, Jw = J[:N_BODIES], J[N_BODIES:]
     I_w = kc.R @ desc.inertias @ kc.R.transpose(0, 2, 1)
-    IJw = I_w @ Jw
-    mJv = desc.masses[:, None, None] * Jv
-    H = np.einsum("bij,bik->jk", mJv, Jv) + np.einsum("bij,bik->jk", Jw, IJw)
+    # I_w [w, wdot_bias] of every body, (11, 3, 2)
+    Iw = I_w @ kc.rates.transpose(0, 2, 1)
+    rhs = np.empty((2 * N_BODIES, 3, NV_TREE + 1))
+    np.multiply(desc.masses[:, None, None], Jv, out=rhs[:N_BODIES, :, :NV_TREE])
+    np.matmul(I_w, Jw, out=rhs[N_BODIES:, :, :NV_TREE])
+    rhs[:N_BODIES, :, NV_TREE] = desc.masses[:, None] * (kc.com_bias_acc - GRAVITY_ACC)
+    rhs[N_BODIES:, :, NV_TREE] = Iw[:, :, 1] + cross_rows(kc.omega, Iw[:, :, 0])
+    HC = J.reshape(6 * N_BODIES, NV_TREE).T @ rhs.reshape(6 * N_BODIES, NV_TREE + 1)
+    H = HC[:, :NV_TREE]
     H = 0.5 * (H + H.T)          # exactly symmetric, not only up to roundoff
-    w = kc.omega
-    Iw = np.einsum("bij,bj->bi", I_w, w)
-    f = desc.masses[:, None] * (kc.com_bias_acc - np.array([0.0, 0.0, -GRAVITY]))
-    torque = np.einsum("bij,bj->bi", I_w, kc.omega_dot_bias) + cross_rows(w, Iw)
-    C = Jv.reshape(3 * n, NV_TREE).T @ f.ravel() + Jw.reshape(3 * n, NV_TREE).T @ torque.ravel()
-    return SpanningTreeDynamics(H=H, C=C)
+    return SpanningTreeDynamics(H=H, C=HC[:, NV_TREE])
 
 
 def _tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
@@ -109,13 +114,15 @@ def _closed_loop_state(model: RobotModel, kc: KinematicsCache) -> ClosedLoopStat
     if kc.closed_loop_state is None:
         G = model.G
         dyn = _tree_dynamics(kc)
-        w = [WHEEL_L, WHEEL_R]
+        # the rows WHEEL_L and WHEEL_R, as a slice
+        w = slice(WHEEL_L, None, WHEEL_R - WHEEL_L)
         wheels = np.empty((2, 6, NV_TREE + 2))
         wheels[:, :3, :NV_TREE] = kc.point_jacobians[WHEEL_POINTS]
         wheels[:, 3:, :NV_TREE] = kc.angular_jacobians[w]
-        wheels[:, :, NV_TREE] = np.hstack([kc.point_velocities[WHEEL_POINTS], kc.omega[w]])
-        wheels[:, :, NV_TREE + 1] = np.hstack([kc.point_bias_acc[WHEEL_POINTS],
-                                               kc.omega_dot_bias[w]])
+        wheels[:, :3, NV_TREE] = kc.point_velocities[WHEEL_POINTS]
+        wheels[:, 3:, NV_TREE] = kc.omega[w]
+        wheels[:, :3, NV_TREE + 1] = kc.point_bias_acc[WHEEL_POINTS]
+        wheels[:, 3:, NV_TREE + 1] = kc.omega_dot_bias[w]
         head = kc.R[BASE][:, 0]
         kc.closed_loop_state = ClosedLoopState(
             H_y=G.T @ dyn.H @ G, C_y=G.T @ dyn.C, wheels=wheels,

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .rotations import cross3, cross_rows, euler_zyx, hat
+from .rotations import cross3, cross_rows, euler_zyx, hat, hats
 
 NQ_TREE = 10
 NV_TREE = 16
@@ -38,6 +38,7 @@ BODY_NAMES = [
     "thigh_l", "shank_l", "link_l", "rocker_l", "wheel_l",
     "thigh_r", "shank_r", "link_r", "rocker_r", "wheel_r",
 ]
+N_BODIES = len(BODY_NAMES)
 
 # Joint i corresponds to tree coordinate q_{i+1}; child body of each joint.
 JOINT_CHILD = np.array([THIGH_L, SHANK_L, LINK_L, WHEEL_L, ROCKER_L,
@@ -47,10 +48,16 @@ JOINT_PARENT = np.array([BASE, THIGH_L, SHANK_L, SHANK_L, THIGH_L,
 
 # Independent joints (q1, q5, q4, q6, q10, q9) as 0-based tree indices.
 INDEP_JOINTS = [0, 4, 3, 5, 9, 8]
-# Actuated tree joints in torque order (hip_l, knee_l, wheel_l, hip_r, knee_r, wheel_r).
-ACTUATED_JOINTS = [0, 4, 3, 5, 9, 8]
+# Actuated tree joints in torque order (hip_l, knee_l, wheel_l, hip_r, knee_r,
+# wheel_r): the independent joints, so the actuated rates are u_y[6:].
+ACTUATED_JOINTS = INDEP_JOINTS
 # Hip joints (q1, q6), left and right.
 HIP_JOINTS = [0, 5]
+
+EZ = np.array([0.0, 0.0, 1.0])
+# the task rows (height, pitch, balance, roll, split, yaw) in the Lambda order
+# (phi, h, alpha, beta, gamma)
+LAMBDA_ROWS = [4, 0, 3, 1, 5]
 
 # accepted deviation of a ground normal's length from 1 (the absolute plus
 # relative tolerance of np.isclose(norm, 1, atol=1e-6), without its overhead)
@@ -79,7 +86,7 @@ JOINT_EXPANSION = _joint_expansion()
 def _rotation_mask() -> np.ndarray:
     """11x13 map: True where a body turns with the base rotation axis (first
     three columns) or with a tree joint (the remaining ten)."""
-    M = np.zeros((len(BODY_NAMES), 3 + NQ_TREE), dtype=bool)
+    M = np.zeros((N_BODIES, 3 + NQ_TREE), dtype=bool)
     M[:, :3] = True
     for i, (p, c) in enumerate(zip(JOINT_PARENT, JOINT_CHILD)):
         M[c] = M[p]
@@ -97,9 +104,21 @@ JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
 # the points of KinematicsCache's point pass and the body each is fixed to:
 # the 11 body CoMs, the two wheel centres (on the wheels' own axes, so the
 # wheel spin does not move them) and the two hips on the base, left first
-POINT_BODIES = np.r_[np.arange(len(BODY_NAMES)), WHEEL_L, WHEEL_R, BASE, BASE]
+POINT_BODIES = np.r_[np.arange(N_BODIES), WHEEL_L, WHEEL_R, BASE, BASE]
 POINT_MASK = ROTATION_MASK[POINT_BODIES]
 WHEEL_POINTS, HIP_POINTS = slice(11, 13), slice(13, 15)
+# the body each rotation axis passes through the origin of: the base for its
+# x, y and z, each joint's child for the joints
+AXIS_BODIES = np.r_[BASE, BASE, BASE, JOINT_CHILD]
+# KinematicsCache's point pass: the linear Jacobians of the points, then the
+# angular Jacobians of the bodies, each a (3, 16) block; the mask selects the
+# rotation axes that turn each, the template holds the constant columns
+JACOBIAN_MASK = np.vstack([POINT_MASK, ROTATION_MASK])[:, None].astype(float)
+JACOBIAN_TEMPLATE = np.zeros((len(JACOBIAN_MASK), 3, NV_TREE))
+JACOBIAN_TEMPLATE[:len(POINT_BODIES), :, :3] = np.eye(3)
+# its rows of the body CoMs, then of the bodies' rotations
+TREE_ROWS = np.r_[:N_BODIES, len(POINT_BODIES):len(JACOBIAN_MASK)]
+EYE3 = np.eye(3)
 SIDES = ("left", "right")
 
 
@@ -181,6 +200,9 @@ class RobotDescription:
         self.axis_hats_sq = self.axis_hats @ self.axis_hats
         # (2, 3) hip joint origins in the base frame, left and right
         self.hip_origins = self.joint_vectors[HIP_JOINTS, :, 0]
+        # (15, 3, 1) offset of each POINT_BODIES point in its body's frame
+        self.point_offsets = np.concatenate([self.coms, np.zeros((2, 3)),
+                                             self.hip_origins])[:, :, None]
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RobotDescription":
@@ -246,9 +268,6 @@ class MinimalState:
     qj: np.ndarray               # (6,): q1, q5, q4, q6, q10, q9
     vel: np.ndarray = field(default_factory=lambda: np.zeros(NV_MIN))
 
-    def copy(self) -> "MinimalState":
-        return MinimalState(self.pos.copy(), self.rot.copy(), self.qj.copy(), self.vel.copy())
-
 
 @dataclass
 class TaskState:
@@ -307,7 +326,9 @@ class KinematicsCache:
 
     One point pass then gives the positions, linear-velocity Jacobians,
     velocities and bias accelerations (udot = 0) of every point the cycle
-    reads (POINT_BODIES): the first 11 are the body CoMs.
+    reads (POINT_BODIES): the first 11 are the body CoMs.  Its Jacobians
+    are rows of one (26, 3, 16) array, which ends with the angular-velocity
+    Jacobians of the 11 bodies.
     """
 
     def __init__(self, desc: RobotDescription, y: MinimalState,
@@ -321,62 +342,74 @@ class KinematicsCache:
         self.closed_loop_state = None
 
         q = state.qj[:, None, None]
-        R_joint = np.eye(3) + np.sin(q) * desc.axis_hats + (1.0 - np.cos(q)) * desc.axis_hats_sq
-        self.R = np.empty((len(desc.bodies), 3, 3))
-        self.R[BASE] = state.rot
+        R_joint = EYE3 + np.sin(q) * desc.axis_hats + (1.0 - np.cos(q)) * desc.axis_hats_sq
+        R = self.R = np.empty((N_BODIES, 3, 3))
+        R[BASE] = state.rot
         for j, c, p in JOINT_LEVELS:
-            self.R[c] = self.R[p] @ R_joint[j]
-        # parent-to-child origin offsets r and joint axes, in the world frame
-        r, self.axis_w = (self.R[JOINT_PARENT] @ desc.joint_vectors).transpose(2, 0, 1)
+            R[c] = R[p] @ R_joint[j]
+        # per joint the columns [r, a]: the parent-to-child origin offset and
+        # the joint axis, in the world frame
+        ra = R[JOINT_PARENT] @ desc.joint_vectors
+        r, self.axis_w = ra[:, :, 0], ra[:, :, 1]
         self.o = state.pos + JOINT_PATH @ r
-        self.joint_origin_w = self.o[JOINT_CHILD]
+        # a point on each rotation axis: the base origin for the base's x, y
+        # and z, each joint's origin for the joints
+        self._axis_origins = self.o[AXIS_BODIES]
+        self.joint_origin_w = self._axis_origins[3:]
 
+        # every body's [omega, omega_dot_bias]; the cross products
+        # w_p x [r, a], then [w_p, wdot_p] x [w_p x r, r]
         u, qd = state.vel, state.vel[6:, None]
-        self.omega = u[3:6] + JOINT_PATH @ (self.axis_w * qd)
-        wp = self.omega[JOINT_PARENT]
-        self.v_origin = u[0:3] + JOINT_PATH @ cross_rows(wp, r)
-        self.omega_dot_bias = JOINT_PATH @ (cross_rows(wp, self.axis_w) * qd)
-        self.a_origin_bias = JOINT_PATH @ (cross_rows(self.omega_dot_bias[JOINT_PARENT], r)
-                                           + cross_rows(wp, cross_rows(wp, r)))
+        rates = self.rates = np.empty((N_BODIES, 2, 3))
+        self.omega, self.omega_dot_bias = rates[:, 0], rates[:, 1]
+        np.add(u[3:6], JOINT_PATH @ (self.axis_w * qd), out=self.omega)
+        w_ra = hats(self.omega[JOINT_PARENT]) @ ra
+        self.v_origin = u[0:3] + JOINT_PATH @ w_ra[:, :, 0]
+        np.matmul(JOINT_PATH, w_ra[:, :, 1] * qd, out=self.omega_dot_bias)
+        w_ra[:, :, 1] = r
+        a = cross_rows(rates[JOINT_PARENT], w_ra.transpose(0, 2, 1))
+        self.a_origin_bias = JOINT_PATH @ (a[:, 0] + a[:, 1])
 
-        # world axes of the base rotation (x, y, z) and of the 10 joints, a
-        # point on each, and every body's angular-velocity Jacobian (11, 3, 16)
-        self._axes = np.vstack([np.eye(3), self.axis_w])
-        self._axis_origins = np.vstack([np.tile(self.o[BASE], (3, 1)), self.joint_origin_w])
-        self.angular_jacobians = np.zeros((len(desc.bodies), 3, NV_TREE))
-        self.angular_jacobians[:, :, 3:] = (self._axes * ROTATION_MASK[:, :, None]).transpose(0, 2, 1)
-
-        # the point pass
-        self.com_points = self.o + np.einsum("bij,bj->bi", self.R, desc.coms)
-        hips = self.o[BASE] + desc.hip_origins @ self.R[BASE].T
-        self.points = np.vstack([self.com_points, self.o[[WHEEL_L, WHEEL_R]], hips])
-        self.point_jacobians = self._point_jacobians(self.points, POINT_MASK)
+        # the point pass: r is each point's offset from its body's origin
         b = POINT_BODIES
-        r, w = self.points - self.o[b], self.omega[b]
-        self.point_velocities = self.v_origin[b] + cross_rows(w, r)
-        self.point_bias_acc = (self.a_origin_bias[b] + cross_rows(self.omega_dot_bias[b], r)
-                               + cross_rows(w, cross_rows(w, r)))
+        r = (R[b] @ desc.point_offsets)[:, :, 0]
+        self.points = self.o[b] + r
+        self.com_points = self.points[:N_BODIES]
+        self._axes = np.concatenate((EYE3, self.axis_w))
+        J = self.jacobians = self._point_jacobians()
+        self.point_jacobians = J[:len(POINT_BODIES)]
+        self.angular_jacobians = J[len(POINT_BODIES):]
+        self.point_velocities = self.point_jacobians @ u
+        wr_r = np.empty((len(b), 2, 3))
+        np.subtract(self.point_velocities, self.v_origin[b], out=wr_r[:, 0])
+        wr_r[:, 1] = r
+        a = cross_rows(rates[b], wr_r)
+        self.point_bias_acc = self.a_origin_bias[b] + a[:, 0] + a[:, 1]
 
     def wheel_centers(self) -> tuple[np.ndarray, np.ndarray]:
         return self.o[WHEEL_L].copy(), self.o[WHEEL_R].copy()
 
-    def _point_jacobians(self, points: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(m, 3, 16) Jacobians of points, each turned by the rotation axes its mask row selects."""
-        r = points[:, None, :] - self._axis_origins[None]
-        J = np.zeros((len(points), 3, NV_TREE))
-        J[:, :, 0:3] = np.eye(3)
-        J[:, :, 3:] = (cross_rows(self._axes[None], r) * mask[:, :, None]).transpose(0, 2, 1)
+    def _point_jacobians(self) -> np.ndarray:
+        """(26, 3, 16) linear-velocity Jacobians of the 15 points, then the
+        angular-velocity Jacobians of the 11 bodies: each point or body is
+        turned by the rotation axes its mask row selects."""
+        r = self.points[:, None] - self._axis_origins
+        J = JACOBIAN_TEMPLATE.copy()
+        # axis x r as hat(axis) @ r, each axis for all points in one product
+        J[:len(POINT_BODIES), :, 3:] = (hats(self._axes) @ r.transpose(1, 2, 0)).transpose(2, 1, 0)
+        J[len(POINT_BODIES):, :, 3:] = self._axes.T
+        J[:, :, 3:] *= JACOBIAN_MASK
         return J
 
     @property
     def com_jacobians(self) -> np.ndarray:
         """(11, 3, 16) linear-velocity Jacobians of every body CoM."""
-        return self.point_jacobians[:len(BODY_NAMES)]
+        return self.jacobians[:N_BODIES]
 
     @property
     def com_bias_acc(self) -> np.ndarray:
         """(11, 3) CoM accelerations for the current u with udot = 0."""
-        return self.point_bias_acc[:len(BODY_NAMES)]
+        return self.point_bias_acc[:N_BODIES]
 
     @cached_property
     def com(self) -> tuple[np.ndarray, float]:
@@ -387,7 +420,8 @@ class KinematicsCache:
     @cached_property
     def com_jacobian(self) -> np.ndarray:
         """(3, 16) linear-velocity Jacobian of the whole-body CoM."""
-        return np.tensordot(self.desc.masses, self.com_jacobians, axes=1) / self.desc.total_mass
+        m = self.desc.masses
+        return (m @ self.com_jacobians.reshape(N_BODIES, -1)).reshape(3, NV_TREE) / self.desc.total_mass
 
     @cached_property
     def heading_axis(self):
@@ -396,11 +430,11 @@ class KinematicsCache:
         velocity with udot = 0 (head rotates with the base: head' = w x head).
         """
         head = self.R[BASE][:, 0]
-        hx = np.array([head[0], head[1], 0.0])
-        nh = np.linalg.norm(hx)
+        hx, hy, _ = head.tolist()
+        nh = math.sqrt(hx * hx + hy * hy)
         if nh < 1e-8:
             raise ValueError("heading is vertical; frame N undefined")
-        x_n = hx / nh
+        x_n = np.array([hx / nh, hy / nh, 0.0])
         w = self.omega[BASE]
         h1 = cross3(w, head)
         h2 = cross3(w, h1)
@@ -446,22 +480,17 @@ class RobotModel:
     def task_state(self, kc: KinematicsCache, tj: TaskJacobians) -> TaskState:
         """Pose task values, and their rates through the task rows tj of kc."""
         p_cl, p_cr = tj.p_cl, tj.p_cr
-        origin = 0.5 * (p_cl + p_cr)
         x_n = kc.heading_axis[0]
         roll, pitch, yaw = euler_zyx(kc.R[BASE])
-        h = float((kc.o[BASE] - origin)[2])
+        h = float(kc.o[BASE, 2] - 0.5 * (p_cl[2] + p_cr[2]))
         # split: the difference of the legs' pendulum angles atan2(d . x_N, d_z),
         # d = hip - wheel center
         d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
-        theta = np.arctan2(d @ x_n, d[:, 2])
-        phi = float(theta[0] - theta[1])
+        (a_l, a_r), (b_l, b_r) = (d @ x_n).tolist(), d[:, 2].tolist()
+        phi = math.atan2(a_l, b_l) - math.atan2(a_r, b_r)
         d_w = float((p_cl - p_cr) @ x_n)
-        J_phi, J_h = tj.J[4], tj.J[0]
-        J_alpha, J_beta, J_gamma = tj.J[3], tj.J[1], tj.J[5]
-        u_y = kc.y.vel
         Lam = np.array([phi, h, roll, pitch, yaw])
-        Lam_dot = np.array([J_phi @ u_y, J_h @ u_y, J_alpha @ u_y,
-                            J_beta @ u_y, J_gamma @ u_y])
+        Lam_dot = (tj.J @ kc.y.vel)[LAMBDA_ROWS]
         return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w)
 
     def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
@@ -505,32 +534,31 @@ class RobotModel:
         """
         p_cl, p_cr = self.contact_points(kc, n_l, n_r)
         x_n, nh, x_d, x_dd = kc.heading_axis
-        ez = np.array([0.0, 0.0, 1.0])
         head = kc.R[BASE][:, 0]
-        w = kc.omega[BASE]
         u = kc.state.vel
-        Jx_n = np.zeros((3, NV_TREE))            # d(x_N)/du: base angular columns only
-        Jx_n[:, 3:6] = ((np.eye(3) - np.outer(x_n, x_n)) / nh) @ np.diag(
-            [1.0, 1.0, 0.0]) @ -hat(head)
+        J16 = np.zeros((6, NV_TREE))
+        jdot_u = np.zeros(6)
 
         # Height is measured against the contact midpoint, but the contacts are
         # an exogenous terrain measurement: only the base motion is differentiated
         # (their vertical motion is pinned by the rolling constraint anyway).
         # The base origin moves with u[0:3] itself, so the row has no bias.
-        J_h = np.zeros(NV_TREE)
-        J_h[2] = 1.0
+        J16[0, 2] = 1.0
 
         # Euler rates theta_dot = E^-1 w; E's columns are head (= Rz Ry e_x),
         # c1 = Rz e_y = ez x x_N and ez.  With head = |P head| x_N + head_z ez,
         # the rows of E^-1 are x_N / |P head|, c1 and ez - head_z x_N / |P head|.
         # Edot theta_dot = roll_dot (yaw_dot ez + pitch_dot c1) x head
-        # + pitch_dot yaw_dot ez x c1, where ez x c1 = -x_N.
-        c1 = cross3(ez, x_n)
-        Einv = np.array([x_n / nh, c1, ez - (head[2] / nh) * x_n])
-        J_euler = np.zeros((3, NV_TREE))
-        J_euler[:, 3:6] = Einv
-        rd, pd, yd = Einv @ w
-        euler_bias = -Einv @ (rd * cross3(yd * ez + pd * c1, head) - pd * yd * x_n)
+        # + pitch_dot yaw_dot ez x c1, where ez x c1 = -x_N.  Rows in task
+        # order: pitch, roll, yaw.
+        c1 = cross3(EZ, x_n)
+        Einv = np.array([c1, x_n / nh, EZ - (head[2] / nh) * x_n])
+        J16[1::2, 3:6] = Einv
+        pd, rd, yd = Einv @ kc.omega[BASE]
+        jdot_u[1::2] = -Einv @ (rd * cross3(yd * EZ + pd * c1, head) - pd * yd * x_n)
+
+        # x_N turns in the ground plane, along c1: d(x_N)/dw = c1 (head x c1)^T / |P head|
+        dx_n = cross3(head, c1) / nh
 
         # both legs' pendulum angles atan2(d . x_N, d_z), d = hip - wheel
         # center, from the cache's point pass
@@ -542,25 +570,25 @@ class RobotModel:
         a_dd, b_dd = d_dd @ x_n + 2.0 * (d_d @ x_d) + d @ x_dd, d_dd[:, 2]
         D = a * a + b * b
         Jd = J[hip] - J[wc]
-        rows = (b[:, None] * (x_n @ Jd + d @ Jx_n) - a[:, None] * Jd[:, 2]) / D[:, None]
+        xJd = x_n @ Jd
+        xJd[:, 3:6] += (d @ c1)[:, None] * dx_n
+        rows = (b[:, None] * xJd - a[:, None] * Jd[:, 2]) / D[:, None]
+        J16[4] = rows[0] - rows[1]
         bias = ((b * a_dd - a * b_dd) / D
                 - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
+        jdot_u[4] = bias[0] - bias[1]
 
         # r_com_x = (p_com - mid) . x_N with the contact midpoint moving as
         # the wheel-center midpoint (the normals are held fixed)
         p_com, M = kc.com
-        J_com = kc.com_jacobian
-        J_mid = 0.5 * J[wc].sum(axis=0)
+        Jw, acc_w = J[wc], kc.point_bias_acc[wc]
+        J_rel = kc.com_jacobian - 0.5 * (Jw[0] + Jw[1])
         r_vec = p_com - 0.5 * (p_cl + p_cr)
-        r_d = (J_com - J_mid) @ u
-        r_dd = (self.desc.masses @ kc.com_bias_acc / M
-                - 0.5 * kc.point_bias_acc[wc].sum(axis=0))
-        J_rx = x_n @ (J_com - J_mid) + r_vec @ Jx_n
-        rx_bias = r_dd @ x_n + 2.0 * (r_d @ x_d) + r_vec @ x_dd
-
-        J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], rows[0] - rows[1], J_euler[2]])
-        jdot_u = np.array([0.0, euler_bias[1], rx_bias, euler_bias[0],
-                           bias[0] - bias[1], euler_bias[2]])
+        r_d = J_rel @ u
+        r_dd = self.desc.masses @ kc.com_bias_acc / M - 0.5 * (acc_w[0] + acc_w[1])
+        J16[2] = x_n @ J_rel
+        J16[2, 3:6] += (r_vec @ c1) * dx_n
+        jdot_u[2] = r_dd @ x_n + 2.0 * (r_d @ x_d) + r_vec @ x_dd
         return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
 
 

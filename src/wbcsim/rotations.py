@@ -1,8 +1,12 @@
-"""SO(3) helpers: hat maps, exponential map, ZYX Euler angles."""
+"""SO(3) helpers: hat maps, exponential map, ZYX Euler angles, re-orthonormalization."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+THREE_I = 3.0 * np.eye(3)
 
 
 def cross3(a, b) -> np.ndarray:
@@ -26,13 +30,31 @@ def hat(w: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def exp_so3(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp([w]x) via Rodrigues' formula."""
-    th = float(np.linalg.norm(w))
-    W = hat(w)
+# hat(w) is linear in w: w @ HAT_BASIS, reshaped, is hat(w)
+HAT_BASIS = np.array([hat(e).ravel() for e in np.eye(3)])
+
+
+def hats(w: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) hat matrices of a (..., 3) stack of vectors, in one product."""
+    return (w @ HAT_BASIS).reshape(*w.shape[:-1], 3, 3)
+
+
+def exp_so3(w) -> np.ndarray:
+    """Rotation matrix exp([w]x) via Rodrigues' formula, I + a W + b W^2 with
+    W^2 = w w^T - |w|^2 I, evaluated on Python floats."""
+    x, y, z = (float(c) for c in w)
+    xx, yy, zz = x * x, y * y, z * z
+    th2 = xx + yy + zz
+    th = math.sqrt(th2)
     if th < 1e-12:
-        return np.eye(3) + W + 0.5 * (W @ W)
-    return np.eye(3) + (np.sin(th) / th) * W + ((1.0 - np.cos(th)) / th**2) * (W @ W)
+        a, b = 1.0, 0.5
+    else:
+        a, b = math.sin(th) / th, (1.0 - math.cos(th)) / th2
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return np.array([[1.0 - b * (yy + zz), bxy - az, bxz + ay],
+                     [bxy + az, 1.0 - b * (xx + zz), byz - ax],
+                     [bxz - ay, byz + ax, 1.0 - b * (xx + yy)]])
 
 
 def rot_y(a: float) -> np.ndarray:
@@ -45,12 +67,11 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def euler_zyx(R: np.ndarray) -> np.ndarray:
+def euler_zyx(R: np.ndarray) -> tuple[float, float, float]:
     """(roll, pitch, yaw) with R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    pitch = -np.arcsin(float(np.clip(R[2, 0], -1.0, 1.0)))
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return np.array([roll, pitch, yaw])
+    (r00, _, _), (r10, _, _), (r20, r21, r22) = R.tolist()
+    pitch = -math.asin(min(max(r20, -1.0), 1.0))
+    return math.atan2(r21, r22), pitch, math.atan2(r10, r00)
 
 
 def wrap_angle(a: float | np.ndarray):
@@ -60,7 +81,11 @@ def wrap_angle(a: float | np.ndarray):
 
 
 def project_to_so3(R: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (polar decomposition via SVD)."""
-    U, _, Vt = np.linalg.svd(R)
-    D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))])
-    return U @ D @ Vt
+    """One Newton-Schulz step towards the polar factor, R (3I - R^T R) / 2
+    (Higham 1986).
+
+    Only for R within roundoff of a rotation, as a product of rotations is:
+    its error from orthonormality then drops to roundoff.  It does not find
+    the nearest rotation of an arbitrary matrix.
+    """
+    return 0.5 * (R @ (THREE_I - R.T @ R))

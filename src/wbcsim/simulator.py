@@ -25,7 +25,7 @@ from .dynamics import (
     mechanical_energy,
 )
 from .hqp import HierarchySolver, HqpError, dynamics_constraints
-from .model import KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
+from .model import EZ, KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
     CareError,
@@ -43,8 +43,6 @@ from .terrain_estimation import (
     incline_angle,
     query_normal,
 )
-
-EZ = np.array([0.0, 0.0, 1.0])
 
 BAUMGARTE_OMEGA = 50.0
 BAUMGARTE_ZETA = 1.0
@@ -257,10 +255,6 @@ class SimState:
     work_in: float = 0.0         # actuator + disturbance work, J
     dissipated: float = 0.0      # lateral friction, J (>= 0)
 
-    def copy(self) -> "SimState":
-        return SimState(y=self.y.copy(), F_C=self.F_C.copy(), t=self.t,
-                        work_in=self.work_in, dissipated=self.dissipated)
-
 
 LOG_COLUMNS = ("t", "phi", "h", "alpha", "beta", "gamma",
                "r_x", "dr_x", "s_x", "ds_x",
@@ -374,25 +368,20 @@ def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
     if not np.isfinite(u_new).all():
         raise SimulationError(f"NaN/Inf velocity at t = {state.t:.4f}")
 
-    new = state.copy()
-    new.y.vel = u_new
-    new.y.pos = y.pos + dt * u_new[:3]
-    new.y.rot = project_to_so3(exp_so3(dt * u_new[3:6]) @ y.rot)
-    new.y.qj = y.qj + dt * u_new[6:]
-    new.F_C = F_C
-    new.t = state.t + dt
-
-    # energy audit: actuator power at the tree joints, disturbance power,
-    # lateral friction dissipation (F_y = C_F row . F_C against v_y)
-    qdot_a = model.S @ (cl.G @ u_new)
-    new.work_in += dt * float(np.asarray(tau_a, float) @ qdot_a)
+    # energy audit: actuator power at the actuated joints, whose rates are
+    # u_y[6:], disturbance power, lateral friction dissipation (F_y = C_F
+    # row . F_C against v_y)
+    work_in = state.work_in + dt * float(np.asarray(tau_a, float) @ u_new[6:])
     if ext_wrench is not None:
-        new.work_in += dt * float(ext_wrench[:3] @ u_new[:3]
-                                  + ext_wrench[3:] @ u_new[3:6])
-    v_y = cl.J_y @ u_new
+        work_in += dt * float(ext_wrench[:3] @ u_new[:3]
+                              + ext_wrench[3:] @ u_new[3:6])
     F_y = cl.contact.C_F @ F_C
-    new.dissipated += -dt * float(F_y @ v_y)
-    return new
+    dissipated = state.dissipated - dt * float(F_y @ (cl.J_y @ u_new))
+    y_new = MinimalState(pos=y.pos + dt * u_new[:3],
+                         rot=project_to_so3(exp_so3(dt * u_new[3:6]) @ y.rot),
+                         qj=y.qj + dt * u_new[6:], vel=u_new)
+    return SimState(y=y_new, F_C=F_C, t=state.t + dt, work_in=work_in,
+                    dissipated=dissipated)
 
 
 def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,

@@ -20,7 +20,7 @@ from .model import TaskJacobians
 from .rotations import wrap_angle
 
 # Lambda order (phi, h, alpha, beta, gamma); angular entries get wrapped errors
-ANGULAR_TASKS = (0, 2, 3, 4)
+ANGULAR_TASKS = [0, 2, 3, 4]
 
 DEFAULT_KP = np.array([100.0, 400.0, 400.0, 400.0, 50.0])
 DEFAULT_Q = np.diag([100.0, 1.0, 10.0, 1.0])
@@ -53,8 +53,7 @@ def pd_accel(ref_L: np.ndarray, ref_Ldot: np.ndarray,
              L: np.ndarray, Ldot: np.ndarray, gains: PoseGains) -> np.ndarray:
     """a_n = kp_n (ref - L)_n + kd_n (ref_dot - Ldot)_n, angle errors wrapped."""
     err = np.asarray(ref_L, float) - np.asarray(L, float)
-    for i in ANGULAR_TASKS:
-        err[i] = wrap_angle(err[i])
+    err[ANGULAR_TASKS] = wrap_angle(err[ANGULAR_TASKS])
     rate_err = np.asarray(ref_Ldot, float) - np.asarray(Ldot, float)
     return gains.kp * err + gains.kd * rate_err
 

@@ -9,6 +9,7 @@ read, and served through a lookahead query with exponential smoothing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -398,4 +399,4 @@ def query_normal(nmap: NormalMap, position_xy: np.ndarray, heading: np.ndarray,
 
 def incline_angle(n: np.ndarray) -> float:
     """Inclination of an upward unit normal, in degrees."""
-    return float(np.degrees(np.arccos(np.clip(np.asarray(n, float)[2], -1.0, 1.0))))
+    return math.degrees(math.acos(min(max(float(n[2]), -1.0), 1.0)))

@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: finite-difference state moves, coordinate
-and pose views of a state, ballistic accelerations, point-cloud files, an
+"""Helpers that only the tests use: finite-difference state moves, the SVD
+rotation projection and the matrix-form exponential map, coordinate and
+pose views of a state, ballistic accelerations, point-cloud files, an
 equilibrium residual and an LQR solve counter."""
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ import numpy as np
 
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics
 from wbcsim.model import BODY_NAMES, INDEP_JOINTS, MinimalState, RobotModel, SpanningTreeState
-from wbcsim.rotations import exp_so3
+from wbcsim.rotations import exp_so3, hat
 from wbcsim.task_control import GainScheduler, LqrDesign
 from wbcsim.terrain_estimation import PointCloud
 
@@ -36,6 +37,22 @@ def log_so3(R: np.ndarray) -> np.ndarray:
         return np.array([A[2, 1], A[0, 2], A[1, 0]])
     A = (th / (2.0 * np.sin(th))) * (R - R.T)
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def svd_project_to_so3(R: np.ndarray) -> np.ndarray:
+    """Nearest rotation matrix of any R, the polar factor by SVD."""
+    U, _, Vt = np.linalg.svd(R)
+    D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))])
+    return U @ D @ Vt
+
+
+def exp_so3_matrix(w: np.ndarray) -> np.ndarray:
+    """exp([w]x) by Rodrigues' formula on the hat matrix W: I + a W + b W @ W."""
+    th = float(np.linalg.norm(w))
+    W = hat(w)
+    if th < 1e-12:
+        return np.eye(3) + W + 0.5 * (W @ W)
+    return np.eye(3) + (np.sin(th) / th) * W + ((1.0 - np.cos(th)) / th**2) * (W @ W)
 
 
 def extract_independent(q: SpanningTreeState) -> MinimalState:

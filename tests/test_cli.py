@@ -304,6 +304,22 @@ BAD_OPTIONS = [
 ]
 
 
+@pytest.mark.parametrize("values,first,second", [("1,1", 1, 2), ("0.5,5e-1", 1, 2),
+                                                 ("2,0.5,0.50", 2, 3)])
+def test_sweep_values_sharing_a_directory_exit_2_naming_them(flat_scn, tmp_path, capsys,
+                                                              values, first, second):
+    """Values that parse alike would write one directory twice: the sweep
+    stops before any run and names both."""
+    rc = main(["--scenario", flat_scn, "--out", str(tmp_path / "o"), "--mode", "sweep",
+               "--sweep", f"lqr_r={values}", "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --sweep lqr_r:")
+    assert f"values {first} (" in err and f"and {second} (" in err, err
+    assert "'lqr_r_" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args,option", BAD_OPTIONS)
 def test_bad_option_exits_2_naming_it(flat_scn, tmp_path, capsys, args, option):
     rc = main(["--scenario", flat_scn, "--out", str(tmp_path / "o"), *args])

@@ -1,5 +1,7 @@
 """Dynamics tests against an independent recursive Newton-Euler oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,8 +209,7 @@ def test_coriolis_skew_proxy(model, states):
         Hp = spanning_tree_dynamics(model.kinematics(perturbed(y, u, eps))).H
         Hm = spanning_tree_dynamics(model.kinematics(perturbed(y, u, -eps))).H
         Hdot = (Hp - Hm) / (2 * eps)
-        y0 = y.copy()
-        y0.vel = np.zeros(12)
+        y0 = dataclasses.replace(y, vel=np.zeros(12))
         C_vel = (spanning_tree_dynamics(kc).C
                  - spanning_tree_dynamics(model.kinematics(y0)).C)
         u16 = model.G @ u

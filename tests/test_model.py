@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wbcsim.dynamics import spanning_tree_dynamics
 from wbcsim.model import (
     BODY_NAMES,
     INDEP_JOINTS,
@@ -22,7 +23,8 @@ from conftest import random_minimal_state, random_normal, tilted_robot
 from helpers import (extract_independent, forward_kinematics, log_so3, loop_jacobian,
                      perturbed)
 from closed_loop_oracle import euler_rates_from_omega, per_point_task_jacobians
-from kinematics_oracle import FIELDS, per_joint_kinematics
+from kinematics_oracle import (CACHE_FIELDS, FIELDS, einsum_tree_dynamics,
+                               path_sum_kinematics, per_joint_kinematics)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -169,6 +171,29 @@ def test_kinematics_cache_matches_per_joint_oracle(robot):
         for name in FIELDS:
             np.testing.assert_allclose(getattr(kc, name), expected[name],
                                        rtol=0.0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("robot", ["default", "tilted"])
+def test_batched_state_pass_matches_per_term_oracle(robot):
+    """Every cache field, and the tree dynamics' H and C, equal the path sums
+    with one cross product per term and the per-body einsums, at random
+    tree states."""
+    rng = np.random.default_rng(12)
+    desc = RobotDescription.default() if robot == "default" else tilted_robot(rng)
+    for _ in range(50):
+        state = SpanningTreeState(pos=rng.uniform(-1.0, 1.0, 3),
+                                  rot=exp_so3(rng.uniform(-1.0, 1.0, 3)),
+                                  qj=rng.uniform(-3.0, 3.0, NQ_TREE),
+                                  vel=rng.uniform(-2.0, 2.0, NV_TREE))
+        kc = KinematicsCache(desc, None, state)
+        expected = path_sum_kinematics(desc, state)
+        for name in CACHE_FIELDS:
+            np.testing.assert_allclose(getattr(kc, name), expected[name],
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        H, C = einsum_tree_dynamics(desc, expected)
+        dyn = spanning_tree_dynamics(kc)
+        np.testing.assert_allclose(dyn.H, H, rtol=0.0, atol=1e-12, err_msg="H")
+        np.testing.assert_allclose(dyn.C, C, rtol=0.0, atol=1e-12, err_msg="C")
 
 
 # -- contact points ---------------------------------------------------------
