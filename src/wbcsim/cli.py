@@ -191,19 +191,17 @@ def do_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_values:
         print(f"error: --sweep {cfg.sweep_key} has no values", file=sys.stderr)
         return 2
-    subs = [f"{cfg.sweep_key.replace('.', '_')}_"
-            f"{str(value).replace('/', '_').replace(' ', '')}" for value in cfg.sweep_values]
-    for i, sub in enumerate(subs):            # one output directory per value
-        j = subs.index(sub)
-        if j != i:
-            print(f"error: --sweep {cfg.sweep_key}: values {j + 1} "
-                  f"({cfg.sweep_values[j]!r}) and {i + 1} ({cfg.sweep_values[i]!r}) "
-                  f"would both write to '{sub}'", file=sys.stderr)
-            return 2
-    for value in cfg.sweep_values:            # validate every run before any starts
+    jobs, first = [], {}                      # check every run before any starts
+    for i, value in enumerate(cfg.sweep_values):
         load_scenario(cfg.scenario, {**cfg.params, cfg.sweep_key: value})
-    jobs = [(cfg.scenario, cfg.params, cfg.sweep_key, value, cfg.seed,
-             os.path.join(cfg.out_dir, sub)) for value, sub in zip(cfg.sweep_values, subs)]
+        sub = f"{cfg.sweep_key.replace('.', '_')}_{str(value).replace('/', '_').replace(' ', '')}"
+        j = first.setdefault(sub, i)
+        if j != i:
+            print(f"error: --sweep {cfg.sweep_key}: values {j + 1} ({cfg.sweep_values[j]!r}) "
+                  f"and {i + 1} ({value!r}) would both write to '{sub}'", file=sys.stderr)
+            return 2
+        jobs.append((cfg.scenario, cfg.params, cfg.sweep_key, value, cfg.seed,
+                     os.path.join(cfg.out_dir, sub)))
     workers = min(len(jobs), cfg.jobs or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:

@@ -89,16 +89,14 @@ def spanning_tree_dynamics(kc: KinematicsCache) -> SpanningTreeDynamics:
     J = kc.jacobians[TREE_ROWS]
     Jv, Jw = J[:N_BODIES], J[N_BODIES:]
     I_w = kc.R @ desc.inertias @ kc.R.transpose(0, 2, 1)
-    # I_w [w, wdot_bias] of every body, (11, 3, 2)
-    Iw = I_w @ kc.rates.transpose(0, 2, 1)
+    Iw = I_w @ kc.rates.transpose(0, 2, 1)      # (11, 3, 2): I_w [w, wdot] of every body
     rhs = np.empty((2 * N_BODIES, 3, NV_TREE + 1))
     np.multiply(desc.masses[:, None, None], Jv, out=rhs[:N_BODIES, :, :NV_TREE])
     np.matmul(I_w, Jw, out=rhs[N_BODIES:, :, :NV_TREE])
     rhs[:N_BODIES, :, NV_TREE] = desc.masses[:, None] * (kc.com_bias_acc - GRAVITY_ACC)
     rhs[N_BODIES:, :, NV_TREE] = Iw[:, :, 1] + cross_rows(kc.omega, Iw[:, :, 0])
     HC = J.reshape(6 * N_BODIES, NV_TREE).T @ rhs.reshape(6 * N_BODIES, NV_TREE + 1)
-    H = HC[:, :NV_TREE]
-    H = 0.5 * (H + H.T)          # exactly symmetric, not only up to roundoff
+    H = 0.5 * (HC[:, :NV_TREE] + HC[:, :NV_TREE].T)   # exactly symmetric, not only up to roundoff
     return SpanningTreeDynamics(H=H, C=HC[:, NV_TREE])
 
 
@@ -120,9 +118,8 @@ def _closed_loop_state(model: RobotModel, kc: KinematicsCache) -> ClosedLoopStat
         wheels[:, :3, :NV_TREE] = kc.point_jacobians[WHEEL_POINTS]
         wheels[:, 3:, :NV_TREE] = kc.angular_jacobians[w]
         wheels[:, :3, NV_TREE] = kc.point_velocities[WHEEL_POINTS]
-        wheels[:, 3:, NV_TREE] = kc.omega[w]
         wheels[:, :3, NV_TREE + 1] = kc.point_bias_acc[WHEEL_POINTS]
-        wheels[:, 3:, NV_TREE + 1] = kc.omega_dot_bias[w]
+        wheels[:, 3:, NV_TREE:] = kc.rates[w].transpose(0, 2, 1)
         head = kc.R[BASE][:, 0]
         kc.closed_loop_state = ClosedLoopState(
             H_y=G.T @ dyn.H @ G, C_y=G.T @ dyn.C, wheels=wheels,

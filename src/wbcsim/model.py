@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .rotations import cross3, cross_rows, euler_zyx, hat, hats
+from .rotations import cross3, cross_rows, euler_zyx, hat
 
 NQ_TREE = 10
 NV_TREE = 16
@@ -55,10 +55,6 @@ ACTUATED_JOINTS = INDEP_JOINTS
 HIP_JOINTS = [0, 5]
 
 EZ = np.array([0.0, 0.0, 1.0])
-# the task rows (height, pitch, balance, roll, split, yaw) in the Lambda order
-# (phi, h, alpha, beta, gamma)
-LAMBDA_ROWS = [4, 0, 3, 1, 5]
-
 # accepted deviation of a ground normal's length from 1 (the absolute plus
 # relative tolerance of np.isclose(norm, 1, atol=1e-6), without its overhead)
 UNIT_TOL = 1e-6 + 1e-5
@@ -107,16 +103,13 @@ JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
 POINT_BODIES = np.r_[np.arange(N_BODIES), WHEEL_L, WHEEL_R, BASE, BASE]
 POINT_MASK = ROTATION_MASK[POINT_BODIES]
 WHEEL_POINTS, HIP_POINTS = slice(11, 13), slice(13, 15)
-# the body each rotation axis passes through the origin of: the base for its
-# x, y and z, each joint's child for the joints
 AXIS_BODIES = np.r_[BASE, BASE, BASE, JOINT_CHILD]
-# KinematicsCache's point pass: the linear Jacobians of the points, then the
-# angular Jacobians of the bodies, each a (3, 16) block; the mask selects the
-# rotation axes that turn each, the template holds the constant columns
+# the (26, 3, 16) Jacobians of the point pass, linear ones of the points then
+# angular ones of the bodies: the rotation axes that turn each row, the
+# constant columns, and the rows of the body CoMs and rotations
 JACOBIAN_MASK = np.vstack([POINT_MASK, ROTATION_MASK])[:, None].astype(float)
 JACOBIAN_TEMPLATE = np.zeros((len(JACOBIAN_MASK), 3, NV_TREE))
 JACOBIAN_TEMPLATE[:len(POINT_BODIES), :, :3] = np.eye(3)
-# its rows of the body CoMs, then of the bodies' rotations
 TREE_ROWS = np.r_[:N_BODIES, len(POINT_BODIES):len(JACOBIAN_MASK)]
 EYE3 = np.eye(3)
 SIDES = ("left", "right")
@@ -196,13 +189,12 @@ class RobotDescription:
         # hat matrix K of the unit axis with K^2, for Rodrigues' formula
         self.joint_vectors = np.array([np.column_stack([j.origin, j.axis])
                                        for j in self.joints], dtype=float)
-        self.axis_hats = np.array([hat(j.axis / np.linalg.norm(j.axis)) for j in self.joints])
+        self.axis_hats = hat([j.axis / np.linalg.norm(j.axis) for j in self.joints])
         self.axis_hats_sq = self.axis_hats @ self.axis_hats
         # (2, 3) hip joint origins in the base frame, left and right
         self.hip_origins = self.joint_vectors[HIP_JOINTS, :, 0]
         # (15, 3, 1) offset of each POINT_BODIES point in its body's frame
-        self.point_offsets = np.concatenate([self.coms, np.zeros((2, 3)),
-                                             self.hip_origins])[:, :, None]
+        self.point_offsets = np.concatenate([self.coms, np.zeros((2, 3)), self.hip_origins])[:, :, None]
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RobotDescription":
@@ -363,7 +355,7 @@ class KinematicsCache:
         rates = self.rates = np.empty((N_BODIES, 2, 3))
         self.omega, self.omega_dot_bias = rates[:, 0], rates[:, 1]
         np.add(u[3:6], JOINT_PATH @ (self.axis_w * qd), out=self.omega)
-        w_ra = hats(self.omega[JOINT_PARENT]) @ ra
+        w_ra = hat(self.omega[JOINT_PARENT]) @ ra
         self.v_origin = u[0:3] + JOINT_PATH @ w_ra[:, :, 0]
         np.matmul(JOINT_PATH, w_ra[:, :, 1] * qd, out=self.omega_dot_bias)
         w_ra[:, :, 1] = r
@@ -380,6 +372,7 @@ class KinematicsCache:
         self.point_jacobians = J[:len(POINT_BODIES)]
         self.angular_jacobians = J[len(POINT_BODIES):]
         self.point_velocities = self.point_jacobians @ u
+        # [w, wdot] x [w x r, r], where w x r is the point's velocity less its body origin's
         wr_r = np.empty((len(b), 2, 3))
         np.subtract(self.point_velocities, self.v_origin[b], out=wr_r[:, 0])
         wr_r[:, 1] = r
@@ -396,15 +389,10 @@ class KinematicsCache:
         r = self.points[:, None] - self._axis_origins
         J = JACOBIAN_TEMPLATE.copy()
         # axis x r as hat(axis) @ r, each axis for all points in one product
-        J[:len(POINT_BODIES), :, 3:] = (hats(self._axes) @ r.transpose(1, 2, 0)).transpose(2, 1, 0)
+        J[:len(POINT_BODIES), :, 3:] = (hat(self._axes) @ r.transpose(1, 2, 0)).transpose(2, 1, 0)
         J[len(POINT_BODIES):, :, 3:] = self._axes.T
         J[:, :, 3:] *= JACOBIAN_MASK
         return J
-
-    @property
-    def com_jacobians(self) -> np.ndarray:
-        """(11, 3, 16) linear-velocity Jacobians of every body CoM."""
-        return self.jacobians[:N_BODIES]
 
     @property
     def com_bias_acc(self) -> np.ndarray:
@@ -420,8 +408,8 @@ class KinematicsCache:
     @cached_property
     def com_jacobian(self) -> np.ndarray:
         """(3, 16) linear-velocity Jacobian of the whole-body CoM."""
-        m = self.desc.masses
-        return (m @ self.com_jacobians.reshape(N_BODIES, -1)).reshape(3, NV_TREE) / self.desc.total_mass
+        Jv = self.jacobians[:N_BODIES].reshape(N_BODIES, -1)
+        return (self.desc.masses @ Jv).reshape(3, NV_TREE) / self.desc.total_mass
 
     @cached_property
     def heading_axis(self):
@@ -488,10 +476,10 @@ class RobotModel:
         d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
         (a_l, a_r), (b_l, b_r) = (d @ x_n).tolist(), d[:, 2].tolist()
         phi = math.atan2(a_l, b_l) - math.atan2(a_r, b_r)
-        d_w = float((p_cl - p_cr) @ x_n)
-        Lam = np.array([phi, h, roll, pitch, yaw])
-        Lam_dot = (tj.J @ kc.y.vel)[LAMBDA_ROWS]
-        return TaskState(Lambda=Lam, Lambda_dot=Lam_dot, d_w=d_w)
+        # the rates: the task rows, taken in Lambda order
+        return TaskState(Lambda=np.array([phi, h, roll, pitch, yaw]),
+                         Lambda_dot=(tj.J @ kc.y.vel)[[4, 0, 3, 1, 5]],
+                         d_w=float((p_cl - p_cr) @ x_n))
 
     def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
         """CoM position/velocity in heading (x) and vertical (z) axes.
@@ -508,16 +496,11 @@ class RobotModel:
         p_com, M = kc.com
         v_com = kc.com_jacobian @ kc.state.vel
         # the contacts move with the wheel centers (the normals are held fixed)
-        v_mid = 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
-
+        v_rel = v_com - 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
         r_vec = p_com - 0.5 * (tj.p_cl + tj.p_cr)
-        r = np.array([r_vec @ x_n, r_vec[2]])
-        s = np.array([p_com @ x_n, p_com[2]])
-        return ComState(r=r, s=s,
-                        r_dot=np.array([x_n @ (v_com - v_mid) + r_vec @ x_d,
-                                        v_com[2] - v_mid[2]]),
-                        s_dot=np.array([x_n @ v_com, v_com[2]]),
-                        total_mass=M)
+        return ComState(r=np.array([r_vec @ x_n, r_vec[2]]), s=np.array([p_com @ x_n, p_com[2]]),
+                        r_dot=np.array([x_n @ v_rel + r_vec @ x_d, v_rel[2]]),
+                        s_dot=np.array([x_n @ v_com, v_com[2]]), total_mass=M)
 
     def task_jacobians(self, kc: KinematicsCache, n_l: np.ndarray,
                        n_r: np.ndarray) -> TaskJacobians:
@@ -527,8 +510,7 @@ class RobotModel:
         Jdot*u_y is each task's second time derivative along the current
         velocity with udot = 0.  It is assembled from the Jacobians and bias
         accelerations of the cache's point pass (body CoMs, wheel centers and
-        hips), the
-        first two rates of the rotating heading axis x_N, and for the Euler
+        hips), the first two rates of the rotating heading axis x_N, and for the Euler
         rows the rate of the Euler-rate map: with E(theta) theta_dot = w,
         theta_ddot = -E^-1 Edot theta_dot at constant w.
         """

@@ -24,42 +24,29 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
-def hat(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that hat(w) @ v == cross(w, v)."""
-    x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+# hat(w) is linear in w: the rows of HAT_BASIS are hat(e_x), hat(e_y), hat(e_z)
+HAT_BASIS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                      [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
-# hat(w) is linear in w: w @ HAT_BASIS, reshaped, is hat(w)
-HAT_BASIS = np.array([hat(e).ravel() for e in np.eye(3)])
-
-
-def hats(w: np.ndarray) -> np.ndarray:
-    """(..., 3, 3) hat matrices of a (..., 3) stack of vectors, in one product."""
+def hat(w) -> np.ndarray:
+    """Skew-symmetric matrix such that hat(w) @ v == cross(w, v); of a (..., 3)
+    stack of vectors, the (..., 3, 3) stack of their matrices, in one product."""
+    w = np.asarray(w, dtype=float)
     return (w @ HAT_BASIS).reshape(*w.shape[:-1], 3, 3)
 
 
 def exp_so3(w) -> np.ndarray:
-    """Rotation matrix exp([w]x) via Rodrigues' formula, I + a W + b W^2 with
-    W^2 = w w^T - |w|^2 I, evaluated on Python floats."""
+    """Rotation matrix exp([w]x) by Rodrigues' formula, I + a W + b W^2 with
+    W^2 = w w^T - |w|^2 I, on Python floats."""
     x, y, z = (float(c) for c in w)
-    xx, yy, zz = x * x, y * y, z * z
-    th2 = xx + yy + zz
+    th2 = x * x + y * y + z * z
     th = math.sqrt(th2)
-    if th < 1e-12:
-        a, b = 1.0, 0.5
-    else:
-        a, b = math.sin(th) / th, (1.0 - math.cos(th)) / th2
-    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    ax, ay, az = a * x, a * y, a * z
-    return np.array([[1.0 - b * (yy + zz), bxy - az, bxz + ay],
-                     [bxy + az, 1.0 - b * (xx + zz), byz - ax],
-                     [bxz - ay, byz + ax, 1.0 - b * (xx + yy)]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    a, b = (math.sin(th) / th, (1.0 - math.cos(th)) / th2) if th >= 1e-12 else (1.0, 0.5)
+    return np.array([[1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
+                     [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
+                     [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)]])
 
 
 def rot_z(a: float) -> np.ndarray:
@@ -81,11 +68,7 @@ def wrap_angle(a: float | np.ndarray):
 
 
 def project_to_so3(R: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step towards the polar factor, R (3I - R^T R) / 2
-    (Higham 1986).
-
-    Only for R within roundoff of a rotation, as a product of rotations is:
-    its error from orthonormality then drops to roundoff.  It does not find
-    the nearest rotation of an arbitrary matrix.
-    """
+    """One Newton-Schulz step to the polar factor, R (3I - R^T R) / 2 (Higham
+    1986): exact to roundoff only for R within roundoff of a rotation, as a
+    product of rotations is; not the nearest rotation of any other matrix."""
     return 0.5 * (R @ (THREE_I - R.T @ R))

@@ -340,8 +340,7 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
 
     cvel = cl.J_xz @ y.vel
     gap = np.zeros(4)
-    for i, p in ((1, cl.p_cl), (3, cl.p_cr)):
-        n = cl.contact.n_l if i == 1 else cl.contact.n_r
+    for i, p, n in ((1, cl.p_cl, cl.contact.n_l), (3, cl.p_cr, cl.contact.n_r)):
         gap[i] = n[2] * (p[2] - terrain.height(p[0], p[1]))
     drift = (cl.Jdot_xz_u + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
              + BAUMGARTE_OMEGA**2 * gap)
@@ -373,15 +372,13 @@ def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
     # row . F_C against v_y)
     work_in = state.work_in + dt * float(np.asarray(tau_a, float) @ u_new[6:])
     if ext_wrench is not None:
-        work_in += dt * float(ext_wrench[:3] @ u_new[:3]
-                              + ext_wrench[3:] @ u_new[3:6])
+        work_in += dt * float(ext_wrench @ u_new[:6])
     F_y = cl.contact.C_F @ F_C
     dissipated = state.dissipated - dt * float(F_y @ (cl.J_y @ u_new))
-    y_new = MinimalState(pos=y.pos + dt * u_new[:3],
-                         rot=project_to_so3(exp_so3(dt * u_new[3:6]) @ y.rot),
-                         qj=y.qj + dt * u_new[6:], vel=u_new)
-    return SimState(y=y_new, F_C=F_C, t=state.t + dt, work_in=work_in,
-                    dissipated=dissipated)
+    return SimState(y=MinimalState(pos=y.pos + dt * u_new[:3],
+                                   rot=project_to_so3(exp_so3(dt * u_new[3:6]) @ y.rot),
+                                   qj=y.qj + dt * u_new[6:], vel=u_new),
+                    F_C=F_C, t=state.t + dt, work_in=work_in, dissipated=dissipated)
 
 
 def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,
@@ -444,16 +441,9 @@ def initial_state(model: RobotModel, terrain: Terrain,
     # over spinning the wheels); pick the spin sign that best satisfies
     # the rolling constraint before the final projection
     if speed != 0.0:
-        omega_w = speed / r_w
-        best = None
-        for sgn in (1.0, -1.0):
-            u_try = u0.copy()
-            u_try[8] = sgn * omega_w
-            u_try[11] = sgn * omega_w
-            resid = np.linalg.norm(cl.J_xz @ u_try)
-            if best is None or resid < best[0]:
-                best = (resid, u_try)
-        u0 = best[1]
+        spin = np.zeros(12)
+        spin[[8, 11]] = speed / r_w
+        u0 = min((u0 + spin, u0 - spin), key=lambda u: np.linalg.norm(cl.J_xz @ u))
     # project onto the rolling-constraint manifold (min-norm correction)
     c = cl.J_xz @ u0
     du = np.linalg.lstsq(cl.J_xz, -c, rcond=None)[0]
@@ -571,11 +561,8 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
                       else closed_loop_dynamics(model, kc, nl_hat, nr_hat,
                                                 mu=terrain.mu))
 
-            # express the yaw reference in the branch nearest the current
-            # yaw so the PD error stays wrapped across the +/-pi seam
-            yaw_err = wrap_angle(yaw_ref - ts.Lambda[4])
-            ref_L = np.array([0.0, seg.height, 0.0, 0.0,
-                              ts.Lambda[4] + yaw_err])
+            # pd_accel wraps the yaw error across the +/-pi seam
+            ref_L = np.array([0.0, seg.height, 0.0, 0.0, yaw_ref])
             pose_a = pd_accel(ref_L, np.zeros(5), ts.Lambda, ts.Lambda_dot, gains)
 
             if s_ref is None or seg.yaw_rate != 0.0:

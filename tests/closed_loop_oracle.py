@@ -31,7 +31,9 @@ from wbcsim.model import (
     WHEEL_R,
     TaskJacobians,
 )
-from wbcsim.rotations import cross3, euler_zyx, hat, rot_y, rot_z
+from wbcsim.rotations import cross3, euler_zyx, hat, rot_z
+
+from helpers import rot_y
 
 GIMBAL_COS_TOL = 1e-6
 

@@ -1,7 +1,7 @@
-"""Helpers that only the tests use: finite-difference state moves, the SVD
-rotation projection and the matrix-form exponential map, coordinate and
-pose views of a state, ballistic accelerations, point-cloud files, an
-equilibrium residual and an LQR solve counter."""
+"""Helpers that only the tests use: finite-difference state moves, rotations
+about +y, the SVD rotation projection and the matrix-form exponential map,
+coordinate and pose views of a state, ballistic accelerations, point-cloud
+files, an equilibrium residual and an LQR solve counter."""
 
 from __future__ import annotations
 
@@ -37,6 +37,12 @@ def log_so3(R: np.ndarray) -> np.ndarray:
         return np.array([A[2, 1], A[0, 2], A[1, 0]])
     A = (th / (2.0 * np.sin(th))) * (R - R.T)
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def rot_y(a: float) -> np.ndarray:
+    """Rotation by a about +y."""
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def svd_project_to_so3(R: np.ndarray) -> np.ndarray:

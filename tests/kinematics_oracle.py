@@ -17,7 +17,9 @@ from wbcsim.dynamics import GRAVITY
 from wbcsim.model import (BASE, JOINT_CHILD, JOINT_LEVELS, JOINT_PARENT, JOINT_PATH, NQ_TREE,
                           NV_TREE, POINT_BODIES, POINT_MASK, ROTATION_MASK, WHEEL_L, WHEEL_R,
                           RobotDescription, SpanningTreeState)
-from wbcsim.rotations import cross3, exp_so3, rot_y
+from wbcsim.rotations import cross3, exp_so3
+
+from helpers import rot_y
 
 FIELDS = ("R", "o", "axis_w", "joint_origin_w", "omega", "v_origin",
           "omega_dot_bias", "a_origin_bias")
