@@ -7,6 +7,7 @@ the 12-dimensional closed-loop form H_y = G^T H G, C_y = G^T C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,10 @@ class ClosedLoopState:
     # 0-2) and the wheel's rotation (rows 3-5): their Jacobians (columns
     # 0-15), velocities (16) and bias accelerations with udot = 0 (17)
     wheels: np.ndarray
-    head: np.ndarray             # base x axis
-    head_dot: np.ndarray         # its rate, omega_base x head
+    wheel_vel: list              # per wheel, its center velocity and angular velocity, as floats
+    head: list                   # base x axis, as floats
+    head_dot: list               # its rate, omega_base x head, as floats
+    K: np.ndarray                # 16x16 [H_y, 0; 0, 0], the template of every normal set's K
 
 
 @dataclass
@@ -121,9 +124,13 @@ def _closed_loop_state(model: RobotModel, kc: KinematicsCache) -> ClosedLoopStat
         wheels[:, :3, NV_TREE + 1] = kc.point_bias_acc[WHEEL_POINTS]
         wheels[:, 3:, NV_TREE:] = kc.rates[w].transpose(0, 2, 1)
         head = kc.R[BASE][:, 0]
+        H_y = G.T @ dyn.H @ G
+        K = np.zeros((NV_MIN + 4, NV_MIN + 4))
+        K[:NV_MIN, :NV_MIN] = H_y
         kc.closed_loop_state = ClosedLoopState(
-            H_y=G.T @ dyn.H @ G, C_y=G.T @ dyn.C, wheels=wheels,
-            head=head, head_dot=cross3(kc.omega[BASE], head))
+            H_y=H_y, C_y=G.T @ dyn.C, wheels=wheels,
+            wheel_vel=wheels[:, :, NV_TREE].tolist(), head=head.tolist(),
+            head_dot=cross3(kc.omega[BASE], head).tolist(), K=K)
     return kc.closed_loop_state
 
 
@@ -147,43 +154,47 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     r = model.desc.wheel_radius
     p = kc.points[WHEEL_POINTS] - r * n
 
-    t = st.head - (n @ st.head)[:, None] * n
-    nt = np.sqrt((t * t).sum(axis=1))
-    for side, ok in zip(SIDES, (nt >= 1e-8).tolist()):
-        if not ok:
+    # Per wheel on Python floats (far cheaper than array calls on 3-vectors):
+    # x the heading projected into the ground plane, t / |t|, y = n x x, the
+    # lateral friction F_y = f F_z with f = -mu clamp(v_y / FRICTION_V_REF,
+    # -1, 1), and the rows x, y, n and n + f y of E.  The last one is the
+    # z-force column of J_gc, F_C = (x_l, z_l, x_r, z_r).
+    hx, hy, hz = st.head
+    dx, dy, dz = st.head_dot
+    E, f, drift = [], [], []
+    for side, (a, b, c), (v0, v1, v2, w0, w1, w2) in zip(SIDES, n.tolist(), st.wheel_vel):
+        s = a * hx + b * hy + c * hz
+        tx, ty, tz = hx - s * a, hy - s * b, hz - s * c
+        nt = math.sqrt(tx * tx + ty * ty + tz * tz)
+        if nt < 1e-8:
             raise ValueError(f"{side} ground normal is parallel to the heading")
-    x = t / nt[:, None]
-    y = cross_rows(n, x)
-    E = np.zeros((2, 3, 6))                  # per wheel, rows x, y, z
-    E[:, 0, :3], E[:, 0, 3:] = x, -r * y
-    E[:, 1, :3], E[:, 1, 3:] = y, r * x
-    E[:, 2, :3] = n
-    frames = E[:, :, :3].transpose(0, 2, 1)  # per wheel, columns x, y, z
-    # per wheel and axis: the contact row, velocity and bias acceleration
-    out = E @ st.wheels
-    rows, v, acc = out[:, :, :NV_TREE], out[:, :, NV_TREE], out[:, :, NV_TREE + 1]
-    rows_y = rows @ G
-
-    # lateral friction F_y = c F_z, c = -mu clamp(v_y / FRICTION_V_REF, -1, 1),
-    # folded into the z columns of J_gc; F_C = (x_l, z_l, x_r, z_r)
-    c = -mu * np.minimum(np.maximum(v[:, 1] / FRICTION_V_REF, -1.0), 1.0)
+        x0, x1, x2 = tx / nt, ty / nt, tz / nt
+        y0, y1, y2 = b * x2 - c * x1, c * x0 - a * x2, a * x1 - b * x0
+        v_y = y0 * v0 + y1 * v1 + y2 * v2 + r * (x0 * w0 + x1 * w1 + x2 * w2)
+        fi = -mu * min(max(v_y / FRICTION_V_REF, -1.0), 1.0)
+        E += (x0, x1, x2, -r * y0, -r * y1, -r * y2,
+              y0, y1, y2, r * x0, r * x1, r * x2,
+              a, b, c, 0.0, 0.0, 0.0,
+              a + fi * y0, b + fi * y1, c + fi * y2, fi * r * x0, fi * r * x1, fi * r * x2)
+        f.append(fi)
+        # the x axis turns at ((head_dot . y) / |t|) y, adding that times v_y
+        # to the x row's drift
+        drift.append((dx * y0 + dy * y1 + dz * y2) / nt * v_y)
+    E = np.array(E).reshape(2, 4, 6)
     C_F = np.zeros((2, 4))
-    C_F[0, 1], C_F[1, 3] = c
-    J_gc_rows = rows[:, ::2].copy()          # per wheel, rows x and z
-    J_gc_rows[:, 1] += c[:, None] * rows[:, 1]
-    J_gc = J_gc_rows.reshape(4, NV_TREE).T
+    C_F[0, 1], C_F[1, 3] = f
+    frames = E[:, :3, :3].transpose(0, 2, 1)     # per wheel, columns x, y, z
+    # per wheel and row of E: the contact row, velocity and bias acceleration
+    out = E @ st.wheels
+    rows_y = out[:, :3, :NV_TREE] @ G
+    J_gc = out[:, ::3, :NV_TREE].reshape(4, NV_TREE).T
     J_xz = rows_y[:, ::2].reshape(4, NV_MIN)
-    K = np.zeros((NV_MIN + 4, NV_MIN + 4))
-    K[:NV_MIN, :NV_MIN] = st.H_y
+    K = st.K.copy()
     K[:NV_MIN, NV_MIN:] = -G.T @ J_gc
     K[NV_MIN:, :NV_MIN] = J_xz
-
-    # The lever (-r n) is fixed, so the drift has no centripetal part over
-    # it; the x axis turns with the projected heading at the rate
-    # ((head_dot . y) / |t|) y, adding that times v_y to the x row.
-    Jdot_xz_u = acc[:, ::2].copy()
-    Jdot_xz_u[:, 0] += (y @ st.head_dot) / nt * v[:, 1]
-    Jdot_xz_u = Jdot_xz_u.ravel()
+    # The lever (-r n) is fixed, so the drift has no centripetal part over it.
+    (acc_xl, _, acc_zl), (acc_xr, _, acc_zr) = out[:, :3, NV_TREE + 1].tolist()
+    Jdot_xz_u = np.array((acc_xl + drift[0], acc_zl, acc_xr + drift[1], acc_zr))
 
     contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,

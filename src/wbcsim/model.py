@@ -103,6 +103,10 @@ JOINT_LEVELS = [(j, JOINT_CHILD[j], JOINT_PARENT[j])
 POINT_BODIES = np.r_[np.arange(N_BODIES), WHEEL_L, WHEEL_R, BASE, BASE]
 POINT_MASK = ROTATION_MASK[POINT_BODIES]
 WHEEL_POINTS, HIP_POINTS = slice(11, 13), slice(13, 15)
+# the points the task rows read, the wheel centres then the hips; their
+# Jacobians are followed by the base's angular-velocity rows, [0 | I | 0],
+# and the task rows combine all five
+TASK_POINTS, TASK_JACOBIANS = slice(11, 15), slice(11, 16)
 AXIS_BODIES = np.r_[BASE, BASE, BASE, JOINT_CHILD]
 # the (26, 3, 16) Jacobians of the point pass, linear ones of the points then
 # angular ones of the bodies: the rotation axes that turn each row, the
@@ -516,61 +520,81 @@ class RobotModel:
         """
         p_cl, p_cr = self.contact_points(kc, n_l, n_r)
         x_n, nh, x_d, x_dd = kc.heading_axis
-        head = kc.R[BASE][:, 0]
-        u = kc.state.vel
-        J16 = np.zeros((6, NV_TREE))
-        jdot_u = np.zeros(6)
-
-        # Height is measured against the contact midpoint, but the contacts are
-        # an exogenous terrain measurement: only the base motion is differentiated
-        # (their vertical motion is pinned by the rolling constraint anyway).
-        # The base origin moves with u[0:3] itself, so the row has no bias.
-        J16[0, 2] = 1.0
+        # On Python floats, far cheaper than array calls on 3-vectors.  x_N,
+        # x_d and x_dd lie in the ground plane: their z is 0.
+        (xn0, xn1, _), (xd0, xd1, _), (xdd0, xdd1, _) = x_n.tolist(), x_d.tolist(), x_dd.tolist()
+        hx, hy, hz = kc.R[BASE][:, 0].tolist()
+        w0, w1, w2 = kc.omega[BASE].tolist()
 
         # Euler rates theta_dot = E^-1 w; E's columns are head (= Rz Ry e_x),
         # c1 = Rz e_y = ez x x_N and ez.  With head = |P head| x_N + head_z ez,
         # the rows of E^-1 are x_N / |P head|, c1 and ez - head_z x_N / |P head|.
         # Edot theta_dot = roll_dot (yaw_dot ez + pitch_dot c1) x head
-        # + pitch_dot yaw_dot ez x c1, where ez x c1 = -x_N.  Rows in task
-        # order: pitch, roll, yaw.
-        c1 = cross3(EZ, x_n)
-        Einv = np.array([c1, x_n / nh, EZ - (head[2] / nh) * x_n])
-        J16[1::2, 3:6] = Einv
-        pd, rd, yd = Einv @ kc.omega[BASE]
-        jdot_u[1::2] = -Einv @ (rd * cross3(yd * EZ + pd * c1, head) - pd * yd * x_n)
+        # + pitch_dot yaw_dot ez x c1, where ez x c1 = -x_N: v below.
+        k = hz / nh
+        pd, rd = xn0 * w1 - xn1 * w0, (xn0 * w0 + xn1 * w1) / nh
+        yd = w2 - k * (xn0 * w0 + xn1 * w1)
+        g0, g1 = -pd * xn1, pd * xn0             # yaw_dot ez + pitch_dot c1 = (g0, g1, yd)
+        v0 = rd * (g1 * hz - yd * hy) - pd * yd * xn0
+        v1 = rd * (yd * hx - g0 * hz) - pd * yd * xn1
+        v2 = rd * (g0 * hy - g1 * hx)
+        v_xn = xn0 * v0 + xn1 * v1
 
-        # x_N turns in the ground plane, along c1: d(x_N)/dw = c1 (head x c1)^T / |P head|
-        dx_n = cross3(head, c1) / nh
+        # x_N turns in the ground plane, along c1: d(x_N)/dw = c1 (head x c1)^T
+        # / |P head|, and head x c1 / |P head| = (dx0, dx1, 1), the yaw row of
+        # E^-1.  So a row of p . x_N gains (p . c1) times it.
+        dx0, dx1 = -k * xn0, -k * xn1
 
-        # both legs' pendulum angles atan2(d . x_N, d_z), d = hip - wheel
-        # center, from the cache's point pass
-        J, wc, hip = kc.point_jacobians, WHEEL_POINTS, HIP_POINTS
-        d, d_d, d_dd = (q[hip] - q[wc] for q in (kc.points, kc.point_velocities,
-                                                   kc.point_bias_acc))
-        a, b = d @ x_n, d[:, 2]
-        a_d, b_d = d_d @ x_n + d @ x_d, d_d[:, 2]
-        a_dd, b_dd = d_dd @ x_n + 2.0 * (d_d @ x_d) + d @ x_dd, d_dd[:, 2]
-        D = a * a + b * b
-        Jd = J[hip] - J[wc]
-        xJd = x_n @ Jd
-        xJd[:, 3:6] += (d @ c1)[:, None] * dx_n
-        rows = (b[:, None] * xJd - a[:, None] * Jd[:, 2]) / D[:, None]
-        J16[4] = rows[0] - rows[1]
-        bias = ((b * a_dd - a * b_dd) / D
-                - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
-        jdot_u[4] = bias[0] - bias[1]
+        def along(p, p_d, p_dd):
+            """p . x_N, its first two rates, and p . c1."""
+            (p0, p1, _), (q0, q1, _), (s0, s1, _) = p, p_d, p_dd
+            return (p0 * xn0 + p1 * xn1, q0 * xn0 + q1 * xn1 + p0 * xd0 + p1 * xd1,
+                    s0 * xn0 + s1 * xn1 + 2.0 * (q0 * xd0 + q1 * xd1) + p0 * xdd0 + p1 * xdd1,
+                    p1 * xn0 - p0 * xn1)
+
+        # both legs' pendulum angles atan2(a, b), a = d . x_N, b = d_z, d = hip
+        # - wheel center, from the cache's point pass: the row is e . J_d +
+        # (b (d . c1) / |d|^2) dx_N with e = (b x_N - a ez) / |d|^2, and the
+        # split is left minus right
+        P, V, A = (q[TASK_POINTS].tolist() for q in (
+            kc.points, kc.point_velocities, kc.point_bias_acc))
+        split, turn, split_bias = (), 0.0, 0.0
+        for sign, i in ((1.0, 0), (-1.0, 1)):
+            d, d_d, d_dd = ([h - w for h, w in zip(q[i + 2], q[i])] for q in (P, V, A))
+            (a, a_d, a_dd, d_c1), b, b_d, b_dd = along(d, d_d, d_dd), d[2], d_d[2], d_dd[2]
+            D = a * a + b * b
+            sb = sign * b / D
+            split += (sb * xn0, sb * xn1, -sign * a / D)
+            turn += sb * d_c1
+            split_bias += sign * ((b * a_dd - a * b_dd) / D
+                                  - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
 
         # r_com_x = (p_com - mid) . x_N with the contact midpoint moving as
         # the wheel-center midpoint (the normals are held fixed)
         p_com, M = kc.com
-        Jw, acc_w = J[wc], kc.point_bias_acc[wc]
-        J_rel = kc.com_jacobian - 0.5 * (Jw[0] + Jw[1])
-        r_vec = p_com - 0.5 * (p_cl + p_cr)
-        r_d = J_rel @ u
-        r_dd = self.desc.masses @ kc.com_bias_acc / M - 0.5 * (acc_w[0] + acc_w[1])
-        J16[2] = x_n @ J_rel
-        J16[2, 3:6] += (r_vec @ c1) * dx_n
-        jdot_u[2] = r_dd @ x_n + 2.0 * (r_d @ x_d) + r_vec @ x_dd
+        _, _, balance_bias, tb = along(*([c - 0.5 * (l + r) for c, l, r in zip(*q)] for q in (
+            (p_com.tolist(), p_cl.tolist(), p_cr.tolist()),
+            ((kc.com_jacobian @ kc.state.vel).tolist(), V[0], V[1]),
+            ((self.desc.masses @ kc.com_bias_acc / M).tolist(), A[0], A[1]))))
+
+        # The rows in task order (height, pitch, balance, roll, split, yaw),
+        # each a combination of the TASK_JACOBIANS (wheel centers, hips, base
+        # rotation); balance adds x_N . J_com.  Height is measured against
+        # the contact midpoint, but the contacts are an exogenous terrain
+        # measurement: only the base motion is differentiated (their vertical
+        # motion is pinned by the rolling constraint anyway).  The base origin
+        # moves with u[0:3] itself, so the row has no bias.
+        hb0, hb1, Z12 = -0.5 * xn0, -0.5 * xn1, (0.0,) * 12
+        C = np.array((0.0,) * 15 + Z12 + (-xn1, xn0, 0.0)
+                     + (hb0, hb1, 0.0, hb0, hb1, 0.0) + Z12[:6] + (tb * dx0, tb * dx1, tb)
+                     + Z12 + (xn0 / nh, xn1 / nh, 0.0)
+                     + tuple(-c for c in split) + split + (turn * dx0, turn * dx1, turn)
+                     + Z12 + (dx0, dx1, 1.0))
+        J16 = C.reshape(6, 15) @ kc.jacobians[TASK_JACOBIANS].reshape(15, NV_TREE)
+        J16[0, 2] = 1.0
+        J16[2] += x_n @ kc.com_jacobian
+        jdot_u = np.array((0.0, xn1 * v0 - xn0 * v1, balance_bias,
+                           -v_xn / nh, split_bias, k * v_xn - v2))
         return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
 
 

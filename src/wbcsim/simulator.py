@@ -180,6 +180,9 @@ _LOWER = {"duration": (0.0, True), "control_rate": (0.0, False),
           "points": (1, True), "mass": (0.0, True), "drop_height": (0.0, True),
           "lqr_r": (0.0, False), "kp": (0.0, False), "lqr_q": (0.0, False)}
 _CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODES}
+# largest |value| (m) of the start position and the lookahead: the normal
+# map's integer cell keys must hold every point a run queries
+POSITION_LIMIT = 1e6
 
 
 def _number(key: str, v, integer: bool = False):
@@ -190,9 +193,12 @@ def _number(key: str, v, integer: bool = False):
         raise ScenarioError(str(exc)) from None
     if integer and not isinstance(v, int):
         raise ScenarioError(f"'{key}' must be an integer, got {v!r}")
-    lo, closed = _LOWER.get(key.rpartition(".")[2].partition("[")[0], (-math.inf, True))
+    name = key.rpartition(".")[2].partition("[")[0]
+    lo, closed = _LOWER.get(name, (-math.inf, True))
     if x < lo or (x == lo and not closed):
         raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
+    if name in ("start_xy", "lookahead") and abs(x) > POSITION_LIMIT:
+        raise ScenarioError(f"'{key}' must be within {POSITION_LIMIT:g} m of 0, got {v!r}")
     return v if integer else x
 
 
@@ -490,6 +496,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     except OutOfReachError as exc:
         key = f"reference[{scenario.reference.index(seg0)}].height"
         raise ScenarioError(f"'{key}' of {seg0.height:g} m: {exc}") from None
+    except ValueError as exc:
+        raise ScenarioError(f"start pose 'start_xy' {scenario.start_xy.tolist()}, 'start_yaw' "
+                            f"{scenario.start_yaw:g}: {exc}") from None
     state = SimState(y=y, F_C=np.zeros(4))
 
     dt_sim, n_sub, n_ctrl, lidar_every = scenario.timing()
@@ -601,7 +610,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
                 state = step(model, state, tau, dt_sim, terrain, wrench,
                              cl=cl_step)
                 cl_step = None
-        except SimulationError as exc:
+        except (SimulationError, ValueError) as exc:
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break
 

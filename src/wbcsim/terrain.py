@@ -8,14 +8,15 @@ y = 0; each wheel stays in its own lane.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
 
-def _smoothstep(t: np.ndarray):
+def _smoothstep(t: float) -> tuple[float, float]:
     """C1 ramp 0 -> 1 on [0, 1] and its derivative."""
-    t = np.clip(t, 0.0, 1.0)
+    t = min(max(t, 0.0), 1.0)
     return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t)
 
 
@@ -34,9 +35,10 @@ class Terrain:
         raise NotImplementedError
 
     def normal(self, x: float, y: float) -> np.ndarray:
+        """Upward unit normal (-gx, -gy, 1) / |(-gx, -gy, 1)|, on Python floats."""
         gx, gy = self.grad(x, y)
-        n = np.array([-gx, -gy, 1.0])
-        return n / np.linalg.norm(n)
+        s = math.sqrt(gx * gx + gy * gy + 1.0)
+        return np.array([-gx / s, -gy / s, 1.0 / s])
 
     def surface_point(self, x: float, y: float) -> np.ndarray:
         return np.array([x, y, self.height(x, y)])
@@ -60,7 +62,9 @@ class SlopeTerrain(Terrain):
     """Flat, then a C1 blend into a constant grade of `angle_deg` along +x.
 
     The gradient ramps smoothly over `blend` meters after `start`, so the
-    interior grade is exactly tan(angle) and the normal never jumps.
+    interior grade is exactly tan(angle) and the normal never jumps.  The
+    angle lies strictly between -90 and 90 degrees: a height field has no
+    vertical or overhanging grade.
     """
 
     kind = "slope"
@@ -70,6 +74,8 @@ class SlopeTerrain(Terrain):
         super().__init__(mu)
         if blend <= 0.0:
             raise ValueError("blend length must be positive")
+        if not -90.0 < angle_deg < 90.0:
+            raise ValueError(f"'angle_deg' must be > -90 and < 90, got {angle_deg!r}")
         self.angle_deg = float(angle_deg)
         self.m = float(np.tan(np.deg2rad(angle_deg)))
         self.start = float(start)
@@ -86,9 +92,8 @@ class SlopeTerrain(Terrain):
         return self.m * self.blend * (t**3 - 0.5 * t**4)
 
     def grad(self, x, y):
-        t = (x - self.start) / self.blend
-        s, _ = _smoothstep(np.array(t))
-        return self.m * float(s), 0.0
+        s, _ = _smoothstep((x - self.start) / self.blend)
+        return self.m * s, 0.0
 
 
 class LaneProfile:
@@ -102,12 +107,12 @@ class LaneProfile:
         self.ramp = float(ramp)
 
     def value(self, x):
-        s, _ = _smoothstep(np.array((x - self.start) / self.ramp))
-        return self.h * float(s)
+        s, _ = _smoothstep((x - self.start) / self.ramp)
+        return self.h * s
 
     def slope(self, x):
-        _, ds = _smoothstep(np.array((x - self.start) / self.ramp))
-        return self.h * float(ds) / self.ramp
+        _, ds = _smoothstep((x - self.start) / self.ramp)
+        return self.h * ds / self.ramp
 
 
 class AsymmetricTerrain(Terrain):

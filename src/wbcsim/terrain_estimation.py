@@ -232,15 +232,23 @@ class NormalMap:
         if len(cloud) == 0:
             raise ValueError("cannot update the map from an empty cloud")
         pts = cloud.points
-        ixy = np.floor(pts[:, :2] / self.cell_size).astype(np.int64)
-        # occupied cells in order of first appearance, their counts and z sums
-        uniq, first, inverse, counts = np.unique(
-            ixy, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        fxy = np.floor(pts[:, :2] / self.cell_size)
+        lo, hi = fxy.min(axis=0), fxy.max(axis=0)
+        span = hi - lo + 1.0
+        if max(-lo.min(), hi.max(), span.prod()) >= 2.0**62:
+            raise ValueError("point cloud too far out or too wide for the map's int64 cell keys")
+        ixy = fxy.astype(np.int64)
+        # occupied cells in order of first appearance, their counts and z
+        # sums; each cell as one int64 over the cloud's key box, which sorts
+        # as its (ix, iy) key does
+        code = (ixy[:, 0] - int(lo[0])) * int(span[1]) + (ixy[:, 1] - int(lo[1]))
+        _, first, inverse, counts = np.unique(
+            code, return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         cell_of = rank[inverse.ravel()]
-        keys, counts = uniq[order], counts[order]
+        keys, counts = ixy[first[order]], counts[order]
         z_sum = np.bincount(cell_of, weights=pts[:, 2], minlength=len(keys))
         if len(cloud) < self.k_min:
             self.skipped_degenerate += len(keys)

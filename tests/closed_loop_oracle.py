@@ -1,13 +1,17 @@
 """The per-wheel closed-loop dynamics and the per-point task rows, kept as
 test oracles of ``wbcsim.dynamics.closed_loop_dynamics`` and
 ``wbcsim.model.RobotModel.task_jacobians``, which read both wheels and both
-legs as (2, ...) arrays from the cache's one point pass.
+legs from the cache's one point pass and do their per-wheel and per-leg
+3-vector math on Python floats.
 
 Here each wheel and each leg is handled on its own: a contact frame per
 wheel, a point Jacobian per contact point, wheel centre and hip, built
 column by column from the world joint axes.  The Euler-rate map is built
 from the Euler angles and inverted numerically, where ``task_jacobians``
 writes its inverse in closed form from the heading axis.
+
+``array_closed_loop_dynamics`` keeps the array form of the per-normal part:
+both wheels' contact frames, friction clamp and rows as (2, ...) arrays.
 """
 
 from __future__ import annotations
@@ -18,20 +22,25 @@ from wbcsim.dynamics import (
     FRICTION_V_REF,
     ClosedLoopDynamics,
     ContactModel,
+    _closed_loop_state,
     spanning_tree_dynamics,
 )
 from wbcsim.model import (
     BASE,
     JOINT_PATH,
+    NV_MIN,
     NV_TREE,
+    SIDES,
     SHANK_L,
     SHANK_R,
     UNIT_TOL,
     WHEEL_L,
+    WHEEL_POINTS,
     WHEEL_R,
     TaskJacobians,
+    ground_normals,
 )
-from wbcsim.rotations import cross3, euler_zyx, hat, rot_z
+from wbcsim.rotations import cross3, cross_rows, euler_zyx, hat, rot_z
 
 from helpers import rot_y
 
@@ -175,6 +184,54 @@ def per_wheel_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> Clos
     return ClosedLoopDynamics(H_y=H_y, C_y=C_y, G=G.copy(), J_gc=J_gc,
                               J_xz=J_xz, J_y=J_y16 @ G, Jdot_xz_u=Jdot_xz_u, K=K,
                               contact=contact, p_cl=p_cl, p_cr=p_cr)
+
+
+def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLoopDynamics:
+    """Closed-loop dynamics of the state in kc at the given normals, from the
+    cache's per-state part, with both wheels' contact frames, friction clamp
+    and rows as (2, ...) arrays."""
+    G = model.G
+    st = _closed_loop_state(model, kc)
+    head = kc.R[BASE][:, 0]
+    head_dot = cross3(kc.omega[BASE], head)
+    n = ground_normals(n_l, n_r)
+    r = model.desc.wheel_radius
+    p = kc.points[WHEEL_POINTS] - r * n
+
+    t = head - (n @ head)[:, None] * n
+    nt = np.sqrt((t * t).sum(axis=1))
+    for side, ok in zip(SIDES, (nt >= 1e-8).tolist()):
+        if not ok:
+            raise ValueError(f"{side} ground normal is parallel to the heading")
+    x = t / nt[:, None]
+    y = cross_rows(n, x)
+    E = np.zeros((2, 3, 6))                  # per wheel, rows x, y, z
+    E[:, 0, :3], E[:, 0, 3:] = x, -r * y
+    E[:, 1, :3], E[:, 1, 3:] = y, r * x
+    E[:, 2, :3] = n
+    frames = E[:, :, :3].transpose(0, 2, 1)  # per wheel, columns x, y, z
+    out = E @ st.wheels
+    rows, v, acc = out[:, :, :NV_TREE], out[:, :, NV_TREE], out[:, :, NV_TREE + 1]
+    rows_y = rows @ G
+
+    c = -mu * np.minimum(np.maximum(v[:, 1] / FRICTION_V_REF, -1.0), 1.0)
+    C_F = np.zeros((2, 4))
+    C_F[0, 1], C_F[1, 3] = c
+    J_gc_rows = rows[:, ::2].copy()          # per wheel, rows x and z
+    J_gc_rows[:, 1] += c[:, None] * rows[:, 1]
+    J_gc = J_gc_rows.reshape(4, NV_TREE).T
+    J_xz = rows_y[:, ::2].reshape(4, NV_MIN)
+    K = np.zeros((NV_MIN + 4, NV_MIN + 4))
+    K[:NV_MIN, :NV_MIN] = st.H_y
+    K[:NV_MIN, NV_MIN:] = -G.T @ J_gc
+    K[NV_MIN:, :NV_MIN] = J_xz
+
+    Jdot_xz_u = acc[:, ::2].copy()
+    Jdot_xz_u[:, 0] += (y @ head_dot) / nt * v[:, 1]
+    contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
+    return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
+                              J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u.ravel(), K=K,
+                              contact=contact, p_cl=p[0], p_cr=p[1])
 
 
 def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:

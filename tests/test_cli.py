@@ -196,6 +196,15 @@ BAD_PARAMS = [
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
     ("disturbances=[{kind: push, t_start: 0.0, f_max: 500.0}]",
      "disturbances[0].duration"),
+    # positions past wbcsim.simulator.POSITION_LIMIT overflowed the normal
+    # map's integer cell keys
+    ("lookahead=1e20", "lookahead"),
+    ("start_xy=[1e300, 0]", "start_xy[0]"),
+    # a height field has no vertical or overhanging grade
+    ("terrain={kind: slope, angle_deg: 90}", "angle_deg"),
+    ("terrain={kind: slope, angle_deg: 135}", "angle_deg"),
+    # a start pose whose ground normal is parallel to the heading
+    ("terrain={kind: slope, angle_deg: 89.9999999999, start: -5}", "start_xy"),
 ]
 
 
@@ -249,6 +258,19 @@ def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys):
     assert "Traceback" not in err and "Warning" not in err
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["failed"] is True
+
+
+def test_bad_normal_in_a_physics_substep_is_a_solver_failure(flat_scn, tmp_path, capsys):
+    """A ground normal parallel to the heading met in a physics substep ends
+    the run as a recorded solver failure, not a traceback."""
+    out = tmp_path / "out"
+    assert main(["--scenario", flat_scn, "--out", str(out), "--param",
+                 "terrain={kind: slope, angle_deg: 89.99999, start: -5}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: solver failure: t=" in err
+    assert "left ground normal is parallel to the heading" in err
+    assert "Traceback" not in err
+    assert json.loads((out / "metrics.json").read_text())["failed"] is True
 
 
 def test_missing_scenario_file(tmp_path, capsys):

@@ -18,7 +18,8 @@ from wbcsim.model import (
 )
 from wbcsim.rotations import hat
 
-from closed_loop_oracle import contact_frame, friction_matrix, per_wheel_closed_loop_dynamics
+from closed_loop_oracle import (array_closed_loop_dynamics, contact_frame, friction_matrix,
+                                per_wheel_closed_loop_dynamics)
 from conftest import random_minimal_state, random_normal, tilted_robot
 from helpers import perturbed
 
@@ -184,6 +185,38 @@ def test_closed_loop_dynamics_matches_per_wheel_oracle(robot):
                 np.testing.assert_allclose(getattr(cl.contact, name),
                                            getattr(expected.contact, name),
                                            rtol=0.0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("robot", ["default", "tilted"])
+def test_float_contact_pass_matches_array_form(robot):
+    """The per-normal part on Python floats gives every field of the array
+    form it replaced: over slips past, near and inside the friction clamp's
+    saturation on either side, and normals within about 1e-2 rad of the
+    heading, where the frames turn fastest."""
+    rng = np.random.default_rng(26)
+    model = RobotModel(RobotDescription.default() if robot == "default" else tilted_robot(rng))
+    clamps = set()
+    for i in range(60):
+        y = random_minimal_state(rng)
+        y.vel *= (1.0, 0.05, 0.005)[i % 3]
+        kc = model.kinematics(y)
+        normals = [random_normal(rng), random_normal(rng)]
+        if i % 4 == 0:
+            head = kc.R[0][:, 0]
+            near = np.copysign(1.0, head[2]) * head + 1e-2 * EZ
+            normals[i % 8 == 0] = near / np.linalg.norm(near)
+        mu = rng.uniform(0.2, 1.0)
+        got = closed_loop_dynamics(model, kc, *normals, mu=mu)
+        want = array_closed_loop_dynamics(model, kc, *normals, mu=mu)
+        for name in ("J_gc", "J_xz", "J_y", "Jdot_xz_u", "K", "p_cl", "p_cr"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        for name in ("n_l", "n_r", "frame_l", "frame_r", "C_F"):
+            np.testing.assert_allclose(getattr(got.contact, name), getattr(want.contact, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        # clamp(v_y / FRICTION_V_REF, -1, 1) of each wheel, whole when saturated
+        clamps.update(np.trunc(got.contact.C_F[[0, 1], [1, 3]] / -mu).tolist())
+    assert clamps == {-1.0, 0.0, 1.0}
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

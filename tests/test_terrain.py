@@ -144,6 +144,58 @@ def test_normals_unit_and_upward():
                 assert n[2] > 0.0
 
 
+# -- the float queries against the array form they replaced -----------------
+
+def _array_smoothstep(t):
+    t = np.clip(np.array(t), 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t)
+
+
+def array_grad(terrain, x, y):
+    """Gradient on 0-d arrays with np.clip; flat and composite are unchanged."""
+    if isinstance(terrain, SlopeTerrain):
+        s, _ = _array_smoothstep((x - terrain.start) / terrain.blend)
+        return terrain.m * float(s), 0.0
+    if isinstance(terrain, AsymmetricTerrain):
+        lane = terrain.left if y > 0.0 else terrain.right
+        _, ds = _array_smoothstep((x - lane.start) / lane.ramp)
+        return lane.h * float(ds) / lane.ramp, 0.0
+    return terrain.grad(x, y)
+
+
+def array_normal(terrain, x, y):
+    gx, gy = array_grad(terrain, x, y)
+    n = np.array([-gx, -gy, 1.0])
+    return n / np.linalg.norm(n)
+
+
+@pytest.mark.parametrize("terrain", [
+    FlatTerrain(),
+    SlopeTerrain(angle_deg=35.0, start=0.5, blend=0.4),
+    SlopeTerrain(angle_deg=-20.0, start=0.5, blend=0.4),
+    AsymmetricTerrain(LaneProfile(height=0.2, start=0.5, ramp=0.4),
+                      LaneProfile(height=-0.1, start=0.7, ramp=0.3)),
+    CompositeTerrain([0.5, 0.7, 0.9], [0.0, 0.3, 0.1]),
+], ids=["flat", "slope", "downslope", "asymmetric_support", "composite"])
+def test_float_queries_match_array_form(terrain):
+    """Before, inside and past the blend, ramp or knots: grad and normal to
+    1e-15 of the array form, and the normal unit to 1e-15."""
+    for x in np.linspace(-0.5, 2.0, 26).tolist():
+        for y in (-0.2, 0.2):
+            assert np.allclose(terrain.grad(x, y), array_grad(terrain, x, y), rtol=0.0, atol=1e-15)
+            n = terrain.normal(x, y)
+            np.testing.assert_allclose(n, array_normal(terrain, x, y), rtol=0.0, atol=1e-15)
+            assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("angle", [90.0, -90.0, 135.0, 270.0])
+def test_slope_angle_must_be_below_vertical(angle):
+    """A height field has no vertical or overhanging grade; 135 degrees would
+    otherwise run as a -45 degree slope."""
+    with pytest.raises(ValueError, match="angle_deg"):
+        SlopeTerrain(angle_deg=angle)
+
+
 # -- config parsing ---------------------------------------------------------
 
 def test_from_dict_dispatch():

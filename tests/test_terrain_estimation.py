@@ -412,6 +412,29 @@ def test_lazy_map_matches_eager_oracle(seed, tmp_path):
     assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
 
 
+def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
+    """Cells on both sides of the origin, first met out of key order: one
+    int64 code per cell over the cloud's key box gives the cells, counts and
+    first-appearance order of the eager map's row-wise unique."""
+    from eager_normal_map import EagerNormalMap
+    rng = np.random.default_rng(99)
+    cells = [(ix, iy) for ix in range(-6, 6) for iy in range(-4, 4) if rng.random() < 0.6]
+    rng.shuffle(cells)
+    cloud = PointCloud(points=_patch_cloud(rng, cells, 0.25, UP))
+    lazy = NormalMap(cell_size=0.25, k_min=5, k_max=20)
+    eager = EagerNormalMap(cell_size=0.25, k_min=5, k_max=20)
+    assert lazy.update(cloud) == eager.update(cloud) == len(cells)
+    _assert_same_cells(lazy, eager)
+    assert [key for key in lazy.cells] != sorted(cells)
+
+
+@pytest.mark.parametrize("points", [[[1e300, 0.0, 0.0]] * 12,
+                                    [[-1e17, 0.0, 0.0]] * 6 + [[1e17, 1e17, 0.0]] * 6])
+def test_map_rejects_a_cloud_beyond_int64_cell_keys(points):
+    with pytest.raises(ValueError, match="int64 cell keys"):
+        NormalMap().update(PointCloud(points=np.array(points)))
+
+
 def _count_estimates(monkeypatch, nmap):
     made = []
     estimate = nmap._estimate
