@@ -267,11 +267,10 @@ class MinimalState:
 
 @dataclass
 class TaskState:
-    """Pose task state Lambda = (phi, h, alpha, beta, gamma) and diagnostics."""
+    """Pose task state Lambda = (phi, h, alpha, beta, gamma) and its rate."""
 
     Lambda: np.ndarray
     Lambda_dot: np.ndarray
-    d_w: float
 
 
 @dataclass
@@ -280,7 +279,6 @@ class ComState:
     s: np.ndarray                # (x, z) absolute CoM in heading/vertical axes
     r_dot: np.ndarray
     s_dot: np.ndarray
-    total_mass: float
 
 
 @dataclass
@@ -471,19 +469,16 @@ class RobotModel:
 
     def task_state(self, kc: KinematicsCache, tj: TaskJacobians) -> TaskState:
         """Pose task values, and their rates through the task rows tj of kc."""
-        p_cl, p_cr = tj.p_cl, tj.p_cr
-        x_n = kc.heading_axis[0]
         roll, pitch, yaw = euler_zyx(kc.R[BASE])
-        h = float(kc.o[BASE, 2] - 0.5 * (p_cl[2] + p_cr[2]))
+        h = float(kc.o[BASE, 2] - 0.5 * (tj.p_cl[2] + tj.p_cr[2]))
         # split: the difference of the legs' pendulum angles atan2(d . x_N, d_z),
         # d = hip - wheel center
         d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
-        (a_l, a_r), (b_l, b_r) = (d @ x_n).tolist(), d[:, 2].tolist()
+        (a_l, a_r), (b_l, b_r) = (d @ kc.heading_axis[0]).tolist(), d[:, 2].tolist()
         phi = math.atan2(a_l, b_l) - math.atan2(a_r, b_r)
         # the rates: the task rows, taken in Lambda order
         return TaskState(Lambda=np.array([phi, h, roll, pitch, yaw]),
-                         Lambda_dot=(tj.J @ kc.y.vel)[[4, 0, 3, 1, 5]],
-                         d_w=float((p_cl - p_cr) @ x_n))
+                         Lambda_dot=(tj.J @ kc.y.vel)[[4, 0, 3, 1, 5]])
 
     def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
         """CoM position/velocity in heading (x) and vertical (z) axes.
@@ -497,14 +492,14 @@ class RobotModel:
         origin).
         """
         x_n, _, x_d, _ = kc.heading_axis
-        p_com, M = kc.com
+        p_com, _ = kc.com
         v_com = kc.com_jacobian @ kc.state.vel
         # the contacts move with the wheel centers (the normals are held fixed)
         v_rel = v_com - 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
         r_vec = p_com - 0.5 * (tj.p_cl + tj.p_cr)
         return ComState(r=np.array([r_vec @ x_n, r_vec[2]]), s=np.array([p_com @ x_n, p_com[2]]),
                         r_dot=np.array([x_n @ v_rel + r_vec @ x_d, v_rel[2]]),
-                        s_dot=np.array([x_n @ v_com, v_com[2]]), total_mass=M)
+                        s_dot=np.array([x_n @ v_com, v_com[2]]))
 
     def task_jacobians(self, kc: KinematicsCache, n_l: np.ndarray,
                        n_r: np.ndarray) -> TaskJacobians:

@@ -24,10 +24,11 @@ from .dynamics import (
     closed_loop_dynamics,
     mechanical_energy,
 )
-from .hqp import HierarchySolver, HqpError, dynamics_constraints
+from .hqp import HierarchySolver, HqpError, HqpSolution, dynamics_constraints
 from .model import EZ, KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .task_control import (
+    DEFAULT_Q,
     CareError,
     GainScheduler,
     assemble_task_stack,
@@ -476,6 +477,83 @@ def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
 
 # -- scenario loop ----------------------------------------------------------
 
+@dataclass
+class CycleResult:
+    """What one control cycle computed."""
+    cl: ClosedLoopDynamics       # at the true normals; the first substep reuses it
+    Lambda: np.ndarray           # (phi, h, alpha, beta, gamma)
+    Lambda_com: np.ndarray       # (r, rdot, s, sdot)
+    psi_hat: float               # mean incline of the controller's normals, deg
+    psi_true: float              # mean incline of the true normals, deg
+    sol: HqpSolution             # sol.tau_a is the torque command
+
+
+class Controller:
+    """A scenario's normal estimation and whole-body control, with the state
+    they carry between cycles: CoM and yaw references, normal map and wheel
+    filters, LQR gain schedule, HQP solver, lidar rng and lidar cycle count."""
+
+    def __init__(self, model: RobotModel, scenario: Scenario, seed: int = 0):
+        self.model, self.scenario = model, scenario
+        dt_sim, n_sub, _, self.lidar_every = scenario.timing()
+        self.dt = n_sub * dt_sim
+        self.gains = default_gains() if scenario.kp is None else default_gains(scenario.kp)
+        self.sched = GainScheduler(DEFAULT_Q if scenario.lqr_q is None
+                                   else np.diag(scenario.lqr_q), scenario.lqr_r)
+        self.solver = HierarchySolver()
+        self.nmap = NormalMap()
+        self.filters = (NormalFilter(), NormalFilter())
+        self.rng = default_rng(seed)
+        self.s_ref = None            # taken from the CoM on the first cycle
+        self.yaw_ref = scenario.start_yaw
+        self.cycles = 0
+
+    def cycle(self, kc: KinematicsCache, t: float) -> CycleResult:
+        """Estimate the ground normals at kc's state, run the tasks for time t, solve the HQP."""
+        model, sc = self.model, self.scenario
+        nl, nr = true_normals(kc, sc.terrain)
+        if sc.estimation_mode == "true_normal":
+            nl_hat, nr_hat = nl, nr
+        elif sc.estimation_mode == "horizontal_normal":
+            nl_hat, nr_hat = EZ.copy(), EZ.copy()
+        else:
+            if self.cycles % self.lidar_every == 0:
+                self.nmap.update(synth_pointcloud(sc.terrain, kc.y.pos[:2], sc.sensor, self.rng))
+            nl_hat, nr_hat = (query_normal(self.nmap, w[:2], kc.y.rot[:, 0], sc.lookahead, f)
+                              for w, f in zip(kc.wheel_centers(), self.filters))
+        psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
+        psi_true = 0.5 * (incline_angle(nl) + incline_angle(nr))
+
+        seg = sc.segment_at(t)
+        self.yaw_ref = wrap_angle(self.yaw_ref + seg.yaw_rate * self.dt)
+        tj = model.task_jacobians(kc, nl_hat, nr_hat)
+        ts = model.task_state(kc, tj)
+        cs = model.com_state(kc, tj)
+        # the true-normal dynamics serve the first physics substep and,
+        # with true normals, the controller
+        cl = closed_loop_dynamics(model, kc, nl, nr, mu=sc.terrain.mu)
+        cl_hat = (cl if nl_hat is nl
+                  else closed_loop_dynamics(model, kc, nl_hat, nr_hat, mu=sc.terrain.mu))
+
+        # pd_accel wraps the yaw error across the +/-pi seam
+        ref_L = np.array([0.0, seg.height, 0.0, 0.0, self.yaw_ref])
+        pose_a = pd_accel(ref_L, np.zeros(5), ts.Lambda, ts.Lambda_dot, self.gains)
+
+        if self.s_ref is None or seg.yaw_rate != 0.0:
+            self.s_ref = float(cs.s[0])
+        lam_com = np.array([cs.r[0], cs.r_dot[0], cs.s[0], cs.s_dot[0]])
+        ref_com = np.array([0.0, 0.0, self.s_ref, seg.speed])
+        design = self.sched.gain(max(cs.r[1], 0.05))
+        bal_a = balance_accel(design.K, ref_com, lam_com)
+
+        stack = assemble_task_stack(pose_a, bal_a, tj)
+        constraints = dynamics_constraints(cl_hat, model.B, model.desc.torque_limit)
+        sol = self.solver.solve(stack, constraints)
+        self.s_ref += seg.speed * self.dt
+        self.cycles += 1
+        return CycleResult(cl, ts.Lambda, lam_com, psi_hat, psi_true, sol)
+
+
 def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
     """Ramped rod push: force grows linearly to f_max over the window."""
     if not (dist.t_start <= t < dist.t_start + dist.duration):
@@ -487,7 +565,6 @@ def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
 
 def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     """Closed-loop run; returns (records, MetricsSummary)."""
-    rng = default_rng(seed)
     terrain = scenario.terrain
     seg0 = scenario.segment_at(0.0)
     try:
@@ -500,25 +577,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         raise ScenarioError(f"start pose 'start_xy' {scenario.start_xy.tolist()}, 'start_yaw' "
                             f"{scenario.start_yaw:g}: {exc}") from None
     state = SimState(y=y, F_C=np.zeros(4))
+    controller = Controller(model, scenario, seed)
+    dt_sim, n_sub, n_ctrl, _ = scenario.timing()
 
-    dt_sim, n_sub, n_ctrl, lidar_every = scenario.timing()
-    dt_ctrl = n_sub * dt_sim
-
-    gains = (default_gains(np.asarray(scenario.kp, dtype=float))
-             if scenario.kp is not None else default_gains())
-    if scenario.lqr_q is not None:
-        sched = GainScheduler(Q=np.diag(np.asarray(scenario.lqr_q, dtype=float)),
-                              R=scenario.lqr_r)
-    else:
-        sched = GainScheduler(R=scenario.lqr_r)
-    solver = HierarchySolver()
-    nmap = NormalMap()
-    filters = {"l": NormalFilter(), "r": NormalFilter()}
-    tau_limit = model.desc.torque_limit
-
-    # references integrated over segments
-    s_ref = None
-    yaw_ref = scenario.start_yaw
     pending_impacts = sorted(
         [d for d in scenario.disturbances if d.kind == "block_impact"],
         key=lambda d: d.t_start)
@@ -531,104 +592,46 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     pull_limit = model.desc.total_mass * GRAVITY * PULL_LIMIT_S
 
     for k in range(n_ctrl):
-        t = k * dt_ctrl
+        t = k * controller.dt
         kc = model.kinematics(state.y)
         if k == 0:
             e_start = mechanical_energy(kc)
-        wl, wr = kc.wheel_centers()
-        nl, nr = true_normals(kc, terrain)
-        heading = state.y.rot[:, 0]
-
-        # --- estimation ---------------------------------------------------
-        if scenario.estimation_mode == "estimated_normal" and k % lidar_every == 0:
-            cloud = synth_pointcloud(terrain, state.y.pos[:2], scenario.sensor,
-                                     rng)
-            nmap.update(cloud)
-        if scenario.estimation_mode == "true_normal":
-            nl_hat, nr_hat = nl, nr
-        elif scenario.estimation_mode == "horizontal_normal":
-            nl_hat, nr_hat = EZ.copy(), EZ.copy()
-        else:
-            nl_hat = query_normal(nmap, wl[:2], heading, scenario.lookahead,
-                                  filters["l"])
-            nr_hat = query_normal(nmap, wr[:2], heading, scenario.lookahead,
-                                  filters["r"])
-        psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
-        psi_true = 0.5 * (incline_angle(nl) + incline_angle(nr))
-
-        # --- controller ---------------------------------------------------
-        seg = scenario.segment_at(t)
-        yaw_ref = wrap_angle(yaw_ref + seg.yaw_rate * dt_ctrl)
         try:
-            tj = model.task_jacobians(kc, nl_hat, nr_hat)
-            ts = model.task_state(kc, tj)
-            cs = model.com_state(kc, tj)
-            # the true-normal dynamics serve the first physics substep and,
-            # with true normals, the controller
-            cl = closed_loop_dynamics(model, kc, nl, nr, mu=terrain.mu)
-            cl_hat = (cl if scenario.estimation_mode == "true_normal"
-                      else closed_loop_dynamics(model, kc, nl_hat, nr_hat,
-                                                mu=terrain.mu))
-
-            # pd_accel wraps the yaw error across the +/-pi seam
-            ref_L = np.array([0.0, seg.height, 0.0, 0.0, yaw_ref])
-            pose_a = pd_accel(ref_L, np.zeros(5), ts.Lambda, ts.Lambda_dot, gains)
-
-            if s_ref is None or seg.yaw_rate != 0.0:
-                s_ref = float(cs.s[0])
-            lam_com = np.array([cs.r[0], cs.r_dot[0], cs.s[0], cs.s_dot[0]])
-            ref_com = np.array([0.0, 0.0, s_ref, seg.speed])
-            design = sched.gain(max(cs.r[1], 0.05))
-            bal_a = balance_accel(design.K, ref_com, lam_com)
-
-            stack = assemble_task_stack(pose_a, bal_a, tj)
-            constraints = dynamics_constraints(cl_hat, model.B, tau_limit)
-            sol = solver.solve(stack, constraints)
-            tau = sol.tau_a
-        except (CareError, HqpError, SimulationError, ValueError) as exc:
-            failed, failure = True, f"t={t:.3f}: {exc}"
-            break
-
-        # --- physics ------------------------------------------------------
-        # the first substep starts from the controller's state and reuses
-        # its closed-loop dynamics unless an impact has changed the velocity
-        # in between
-        cl_step = cl
-        try:
-            for d in list(pending_impacts):
-                if d.t_start <= t:
-                    apply_block_impact(model, state, terrain, d.mass,
-                                       d.drop_height, d.direction)
-                    pending_impacts.remove(d)
-                    cl_step = None
+            res = controller.cycle(kc, t)
+            # the first substep starts from the controller's state and reuses
+            # its closed-loop dynamics unless an impact has changed the
+            # velocity in between
+            cl_step = res.cl
+            while pending_impacts and pending_impacts[0].t_start <= t:
+                d = pending_impacts.pop(0)
+                apply_block_impact(model, state, terrain, d.mass, d.drop_height, d.direction)
+                cl_step = None
             for _ in range(n_sub):
                 wrench = None
                 for d in pushes:
                     w = _push_wrench(d, state.t)
                     if w is not None:
                         wrench = w if wrench is None else wrench + w
-                state = step(model, state, tau, dt_sim, terrain, wrench,
+                state = step(model, state, res.sol.tau_a, dt_sim, terrain, wrench,
                              cl=cl_step)
                 cl_step = None
-        except (SimulationError, ValueError) as exc:
+        except (CareError, HqpError, SimulationError, ValueError) as exc:
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break
 
-        s_ref += seg.speed * dt_ctrl
         records.append(LogRecord(
-            t=t, Lambda=ts.Lambda.copy(), Lambda_com=lam_com,
-            tau_a=tau.copy(), F_C=state.F_C.copy(),
-            psi_hat=psi_hat, psi_true=psi_true,
+            t=t, Lambda=res.Lambda.copy(), Lambda_com=res.Lambda_com,
+            tau_a=res.sol.tau_a.copy(), F_C=state.F_C.copy(),
+            psi_hat=res.psi_hat, psi_true=res.psi_true,
             base_pos=state.y.pos.copy()))
-        pull += dt_ctrl * np.maximum(0.0, -state.F_C[[1, 3]])
-        if (abs(ts.Lambda[2]) > 1.0 or abs(ts.Lambda[3]) > 1.0
+        pull += controller.dt * np.maximum(0.0, -state.F_C[[1, 3]])
+        if (abs(res.Lambda[2]) > 1.0 or abs(res.Lambda[3]) > 1.0
                 or pull.max() > pull_limit):
             fell = True
             break
 
-    metrics = _summarize(scenario, records, state, e_start, model,
-                         fell, failed, failure, pushes)
-    return records, metrics
+    return records, _summarize(scenario, records, state, e_start, model,
+                               fell, failed, failure, pushes)
 
 
 def _summarize(scenario, records, state, e_start, model,

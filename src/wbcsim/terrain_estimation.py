@@ -217,7 +217,11 @@ class NormalMap:
                        for i, (key, cell) in enumerate(cells.items())}
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
-        return (int(np.floor(x / self.cell_size)), int(np.floor(y / self.cell_size)))
+        """Cell key of (x, y); a ValueError if it is not finite or its key reaches 2**62."""
+        fx, fy = x / self.cell_size, y / self.cell_size
+        if not (abs(fx) < 2.0**62 and abs(fy) < 2.0**62):
+            raise ValueError(f"point ({x:g}, {y:g}) is not finite or beyond the int64 cell keys")
+        return math.floor(fx), math.floor(fy)
 
     def update(self, cloud: PointCloud) -> int:
         """Record every cell occupied by the cloud; untouched cells persist.
@@ -231,17 +235,15 @@ class NormalMap:
         """
         if len(cloud) == 0:
             raise ValueError("cannot update the map from an empty cloud")
-        pts = cloud.points
-        fxy = np.floor(pts[:, :2] / self.cell_size)
-        lo, hi = fxy.min(axis=0), fxy.max(axis=0)
-        span = hi - lo + 1.0
-        if max(-lo.min(), hi.max(), span.prod()) >= 2.0**62:
-            raise ValueError("point cloud too far out or too wide for the map's int64 cell keys")
-        ixy = fxy.astype(np.int64)
+        xy = cloud.points[:, :2]
+        (lx, ly), (hx, hy) = self.key_of(*xy.min(axis=0)), self.key_of(*xy.max(axis=0))
+        if (hx - lx + 1) * (hy - ly + 1) >= 2**62:
+            raise ValueError("point cloud too wide for the map's int64 cell keys")
+        ixy = np.floor(xy / self.cell_size).astype(np.int64)
         # occupied cells in order of first appearance, their counts and z
         # sums; each cell as one int64 over the cloud's key box, which sorts
         # as its (ix, iy) key does
-        code = (ixy[:, 0] - int(lo[0])) * int(span[1]) + (ixy[:, 1] - int(lo[1]))
+        code = (ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly)
         _, first, inverse, counts = np.unique(
             code, return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
@@ -249,7 +251,7 @@ class NormalMap:
         rank[order] = np.arange(len(order))
         cell_of = rank[inverse.ravel()]
         keys, counts = ixy[first[order]], counts[order]
-        z_sum = np.bincount(cell_of, weights=pts[:, 2], minlength=len(keys))
+        z_sum = np.bincount(cell_of, weights=cloud.points[:, 2], minlength=len(keys))
         if len(cloud) < self.k_min:
             self.skipped_degenerate += len(keys)
             return 0

@@ -248,12 +248,14 @@ def symmetric_stance(model, h=0.25, x=0.0):
 
 def test_task_state_symmetric(model):
     y = symmetric_stance(model, 0.25)
-    ts = task_state(model, y, EZ, EZ)
-    phi, h, alpha, beta, gamma = ts.Lambda
+    kc = model.kinematics(y)
+    tj = model.task_jacobians(kc, EZ, EZ)
+    phi, h, alpha, beta, gamma = model.task_state(kc, tj).Lambda
     assert phi == pytest.approx(0.0, abs=1e-10)
     assert alpha == pytest.approx(0.0, abs=1e-12)
     assert beta == pytest.approx(0.0, abs=1e-12)
-    assert ts.d_w == pytest.approx(0.0, abs=1e-10)
+    # the wheels sit side by side: no offset along the heading
+    assert (tj.p_cl - tj.p_cr) @ kc.heading_axis[0] == pytest.approx(0.0, abs=1e-10)
     assert h == pytest.approx(0.25, abs=1e-9)
 
 
@@ -411,11 +413,9 @@ def test_com_matches_brute_force(model):
             num += m * (p + R @ model.desc.bodies[b].com)
             M += m
         com = num / M
-        cs = com_state(model, y, EZ, EZ)
-        kc = model.kinematics(y)
-        p_com, _ = kc.com
+        p_com, mass = model.kinematics(y).com
         assert np.allclose(p_com, com, atol=1e-12)
-        assert cs.total_mass == pytest.approx(M)
+        assert mass == pytest.approx(M)
 
 
 def test_com_upright_stance_centered(model):

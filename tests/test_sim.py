@@ -15,6 +15,7 @@ from wbcsim.hqp import HierarchySolver
 from wbcsim.model import KinematicsCache, MinimalState
 from wbcsim.rotations import exp_so3, project_to_so3
 from wbcsim.simulator import (
+    Controller,
     Disturbance,
     Scenario,
     ScenarioError,
@@ -459,7 +460,8 @@ def test_bad_estimated_normal_fails_the_run_naming_side(model, monkeypatch, side
 # -- per-cycle sharing ----------------------------------------------------------
 
 @pytest.mark.parametrize("name, mode, closed_loop_calls", [
-    ("disturbance", "true_normal", 2), ("slope_uturn", "estimated_normal", 3)])
+    ("disturbance", "true_normal", 2), ("slope_uturn", "estimated_normal", 3),
+    ("disturbance", "horizontal_normal", 3)])
 def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name,
                                                         mode, closed_loop_calls):
     """Between two HQP solves lie one control cycle and its two physics
@@ -507,3 +509,25 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
                 "heading_axis": 1, "com_jacobian": 1, "point_jacobians": 2}
     for before, after in zip(per_cycle, per_cycle[1:]):
         assert {k: after[k] - before[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("name, mode", [("disturbance", "true_normal"),
+                                        ("slope_uturn", "estimated_normal")])
+def test_controller_cycle_is_the_runs_first_cycle(model, name, mode):
+    """One Controller.cycle from the run's initial state gives the first
+    logged cycle of run_scenario bit for bit: the demos and any trace of
+    the cycle see the cycle the run executes."""
+    scenario = load_scenario(str(files("wbcsim").joinpath(f"data/scenarios/{name}.scn")),
+                             {"duration": 0.01, "estimation_mode": mode})
+    records, _ = run_scenario(model, scenario, seed=5)
+    seg0 = scenario.segment_at(0.0)
+    y0 = initial_state(model, scenario.terrain, scenario.start_xy, scenario.start_yaw,
+                       seg0.height, seg0.speed)
+    res = Controller(model, scenario, seed=5).cycle(model.kinematics(y0), 0.0)
+    rec = records[0]
+    for got, logged in ((res.sol.tau_a, rec.tau_a), (res.Lambda, rec.Lambda),
+                        (res.Lambda_com, rec.Lambda_com)):
+        assert np.array_equal(got, logged)
+    assert (res.psi_hat, res.psi_true) == (rec.psi_hat, rec.psi_true)
+    if mode == "estimated_normal":
+        assert res.psi_hat != res.psi_true     # the lidar map, not the terrain

@@ -1,5 +1,7 @@
 """Terrain estimation tests: entropy-optimal neighborhoods, PCA normals, map."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -433,6 +435,13 @@ def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
 def test_map_rejects_a_cloud_beyond_int64_cell_keys(points):
     with pytest.raises(ValueError, match="int64 cell keys"):
         NormalMap().update(PointCloud(points=np.array(points)))
+
+
+@pytest.mark.parametrize("x, shown", [(1e300, "1e+300"), (1e18, "1e+18"),
+                                      (float("nan"), "nan")])
+def test_lookup_rejects_a_point_beyond_int64_cell_keys(x, shown):
+    with pytest.raises(ValueError, match=re.escape(f"point ({shown}, 0) is not finite")):
+        NormalMap().lookup(x, 0.0)
 
 
 def _count_estimates(monkeypatch, nmap):
