@@ -279,6 +279,7 @@ class LogRecord:
     F_C: np.ndarray
     psi_hat: float
     psi_true: float
+    s_ref: float                 # the CoM reference the cycle tracked; not in log.csv
     base_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def row(self):
@@ -302,7 +303,7 @@ class MetricsSummary:
     roll_sd: float
     psi_hat_mean: float
     psi_err_mean: float
-    com_dev_max: float           # max |s_x - s_ref|
+    com_dev_max: float           # max |s_x - s_ref|, s_ref as each cycle tracked it
     energy_residual_frac: float
 
     def to_dict(self) -> dict:
@@ -486,6 +487,7 @@ class CycleResult:
     psi_hat: float               # mean incline of the controller's normals, deg
     psi_true: float              # mean incline of the true normals, deg
     sol: HqpSolution             # sol.tau_a is the torque command
+    s_ref: float                 # the CoM reference tracked, re-anchored while turning
 
 
 class Controller:
@@ -549,9 +551,10 @@ class Controller:
         stack = assemble_task_stack(pose_a, bal_a, tj)
         constraints = dynamics_constraints(cl_hat, model.B, model.desc.torque_limit)
         sol = self.solver.solve(stack, constraints)
+        s_ref = self.s_ref
         self.s_ref += seg.speed * self.dt
         self.cycles += 1
-        return CycleResult(cl, ts.Lambda, lam_com, psi_hat, psi_true, sol)
+        return CycleResult(cl, ts.Lambda, lam_com, psi_hat, psi_true, sol, s_ref)
 
 
 def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
@@ -622,7 +625,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         records.append(LogRecord(
             t=t, Lambda=res.Lambda.copy(), Lambda_com=res.Lambda_com,
             tau_a=res.sol.tau_a.copy(), F_C=state.F_C.copy(),
-            psi_hat=res.psi_hat, psi_true=res.psi_true,
+            psi_hat=res.psi_hat, psi_true=res.psi_true, s_ref=res.s_ref,
             base_pos=state.y.pos.copy()))
         pull += controller.dt * np.maximum(0.0, -state.F_C[[1, 3]])
         if (abs(res.Lambda[2]) > 1.0 or abs(res.Lambda[3]) > 1.0
@@ -643,12 +646,7 @@ def _summarize(scenario, records, state, e_start, model,
         psi_hat = np.array([r.psi_hat for r in records])
         psi_true = np.array([r.psi_true for r in records])
         beta0 = L[0, 3]
-        s0 = com[0, 2]
-        # CoM tracking deviation against the reference path
-        s_ref = s0 + np.concatenate([[0.0], np.cumsum(
-            np.diff(t_arr) * np.array([scenario.segment_at(t).speed
-                                       for t in t_arr[:-1]]))])
-        com_dev = np.abs(com[:, 2] - s_ref)
+        com_dev = np.abs(com[:, 2] - [r.s_ref for r in records])
         settle = float("nan")
         if pushes:
             t_push = min(d.t_start for d in pushes)
@@ -657,7 +655,7 @@ def _summarize(scenario, records, state, e_start, model,
             influenced = t_arr >= t_push
             before = t_arr < t_push
             # displacement is measured from the pre-push stationkeeping value
-            s_origin = com[before, 2][-1] if before.any() else s0
+            s_origin = com[before, 2][-1] if before.any() else com[0, 2]
             if after.any():
                 disp = np.abs(com[:, 2] - s_origin)
                 band = max(0.02 * disp[influenced].max(), 0.005)

@@ -10,6 +10,7 @@ read, and served through a lookahead query with exponential smoothing.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -74,13 +75,6 @@ def eigenvalue_entropy(lam: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _neighborhood_eigen(cloud: PointCloud, query_point: np.ndarray, k: int):
-    pts = cloud.points[cloud.nearest(query_point, k)]
-    cov = np.cov(pts.T, bias=True)
-    lam, vec = np.linalg.eigh(cov)
-    return lam[::-1], vec[:, ::-1]     # descending
-
-
 def optimal_neighborhood(cloud: PointCloud, query_point: np.ndarray,
                          k_min: int = 10, k_max: int = 60) -> int:
     """Neighbor count in [k_min, k_max] minimizing the eigenvalue entropy.
@@ -132,14 +126,26 @@ def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k: int) -> Norma
     if len(cloud) < k or k < 3:
         raise InsufficientNeighborhoodError(
             f"insufficient neighborhood: need k={k} of {len(cloud)} points")
-    lam, vec = _neighborhood_eigen(cloud, query_point, k)
-    if lam[1] <= 1e-12 * max(lam[0], 1e-300) or lam[0] <= 0.0:
+    pts = cloud.points[cloud.nearest(query_point, k)]
+    lam, vec = np.linalg.eigh(np.cov(pts.T, bias=True))      # ascending
+    n = _oriented_normal(lam, vec)
+    if n is None:
         raise DegenerateNeighborhoodError("degenerate neighborhood: points are collinear")
-    n = vec[:, 2]
-    if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0):
-        n = -n
+    lam = lam[::-1]
     return NormalEstimate(normal=n, k=k, entropy=eigenvalue_entropy(lam),
                           eigenvalues=np.maximum(lam, 0.0))
+
+
+def _oriented_normal(lam: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
+    """The eigenvector of the least of ascending eigenvalues lam, oriented
+    upward; None when the neighborhood is collinear: the middle eigenvalue
+    vanishes against the largest, or an eigenvalue is NaN."""
+    if not (lam[1] > 1e-12 * max(lam[2], 1e-300) and lam[2] > 0.0):
+        return None
+    n = vec[:, 0]
+    if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0):
+        n = -n
+    return n
 
 
 @dataclass
@@ -150,8 +156,7 @@ class MapCell:
 
 
 class _Frame(NamedTuple):
-    """One recorded cloud.  Its i-th occupied cell has map position base + i."""
-    base: int
+    """One recorded cloud and its occupied cells in key order."""
     cloud: PointCloud
     queries: np.ndarray                # (cells, 3): centre, mean height of the points
     counts: np.ndarray                 # points per cell
@@ -159,19 +164,10 @@ class _Frame(NamedTuple):
 
 @dataclass(slots=True)
 class _Slot:
-    """One key: the cell it holds and the estimates not yet made.
-
-    Positions order estimates by frame, then by first appearance in the
-    frame.  `first` is the position of the oldest non-degenerate estimate
-    found, where re-estimating every cell on every update would have
-    inserted the key.  `newer` and `older` hold (position, frame) pairs,
-    oldest first: those newer than `cell` may replace it, those older than
-    `first` may move the key earlier.
-    """
+    """One key: the cell it holds and the (row, frame) records newer than
+    it, oldest first, which may replace it."""
     cell: MapCell | None = None
-    first: int | None = None
     newer: list = field(default_factory=list)
-    older: list = field(default_factory=list)
 
 
 class NormalMap:
@@ -180,12 +176,12 @@ class NormalMap:
     `update` only records the cells a cloud occupies.  A cell is estimated
     when it is first read, from the newest cloud that covers it, falling
     back to older clouds while the newer estimates are degenerate.  Normals,
-    counts, k and the order of `cells` equal those of re-estimating every
-    occupied cell on every update.  A cloud is freed once no pending
-    estimate refers to it.  `skipped_degenerate` counts degenerate
-    estimates as reads find them, so an estimate superseded before any read
-    is never counted; every cell of a cloud too small to estimate counts at
-    once.
+    counts and k equal those of re-estimating every occupied cell on every
+    update.  A non-degenerate estimate drops the key's older records, and a
+    cloud is freed once no record refers to it.  `skipped_degenerate`
+    counts degenerate estimates as reads find them, so an estimate
+    superseded before any read is never counted; every cell of a cloud too
+    small to estimate counts at once.
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = 10, k_max: int = 60):
@@ -196,14 +192,12 @@ class NormalMap:
         self.cell_size = float(cell_size)
         self.k_min = int(k_min)
         self.k_max = int(k_max)
-        self._slots: dict[tuple[int, int], _Slot] = {}
-        self._recorded = 0             # cells recorded by all updates
+        self._slots: defaultdict[tuple[int, int], _Slot] = defaultdict(_Slot)
         self.skipped_degenerate = 0
 
     @property
     def cells(self) -> Mapping[tuple[int, int], MapCell]:
-        """Estimated cells, ordered by each key's oldest non-degenerate
-        estimate: by frame, then by first appearance in the frame.
+        """Estimated cells in (ix, iy) key order.
 
         `key in cells` and `cells[key]` estimate that key only; iteration,
         `len`, `items` and `export_csv` estimate every pending cell.
@@ -212,9 +206,7 @@ class NormalMap:
 
     @cells.setter
     def cells(self, cells: Mapping[tuple[int, int], MapCell]) -> None:
-        n = len(cells)                 # positions before any update's
-        self._slots = {key: _Slot(cell, i - n)
-                       for i, (key, cell) in enumerate(cells.items())}
+        self._slots = defaultdict(_Slot, {key: _Slot(cell) for key, cell in cells.items()})
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell key of (x, y); a ValueError if it is not finite or its key reaches 2**62."""
@@ -240,108 +232,71 @@ class NormalMap:
         if (hx - lx + 1) * (hy - ly + 1) >= 2**62:
             raise ValueError("point cloud too wide for the map's int64 cell keys")
         ixy = np.floor(xy / self.cell_size).astype(np.int64)
-        # occupied cells in order of first appearance, their counts and z
-        # sums; each cell as one int64 over the cloud's key box, which sorts
-        # as its (ix, iy) key does
+        # occupied cells, their counts and z sums; each cell as one int64
+        # over the cloud's key box, which sorts as its (ix, iy) key does
         code = (ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly)
         _, first, inverse, counts = np.unique(
             code, return_index=True, return_inverse=True, return_counts=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        cell_of = rank[inverse.ravel()]
-        keys, counts = ixy[first[order]], counts[order]
-        z_sum = np.bincount(cell_of, weights=cloud.points[:, 2], minlength=len(keys))
+        keys = ixy[first]
+        z_sum = np.bincount(inverse.ravel(), weights=cloud.points[:, 2], minlength=len(keys))
         if len(cloud) < self.k_min:
             self.skipped_degenerate += len(keys)
             return 0
 
-        frame = _Frame(self._recorded, cloud,
-                       np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts]),
+        frame = _Frame(cloud, np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts]),
                        counts)
-        for pos, key in enumerate(map(tuple, keys.tolist()), start=self._recorded):
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = self._slots[key] = _Slot()
-            slot.newer.append((pos, frame))
-        self._recorded += len(keys)
+        for row, key in enumerate(map(tuple, keys.tolist())):
+            self._slots[key].newer.append((row, frame))
         return len(keys)
 
-    def _estimate(self, pos: int, frame: _Frame) -> MapCell | None:
+    def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
         """One recorded cell: the k of `optimal_neighborhood` and the normal
         of `estimate_normal` at its query point, or None when degenerate."""
-        row = pos - frame.base
         cloud = frame.cloud
         idx = cloud.nearest(frame.queries[row], min(self.k_max, len(cloud)))
         ks, cov = _prefix_covariances(cloud.points[idx][None], self.k_min)
         best = _min_entropy_index(cov)[0]
-        lam, vec = np.linalg.eigh(cov[0, best])      # ascending
-        # collinear when the middle eigenvalue vanishes against the largest
-        if not (lam[1] > 1e-12 * max(lam[2], 1e-300) and lam[2] > 0.0):
+        n = _oriented_normal(*np.linalg.eigh(cov[0, best]))
+        if n is None:
             self.skipped_degenerate += 1
             return None
-        n = vec[:, 0]
-        if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0):
-            n = -n
         return MapCell(normal=n, sample_count=int(frame.counts[row]), k=int(ks[best]))
 
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
         """The key's cell from its newest non-degenerate estimate; makes only
-        the estimates newer than the one the cell holds."""
+        the estimates newer than the one the cell holds and drops the rest."""
         slot = self._slots.get(key)
         if slot is None:
             return None
         while slot.newer:
-            pos, frame = slot.newer.pop()
-            cell = self._estimate(pos, frame)
+            cell = self._estimate(*slot.newer.pop())
             if cell is not None:
                 slot.cell = cell
-                if slot.first is None:         # an older one may be the first
-                    slot.first, slot.older = pos, slot.newer
-                slot.newer = []
-                break
+                slot.newer.clear()
         return slot.cell
-
-    def _position(self, key: tuple[int, int]) -> int:
-        """Position of the key's oldest non-degenerate estimate; for a key
-        `_resolve` has found a cell for."""
-        slot = self._slots[key]
-        for pos, frame in slot.older:
-            if self._estimate(pos, frame) is not None:
-                slot.first = pos
-                break
-        slot.older = []
-        return slot.first
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
-        cell within SEARCH_RADIUS; None when nothing is found.
+        cell within SEARCH_RADIUS, the least (ix, iy) key among equally near
+        ones; None when nothing is found.
 
-        The fallback estimates the keys around (x, y) nearest first and stops
-        at the first distance that holds a non-degenerate cell.  It computes
-        the distances and breaks ties (the first estimated key wins) as an
-        argmin over all of `cells` would.
+        The fallback estimates the keys around (x, y) in that order and
+        stops at the first non-degenerate cell.
         """
         key = self.key_of(x, y)
         cell = self._resolve(key)
-        if cell is not None:
-            return cell.normal.copy()
-        r = int(np.ceil(SEARCH_RADIUS / self.cell_size)) + 1
-        near = np.mgrid[key[0] - r:key[0] + r + 1,
-                        key[1] - r:key[1] + r + 1].reshape(2, -1).T
-        d2 = (((near + 0.5) * self.cell_size - [x, y]) ** 2).sum(axis=1)
-        found, d2_found = [], SEARCH_RADIUS**2
-        for i in np.argsort(d2):
-            if d2[i] > d2_found:
-                break
-            near_key = tuple(near[i].tolist())
-            if self._resolve(near_key) is not None:
-                found.append(near_key)
-                d2_found = d2[i]
-        if not found:
-            return None
-        best = found[0] if len(found) == 1 else min(found, key=self._position)
-        return self._slots[best].cell.normal.copy()
+        if cell is None:
+            r = int(np.ceil(SEARCH_RADIUS / self.cell_size)) + 1
+            near = np.mgrid[key[0] - r:key[0] + r + 1,         # in key order
+                            key[1] - r:key[1] + r + 1].reshape(2, -1).T
+            d2 = (((near + 0.5) * self.cell_size - [x, y]) ** 2).sum(axis=1)
+            for i in np.argsort(d2, kind="stable"):
+                if d2[i] > SEARCH_RADIUS**2:
+                    break
+                cell = self._resolve(tuple(near[i].tolist()))
+                if cell is not None:
+                    break
+        return None if cell is None else cell.normal.copy()
 
     def export_csv(self, path: str) -> None:
         """CSV export: ix,iy,nx,ny,nz,count."""
@@ -366,8 +321,7 @@ class _Cells(Mapping):
 
     def __iter__(self):
         nmap = self._nmap
-        keys = [key for key in nmap._slots if nmap._resolve(key) is not None]
-        return iter(sorted(keys, key=nmap._position))
+        return iter(sorted(key for key in nmap._slots if nmap._resolve(key) is not None))
 
     def __len__(self) -> int:
         nmap = self._nmap

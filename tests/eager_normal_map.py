@@ -5,7 +5,9 @@ Each ``update`` estimates every cell the cloud occupies, right away: one
 k_max tree query for all cells, then the entropy scan and the
 eigen-decomposition batched over UPDATE_CHUNK cells at a time.  A cell
 whose estimate is degenerate keeps its older estimate.  The lookup
-fallback scans every key.
+fallback scans every key and takes the nearest cell, the least (ix, iy)
+key among equally near ones; `cells` keeps insertion order, so the tests
+compare it with the lazy map's key-ordered `cells` sorted.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class EagerNormalMap:
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
-        cell within SEARCH_RADIUS; None when nothing is found."""
+        cell within SEARCH_RADIUS, the least (ix, iy) key among equally near
+        ones; None when nothing is found."""
         cell = self.cells.get(self.key_of(x, y))
         if cell is not None:
             return cell.normal.copy()
@@ -86,9 +89,9 @@ class EagerNormalMap:
         keys = list(self.cells.keys())
         centers = (np.array(keys) + 0.5) * self.cell_size
         d2 = ((centers - [x, y]) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        if d2[i] <= SEARCH_RADIUS**2:
-            return self.cells[keys[i]].normal.copy()
+        d2_min, key = min(zip(d2.tolist(), keys))      # equally near: least key
+        if d2_min <= SEARCH_RADIUS**2:
+            return self.cells[key].normal.copy()
         return None
 
     def export_csv(self, path: str) -> None:

@@ -24,7 +24,8 @@ from wbcsim.dynamics import (
     spanning_tree_dynamics,
 )
 from wbcsim.model import NV_TREE
-from wbcsim.simulator import SensorConfig, run_scenario, step, synth_pointcloud
+from wbcsim.simulator import (Controller, SensorConfig, run_scenario, step,
+                              synth_pointcloud)
 from wbcsim.task_control import balance_accel, lqr_gain
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
 from wbcsim.terrain_estimation import (
@@ -280,6 +281,28 @@ def test_slope_traverse_estimated_normals_reduce_com_deviation(model):
     reduction = 100.0 * (1.0 - m_est.com_dev_max / m_horiz.com_dev_max)
     print(f"CoM deviation reduction with estimated normals: {reduction:.1f}% "
           f"({m_est.com_dev_max:.3f} vs {m_horiz.com_dev_max:.3f} m)")
+
+
+def test_com_deviation_is_measured_against_the_tracked_reference(model, monkeypatch):
+    """Through the U-turn the controller re-anchors its CoM reference to the
+    new heading; com_dev_max measures the CoM against that reference (about
+    0.38 m at seed 3), not against a path that keeps growing through the
+    turn while the CoM coordinate changes sign (4.75 m)."""
+    tracked = []
+    cycle = Controller.cycle
+
+    def observed(self, kc, t):
+        res = cycle(self, kc, t)
+        s_ref = self.s_ref - self.scenario.segment_at(t).speed * self.dt
+        tracked.append(abs(res.Lambda_com[2] - s_ref))
+        return res
+
+    monkeypatch.setattr(Controller, "cycle", observed)
+    records, m = _run_bundled(model, "slope_uturn", seed=3)
+    assert not m.fell and not m.failed
+    assert len(tracked) == len(records)
+    assert abs(m.com_dev_max - max(tracked)) < 1e-9
+    assert abs(m.com_dev_max - 0.378) < 0.02
 
 
 def test_scenario_suite_deterministic_and_within_time_budget(model):

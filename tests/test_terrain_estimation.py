@@ -371,7 +371,7 @@ def _lookup_points(rng, cell_size):
 
 
 def _assert_same_cells(lazy, eager):
-    assert list(lazy.cells) == list(eager.cells)
+    assert list(lazy.cells) == sorted(eager.cells)
     for key, cell in eager.cells.items():
         got = lazy.cells[key]
         assert np.array_equal(got.normal, cell.normal)
@@ -381,8 +381,8 @@ def _assert_same_cells(lazy, eager):
 @pytest.mark.parametrize("seed", range(8))
 def test_lazy_map_matches_eager_oracle(seed, tmp_path):
     """Over overlapping clouds, with degenerate and too-small frames, the lazy
-    map returns bit-equal lookups, the same cells in the same order and the
-    same CSV bytes as the eager map it replaced."""
+    map returns bit-equal lookups, the same cells in key order and the same
+    CSV bytes as the eager map it replaced."""
     from eager_normal_map import EagerNormalMap
     rng = np.random.default_rng(100 + seed)
     cell_size = 0.25                      # centres and edges are exact in binary
@@ -416,8 +416,8 @@ def test_lazy_map_matches_eager_oracle(seed, tmp_path):
 
 def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
     """Cells on both sides of the origin, first met out of key order: one
-    int64 code per cell over the cloud's key box gives the cells, counts and
-    first-appearance order of the eager map's row-wise unique."""
+    int64 code per cell over the cloud's key box gives the cells and counts
+    of the eager map's row-wise unique, and `cells` iterates in key order."""
     from eager_normal_map import EagerNormalMap
     rng = np.random.default_rng(99)
     cells = [(ix, iy) for ix in range(-6, 6) for iy in range(-4, 4) if rng.random() < 0.6]
@@ -427,7 +427,7 @@ def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
     eager = EagerNormalMap(cell_size=0.25, k_min=5, k_max=20)
     assert lazy.update(cloud) == eager.update(cloud) == len(cells)
     _assert_same_cells(lazy, eager)
-    assert [key for key in lazy.cells] != sorted(cells)
+    assert [key for key in lazy.cells] == sorted(cells)
 
 
 @pytest.mark.parametrize("points", [[[1e300, 0.0, 0.0]] * 12,
@@ -448,9 +448,9 @@ def _count_estimates(monkeypatch, nmap):
     made = []
     estimate = nmap._estimate
 
-    def counting(pos, frame):
-        made.append(pos)
-        return estimate(pos, frame)
+    def counting(row, frame):
+        made.append(row)
+        return estimate(row, frame)
 
     monkeypatch.setattr(nmap, "_estimate", counting)
     return made
@@ -458,8 +458,8 @@ def _count_estimates(monkeypatch, nmap):
 
 def test_lazy_map_estimates_only_what_is_read(monkeypatch):
     """update searches no neighbors; a hit estimates one cell with one
-    search, a miss only the nearest occupied cells up to the first
-    non-degenerate distance."""
+    search, a miss the occupied cells in (distance, key) order up to the
+    first non-degenerate one."""
     from wbcsim.simulator import SensorConfig, synth_pointcloud
     from wbcsim.terrain import SlopeTerrain
     rng = np.random.default_rng(1)
@@ -508,3 +508,36 @@ def test_lazy_map_miss_skips_degenerate_cells(monkeypatch):
     assert n is not None and n[2] > 0.99          # the planar cell
     assert nmap.skipped_degenerate == 3
     assert len(made) == 4
+
+
+def test_lookup_breaks_an_exact_tie_by_the_least_key(monkeypatch):
+    """From the centre of the empty cell (1, 0), the cells (0, 0) and (2, 0)
+    are equally near: the fallback takes (0, 0), though recorded last, and
+    estimates nothing else."""
+    rng = np.random.default_rng(5)
+    nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
+    for cell, normal in (((2, 0), [0.3, 0.0, 1.0]), ((0, 0), [0.0, -0.2, 1.0])):
+        normal = np.array(normal) / np.linalg.norm(normal)
+        nmap.update(PointCloud(points=_patch_cloud(rng, [cell] * 6, 0.25, normal)))
+    made = _count_estimates(monkeypatch, nmap)
+    n = nmap.lookup(0.375, 0.125)
+    assert len(made) == 1
+    assert np.array_equal(n, nmap.cells[(0, 0)].normal)
+    assert not np.allclose(n, nmap.cells[(2, 0)].normal, atol=0.05)
+
+
+def test_newer_estimate_frees_the_older_cloud():
+    """Once a read finds a non-degenerate estimate of a key, the key's older
+    records are dropped, and a cloud no record refers to is freed."""
+    import gc
+    import weakref
+    rng = np.random.default_rng(6)
+    nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
+    older = PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6, 0.25, UP))
+    nmap.update(older)
+    nmap.update(PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6, 0.25, UP)))
+    ref = weakref.ref(older)
+    del older
+    assert nmap.lookup(0.125, 0.125) is not None
+    gc.collect()
+    assert ref() is None
