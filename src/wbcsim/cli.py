@@ -57,6 +57,7 @@ from .simulator import (
 from .terrain import SlopeTerrain
 from .terrain_estimation import (
     NormalMap,
+    PointCloud,
     estimate_normal,
     eigenvalue_entropy,
     incline_angle,
@@ -234,7 +235,6 @@ def _plane_cloud(rng, angle_deg, n, noise):
     pts = c[:, :1] * t1 + c[:, 1:] * t2
     if noise > 0.0:
         pts = pts + rng.normal(scale=noise, size=pts.shape)
-    from .terrain_estimation import PointCloud
     return PointCloud(points=pts), normal
 
 

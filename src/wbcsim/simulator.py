@@ -10,8 +10,11 @@ references, disturbances and the estimation mode of the controller.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 # NumPy loads its random module on first use; load it with the simulator, so
@@ -36,7 +39,8 @@ from .task_control import (
     default_gains,
     pd_accel,
 )
-from .terrain import Terrain, finite_number, terrain_from_dict
+from .terrain import (AsymmetricTerrain, CompositeTerrain, FlatTerrain, LaneProfile,
+                      SlopeTerrain, Terrain)
 from .terrain_estimation import (
     NormalFilter,
     NormalMap,
@@ -144,17 +148,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        """Scenario from a scenario-file mapping.  Every section rejects
-        unknown keys and bad values with a ScenarioError naming the key."""
-        def section(c, **parse):
-            return lambda key, v: _section(c, v, key, **parse)
-
+        """Scenario from a scenario-file mapping.  Every section rejects unknown
+        keys and bad values with a ScenarioError naming the key path."""
         def vector(n, optional=False):
             return lambda key, v: (None if optional and v is None
                                    else np.array(_list(key, v, _number, n)))
 
         def disturbance(key, v):
-            d = _section(Disturbance, v, key, direction=vector(3))
+            d = _section(Disturbance, key, v, direction=vector(3))
             if d.kind == "push" and not np.linalg.norm(d.direction) > 0.0:
                 raise ScenarioError(f"'{key}.direction' of a push must not be zero")
             if d.kind == "push" and not d.duration > 0.0:
@@ -162,10 +163,10 @@ class Scenario:
             return d
 
         return _section(
-            cls, cfg, "", terrain=_terrain, sensor=section(SensorConfig),
+            cls, "", cfg, terrain=_terrain, sensor=partial(_section, SensorConfig),
             start_xy=vector(2), kp=vector(5, True), lqr_q=vector(4, True),
-            reference=lambda key, v: _list(key, v, section(ReferenceSegment)),
-            disturbances=lambda key, v: _list(key, v, disturbance))
+            reference=partial(_list, item=partial(_section, ReferenceSegment)),
+            disturbances=partial(_list, item=disturbance))
 
     def segment_at(self, t: float) -> ReferenceSegment:
         """The latest-starting segment begun by t, else the earliest one."""
@@ -187,11 +188,10 @@ POSITION_LIMIT = 1e6
 
 
 def _number(key: str, v, integer: bool = False):
-    """v as a finite float (or int) within the _LOWER bound of its key."""
-    try:
-        x = finite_number(key, v)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    """v as a finite float (or int), not a bool or string, within the _LOWER bound of its key."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
+        raise ScenarioError(f"'{key}' must be a finite number, got {v!r}")
+    x = float(v)
     if integer and not isinstance(v, int):
         raise ScenarioError(f"'{key}' must be an integer, got {v!r}")
     name = key.rpartition(".")[2].partition("[")[0]
@@ -211,36 +211,46 @@ def _list(key: str, v, item, n: int | None = None) -> list:
 
 
 def _terrain(key: str, v) -> Terrain:
+    """The terrain section: `kind` (default flat) names the class, and
+    _section reads its parameters from the other keys."""
+    kinds = {c.kind: c for c in (FlatTerrain, SlopeTerrain, AsymmetricTerrain, CompositeTerrain)}
+    if not isinstance(v, dict):
+        raise ScenarioError(f"'{key}' must be a mapping, got {v!r}")
+    kind = v.get("kind", "flat")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"'{key}.kind' must be one of {tuple(kinds)}, got {kind!r}")
+    lane, knots = partial(_section, LaneProfile), partial(_list, item=_number)
     try:
-        return terrain_from_dict(v)
-    except KeyError as exc:
-        raise ScenarioError(f"missing key '{key}.{exc.args[0]}'") from None
-    except (TypeError, ValueError) as exc:
+        return _section(kinds[kind], key, {k: x for k, x in v.items() if k != "kind"},
+                        left=lane, right=lane, knots_x=knots, knots_h=knots)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
         raise ScenarioError(f"bad '{key}' section: {exc}") from None
 
 
-def _section(cls, cfg, path: str, **parse):
-    """Dataclass cls from the mapping cfg of the section at key `path`.
+def _section(cls, path: str, cfg, **parse):
+    """cls(**kwargs) from the mapping cfg of the section at key `path`.
 
-    The keys must be fields of cls.  A field named in `parse` is converted
-    by that function of (key, value); any other is checked against its
-    annotation, str, int or float, and against _LOWER and _CHOICES.
+    The keys are cls's parameters, those without a default required.  One in
+    `parse` is converted by that function of (key, value); any other by its
+    annotation (str, int or float), _LOWER and _CHOICES.
     """
     if not isinstance(cfg, dict):
         raise ScenarioError(f"'{path}' must be a mapping, got {cfg!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    params = inspect.signature(cls).parameters
     key = (lambda k: f"{path}.{k}") if path else str
-    unknown = [key(k) for k in cfg if k not in fields]
+    unknown = [key(k) for k in cfg if k not in params]
     if unknown:
         raise ScenarioError(f"unknown scenario key(s): {', '.join(unknown)}")
     kwargs = {}
-    for name, f in fields.items():
+    for name, p in params.items():
         if name not in cfg:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            if p.default is p.empty:
                 raise ScenarioError(f"missing key '{key(name)}'")
         elif name in parse:
             kwargs[name] = parse[name](key(name), cfg[name])
-        elif f.type == "str":
+        elif p.annotation == "str":
             v, choices = cfg[name], _CHOICES.get(name)
             if not isinstance(v, str) or (choices and v not in choices):
                 raise ScenarioError(f"'{key(name)}' must be "
@@ -248,7 +258,7 @@ def _section(cls, cfg, path: str, **parse):
                                     f", got {v!r}")
             kwargs[name] = v
         else:
-            kwargs[name] = _number(key(name), cfg[name], integer=f.type == "int")
+            kwargs[name] = _number(key(name), cfg[name], integer=p.annotation == "int")
     return cls(**kwargs)
 
 

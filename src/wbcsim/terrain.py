@@ -3,13 +3,14 @@
 All terrains are height fields z = h(x, y) with C1 profiles (smoothstep
 ramps / monotone cubic knots) so the ground normal is continuous along any
 rolling path.  The asymmetric terrain keeps two independent lanes split at
-y = 0; each wheel stays in its own lane.
+y = 0; each wheel stays in its own lane.  Heights and gradients are Python
+floats.  The scenario file's terrain section is parsed in `wbcsim.simulator`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from bisect import bisect_right
 
 import numpy as np
 
@@ -21,18 +22,15 @@ def _smoothstep(t: float) -> tuple[float, float]:
 
 
 class Terrain:
+    """A height field with friction coefficient mu; a subclass defines
+    height(x, y) and grad(x, y) -> (dz/dx, dz/dy) on Python floats."""
+
     kind = "abstract"
 
     def __init__(self, mu: float = 0.8):
         if mu < 0.0:
             raise ValueError("friction coefficient must be non-negative")
         self.mu = float(mu)
-
-    def height(self, x: float, y: float) -> float:
-        raise NotImplementedError
-
-    def grad(self, x: float, y: float) -> tuple:
-        raise NotImplementedError
 
     def normal(self, x: float, y: float) -> np.ndarray:
         """Upward unit normal (-gx, -gy, 1) / |(-gx, -gy, 1)|, on Python floats."""
@@ -120,10 +118,11 @@ class AsymmetricTerrain(Terrain):
 
     kind = "asymmetric_support"
 
-    def __init__(self, left: LaneProfile, right: LaneProfile, mu: float = 0.8):
+    def __init__(self, left: LaneProfile | None = None,
+                 right: LaneProfile | None = None, mu: float = 0.8):
         super().__init__(mu)
-        self.left = left
-        self.right = right
+        self.left = left or LaneProfile()      # an omitted lane is flat
+        self.right = right or LaneProfile()
 
     def _lane(self, y):
         return self.left if y > 0.0 else self.right
@@ -136,68 +135,59 @@ class AsymmetricTerrain(Terrain):
 
 
 class CompositeTerrain(Terrain):
-    """Monotone-cubic height profile through (x, h) knots, constant outside."""
+    """Monotone-cubic height profile through (x, h) knots, constant outside:
+    SciPy's `PchipInterpolator` on floats (Fritsch & Carlson 1980).  A knot
+    slope (Fritsch & Butland 1984) is inside the weighted harmonic mean of the
+    adjacent secants, 0 where they differ in sign or one is 0; at an end the
+    three-point estimate, clamped to 0 and to 3 times the end secant."""
 
     kind = "composite"
 
     def __init__(self, knots_x, knots_h, mu: float = 0.8):
-        # imported here: SciPy's import costs more than most runs, and only
-        # this terrain needs it
-        from scipy.interpolate import PchipInterpolator
         super().__init__(mu)
-        x = np.asarray(knots_x, dtype=float)
-        h = np.asarray(knots_h, dtype=float)
-        if len(x) < 2 or np.any(np.diff(x) <= 0.0):
-            raise ValueError("need at least two strictly increasing knots")
-        self.x0, self.x1 = float(x[0]), float(x[-1])
-        self._f = PchipInterpolator(x, h)
-        self._df = self._f.derivative()
+        x, h = [float(v) for v in knots_x], [float(v) for v in knots_h]
+        w = [b - a for a, b in zip(x, x[1:])]
+        if len(x) < 2 or len(h) != len(x) or not all(dx > 0.0 for dx in w):
+            raise ValueError("composite knots need two or more increasing positions, a height each")
+        m = [(b - a) / dx for a, b, dx in zip(h, h[1:], w)]
+        d = [_end_slope(w, m),
+             *(0.0 if _sign(m0) != _sign(m1) or m0 == 0.0
+               else 1.0 / (((2.0 * w1 + w0) / m0 + (w1 + 2.0 * w0) / m1) / (3.0 * (w0 + w1)))
+               for w0, w1, m0, m1 in zip(w, w[1:], m, m[1:])),
+             _end_slope(w[::-1], m[::-1])]
+        # each interval as (x_i, c3, c2, c1, h_i): h = ((c3 s + c2) s + c1) s + h_i
+        t = [(d0 + d1 - 2.0 * mi) / dx for dx, mi, d0, d1 in zip(w, m, d, d[1:])]
+        self._x, self._cubic = x, [(xi, ti / dx, (mi - d0) / dx - ti, d0, hi) for
+                                   xi, hi, dx, mi, d0, ti in zip(x, h, w, m, d, t)]
+        # a knot that is not finite gives a width or secant that is not
+        if not all(map(math.isfinite, w + m + [c for p in self._cubic for c in p])):
+            raise ValueError("composite knots must be finite and give a finite cubic")
+
+    def _piece(self, x):
+        # the interval holding x, the first or last one outside the knots
+        x0, c3, c2, c1, c0 = self._cubic[bisect_right(self._x, x, 1, len(self._x) - 1) - 1]
+        return x - x0, c3, c2, c1, c0
 
     def height(self, x, y):
-        return float(self._f(np.clip(x, self.x0, self.x1)))
+        s, c3, c2, c1, c0 = self._piece(min(max(x, self._x[0]), self._x[-1]))
+        return ((c3 * s + c2) * s + c1) * s + c0
 
     def grad(self, x, y):
-        if x <= self.x0 or x >= self.x1:
+        if x <= self._x[0] or x >= self._x[-1]:
             return 0.0, 0.0
-        return float(self._df(x)), 0.0
+        s, c3, c2, c1, _ = self._piece(x)
+        return (3.0 * c3 * s + 2.0 * c2) * s + c1, 0.0
 
 
-def finite_number(key: str, v) -> float:
-    """v as a float; ValueError naming the key unless v is a finite int or
-    float (a YAML bool or string is not a number)."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
-        return float(v)
-    raise ValueError(f"'{key}' must be a finite number, got {v!r}")
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
 
 
-def terrain_from_dict(cfg: dict) -> Terrain:
-    """Build a terrain from a scenario-file dictionary.  KeyError names a
-    missing key; ValueError a key the kind does not take or a bad value."""
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", "flat")
-
-    def num(key, *default):
-        return finite_number(key, cfg.pop(key, *default))
-
-    def nums(key):
-        return [finite_number(f"{key}[{i}]", v) for i, v in enumerate(cfg.pop(key))]
-
-    def lane(key):
-        return LaneProfile(**{k: finite_number(f"{key}.{k}", v)
-                              for k, v in dict(cfg.pop(key, {})).items()})
-
-    mu = num("mu", 0.8)
-    if kind == "flat":
-        terrain = FlatTerrain(z0=num("z0", 0.0), mu=mu)
-    elif kind == "slope":
-        terrain = SlopeTerrain(angle_deg=num("angle_deg"), start=num("start", 0.0),
-                               blend=num("blend", 0.3), mu=mu)
-    elif kind == "asymmetric_support":
-        terrain = AsymmetricTerrain(lane("left"), lane("right"), mu=mu)
-    elif kind == "composite":
-        terrain = CompositeTerrain(nums("knots_x"), nums("knots_h"), mu=mu)
-    else:
-        raise ValueError(f"unknown terrain kind: {kind!r}")
-    if cfg:
-        raise ValueError(f"unknown key(s) {sorted(map(str, cfg))} for kind {kind!r}")
-    return terrain
+def _end_slope(w: list, m: list) -> float:
+    """Slope at the first knot from the interval widths w and secants m."""
+    if len(m) == 1:
+        return m[0]                                 # two knots: a line
+    d = ((2.0 * w[0] + w[1]) * m[0] - w[0] * m[1]) / (w[0] + w[1])
+    if _sign(d) != _sign(m[0]):
+        return 0.0
+    return 3.0 * m[0] if _sign(m[0]) != _sign(m[1]) and abs(d) > 3.0 * abs(m[0]) else d

@@ -1,9 +1,11 @@
 """CLI tests: artifacts, determinism, overrides, sweep fan-out, error paths."""
 
+import ast
 import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,21 +141,25 @@ def test_param_override_applied(flat_scn, tmp_path):
 
 
 def test_run_loads_no_scipy(slope_scn):
-    """Loading the CLI and running an estimated-normal slope scenario loads
-    no SciPy module, whose import alone costs more than a short run, and
-    the run itself imports nothing: every module it needs is loaded before
-    the first control cycle."""
+    """Loading the CLI and running an estimated-normal composite-terrain and
+    slope scenario loads no SciPy module, whose import alone costs more than
+    a short run, and a run itself imports nothing: every module it needs is
+    loaded before the first control cycle."""
+    runs = [{"duration": 0.1, "estimation_mode": "estimated_normal",
+             "terrain": {"kind": "composite", "knots_x": [0.2, 0.6, 1.0],
+                         "knots_h": [0.0, 0.02, 0.03]}},
+            {"duration": 0.1, "estimation_mode": "estimated_normal"}]
     code = ("import sys\n"
             "from wbcsim import cli, simulator\n"
             "from wbcsim.model import RobotModel\n"
-            f"scenario = cli.load_scenario({slope_scn!r}, "
-            "{'duration': 0.1, 'estimation_mode': 'estimated_normal'})\n"
-            "model = RobotModel()\n"
-            "loaded = set(sys.modules)\n"
-            "records, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
-            "assert records and not metrics.failed\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
-            "      sorted(set(sys.modules) - loaded))\n")
+            f"for params in {runs!r}:\n"
+            f"    scenario = cli.load_scenario({slope_scn!r}, params)\n"
+            "    model = RobotModel()\n"
+            "    loaded = set(sys.modules)\n"
+            "    records, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
+            "    assert records and not metrics.failed\n"
+            "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
+            "          sorted(set(sys.modules) - loaded))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
@@ -161,7 +167,31 @@ def test_run_loads_no_scipy(slope_scn):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] []"
+    assert proc.stdout.splitlines()[-2:] == ["[] []", "[] []"]
+
+
+def test_runtime_dependencies_are_the_imported_modules():
+    """The third-party modules imported anywhere under src/wbcsim, function-local
+    imports included, are exactly numpy and yaml, and they are the runtime
+    dependencies pyproject.toml declares: SciPy is a test dependency only."""
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "wbcsim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"wbcsim"}
+    assert third_party == {"numpy", "yaml"}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+    assert names(project["dependencies"]) == {{"yaml": "pyyaml"}.get(m, m) for m in third_party}
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 # -- error paths -------------------------------------------------------------
@@ -205,18 +235,26 @@ BAD_PARAMS = [
     ("terrain={kind: slope, angle_deg: 135}", "angle_deg"),
     # a start pose whose ground normal is parallel to the heading
     ("terrain={kind: slope, angle_deg: 89.9999999999, start: -5}", "start_xy"),
+    # the terrain section names its keys by path
+    ("terrain={kind: composite, knots_x: 1.0, knots_h: [0, 1]}", "terrain.knots_x"),
+    ("terrain={kind: asymmetric_support, left: {hieght: 0.1}}", "terrain.left.hieght"),
+    ("terrain={kind: asymmetric_support, left: 3}", "terrain.left"),
+    ("terrain={kind: stairs}", "terrain.kind"),
+    # knots whose cubic would not be finite
+    ("terrain={kind: composite, knots_x: [-1.0e+308, 1.0e+308], knots_h: [0, 1]}", "knots"),
 ]
 
 
 @pytest.mark.parametrize("param,key", BAD_PARAMS)
-def test_bad_override_exits_2_naming_key(flat_scn, tmp_path, capsys, param, key):
+def test_bad_override_exits_2_naming_key(flat_scn, tmp_path, capsys, recwarn, param, key):
     rc = main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
                "--param", param])
     err = capsys.readouterr().err
     assert rc == 2
     assert any(line.startswith("error:") and key in line
                for line in err.splitlines()), err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not [str(w.message) for w in recwarn]
 
 
 SCENARIO_KEYS = [

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from wbcsim.simulator import Scenario, ScenarioError
 from wbcsim.terrain import (
     AsymmetricTerrain,
     CompositeTerrain,
     FlatTerrain,
     LaneProfile,
     SlopeTerrain,
-    terrain_from_dict,
 )
 
 
@@ -124,6 +124,62 @@ def test_composite_rejects_bad_knots():
         CompositeTerrain([0.0], [0.0])
     with pytest.raises(ValueError):
         CompositeTerrain([0.0, 0.0], [0.0, 1.0])
+    for knots_x, knots_h in (
+            ([0.0, 1.0, 2.0], [0.0, 1.0]),              # lengths differ
+            ([0.0, float("nan")], [0.0, 1.0]),          # a knot not finite
+            ([0.0, 1.0], [0.0, float("inf")]),
+            ([-1.0e308, 1.0e308], [0.0, 1.0]),          # a knot width overflows
+            ([0.0, 0.5], [0.0, 1.0e308]),               # a secant overflows
+            ([0.0, 1.0], [0.0, 1.0e308]),               # a cubic coefficient is nan
+            ([0.0, 1.0, 2.0], [0.0, 1.0e308, 0.0])):
+        with pytest.raises(ValueError, match="composite knots"):
+            CompositeTerrain(knots_x, knots_h)
+
+
+def _pchip_cases():
+    """(knots_x, knots_h) sets for the PchipInterpolator oracle."""
+    rng = np.random.default_rng(7)
+    cases = [([0.0, 1.0], [0.0, 0.3]),                  # two knots: a line
+             ([-1.0, 0.5], [0.2, -0.4]),
+             ([0.0, 1.0, 2.0], [0.0, 0.1, 1.1]),        # end slope set to 0
+             ([0.0, 1.0, 2.0], [0.0, 1.0, -9.0]),       # end slope 3 x the secant
+             ([0.0, 1.0, 2.0, 3.0], [0.0, 0.2, 0.2, 0.0])]   # a flat segment
+    for i in range(120):
+        n = int(rng.integers(3, 9))
+        x = np.cumsum(rng.uniform(0.05, 1.5, n)) - 2.0
+        h = (np.cumsum(rng.uniform(0.0, 0.3, n)) if i % 3 == 0      # monotone
+             else np.round(rng.normal(0.0, 0.2, n), 1) if i % 3 == 1  # flat runs
+             else rng.normal(0.0, 0.2, n))                          # non-monotone
+        cases.append((x.tolist(), h.tolist()))
+    return cases
+
+
+def test_composite_matches_pchip_oracle():
+    """Heights and gradients at, between and outside the knots agree with
+    SciPy's PchipInterpolator, clipped to the knot span, to 1e-12 of the
+    profile's scale; the end-slope cases hit both clamps of the end rule."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    cases = _pchip_cases()
+    slope = interpolate.PchipInterpolator(cases[2][0], cases[2][1]).derivative()
+    assert slope(0.0) == 0.0
+    slope = interpolate.PchipInterpolator(cases[3][0], cases[3][1]).derivative()
+    assert slope(0.0) == pytest.approx(3.0)
+    for knots_x, knots_h in cases:
+        t = CompositeTerrain(knots_x, knots_h)
+        f = interpolate.PchipInterpolator(knots_x, knots_h)
+        df = f.derivative()
+        x0, x1 = knots_x[0], knots_x[-1]
+        mids = np.add(knots_x[1:], knots_x[:-1]) / 2.0
+        xs = np.concatenate([knots_x, mids, np.linspace(x0 - 1.0, x1 + 1.0, 41)]).tolist()
+        h_ref = f(np.clip(xs, x0, x1))
+        g_ref = [0.0 if x <= x0 or x >= x1 else float(df(x)) for x in xs]
+        h_scale = np.abs(knots_h).max()
+        g_scale = np.abs(np.diff(knots_h) / np.diff(knots_x)).max()
+        np.testing.assert_allclose([t.height(x, 0.3) for x in xs], h_ref,
+                                   rtol=1e-12, atol=1e-12 * h_scale)
+        np.testing.assert_allclose([t.grad(x, 0.3)[0] for x in xs], g_ref,
+                                   rtol=1e-12, atol=1e-12 * g_scale)
+        assert all(t.grad(x, 0.3)[1] == 0.0 for x in xs)
 
 
 # -- normals are unit and upward everywhere ---------------------------------
@@ -198,24 +254,31 @@ def test_slope_angle_must_be_below_vertical(angle):
 
 # -- config parsing ---------------------------------------------------------
 
+def parse_terrain(cfg):
+    return Scenario.from_dict({"terrain": cfg}).terrain
+
+
 def test_from_dict_dispatch():
-    t = terrain_from_dict({"kind": "flat", "z0": 0.1, "mu": 0.5})
+    t = parse_terrain({"kind": "flat", "z0": 0.1, "mu": 0.5})
     assert isinstance(t, FlatTerrain) and t.z0 == 0.1 and t.mu == 0.5
-    t = terrain_from_dict({"kind": "slope", "angle_deg": 25.0, "start": 0.3})
+    t = parse_terrain({"kind": "slope", "angle_deg": 25.0, "start": 0.3})
     assert isinstance(t, SlopeTerrain) and t.angle_deg == 25.0
-    t = terrain_from_dict({"kind": "asymmetric_support",
+    t = parse_terrain({"kind": "asymmetric_support",
                            "right": {"height": 0.1, "start": 0.8, "ramp": 0.5}})
     assert isinstance(t, AsymmetricTerrain)
     assert t.height(2.0, -0.1) == pytest.approx(0.1)
-    t = terrain_from_dict({"kind": "composite",
+    assert t.height(2.0, 0.1) == 0.0                  # the omitted left lane is flat
+    t = parse_terrain({"kind": "composite",
                            "knots_x": [0.0, 1.0], "knots_h": [0.0, 0.1]})
     assert isinstance(t, CompositeTerrain)
+    assert isinstance(parse_terrain({}), FlatTerrain)     # kind defaults to flat
 
 
 def test_from_dict_errors():
-    with pytest.raises(ValueError):
-        terrain_from_dict({"kind": "stairs"})
-    with pytest.raises(KeyError):
-        terrain_from_dict({"kind": "slope"})          # angle_deg required
-    with pytest.raises(ValueError):
-        terrain_from_dict({"kind": "flat", "mu": -0.1})
+    """ScenarioError is a ValueError; each names the key path."""
+    with pytest.raises(ScenarioError, match=r"'terrain\.kind'"):
+        parse_terrain({"kind": "stairs"})
+    with pytest.raises(ScenarioError, match=r"missing key 'terrain\.angle_deg'"):
+        parse_terrain({"kind": "slope"})
+    with pytest.raises(ScenarioError, match="friction coefficient"):
+        parse_terrain({"kind": "flat", "mu": -0.1})
