@@ -17,7 +17,7 @@ import numpy as np
 
 from wbcsim.cli import load_scenario
 from wbcsim.model import RobotModel
-from wbcsim.simulator import run_scenario
+from wbcsim.simulator import LOG_COLUMNS, run_scenario
 
 
 def main():
@@ -26,11 +26,11 @@ def main():
     print(f"scenario '{scenario.name}': duration {scenario.duration} s, "
           f"{len(scenario.disturbances)} disturbance(s)")
 
-    records, metrics = run_scenario(RobotModel(), scenario, seed=3)
+    log, metrics = run_scenario(RobotModel(), scenario, seed=3)
     print(metrics.to_text(), end="")
 
-    t = np.array([r.t for r in records])
-    rx = np.array([r.Lambda_com[0] for r in records])
+    t = log[:, LOG_COLUMNS.index("t")]
+    rx = log[:, LOG_COLUMNS.index("r_x")]
     i_peak = int(np.argmax(np.abs(rx)))
     print(f"peak CoM offset {rx[i_peak]:+.4f} m at t = {t[i_peak]:.2f} s, "
           f"recovered to settle band in {metrics.settle_time:.2f} s after "

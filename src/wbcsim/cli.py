@@ -6,7 +6,8 @@ run           Load a scenario file, simulate it, and write artifacts to the
               output directory: ``log.csv`` (per-control-cycle trace, columns
               in :data:`wbcsim.simulator.LOG_COLUMNS`), ``metrics.txt`` and
               ``metrics.json`` (summary), and for every terrain but flat
-              ``psi_trace.csv`` (estimated vs true incline angle over time).
+              ``psi_trace.csv`` (the log's t, psi_hat and psi_true columns:
+              estimated vs true incline angle over time).
 bench-normals Monte-Carlo accuracy table for the ground-normal estimator:
               noiseless inclined planes, noisy planes, the full synthetic
               lidar ramp pipeline, and an adaptive-neighborhood cross-check.
@@ -46,13 +47,14 @@ import yaml
 
 from .model import RobotModel
 from .simulator import (
+    LOG_COLUMNS,
     MetricsSummary,
     Scenario,
     ScenarioError,
     SensorConfig,
     run_scenario,
     synth_pointcloud,
-    write_log_csv,
+    write_csv,
 )
 from .terrain import SlopeTerrain
 from .terrain_estimation import (
@@ -65,6 +67,7 @@ from .terrain_estimation import (
 )
 
 DEFAULT_SEED = 0
+PSI_COLUMNS = ("t", "psi_hat", "psi_true")   # of the log, in psi_trace.csv
 OUT_ENV_VAR = "WBCSIM_OUT"
 
 
@@ -130,28 +133,26 @@ def load_scenario(path: str, params: dict) -> Scenario:
 
 # -- run mode ----------------------------------------------------------------
 
-def write_artifacts(out_dir: str, records: list, metrics: MetricsSummary,
+def write_artifacts(out_dir: str, log: np.ndarray, metrics: MetricsSummary,
                     slope_terrain: bool) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_log_csv(records, os.path.join(out_dir, "log.csv"))
+    write_csv(os.path.join(out_dir, "log.csv"), LOG_COLUMNS, log)
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
         fh.write(metrics.to_text())
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if slope_terrain:
-        with open(os.path.join(out_dir, "psi_trace.csv"), "w") as fh:
-            fh.write("t,psi_hat,psi_true\n")
-            for r in records:
-                fh.write(f"{r.t:.9g},{r.psi_hat:.9g},{r.psi_true:.9g}\n")
+        write_csv(os.path.join(out_dir, "psi_trace.csv"), PSI_COLUMNS,
+                  log[:, [LOG_COLUMNS.index(c) for c in PSI_COLUMNS]])
 
 
 def _run_and_write(scenario_path: str, params: dict, seed: int,
                    out_dir: str) -> MetricsSummary:
     """Load a scenario, run it and write its artifacts to out_dir."""
     scenario = load_scenario(scenario_path, params)
-    records, metrics = run_scenario(RobotModel(), scenario, seed=seed)
-    write_artifacts(out_dir, records, metrics, scenario.terrain.kind != "flat")
+    log, metrics = run_scenario(RobotModel(), scenario, seed=seed)
+    write_artifacts(out_dir, log, metrics, scenario.terrain.kind != "flat")
     return metrics
 
 

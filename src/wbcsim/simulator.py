@@ -13,6 +13,7 @@ import dataclasses
 import inspect
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -182,8 +183,10 @@ _LOWER = {"duration": (0.0, True), "control_rate": (0.0, False),
           "points": (1, True), "mass": (0.0, True), "drop_height": (0.0, True),
           "lqr_r": (0.0, False), "kp": (0.0, False), "lqr_q": (0.0, False)}
 _CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODES}
-# largest |value| (m) of the start position and the lookahead: the normal
-# map's integer cell keys must hold every point a run queries
+# largest |value| (m) of the start position and the lookahead, whose points
+# the normal map's integer cell keys must hold, and of the ground and lane
+# heights and the reference height, at which the leg geometry still has
+# precision left
 POSITION_LIMIT = 1e6
 
 
@@ -198,7 +201,7 @@ def _number(key: str, v, integer: bool = False):
     lo, closed = _LOWER.get(name, (-math.inf, True))
     if x < lo or (x == lo and not closed):
         raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
-    if name in ("start_xy", "lookahead") and abs(x) > POSITION_LIMIT:
+    if name in ("start_xy", "lookahead", "z0", "knots_h", "height") and abs(x) > POSITION_LIMIT:
         raise ScenarioError(f"'{key}' must be within {POSITION_LIMIT:g} m of 0, got {v!r}")
     return v if integer else x
 
@@ -273,6 +276,9 @@ class SimState:
     dissipated: float = 0.0      # lateral friction, J (>= 0)
 
 
+# a run's log has one row per control cycle, these columns in this order: the
+# task state Lambda, the CoM state, the torques, the contact forces, the mean
+# estimated and true inclines (deg) and the base position
 LOG_COLUMNS = ("t", "phi", "h", "alpha", "beta", "gamma",
                "r_x", "dr_x", "s_x", "ds_x",
                "tau_hl", "tau_kl", "tau_wl", "tau_hr", "tau_kr", "tau_wr",
@@ -281,40 +287,23 @@ LOG_COLUMNS = ("t", "phi", "h", "alpha", "beta", "gamma",
 
 
 @dataclass
-class LogRecord:
-    t: float
-    Lambda: np.ndarray           # (phi, h, alpha, beta, gamma)
-    Lambda_com: np.ndarray       # (r, rdot, s, sdot)
-    tau_a: np.ndarray
-    F_C: np.ndarray
-    psi_hat: float
-    psi_true: float
-    s_ref: float                 # the CoM reference the cycle tracked; not in log.csv
-    base_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def row(self):
-        return ([self.t] + list(self.Lambda) + list(self.Lambda_com)
-                + list(self.tau_a) + list(self.F_C)
-                + [self.psi_hat, self.psi_true] + list(self.base_pos))
-
-
-@dataclass
 class MetricsSummary:
+    """A run's outcome; a run without a logged cycle keeps the defaults."""
     name: str
     fell: bool
     failed: bool
     failure: str
-    max_abs_beta: float
-    max_abs_r_x: float
-    settle_time: float           # s after push release; nan if no push
-    height_mean: float
-    height_sd: float
-    roll_mean: float
-    roll_sd: float
-    psi_hat_mean: float
-    psi_err_mean: float
-    com_dev_max: float           # max |s_x - s_ref|, s_ref as each cycle tracked it
-    energy_residual_frac: float
+    max_abs_beta: float = 0.0
+    max_abs_r_x: float = 0.0
+    settle_time: float = math.nan   # s after push release; nan if no push
+    height_mean: float = 0.0
+    height_sd: float = 0.0
+    roll_mean: float = 0.0
+    roll_sd: float = 0.0
+    psi_hat_mean: float = 0.0
+    psi_err_mean: float = 0.0
+    com_dev_max: float = 0.0        # max |s_x - s_ref|, s_ref as each cycle tracked it
+    energy_residual_frac: float = 0.0
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -326,19 +315,20 @@ class MetricsSummary:
         return "\n".join(lines) + "\n"
 
 
-def write_log_csv(records: list, path: str) -> None:
+def write_csv(path: str, columns, log: np.ndarray) -> None:
+    """Write the rows of log under a header of the column names, to 9 significant digits."""
     with open(path, "w") as fh:
-        fh.write(",".join(LOG_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(f"{v:.9g}" for v in rec.row()) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in log.tolist():
+            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 # -- forward dynamics -------------------------------------------------------
 
 def true_normals(kc: KinematicsCache, terrain: Terrain):
     """Terrain normals under the left and right wheel centers of kc."""
-    wl, wr = kc.wheel_centers()
-    return terrain.normal(wl[0], wl[1]), terrain.normal(wr[0], wr[1])
+    (xl, yl, _), (xr, yr, _) = (w.tolist() for w in kc.wheel_centers())
+    return terrain.normal(xl, yl), terrain.normal(xr, yr)
 
 
 def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
@@ -359,7 +349,8 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
     cvel = cl.J_xz @ y.vel
     gap = np.zeros(4)
     for i, p, n in ((1, cl.p_cl, cl.contact.n_l), (3, cl.p_cr, cl.contact.n_r)):
-        gap[i] = n[2] * (p[2] - terrain.height(p[0], p[1]))
+        x, y, z = p.tolist()
+        gap[i] = n[2] * (z - terrain.height(x, y))
     drift = (cl.Jdot_xz_u + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
              + BAUMGARTE_OMEGA**2 * gap)
 
@@ -442,10 +433,10 @@ def initial_state(model: RobotModel, terrain: Terrain,
     r_w = desc.wheel_radius
     pos = np.array([start_xy[0], start_xy[1], height])
     for _ in range(6):
-        hips = pos + desc.hip_origins @ R.T
+        hips_xy = (pos + desc.hip_origins @ R.T)[:, :2].tolist()
         targets = [terrain.surface_point(hx, hy) + r_w * terrain.normal(hx, hy)
-                   for hx, hy in hips[:, :2]]
-        pos[2] = 0.5 * (terrain.height(*hips[0, :2]) + terrain.height(*hips[1, :2])) + height
+                   for hx, hy in hips_xy]
+        pos[2] = 0.5 * (terrain.height(*hips_xy[0]) + terrain.height(*hips_xy[1])) + height
         hips = pos + desc.hip_origins @ R.T
         (q_hl, q_kl), (q_hr, q_kr) = (leg_ik(desc, R.T @ (tg - hip))
                                       for tg, hip in zip(targets, hips))
@@ -479,7 +470,7 @@ def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
     th = rng.uniform(0.0, 2.0 * np.pi, cfg.points)
     xs = center_xy[0] + r * np.cos(th)
     ys = center_xy[1] + r * np.sin(th)
-    zs = np.array([terrain.height(x, y) for x, y in zip(xs, ys)])
+    zs = np.array([terrain.height(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
     pts = np.column_stack([xs, ys, zs])
     if cfg.noise > 0.0:
         pts = pts + rng.normal(scale=cfg.noise, size=pts.shape)
@@ -577,7 +568,8 @@ def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
 
 
 def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
-    """Closed-loop run; returns (records, MetricsSummary)."""
+    """Closed-loop run; returns (log, MetricsSummary), log an (n, len(LOG_COLUMNS))
+    array with a row per control cycle run."""
     terrain = scenario.terrain
     seg0 = scenario.segment_at(0.0)
     try:
@@ -598,9 +590,9 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         key=lambda d: d.t_start)
     pushes = [d for d in scenario.disturbances if d.kind == "push"]
 
-    records = []
-    failed, failure = False, ""
-    fell = False
+    log = array("d")             # the rows, grown a cycle at a time
+    s_ref = array("d")           # each cycle's CoM reference, not in the log
+    failed, failure, fell = False, "", False
     pull = np.zeros(2)           # downward impulse on each wheel so far, N*s
     pull_limit = model.desc.total_mass * GRAVITY * PULL_LIMIT_S
 
@@ -632,65 +624,54 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break
 
-        records.append(LogRecord(
-            t=t, Lambda=res.Lambda.copy(), Lambda_com=res.Lambda_com,
-            tau_a=res.sol.tau_a.copy(), F_C=state.F_C.copy(),
-            psi_hat=res.psi_hat, psi_true=res.psi_true, s_ref=res.s_ref,
-            base_pos=state.y.pos.copy()))
+        log.extend([t, *res.Lambda.tolist(), *res.Lambda_com.tolist(), *res.sol.tau_a.tolist(),
+                    *state.F_C.tolist(), res.psi_hat, res.psi_true, *state.y.pos.tolist()])
+        s_ref.append(res.s_ref)
         pull += controller.dt * np.maximum(0.0, -state.F_C[[1, 3]])
         if (abs(res.Lambda[2]) > 1.0 or abs(res.Lambda[3]) > 1.0
                 or pull.max() > pull_limit):
             fell = True
             break
 
-    return records, _summarize(scenario, records, state, e_start, model,
-                               fell, failed, failure, pushes)
+    log = np.frombuffer(log).reshape(-1, len(LOG_COLUMNS))
+    return log, _summarize(scenario, log, np.frombuffer(s_ref), state, e_start, model,
+                           fell, failed, failure, pushes)
 
 
-def _summarize(scenario, records, state, e_start, model,
+def _summarize(scenario, log, s_ref, state, e_start, model,
                fell, failed, failure, pushes) -> MetricsSummary:
-    if records:
-        L = np.array([r.Lambda for r in records])
-        com = np.array([r.Lambda_com for r in records])
-        t_arr = np.array([r.t for r in records])
-        psi_hat = np.array([r.psi_hat for r in records])
-        psi_true = np.array([r.psi_true for r in records])
-        beta0 = L[0, 3]
-        com_dev = np.abs(com[:, 2] - [r.s_ref for r in records])
-        settle = float("nan")
-        if pushes:
-            t_push = min(d.t_start for d in pushes)
-            t_rel = max(d.t_start + d.duration for d in pushes)
-            after = t_arr >= t_rel
-            influenced = t_arr >= t_push
-            before = t_arr < t_push
-            # displacement is measured from the pre-push stationkeeping value
-            s_origin = com[before, 2][-1] if before.any() else com[0, 2]
-            if after.any():
-                disp = np.abs(com[:, 2] - s_origin)
-                band = max(0.02 * disp[influenced].max(), 0.005)
-                ok = disp <= band
-                # the first sample after the push from which disp stays in band
-                bad = np.flatnonzero(~ok)
-                i = max(int(np.argmax(after)), bad[-1] + 1 if bad.size else 0)
-                settle = t_arr[i] - t_rel if i < len(ok) else float("inf")
-        e_end = mechanical_energy(model.kinematics(state.y))
-        denom = max(abs(state.work_in) + state.dissipated + abs(e_start), 1.0)
-        e_resid = abs((e_end - e_start) - (state.work_in - state.dissipated)) / denom
-        return MetricsSummary(
-            name=scenario.name, fell=fell, failed=failed, failure=failure,
-            max_abs_beta=float(np.abs(L[:, 3] - beta0).max()),
-            max_abs_r_x=float(np.abs(com[:, 0]).max()),
-            settle_time=settle,
-            height_mean=float(L[:, 1].mean()), height_sd=float(L[:, 1].std()),
-            roll_mean=float(L[:, 2].mean()), roll_sd=float(L[:, 2].std()),
-            psi_hat_mean=float(psi_hat.mean()),
-            psi_err_mean=float(np.abs(psi_hat - psi_true).mean()),
-            com_dev_max=float(com_dev.max()),
-            energy_residual_frac=float(e_resid))
-    return MetricsSummary(name=scenario.name, fell=fell, failed=True,
-                          failure=failure or "no records", max_abs_beta=0.0,
-                          max_abs_r_x=0.0, settle_time=float("nan"),
-                          height_mean=0.0, height_sd=0.0, roll_mean=0.0,
-                          roll_sd=0.0, psi_hat_mean=0.0, psi_err_mean=0.0,
-                          com_dev_max=0.0, energy_residual_frac=0.0)
+    if not len(log):
+        return MetricsSummary(scenario.name, fell, True, failure or "no records")
+    c = dict(zip(LOG_COLUMNS, log.T))      # the log's columns by name
+    t_arr, s_x = c["t"], c["s_x"]
+    settle = float("nan")
+    if pushes:
+        t_push = min(d.t_start for d in pushes)
+        t_rel = max(d.t_start + d.duration for d in pushes)
+        after = t_arr >= t_rel
+        influenced = t_arr >= t_push
+        before = t_arr < t_push
+        # displacement is measured from the pre-push stationkeeping value
+        s_origin = s_x[before][-1] if before.any() else s_x[0]
+        if after.any():
+            disp = np.abs(s_x - s_origin)
+            band = max(0.02 * disp[influenced].max(), 0.005)
+            ok = disp <= band
+            # the first sample after the push from which disp stays in band
+            bad = np.flatnonzero(~ok)
+            i = max(int(np.argmax(after)), bad[-1] + 1 if bad.size else 0)
+            settle = t_arr[i] - t_rel if i < len(ok) else float("inf")
+    e_end = mechanical_energy(model.kinematics(state.y))
+    denom = max(abs(state.work_in) + state.dissipated + abs(e_start), 1.0)
+    e_resid = abs((e_end - e_start) - (state.work_in - state.dissipated)) / denom
+    return MetricsSummary(
+        name=scenario.name, fell=fell, failed=failed, failure=failure,
+        max_abs_beta=float(np.abs(c["beta"] - c["beta"][0]).max()),
+        max_abs_r_x=float(np.abs(c["r_x"]).max()),
+        settle_time=settle,
+        height_mean=float(c["h"].mean()), height_sd=float(c["h"].std()),
+        roll_mean=float(c["alpha"].mean()), roll_sd=float(c["alpha"].std()),
+        psi_hat_mean=float(c["psi_hat"].mean()),
+        psi_err_mean=float(np.abs(c["psi_hat"] - c["psi_true"]).mean()),
+        com_dev_max=float(np.abs(s_x - s_ref).max()),
+        energy_residual_frac=float(e_resid))

@@ -24,7 +24,7 @@ from wbcsim.dynamics import (
     spanning_tree_dynamics,
 )
 from wbcsim.model import NV_TREE
-from wbcsim.simulator import (Controller, SensorConfig, run_scenario, step,
+from wbcsim.simulator import (LOG_COLUMNS, Controller, SensorConfig, run_scenario, step,
                               synth_pointcloud)
 from wbcsim.task_control import balance_accel, lqr_gain
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
@@ -74,9 +74,9 @@ def _run_bundled(model, name, seed, overrides=None):
     scenario = load_scenario(str(SCENARIO_DIR.joinpath(f"{name}.scn")),
                              overrides or {})
     t0 = time.perf_counter()
-    records, metrics = run_scenario(model, scenario, seed=seed)
+    log, metrics = run_scenario(model, scenario, seed=seed)
     _record(name, seed, overrides, time.perf_counter() - t0)
-    return records, metrics
+    return log, metrics
 
 
 # -- dynamics ----------------------------------------------------------------
@@ -252,10 +252,10 @@ def test_push_recovery_within_one_second(tmp_path):
 def test_asymmetric_ground_height_and_roll(model):
     """Traversing the 0.1 m split-level support holds the base height within
     1 cm of the 0.25 m reference and roll within 0.04 rad."""
-    records, m = _run_bundled(model, "asymmetric", seed=4)
+    log, m = _run_bundled(model, "asymmetric", seed=4)
     assert not m.fell and not m.failed
-    h = np.array([r.Lambda[1] for r in records])
-    alpha = np.array([r.Lambda[2] for r in records])
+    h = log[:, LOG_COLUMNS.index("h")]
+    alpha = log[:, LOG_COLUMNS.index("alpha")]
     assert np.abs(h - 0.25).max() < 0.01
     assert np.abs(alpha).max() < 0.04
 
@@ -298,9 +298,9 @@ def test_com_deviation_is_measured_against_the_tracked_reference(model, monkeypa
         return res
 
     monkeypatch.setattr(Controller, "cycle", observed)
-    records, m = _run_bundled(model, "slope_uturn", seed=3)
+    log, m = _run_bundled(model, "slope_uturn", seed=3)
     assert not m.fell and not m.failed
-    assert len(tracked) == len(records)
+    assert len(tracked) == len(log)
     assert abs(m.com_dev_max - max(tracked)) < 1e-9
     assert abs(m.com_dev_max - 0.378) < 0.02
 
@@ -310,9 +310,7 @@ def test_scenario_suite_deterministic_and_within_time_budget(model):
     runs in this module complete well inside the 5-minute budget."""
     rec1, m1 = _run_bundled(model, "disturbance", seed=3)
     rec2, m2 = _run_bundled(model, "disturbance", seed=3)
-    rows1 = np.array([r.row() for r in rec1])
-    rows2 = np.array([r.row() for r in rec2])
-    assert np.array_equal(rows1, rows2)
+    assert np.array_equal(rec1, rec2)
     assert m1.settle_time == m2.settle_time
 
     done = Counter({k: len(v) for k, v in _SCENARIO_SECONDS.items()})

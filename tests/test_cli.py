@@ -124,6 +124,23 @@ def test_every_terrain_but_flat_has_psi_trace(flat_scn, tmp_path, terrain):
     assert (out / "psi_trace.csv").read_text().startswith("t,psi_hat,psi_true\n")
 
 
+def test_psi_trace_is_three_columns_of_the_log(slope_scn, tmp_path):
+    """psi_trace.csv holds the t, psi_hat and psi_true columns of log.csv,
+    row for row and digit for digit."""
+    out = tmp_path / "out"
+    assert main(["--scenario", slope_scn, "--out", str(out), "--param", "duration=0.2",
+                 "--param", "terrain.start=0.0",
+                 "--param", "estimation_mode=estimated_normal"]) == 0
+    with open(out / "log.csv", newline="") as fh:
+        log = list(csv.reader(fh))
+    with open(out / "psi_trace.csv", newline="") as fh:
+        trace = list(csv.reader(fh))
+    cols = [log[0].index(c) for c in ("t", "psi_hat", "psi_true")]
+    assert trace == [[row[i] for i in cols] for row in log]
+    assert len(trace) == 101
+    assert any(float(hat) != float(true) > 0.0 for _, hat, true in trace[1:])
+
+
 def test_env_var_sets_output_dir(flat_scn, tmp_path, monkeypatch):
     out = tmp_path / "from_env"
     monkeypatch.setenv("WBCSIM_OUT", str(out))
@@ -156,8 +173,8 @@ def test_run_loads_no_scipy(slope_scn):
             f"    scenario = cli.load_scenario({slope_scn!r}, params)\n"
             "    model = RobotModel()\n"
             "    loaded = set(sys.modules)\n"
-            "    records, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
-            "    assert records and not metrics.failed\n"
+            "    log, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
+            "    assert len(log) and not metrics.failed\n"
             "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
             "          sorted(set(sys.modules) - loaded))\n")
     env = dict(os.environ)
@@ -242,6 +259,15 @@ BAD_PARAMS = [
     ("terrain={kind: stairs}", "terrain.kind"),
     # knots whose cubic would not be finite
     ("terrain={kind: composite, knots_x: [-1.0e+308, 1.0e+308], knots_h: [0, 1]}", "knots"),
+    # ground heights past POSITION_LIMIT left the leg geometry no precision
+    # (a ZeroDivisionError traceback), or a grade whose square overflowed
+    ("terrain={kind: flat, z0: 1.0e+16}", "terrain.z0"),
+    ("terrain={kind: composite, knots_x: [0, 1], knots_h: [1.0e+20, 1.0e+20]}",
+     "terrain.knots_h[0]"),
+    ("terrain={kind: asymmetric_support, left: {start: -5, height: 1.0e+20}, "
+     "right: {start: -5, height: 1.0e+20}}", "terrain.left.height"),
+    ("terrain={kind: composite, knots_x: [0, 1], knots_h: [0, 1.0e+200]}",
+     "terrain.knots_h[1]"),
 ]
 
 
@@ -296,6 +322,19 @@ def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys):
     assert "Traceback" not in err and "Warning" not in err
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["failed"] is True
+    assert (out / "log.csv").read_text() == ",".join(LOG_COLUMNS) + "\n"   # no cycle ran
+
+
+@pytest.mark.parametrize("terrain", [
+    "{kind: slope, angle_deg: 10, blend: 1.0e-320}",
+    "{kind: asymmetric_support, left: {ramp: 1.0e-320, height: 0.05}}",
+])
+def test_subnormal_ramp_runs_without_warnings(flat_scn, tmp_path, recwarn, terrain):
+    """A ramp of subnormal length is a step: its smoothstep argument
+    overflows to inf on Python floats, which numpy scalars warned about."""
+    assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
+                 "--param", f"terrain={terrain}", "--param", "duration=0.05"]) == 0
+    assert not [str(w.message) for w in recwarn]
 
 
 def test_bad_normal_in_a_physics_substep_is_a_solver_failure(flat_scn, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Smoke test: the dynamics, control-cycle, LQR and normal-estimation demos
-run to completion."""
+"""Smoke test: the dynamics, control-cycle, LQR, normal-estimation and
+scenario-run demos run to completion."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_dynamics.py", "02_hqp_control.py",
-                                  "03_balance_lqr.py", "04_normal_estimation.py"])
+                                  "03_balance_lqr.py", "04_normal_estimation.py",
+                                  "05_scenario_run.py"])
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

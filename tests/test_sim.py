@@ -15,6 +15,7 @@ from wbcsim.hqp import HierarchySolver
 from wbcsim.model import KinematicsCache, MinimalState
 from wbcsim.rotations import exp_so3, project_to_so3
 from wbcsim.simulator import (
+    LOG_COLUMNS,
     Controller,
     Disturbance,
     Scenario,
@@ -392,15 +393,13 @@ def test_run_scenario_deterministic(model):
         both_nan = (isinstance(d1[k], float) and np.isnan(d1[k])
                     and isinstance(d2[k], float) and np.isnan(d2[k]))
         assert both_nan or d1[k] == d2[k], k
-    rows1 = np.array([r.row() for r in rec1])
-    rows2 = np.array([r.row() for r in rec2])
-    assert np.array_equal(rows1, rows2)     # bit-identical
+    assert np.array_equal(rec1, rec2)       # bit-identical
 
 
 def test_short_stationkeeping(model):
     sc = Scenario.from_dict({"name": "hold", "terrain": {"kind": "flat"},
                              "duration": 0.5})
-    records, m = run_scenario(model, sc, seed=0)
+    _, m = run_scenario(model, sc, seed=0)
     assert not m.fell and not m.failed
     assert m.height_mean == pytest.approx(0.25, abs=0.01)
     assert m.energy_residual_frac < 0.01
@@ -519,15 +518,46 @@ def test_controller_cycle_is_the_runs_first_cycle(model, name, mode):
     the cycle see the cycle the run executes."""
     scenario = load_scenario(str(files("wbcsim").joinpath(f"data/scenarios/{name}.scn")),
                              {"duration": 0.01, "estimation_mode": mode})
-    records, _ = run_scenario(model, scenario, seed=5)
+    log, _ = run_scenario(model, scenario, seed=5)
     seg0 = scenario.segment_at(0.0)
     y0 = initial_state(model, scenario.terrain, scenario.start_xy, scenario.start_yaw,
                        seg0.height, seg0.speed)
     res = Controller(model, scenario, seed=5).cycle(model.kinematics(y0), 0.0)
-    rec = records[0]
-    for got, logged in ((res.sol.tau_a, rec.tau_a), (res.Lambda, rec.Lambda),
-                        (res.Lambda_com, rec.Lambda_com)):
-        assert np.array_equal(got, logged)
-    assert (res.psi_hat, res.psi_true) == (rec.psi_hat, rec.psi_true)
+    row = dict(zip(LOG_COLUMNS, log[0]))
+    for got, cols in ((res.sol.tau_a, ("tau_hl", "tau_kl", "tau_wl",
+                                       "tau_hr", "tau_kr", "tau_wr")),
+                      (res.Lambda, ("phi", "h", "alpha", "beta", "gamma")),
+                      (res.Lambda_com, ("r_x", "dr_x", "s_x", "ds_x"))):
+        assert np.array_equal(got, [row[c] for c in cols])
+    assert (res.psi_hat, res.psi_true) == (row["psi_hat"], row["psi_true"])
     if mode == "estimated_normal":
         assert res.psi_hat != res.psi_true     # the lidar map, not the terrain
+
+
+class _TypeRecordingSlope(SlopeTerrain):
+    """A slope that records the types of the coordinates it is queried at."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.arg_types = set()
+
+    def height(self, x, y):
+        self.arg_types.update((type(x), type(y)))
+        return super().height(x, y)
+
+    def grad(self, x, y):
+        self.arg_types.update((type(x), type(y)))
+        return super().grad(x, y)
+
+
+def test_run_queries_the_terrain_with_python_floats(model):
+    """The start pose, the true normals, the contact gap and the lidar query
+    the terrain with Python floats, the arithmetic terrain.py is written for:
+    on numpy scalars an overflow to inf prints a RuntimeWarning."""
+    terrain = _TypeRecordingSlope(angle_deg=10.0, start=0.05, blend=0.2)
+    scenario = Scenario(terrain=terrain, duration=0.02, estimation_mode="estimated_normal",
+                        disturbances=[Disturbance(kind="block_impact", t_start=0.01,
+                                                  mass=0.5, drop_height=0.1)])
+    _, m = run_scenario(model, scenario, seed=0)
+    assert not m.failed and not m.fell
+    assert terrain.arg_types == {float}
