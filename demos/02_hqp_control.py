@@ -9,7 +9,7 @@ The cycle is the one a scenario run executes (`Controller.cycle`).
 
 import numpy as np
 
-from wbcsim.model import RobotModel, TaskJacobians
+from wbcsim.model import TASK_NAMES, RobotModel
 from wbcsim.simulator import Controller, Scenario, initial_state
 from wbcsim.terrain import FlatTerrain
 
@@ -25,7 +25,7 @@ def main():
     sol = Controller(model, scenario).cycle(model.kinematics(y), 0.0).sol
 
     print("priority levels (residual after solve, active torque bounds):")
-    for name, r, act in zip(TaskJacobians.names, sol.residuals, sol.active_sets):
+    for name, r, act in zip(TASK_NAMES, sol.residuals, sol.active_sets):
         print(f"  {name:24s} residual {r:10.3e}  active {len(act)}")
     print(f"torques (hip, knee, wheel x2): {np.round(sol.tau_a, 3)}")
     print(f"contact forces (x_l, z_l, x_r, z_r): {np.round(sol.F_C, 2)} N")

@@ -265,34 +265,24 @@ class MinimalState:
     vel: np.ndarray = field(default_factory=lambda: np.zeros(NV_MIN))
 
 
-@dataclass
-class TaskState:
-    """Pose task state Lambda = (phi, h, alpha, beta, gamma) and its rate."""
-
-    Lambda: np.ndarray
-    Lambda_dot: np.ndarray
-
-
-@dataclass
-class ComState:
-    r: np.ndarray                # (x, z) of CoM relative to frame N origin, sagittal
-    s: np.ndarray                # (x, z) absolute CoM in heading/vertical axes
-    r_dot: np.ndarray
-    s_dot: np.ndarray
+# the six task rows in priority order, and the row of each pose task value
+# Lambda = (phi, h, alpha, beta, gamma) followed by the balance row
+TASK_NAMES = ("height", "pitch", "balance", "roll", "split", "yaw")
+TASK_ROWS = np.array([4, 0, 3, 1, 5, 2])
 
 
 @dataclass
 class TaskJacobians:
-    """Rows (1x12) mapping u_y to task rates, plus Jdot*u_y bias terms.
-
-    Order: height, pitch, balance (r_CoM^x), roll, split, yaw.
-    """
+    """One cycle's task-space pass: the rows (1x12) mapping u_y to task
+    rates, in TASK_NAMES order, their Jdot*u_y bias terms, and the task
+    values the pose PD law and the balance LQR track."""
 
     J: np.ndarray                # 6x12
     Jdot_u: np.ndarray           # (6,)
-    p_cl: np.ndarray             # contact points the rows were built at
-    p_cr: np.ndarray
-    names: tuple = ("height", "pitch", "balance", "roll", "split", "yaw")
+    Lambda: np.ndarray           # (phi, h, alpha, beta, gamma)
+    Lambda_dot: np.ndarray       # (5,) its rates, rows of J @ u_y
+    Lambda_com: np.ndarray       # (r, rdot, s, sdot) of the CoM along x_N
+    r_z: float                   # CoM height over the contact midpoint
 
 
 def ground_normals(n_l: np.ndarray, n_r: np.ndarray) -> np.ndarray:
@@ -467,44 +457,11 @@ class RobotModel:
 
     # -- task space --------------------------------------------------------
 
-    def task_state(self, kc: KinematicsCache, tj: TaskJacobians) -> TaskState:
-        """Pose task values, and their rates through the task rows tj of kc."""
-        roll, pitch, yaw = euler_zyx(kc.R[BASE])
-        h = float(kc.o[BASE, 2] - 0.5 * (tj.p_cl[2] + tj.p_cr[2]))
-        # split: the difference of the legs' pendulum angles atan2(d . x_N, d_z),
-        # d = hip - wheel center
-        d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
-        (a_l, a_r), (b_l, b_r) = (d @ kc.heading_axis[0]).tolist(), d[:, 2].tolist()
-        phi = math.atan2(a_l, b_l) - math.atan2(a_r, b_r)
-        # the rates: the task rows, taken in Lambda order
-        return TaskState(Lambda=np.array([phi, h, roll, pitch, yaw]),
-                         Lambda_dot=(tj.J @ kc.y.vel)[[4, 0, 3, 1, 5]])
-
-    def com_state(self, kc: KinematicsCache, tj: TaskJacobians) -> ComState:
-        """CoM position/velocity in heading (x) and vertical (z) axes.
-
-        r is measured from the frame-N origin, the midpoint of the contact
-        points tj was built at; s is the absolute position.  The forward
-        rate s_dot[0] is the CoM velocity along the current heading (the
-        rotation of the heading axis itself is excluded: projecting the
-        absolute position onto a turning axis would otherwise report a
-        spurious forward rate proportional to the distance from the world
-        origin).
-        """
-        x_n, _, x_d, _ = kc.heading_axis
-        p_com, _ = kc.com
-        v_com = kc.com_jacobian @ kc.state.vel
-        # the contacts move with the wheel centers (the normals are held fixed)
-        v_rel = v_com - 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
-        r_vec = p_com - 0.5 * (tj.p_cl + tj.p_cr)
-        return ComState(r=np.array([r_vec @ x_n, r_vec[2]]), s=np.array([p_com @ x_n, p_com[2]]),
-                        r_dot=np.array([x_n @ v_rel + r_vec @ x_d, v_rel[2]]),
-                        s_dot=np.array([x_n @ v_com, v_com[2]]))
-
     def task_jacobians(self, kc: KinematicsCache, n_l: np.ndarray,
                        n_r: np.ndarray) -> TaskJacobians:
-        """Analytic 6x12 task rows (h, beta, r_com_x, alpha, phi, gamma) and
-        their Jdot*u_y terms, at the contact points of the given normals.
+        """The cycle's task-space pass at the contact points of the given
+        normals: the analytic 6x12 task rows (h, beta, r_com_x, alpha, phi,
+        gamma), their Jdot*u_y terms and the task values.
 
         Jdot*u_y is each task's second time derivative along the current
         velocity with udot = 0.  It is assembled from the Jacobians and bias
@@ -567,10 +524,12 @@ class RobotModel:
         # r_com_x = (p_com - mid) . x_N with the contact midpoint moving as
         # the wheel-center midpoint (the normals are held fixed)
         p_com, M = kc.com
-        _, _, balance_bias, tb = along(*([c - 0.5 * (l + r) for c, l, r in zip(*q)] for q in (
-            (p_com.tolist(), p_cl.tolist(), p_cr.tolist()),
-            ((kc.com_jacobian @ kc.state.vel).tolist(), V[0], V[1]),
-            ((self.desc.masses @ kc.com_bias_acc / M).tolist(), A[0], A[1]))))
+        v_com = kc.com_jacobian @ kc.state.vel
+        r_vec = p_com - 0.5 * (p_cl + p_cr)
+        _, _, balance_bias, tb = along(r_vec.tolist(), *(
+            [c - 0.5 * (l + r) for c, l, r in zip(*q)] for q in (
+                (v_com.tolist(), V[0], V[1]),
+                ((self.desc.masses @ kc.com_bias_acc / M).tolist(), A[0], A[1]))))
 
         # The rows in task order (height, pitch, balance, roll, split, yaw),
         # each a combination of the TASK_JACOBIANS (wheel centers, hips, base
@@ -590,7 +549,24 @@ class RobotModel:
         J16[2] += x_n @ kc.com_jacobian
         jdot_u = np.array((0.0, xn1 * v0 - xn0 * v1, balance_bias,
                            -v_xn / nh, split_bias, k * v_xn - v2))
-        return TaskJacobians(J=J16 @ self.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
+        J = J16 @ self.G
+
+        # The task values: the split is left minus right pendulum angle, h is
+        # over the contact midpoint and r the CoM offset from it along x_N, its
+        # rate moving the contacts with the wheel centers.  s's rate is the CoM
+        # velocity along the current heading: the turn of x_N itself would add
+        # a rate proportional to the distance from the world origin.
+        d = kc.points[HIP_POINTS] - kc.points[WHEEL_POINTS]
+        (a_l, a_r), (b_l, b_r) = (d @ x_n).tolist(), d[:, 2].tolist()
+        roll, pitch, yaw = euler_zyx(kc.R[BASE])
+        h = float(kc.o[BASE, 2] - 0.5 * (p_cl[2] + p_cr[2]))
+        v_rel = v_com - 0.5 * (kc.v_origin[WHEEL_L] + kc.v_origin[WHEEL_R])
+        return TaskJacobians(
+            J=J, Jdot_u=jdot_u,
+            Lambda=np.array([math.atan2(a_l, b_l) - math.atan2(a_r, b_r), h, roll, pitch, yaw]),
+            Lambda_dot=(J @ kc.y.vel)[TASK_ROWS[:5]],
+            Lambda_com=np.array([r_vec @ x_n, x_n @ v_rel + r_vec @ x_d, p_com @ x_n, x_n @ v_com]),
+            r_z=float(r_vec[2]))
 
 
 class OutOfReachError(ValueError):

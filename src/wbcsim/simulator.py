@@ -43,6 +43,7 @@ from .task_control import (
 from .terrain import (AsymmetricTerrain, CompositeTerrain, FlatTerrain, LaneProfile,
                       SlopeTerrain, Terrain)
 from .terrain_estimation import (
+    K_MIN,
     NormalFilter,
     NormalMap,
     PointCloud,
@@ -126,11 +127,18 @@ class Scenario:
     def __post_init__(self):
         if self.terrain is None:
             raise ScenarioError("missing key 'terrain'")
-        if self.sim_rate < self.control_rate or self.control_rate <= 0.0:
-            raise ScenarioError("'sim_rate' must be >= 'control_rate' > 0")
+        if not self.control_rate > 0.0:
+            raise ScenarioError("'control_rate' must be > 0")
         if not self.reference:
             raise ScenarioError("'reference' must not be empty")
         try:
+            # timing() rounds these ratios: one that is not whole would run the
+            # controller or the lidar at another rate than the one given
+            for a, b, ratio in (("sim_rate", "control_rate", self.sim_rate / self.control_rate),
+                                ("control_rate", "sensor.rate_hz",
+                                 self.control_rate / self.sensor.rate_hz)):
+                if not (ratio >= 1.0 and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+                    raise ScenarioError(f"'{a}' / '{b}' must be a whole number >= 1, got {ratio:g}")
             if self.timing()[2] < 1:
                 raise ScenarioError(f"'duration' of {self.duration:g} s is "
                                     "shorter than one control cycle")
@@ -142,10 +150,9 @@ class Scenario:
         """Physics step (s), physics steps per control cycle, control cycles,
         and control cycles per lidar frame."""
         dt_sim = 1.0 / self.sim_rate
-        n_sub = max(1, int(round(self.sim_rate / self.control_rate)))
-        n_ctrl = int(round(self.duration / (n_sub * dt_sim)))
-        return dt_sim, n_sub, n_ctrl, max(1, int(round(self.control_rate
-                                                       / self.sensor.rate_hz)))
+        n_sub = round(self.sim_rate / self.control_rate)
+        return (dt_sim, n_sub, round(self.duration / (n_sub * dt_sim)),
+                round(self.control_rate / self.sensor.rate_hz))
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
@@ -180,7 +187,7 @@ class Scenario:
 # lower bounds as (bound, whether the bound itself is allowed), and choices
 _LOWER = {"duration": (0.0, True), "control_rate": (0.0, False),
           "rate_hz": (0.0, False), "radius": (0.0, False), "noise": (0.0, True),
-          "points": (1, True), "mass": (0.0, True), "drop_height": (0.0, True),
+          "points": (K_MIN, True), "mass": (0.0, True), "drop_height": (0.0, True),
           "lqr_r": (0.0, False), "kp": (0.0, False), "lqr_q": (0.0, False)}
 _CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODES}
 # largest |value| (m) of the start position and the lookahead, whose points
@@ -530,8 +537,6 @@ class Controller:
         seg = sc.segment_at(t)
         self.yaw_ref = wrap_angle(self.yaw_ref + seg.yaw_rate * self.dt)
         tj = model.task_jacobians(kc, nl_hat, nr_hat)
-        ts = model.task_state(kc, tj)
-        cs = model.com_state(kc, tj)
         # the true-normal dynamics serve the first physics substep and,
         # with true normals, the controller
         cl = closed_loop_dynamics(model, kc, nl, nr, mu=sc.terrain.mu)
@@ -540,14 +545,13 @@ class Controller:
 
         # pd_accel wraps the yaw error across the +/-pi seam
         ref_L = np.array([0.0, seg.height, 0.0, 0.0, self.yaw_ref])
-        pose_a = pd_accel(ref_L, np.zeros(5), ts.Lambda, ts.Lambda_dot, self.gains)
+        pose_a = pd_accel(ref_L, np.zeros(5), tj.Lambda, tj.Lambda_dot, self.gains)
 
         if self.s_ref is None or seg.yaw_rate != 0.0:
-            self.s_ref = float(cs.s[0])
-        lam_com = np.array([cs.r[0], cs.r_dot[0], cs.s[0], cs.s_dot[0]])
+            self.s_ref = float(tj.Lambda_com[2])
         ref_com = np.array([0.0, 0.0, self.s_ref, seg.speed])
-        design = self.sched.gain(max(cs.r[1], 0.05))
-        bal_a = balance_accel(design.K, ref_com, lam_com)
+        design = self.sched.gain(max(tj.r_z, 0.05))
+        bal_a = balance_accel(design.K, ref_com, tj.Lambda_com)
 
         stack = assemble_task_stack(pose_a, bal_a, tj)
         constraints = dynamics_constraints(cl_hat, model.B, model.desc.torque_limit)
@@ -555,7 +559,7 @@ class Controller:
         s_ref = self.s_ref
         self.s_ref += seg.speed * self.dt
         self.cycles += 1
-        return CycleResult(cl, ts.Lambda, lam_com, psi_hat, psi_true, sol, s_ref)
+        return CycleResult(cl, tj.Lambda, tj.Lambda_com, psi_hat, psi_true, sol, s_ref)
 
 
 def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GRAVITY
-from .model import TaskJacobians
+from .model import TASK_ROWS, TaskJacobians
 from .rotations import wrap_angle
 
 # Lambda order (phi, h, alpha, beta, gamma); angular entries get wrapped errors
@@ -147,22 +147,20 @@ def balance_accel(K: np.ndarray, ref_Lcom: np.ndarray, Lcom: np.ndarray) -> floa
 class TaskStack:
     J: np.ndarray                # 6x12, J_i udot_y = b_i is level i, highest first
     b: np.ndarray                # (6,)
-    names: list
 
 
 def assemble_task_stack(pose_acc: np.ndarray, bal_acc: float,
                         tj: TaskJacobians) -> TaskStack:
     """Order the six desired accelerations by priority as task rows.
 
-    pose_acc follows the Lambda order (phi, h, alpha, beta, gamma); the
-    stack follows the priority order height, pitch, balance, roll, split,
-    yaw, matching the task-Jacobian row order.  Row i reads
+    pose_acc follows the Lambda order (phi, h, alpha, beta, gamma); TASK_ROWS
+    places it and the balance acceleration in the task-Jacobian row order,
+    the priority order TASK_NAMES.  Row i reads
     J_i udot_y = des_a_i - Jdot_i u_y, over the 12 accelerations udot_y.
     """
-    pose_acc = np.asarray(pose_acc, dtype=float).reshape(5)
-    des = np.array([pose_acc[1], pose_acc[3], float(bal_acc),
-                    pose_acc[2], pose_acc[0], pose_acc[4]])
+    des = np.empty(6)
+    des[TASK_ROWS] = np.asarray(pose_acc, dtype=float).reshape(5).tolist() + [bal_acc]
     b = des - tj.Jdot_u
     if not (np.isfinite(b).all() and np.isfinite(tj.J).all()):
         raise ValueError("task rows must be finite")
-    return TaskStack(J=tj.J, b=b, names=list(tj.names))
+    return TaskStack(J=tj.J, b=b)

@@ -19,6 +19,9 @@ import numpy as np
 
 UP = np.array([0.0, 0.0, 1.0])
 SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
+# default fewest neighbors of a normal estimate; a cloud with fewer points
+# gives the normal map no estimate at all
+K_MIN = 10
 
 
 class InsufficientNeighborhoodError(ValueError):
@@ -76,7 +79,7 @@ def eigenvalue_entropy(lam: np.ndarray) -> float:
 
 
 def optimal_neighborhood(cloud: PointCloud, query_point: np.ndarray,
-                         k_min: int = 10, k_max: int = 60) -> int:
+                         k_min: int = K_MIN, k_max: int = 60) -> int:
     """Neighbor count in [k_min, k_max] minimizing the eigenvalue entropy.
 
     Ties break toward smaller k.  The scan shares one sorted k_max query:
@@ -184,7 +187,7 @@ class NormalMap:
     small to estimate counts at once.
     """
 
-    def __init__(self, cell_size: float = 0.10, k_min: int = 10, k_max: int = 60):
+    def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
         if cell_size <= 0.0:
             raise ValueError("cell size must be positive")
         if not 3 <= k_min < k_max:

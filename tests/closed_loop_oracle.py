@@ -235,11 +235,12 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
 
 
 def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:
-    """The six task rows and their Jdot*u_y terms, one point Jacobian per
-    hip and wheel centre and one pendulum angle per leg."""
+    """The six task rows, their Jdot*u_y terms and the task values, one
+    point Jacobian per hip and wheel centre and one pendulum angle per leg."""
     r_w = model.desc.wheel_radius
     p_cl = kc.o[WHEEL_L] - r_w * np.asarray(n_l, float)
     p_cr = kc.o[WHEEL_R] - r_w * np.asarray(n_r, float)
+    R = kc.R[BASE]
     x_n, nh, x_d, x_dd = kc.heading_axis
     ez = np.array([0.0, 0.0, 1.0])
     head = kc.R[BASE][:, 0]
@@ -260,7 +261,7 @@ def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:
     euler_bias = -Einv @ (rd * cross3(yd * ez + pd * c1, head) - pd * yd * x_n)
 
     def theta(hip_joint: int, wheel: int, shank: int):
-        """Row and bias of the pendulum angle atan2(d . x_N, d_z), d = hip - wheel center."""
+        """Value, row and bias of the pendulum angle atan2(d . x_N, d_z), d = hip - wheel center."""
         hip = kc.o[BASE] + kc.R[BASE] @ model.desc.joints[hip_joint].origin
         d = hip - kc.o[wheel]
         d_d = point_velocity(kc, BASE, hip) - kc.v_origin[wheel]
@@ -273,10 +274,10 @@ def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:
         row = (b * (x_n @ Jd + d @ Jx_n) - a * Jd[2]) / D
         bias = ((b * a_dd - a * b_dd) / D
                 - 2.0 * (b * a_d - a * b_d) * (a * a_d + b * b_d) / (D * D))
-        return row, bias
+        return np.arctan2(a, b), row, bias
 
-    row_l, bias_l = theta(0, WHEEL_L, SHANK_L)
-    row_r, bias_r = theta(5, WHEEL_R, SHANK_R)
+    angle_l, row_l, bias_l = theta(0, WHEEL_L, SHANK_L)
+    angle_r, row_r, bias_r = theta(5, WHEEL_R, SHANK_R)
 
     p_com, M = kc.com
     J_com = kc.com_jacobian
@@ -292,4 +293,12 @@ def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:
     J16 = np.vstack([J_h, J_euler[1], J_rx, J_euler[0], row_l - row_r, J_euler[2]])
     jdot_u = np.array([0.0, euler_bias[1], rx_bias, euler_bias[0],
                        bias_l - bias_r, euler_bias[2]])
-    return TaskJacobians(J=J16 @ model.G, Jdot_u=jdot_u, p_cl=p_cl, p_cr=p_cr)
+    J = J16 @ model.G
+    # (roll, pitch, yaw) of R = Rz(yaw) Ry(pitch) Rx(roll), read off its entries
+    euler = [np.arctan2(R[2, 1], R[2, 2]), -np.arcsin(R[2, 0]), np.arctan2(R[1, 0], R[0, 0])]
+    return TaskJacobians(
+        J=J, Jdot_u=jdot_u,
+        Lambda=np.array([angle_l - angle_r, kc.o[BASE, 2] - 0.5 * (p_cl[2] + p_cr[2]), *euler]),
+        Lambda_dot=np.array([J[4], J[0], J[3], J[1], J[5]]) @ kc.y.vel,
+        Lambda_com=np.array([r_vec @ x_n, x_n @ r_d + r_vec @ x_d, p_com @ x_n, x_n @ J_com @ u]),
+        r_z=r_vec[2])

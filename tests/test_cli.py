@@ -233,6 +233,12 @@ BAD_PARAMS = [
     ("duration=1.0e-9", "duration"),
     ("control_rate=.nan", "control_rate"),
     ("sensor.rate_hz=0", "sensor.rate_hz"),
+    # rates whose ratio timing() would round: the controller ran at 700 Hz
+    # instead of 500 Hz, the lidar on every cycle instead of at 1000 Hz
+    ("sim_rate=700", "sim_rate"),
+    ("sensor.rate_hz=1000", "sensor.rate_hz"),
+    # fewer points than a normal estimate needs: every frame recorded nothing
+    ("sensor.points=5", "sensor.points"),
     ("lookahead=abc", "lookahead"),
     ("start_xy=[0]", "start_xy"),
     ("kp=[1,2]", "kp"),

@@ -225,16 +225,9 @@ def test_contact_point_rejects_bad_normals(model):
 
 # -- task state -------------------------------------------------------------
 
-def task_state(model, y, n_l, n_r):
-    """Pose task state of y at the contact points of the given normals."""
-    kc = model.kinematics(y)
-    return model.task_state(kc, model.task_jacobians(kc, n_l, n_r))
-
-
-def com_state(model, y, n_l, n_r):
-    """CoM state of y at the contact points of the given normals."""
-    kc = model.kinematics(y)
-    return model.com_state(kc, model.task_jacobians(kc, n_l, n_r))
+def task_pass(model, y, n_l, n_r):
+    """The task pass of y at the contact points of the given normals."""
+    return model.task_jacobians(model.kinematics(y), n_l, n_r)
 
 
 def symmetric_stance(model, h=0.25, x=0.0):
@@ -250,18 +243,19 @@ def test_task_state_symmetric(model):
     y = symmetric_stance(model, 0.25)
     kc = model.kinematics(y)
     tj = model.task_jacobians(kc, EZ, EZ)
-    phi, h, alpha, beta, gamma = model.task_state(kc, tj).Lambda
+    phi, h, alpha, beta, gamma = tj.Lambda
     assert phi == pytest.approx(0.0, abs=1e-10)
     assert alpha == pytest.approx(0.0, abs=1e-12)
     assert beta == pytest.approx(0.0, abs=1e-12)
     # the wheels sit side by side: no offset along the heading
-    assert (tj.p_cl - tj.p_cr) @ kc.heading_axis[0] == pytest.approx(0.0, abs=1e-10)
+    p_cl, p_cr = model.contact_points(kc, EZ, EZ)
+    assert (p_cl - p_cr) @ kc.heading_axis[0] == pytest.approx(0.0, abs=1e-10)
     assert h == pytest.approx(0.25, abs=1e-9)
 
 
 def test_task_state_height_tracks_base(model):
     y = symmetric_stance(model, 0.25)
-    ts = task_state(model, y, EZ, EZ)
+    ts = task_pass(model, y, EZ, EZ)
     assert ts.Lambda[1] == pytest.approx(0.25, abs=1e-9)
 
 
@@ -270,22 +264,22 @@ def test_task_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(8):
         y = random_minimal_state(rng)
-        lam_p = task_state(model, perturbed(y, y.vel, eps), EZ, EZ).Lambda
-        lam_m = task_state(model, perturbed(y, y.vel, -eps), EZ, EZ).Lambda
+        lam_p = task_pass(model, perturbed(y, y.vel, eps), EZ, EZ).Lambda
+        lam_m = task_pass(model, perturbed(y, y.vel, -eps), EZ, EZ).Lambda
         fd = wrap_angle(lam_p - lam_m) / (2 * eps)
         fd[1] = y.vel[2]   # height rate differentiates the base motion only
-        ts = task_state(model, y, EZ, EZ)
+        ts = task_pass(model, y, EZ, EZ)
         assert np.allclose(ts.Lambda_dot, fd, atol=1e-6)
 
 
 def test_task_state_yaw_invariance(model):
     rng = np.random.default_rng(6)
     y = random_minimal_state(rng, with_velocity=False)
-    ts = task_state(model, y, EZ, EZ)
+    ts = task_pass(model, y, EZ, EZ)
     ang = 0.7
     Rz = exp_so3(np.array([0.0, 0.0, ang]))
     y2 = MinimalState(Rz @ y.pos, Rz @ y.rot, y.qj.copy())
-    ts2 = task_state(model, y2, EZ, EZ)
+    ts2 = task_pass(model, y2, EZ, EZ)
     assert np.allclose(ts2.Lambda[:4], ts.Lambda[:4], atol=1e-9)
     assert wrap_angle(ts2.Lambda[4] - ts.Lambda[4] - ang) == pytest.approx(0.0, abs=1e-9)
 
@@ -299,10 +293,9 @@ def task_values(model, y):
     measurement in the height task, so its Jacobian differentiates the base
     motion alone.
     """
-    ts = task_state(model, y, EZ, EZ)
-    cs = com_state(model, y, EZ, EZ)
-    phi, h, alpha, beta, gamma = ts.Lambda
-    return np.array([y.pos[2], beta, cs.r[0], alpha, phi, gamma])
+    tj = task_pass(model, y, EZ, EZ)
+    phi, h, alpha, beta, gamma = tj.Lambda
+    return np.array([y.pos[2], beta, tj.Lambda_com[0], alpha, phi, gamma])
 
 
 def test_task_jacobian_height_row(model):
@@ -377,7 +370,7 @@ def test_task_jacobians_match_per_point_oracle(robot):
         n_l, n_r = random_normal(rng), random_normal(rng)
         tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
         expected = per_point_task_jacobians(model, model.kinematics(y), n_l, n_r)
-        for name in ("J", "Jdot_u", "p_cl", "p_cr"):
+        for name in ("J", "Jdot_u", "Lambda", "Lambda_dot", "Lambda_com", "r_z"):
             np.testing.assert_allclose(getattr(tj, name), getattr(expected, name),
                                        rtol=0.0, atol=1e-12, err_msg=name)
 
@@ -421,8 +414,7 @@ def test_com_matches_brute_force(model):
 def test_com_upright_stance_centered(model):
     # straight-leg zero configuration: every CoM lies in the x = 0 plane
     y = MinimalState(np.array([0.0, 0.0, 0.4]), np.eye(3), np.zeros(6))
-    cs = com_state(model, y, EZ, EZ)
-    assert cs.r[0] == pytest.approx(0.0, abs=1e-6)
+    assert task_pass(model, y, EZ, EZ).Lambda_com[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_com_rates_match_finite_difference(model):
@@ -430,13 +422,11 @@ def test_com_rates_match_finite_difference(model):
     eps = 1e-6
     for _ in range(6):
         y = random_minimal_state(rng)
-        cp = com_state(model, perturbed(y, y.vel, eps), EZ, EZ)
-        cm = com_state(model, perturbed(y, y.vel, -eps), EZ, EZ)
-        cs = com_state(model, y, EZ, EZ)
-        assert np.allclose(cs.r_dot, (cp.r - cm.r) / (2 * eps), atol=1e-5)
-        # vertical rate is the plain derivative
-        assert cs.s_dot[1] == pytest.approx((cp.s[1] - cm.s[1]) / (2 * eps),
-                                            abs=1e-5)
+        cp = task_pass(model, perturbed(y, y.vel, eps), EZ, EZ)
+        cm = task_pass(model, perturbed(y, y.vel, -eps), EZ, EZ)
+        cs = task_pass(model, y, EZ, EZ).Lambda_com
+        assert cs[1] == pytest.approx(
+            (cp.Lambda_com[0] - cm.Lambda_com[0]) / (2 * eps), abs=1e-5)
         # forward rate is the CoM velocity along the heading, excluding the
         # rotation of the heading axis itself
         kc = model.kinematics(y)
@@ -445,7 +435,7 @@ def test_com_rates_match_finite_difference(model):
         head = kc.R[0] @ np.array([1.0, 0.0, 0.0])
         x_n = np.array([head[0], head[1], 0.0])
         x_n /= np.linalg.norm(x_n)
-        assert cs.s_dot[0] == pytest.approx(
+        assert cs[3] == pytest.approx(
             x_n @ (com_p - com_m) / (2 * eps), abs=1e-5)
 
 

@@ -12,7 +12,7 @@ from wbcsim import dynamics, simulator
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from wbcsim.hqp import HierarchySolver
-from wbcsim.model import KinematicsCache, MinimalState
+from wbcsim.model import KinematicsCache, MinimalState, RobotModel
 from wbcsim.rotations import exp_so3, project_to_so3
 from wbcsim.simulator import (
     LOG_COLUMNS,
@@ -488,6 +488,8 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
                         counted("tree", dynamics.spanning_tree_dynamics))
     monkeypatch.setattr(KinematicsCache, "_point_jacobians",
                         counted("point_jacobians", KinematicsCache._point_jacobians))
+    monkeypatch.setattr(RobotModel, "task_jacobians",
+                        counted("task_jacobians", RobotModel.task_jacobians))
     count_property("heading_axis")
     count_property("com_jacobian")
     per_cycle = []
@@ -505,7 +507,8 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
     assert not m.failed and not m.fell
     assert len(per_cycle) == 20
     expected = {"builds": 2, "closed_loop": closed_loop_calls, "tree": 2,
-                "heading_axis": 1, "com_jacobian": 1, "point_jacobians": 2}
+                "heading_axis": 1, "com_jacobian": 1, "point_jacobians": 2,
+                "task_jacobians": 1}
     for before, after in zip(per_cycle, per_cycle[1:]):
         assert {k: after[k] - before[k] for k in expected} == expected
 

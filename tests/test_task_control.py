@@ -17,7 +17,7 @@ from wbcsim.task_control import (
     pd_accel,
     pendulum_state_matrices,
 )
-from wbcsim.model import TaskJacobians
+from wbcsim.model import TASK_NAMES, TaskJacobians
 
 from helpers import CountingGainScheduler, balance_constraints_residual
 
@@ -231,7 +231,8 @@ def test_balance_residual_linearity():
 
 def _random_tj(rng):
     return TaskJacobians(J=rng.normal(size=(6, 12)), Jdot_u=rng.normal(size=6),
-                         p_cl=np.zeros(3), p_cr=np.zeros(3))
+                         Lambda=np.zeros(5), Lambda_dot=np.zeros(5),
+                         Lambda_com=np.zeros(4), r_z=0.25)
 
 
 def test_stack_order_and_rows():
@@ -239,7 +240,7 @@ def test_stack_order_and_rows():
     tj = _random_tj(rng)
     pose = rng.normal(size=5)                  # (phi, h, alpha, beta, gamma)
     stack = assemble_task_stack(pose, 1.7, tj)
-    assert stack.names == ["height", "pitch", "balance", "roll", "split", "yaw"]
+    assert TASK_NAMES == ("height", "pitch", "balance", "roll", "split", "yaw")
     des = [pose[1], pose[3], 1.7, pose[2], pose[0], pose[4]]
     assert stack.J.shape == (6, 12) and stack.b.shape == (6,)
     for i in range(6):
