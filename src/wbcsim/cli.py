@@ -33,19 +33,15 @@ variable; an explicit ``--out`` wins.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
-import csv
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .model import RobotModel
+from .model import RobotModel, YamlLoader
 from .simulator import (
     LOG_COLUMNS,
     MetricsSummary,
@@ -86,21 +82,13 @@ class RunConfig:
 
 # -- configuration plumbing --------------------------------------------------
 
-class _Loader(yaml.SafeLoader):
-    """Safe YAML that also reads 1e-9 and 4.0e5 as floats, as YAML 1.2 does."""
-
-
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
-
-
 def parse_param(text: str) -> tuple[str, object]:
     """Split ``KEY=VALUE``; the value is YAML-typed (numbers, bools, lists)."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise ScenarioError(f"override '{text}' is not of the form KEY=VALUE")
     try:
-        value = yaml.load(raw, Loader=_Loader)
+        value = yaml.load(raw, Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"override '{text}': unparsable value: {exc}") from exc
     return key.strip(), value
@@ -119,9 +107,9 @@ def apply_override(cfg: dict, key: str, value) -> None:
 
 
 def load_scenario(path: str, params: dict) -> Scenario:
-    with open(path) as fh:
+    with open(path, "rb") as fh:          # YAML reads the encoding, UTF-8 by default
         try:
-            cfg = yaml.load(fh, Loader=_Loader)
+            cfg = yaml.load(fh, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -204,6 +192,11 @@ def do_sweep(cfg: RunConfig) -> int:
             return 2
         jobs.append((cfg.scenario, cfg.params, cfg.sweep_key, value, cfg.seed,
                      os.path.join(cfg.out_dir, sub)))
+    # imported here, not at start-up: a run needs neither, and the pool's
+    # module alone pulls in logging
+    import concurrent.futures
+    import csv
+
     workers = min(len(jobs), cfg.jobs or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -313,7 +306,10 @@ def bench_normals(cfg: RunConfig) -> int:
 
 # -- entry point -------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The command-line parser; argparse is imported only to build it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="wbcsim",
         description="Run whole-body-control scenarios and estimation benchmarks.")
@@ -353,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.sweep:
             sweep_key, raw = parse_param(args.sweep)
             sweep_values = raw if isinstance(raw, list) else [
-                yaml.load(v, Loader=_Loader) for v in str(raw).split(",")]
+                yaml.load(v, Loader=YamlLoader) for v in str(raw).split(",")]
         cfg = RunConfig(scenario=args.scenario, out_dir=args.out,
                         seed=args.seed, verbosity=args.verbose,
                         mode=args.mode, params=params,

@@ -134,11 +134,15 @@ class Scenario:
         try:
             # timing() rounds these ratios: one that is not whole would run the
             # controller or the lidar at another rate than the one given
-            for a, b, ratio in (("sim_rate", "control_rate", self.sim_rate / self.control_rate),
+            substeps = self.sim_rate / self.control_rate
+            for a, b, ratio in (("sim_rate", "control_rate", substeps),
                                 ("control_rate", "sensor.rate_hz",
                                  self.control_rate / self.sensor.rate_hz)):
                 if not (ratio >= 1.0 and abs(ratio - round(ratio)) <= 1e-9 * ratio):
                     raise ScenarioError(f"'{a}' / '{b}' must be a whole number >= 1, got {ratio:g}")
+            if substeps > MAX_SUBSTEPS:
+                raise ScenarioError(f"'sim_rate' / 'control_rate' must be at most "
+                                    f"{MAX_SUBSTEPS}, got {substeps:g}")
             if self.timing()[2] < 1:
                 raise ScenarioError(f"'duration' of {self.duration:g} s is "
                                     "shorter than one control cycle")
@@ -195,6 +199,9 @@ _CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODE
 # heights and the reference height, at which the leg geometry still has
 # precision left
 POSITION_LIMIT = 1e6
+# most physics substeps per control cycle: a run's cost grows with the
+# ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
+MAX_SUBSTEPS = 1000
 
 
 def _number(key: str, v, integer: bool = False):
@@ -326,8 +333,9 @@ def write_csv(path: str, columns, log: np.ndarray) -> None:
     """Write the rows of log under a header of the column names, to 9 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
+        fmt = ",".join(["%.9g"] * len(columns)) + "\n"
         for row in log.tolist():
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+            fh.write(fmt % tuple(row))
 
 
 # -- forward dynamics -------------------------------------------------------

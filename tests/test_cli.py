@@ -4,19 +4,25 @@ import ast
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from importlib.resources import files
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from wbcsim.cli import (apply_override, bench_normals, load_scenario, main,
                         parse_param, RunConfig)
-from wbcsim.simulator import LOG_COLUMNS, MetricsSummary, Scenario, ScenarioError
+from wbcsim.model import YamlLoader
+from wbcsim.simulator import (LOG_COLUMNS, MetricsSummary, Scenario, ScenarioError,
+                              write_csv)
 
 METRICS_KEYS = set(MetricsSummary.__dataclass_fields__)
 
@@ -65,11 +71,16 @@ def flat_scn(tmp_path):
 
 # -- param parsing -----------------------------------------------------------
 
+PARAM_TYPES = [
+    ("duration=2.5", ("duration", 2.5)),
+    ("estimation_mode=true_normal", ("estimation_mode", "true_normal")),
+    ("lqr_q=[1,2,3,4]", ("lqr_q", [1, 2, 3, 4])),
+]
+
+
 def test_parse_param_types():
-    assert parse_param("duration=2.5") == ("duration", 2.5)
-    assert parse_param("estimation_mode=true_normal") == (
-        "estimation_mode", "true_normal")
-    assert parse_param("lqr_q=[1,2,3,4]") == ("lqr_q", [1, 2, 3, 4])
+    for text, parsed in PARAM_TYPES:
+        assert parse_param(text) == parsed
     with pytest.raises(ScenarioError):
         parse_param("no_equals_sign")
 
@@ -141,6 +152,19 @@ def test_psi_trace_is_three_columns_of_the_log(slope_scn, tmp_path):
     assert any(float(hat) != float(true) > 0.0 for _, hat, true in trace[1:])
 
 
+def test_write_csv_formats_each_value_as_format_spec(tmp_path):
+    """Each value is written as f"{v:.9g}" would write it, the extremes and
+    the special values included."""
+    row = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+           1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 123456789012.0]
+    log = np.array([row, row[::-1]])
+    path = tmp_path / "log.csv"
+    write_csv(str(path), [f"c{i}" for i in range(len(row))], log)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(f"c{i}" for i in range(len(row)))
+    assert lines[1:] == [",".join(f"{v:.9g}" for v in r) for r in log.tolist()]
+
+
 def test_env_var_sets_output_dir(flat_scn, tmp_path, monkeypatch):
     out = tmp_path / "from_env"
     monkeypatch.setenv("WBCSIM_OUT", str(out))
@@ -155,6 +179,16 @@ def test_param_override_applied(flat_scn, tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["name"] == "renamed"
     assert len((out / "log.csv").read_text().splitlines()) < 60
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports wbcsim from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_run_loads_no_scipy(slope_scn):
@@ -177,14 +211,25 @@ def test_run_loads_no_scipy(slope_scn):
             "    assert len(log) and not metrics.failed\n"
             "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
             "          sorted(set(sys.modules) - loaded))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
-                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[] []", "[] []"]
+
+
+def test_start_up_loads_no_sweep_or_parser_modules(slope_scn):
+    """Importing the CLI, loading a scenario and building the model load
+    neither the sweep's process pool (and with it logging) nor argparse:
+    a run needs none of them, and they cost a run's start-up about 4 ms."""
+    code = ("import sys\n"
+            "from wbcsim import cli, simulator\n"
+            "from wbcsim.model import RobotModel\n"
+            f"cli.load_scenario({slope_scn!r}, {{}})\n"
+            "RobotModel()\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging', 'argparse')\n"
+            "             if m in sys.modules))\n")
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_runtime_dependencies_are_the_imported_modules():
@@ -218,6 +263,29 @@ def test_malformed_scenario_diagnostic_names_key(tmp_path, capsys):
     bad.write_text("terrain: {kind: flat}\nspeeed: 1.0\n")
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "speeed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"terrain: {kind: flat\nduration: [1, 2\n",
+                                     b"terrain: {kind: flat}\nname: \xff\xfe\n"])
+def test_unparsable_scenario_file_exits_2(tmp_path, capsys, content):
+    """Bad YAML and bytes that are not UTF-8 (a traceback before) both exit 2."""
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(content)
+    assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse scenario file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sim_rate", [1e12, 1e308])
+def test_huge_sim_rate_rejected_at_parse(flat_scn, tmp_path, capsys, sim_rate):
+    """A sim_rate whose physics substeps per control cycle pass
+    MAX_SUBSTEPS is rejected before a run starts: 1e308 asked 2e305
+    substeps of every cycle, and the run never ended."""
+    with pytest.raises(ScenarioError, match="sim_rate"):
+        load_scenario(flat_scn, {"sim_rate": sim_rate})
+    assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
+                 "--param", f"sim_rate={sim_rate!r}"]) == 2
+    assert "sim_rate" in capsys.readouterr().err
 
 
 # each override must exit 2 with a diagnostic naming the key, not a traceback
@@ -275,6 +343,29 @@ BAD_PARAMS = [
     ("terrain={kind: composite, knots_x: [0, 1], knots_h: [0, 1.0e+200]}",
      "terrain.knots_h[1]"),
 ]
+
+
+class PurePythonLoader(yaml.SafeLoader):
+    """YamlLoader's pure-Python twin: PyYAML's own parser, the same resolvers."""
+    yaml_implicit_resolvers = YamlLoader.yaml_implicit_resolvers
+
+
+def test_yaml_loader_agrees_with_pure_python_twin():
+    """The shared loader (libyaml where PyYAML has it) reads every bundled
+    scenario, the robot file and every override value of these tests as
+    PyYAML's pure-Python parser does, types included, so both paths give a
+    run the same inputs."""
+    assert issubclass(YamlLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    data = files("wbcsim.data")
+    scenarios = [f.read_text() for f in data.joinpath("scenarios").iterdir()]
+    assert len(scenarios) >= 4
+    texts = [data.joinpath("robot_default.yaml").read_text(), *scenarios]
+    texts += [text.partition("=")[2] for text, _ in BAD_PARAMS + PARAM_TYPES]
+    for text in texts:
+        fast = yaml.load(text, Loader=YamlLoader)
+        pure = yaml.load(text, Loader=PurePythonLoader)
+        assert repr(fast) == repr(pure), text
+    assert isinstance(yaml.load("1e-9", Loader=YamlLoader), float)
 
 
 @pytest.mark.parametrize("param,key", BAD_PARAMS)
