@@ -352,7 +352,6 @@ class KinematicsCache:
         # a point on each rotation axis: the base origin for the base's x, y
         # and z, each joint's origin for the joints
         self._axis_origins = self.o[AXIS_BODIES]
-        self.joint_origin_w = self._axis_origins[3:]
 
         # every body's [omega, omega_dot_bias]; the cross products
         # w_p x [r, a], then [w_p, wdot_p] x [w_p x r, r]
@@ -444,9 +443,8 @@ class RobotModel:
     def __init__(self, desc: RobotDescription | None = None):
         self.desc = desc if desc is not None else RobotDescription.default()
         self.G = loop_closure_matrix()
-        self.S = selection_matrix()
         # (16, 6) the torques' share of the contact KKT rows: [G^T S^T; 0]
-        self.B = np.vstack([self.G.T @ self.S.T, np.zeros((4, 6))])
+        self.B = np.vstack([self.G.T @ selection_matrix().T, np.zeros((4, 6))])
 
     # -- coordinate maps ---------------------------------------------------
 

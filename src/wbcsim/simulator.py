@@ -143,9 +143,13 @@ class Scenario:
             if substeps > MAX_SUBSTEPS:
                 raise ScenarioError(f"'sim_rate' / 'control_rate' must be at most "
                                     f"{MAX_SUBSTEPS}, got {substeps:g}")
-            if self.timing()[2] < 1:
+            cycles = self.timing()[2]
+            if cycles < 1:
                 raise ScenarioError(f"'duration' of {self.duration:g} s is "
                                     "shorter than one control cycle")
+            if cycles > MAX_CYCLES:
+                raise ScenarioError(f"'duration' x 'control_rate' must be at most {MAX_CYCLES:g} "
+                                    f"control cycles, got {cycles:.9g}")
         except OverflowError:
             raise ScenarioError("'duration', 'control_rate', 'sim_rate' or "
                                 "'sensor.rate_hz' out of range") from None
@@ -202,6 +206,9 @@ POSITION_LIMIT = 1e6
 # most physics substeps per control cycle: a run's cost grows with the
 # ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
 MAX_SUBSTEPS = 1000
+# most control cycles of a run: at 204 B of log and about 0.6 ms of CPU a
+# cycle, 1e7 cycles hold about 2 GB of log and take about 1.7 CPU-hours
+MAX_CYCLES = 10_000_000
 
 
 def _number(key: str, v, integer: bool = False):

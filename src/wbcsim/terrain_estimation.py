@@ -24,14 +24,6 @@ SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 K_MIN = 10
 
 
-class InsufficientNeighborhoodError(ValueError):
-    pass
-
-
-class DegenerateNeighborhoodError(ValueError):
-    pass
-
-
 @dataclass
 class PointCloud:
     points: np.ndarray                 # (n, 3), inertia frame
@@ -57,44 +49,6 @@ class PointCloud:
         # every point within the k-th smallest distance, ties at it included
         idx = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
         return idx[np.argsort(d2[idx], kind="stable")[:k]]
-
-
-@dataclass
-class NormalEstimate:
-    normal: np.ndarray
-    k: int
-    entropy: float
-    eigenvalues: np.ndarray            # descending
-
-
-def eigenvalue_entropy(lam: np.ndarray) -> float:
-    """Shannon entropy of the normalized eigenvalues; 0*ln(0) taken as 0."""
-    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
-    total = lam.sum()
-    if total <= 0.0:
-        return 0.0
-    eta = lam / total
-    nz = eta[eta > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def optimal_neighborhood(cloud: PointCloud, query_point: np.ndarray,
-                         k_min: int = K_MIN, k_max: int = 60) -> int:
-    """Neighbor count in [k_min, k_max] minimizing the eigenvalue entropy.
-
-    Ties break toward smaller k.  The scan shares one sorted k_max query:
-    prefix sums give every prefix covariance, and the 3x3 eigenvalues are
-    batched, so the cost is one neighbor search per call instead of one per k.
-    """
-    if not 3 <= k_min < k_max:
-        raise ValueError("require 3 <= k_min < k_max")
-    if len(cloud) < k_min:
-        raise InsufficientNeighborhoodError(
-            f"insufficient neighborhood: cloud has {len(cloud)} < k_min={k_min} points")
-    k_hi = min(k_max, len(cloud))
-    idx = cloud.nearest(query_point, k_hi)
-    ks, cov = _prefix_covariances(cloud.points[idx][None], k_min)
-    return int(ks[_min_entropy_index(cov)[0]])
 
 
 def _prefix_covariances(nb: np.ndarray, k_min: int):
@@ -124,19 +78,26 @@ def _min_entropy_index(cov: np.ndarray) -> np.ndarray:
     return np.argmin(h, axis=-1)
 
 
-def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k: int) -> NormalEstimate:
-    """PCA normal from the k nearest neighbors, oriented upward."""
-    if len(cloud) < k or k < 3:
-        raise InsufficientNeighborhoodError(
-            f"insufficient neighborhood: need k={k} of {len(cloud)} points")
-    pts = cloud.points[cloud.nearest(query_point, k)]
-    lam, vec = np.linalg.eigh(np.cov(pts.T, bias=True))      # ascending
-    n = _oriented_normal(lam, vec)
-    if n is None:
-        raise DegenerateNeighborhoodError("degenerate neighborhood: points are collinear")
-    lam = lam[::-1]
-    return NormalEstimate(normal=n, k=k, entropy=eigenvalue_entropy(lam),
-                          eigenvalues=np.maximum(lam, 0.0))
+def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k_min: int = K_MIN,
+                    k_max: int = 60) -> tuple[np.ndarray, int] | None:
+    """PCA normal at the query point, oriented upward, and its neighbor count.
+
+    The count is the k in [k_min, min(k_max, len(cloud))] whose k nearest
+    neighbors have the least eigenvalue entropy, ties toward smaller k;
+    k_min == k_max fixes k.  None when the cloud has fewer than k_min points
+    or the neighborhood is collinear.  One sorted neighbor query serves every
+    k: prefix sums give every prefix covariance, and the 3x3 eigenvalues are
+    batched.
+    """
+    if not 3 <= k_min <= k_max:
+        raise ValueError("require 3 <= k_min <= k_max")
+    if len(cloud) < k_min:
+        return None
+    idx = cloud.nearest(query_point, min(k_max, len(cloud)))
+    ks, cov = _prefix_covariances(cloud.points[idx][None], k_min)
+    best = _min_entropy_index(cov)[0]
+    n = _oriented_normal(*np.linalg.eigh(cov[0, best]))
+    return None if n is None else (n, int(ks[best]))
 
 
 def _oriented_normal(lam: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
@@ -203,13 +164,9 @@ class NormalMap:
         """Estimated cells in (ix, iy) key order.
 
         `key in cells` and `cells[key]` estimate that key only; iteration,
-        `len`, `items` and `export_csv` estimate every pending cell.
+        `len` and `items` estimate every pending cell.
         """
         return _Cells(self)
-
-    @cells.setter
-    def cells(self, cells: Mapping[tuple[int, int], MapCell]) -> None:
-        self._slots = defaultdict(_Slot, {key: _Slot(cell) for key, cell in cells.items()})
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell key of (x, y); a ValueError if it is not finite or its key reaches 2**62."""
@@ -253,17 +210,13 @@ class NormalMap:
         return len(keys)
 
     def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
-        """One recorded cell: the k of `optimal_neighborhood` and the normal
-        of `estimate_normal` at its query point, or None when degenerate."""
-        cloud = frame.cloud
-        idx = cloud.nearest(frame.queries[row], min(self.k_max, len(cloud)))
-        ks, cov = _prefix_covariances(cloud.points[idx][None], self.k_min)
-        best = _min_entropy_index(cov)[0]
-        n = _oriented_normal(*np.linalg.eigh(cov[0, best]))
-        if n is None:
+        """One recorded cell: estimate_normal at its query point, or None
+        when degenerate."""
+        est = estimate_normal(frame.cloud, frame.queries[row], self.k_min, self.k_max)
+        if est is None:
             self.skipped_degenerate += 1
             return None
-        return MapCell(normal=n, sample_count=int(frame.counts[row]), k=int(ks[best]))
+        return MapCell(normal=est[0], sample_count=int(frame.counts[row]), k=est[1])
 
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
         """The key's cell from its newest non-degenerate estimate; makes only
@@ -300,14 +253,6 @@ class NormalMap:
                 if cell is not None:
                     break
         return None if cell is None else cell.normal.copy()
-
-    def export_csv(self, path: str) -> None:
-        """CSV export: ix,iy,nx,ny,nz,count."""
-        with open(path, "w") as f:
-            f.write("ix,iy,nx,ny,nz,count\n")
-            for (ix, iy), cell in sorted(self.cells.items()):
-                n = cell.normal
-                f.write(f"{ix},{iy},{n[0]:.9g},{n[1]:.9g},{n[2]:.9g},{cell.sample_count}\n")
 
 
 class _Cells(Mapping):

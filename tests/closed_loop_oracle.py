@@ -27,6 +27,7 @@ from wbcsim.dynamics import (
 )
 from wbcsim.model import (
     BASE,
+    JOINT_CHILD,
     JOINT_PATH,
     NV_MIN,
     NV_TREE,
@@ -110,7 +111,7 @@ def point_jacobian(kc, body: int, p: np.ndarray) -> np.ndarray:
     J[:, 0:3] = np.eye(3)
     J[:, 3:6] = -hat(p - kc.o[BASE])
     for j in np.flatnonzero(JOINT_PATH[body]):
-        J[:, 6 + j] = cross3(kc.axis_w[j], p - kc.joint_origin_w[j])
+        J[:, 6 + j] = cross3(kc.axis_w[j], p - kc.o[JOINT_CHILD[j]])
     return J
 
 

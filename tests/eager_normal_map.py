@@ -93,11 +93,3 @@ class EagerNormalMap:
         if d2_min <= SEARCH_RADIUS**2:
             return self.cells[key].normal.copy()
         return None
-
-    def export_csv(self, path: str) -> None:
-        """CSV export: ix,iy,nx,ny,nz,count."""
-        with open(path, "w") as f:
-            f.write("ix,iy,nx,ny,nz,count\n")
-            for (ix, iy), cell in sorted(self.cells.items()):
-                n = cell.normal
-                f.write(f"{ix},{iy},{n[0]:.9g},{n[1]:.9g},{n[2]:.9g},{cell.sample_count}\n")

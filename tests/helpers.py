@@ -1,14 +1,18 @@
 """Helpers that only the tests use: finite-difference state moves, rotations
 about +y, the SVD rotation projection and the matrix-form exponential map,
 coordinate and pose views of a state, ballistic accelerations, point-cloud
-files, an equilibrium residual and an LQR solve counter."""
+files, the normal estimator's oracles (eigenvalue entropy, a brute-force
+entropy scan over k and a fixed-k PCA normal), an equilibrium residual and
+an LQR solve counter."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics
-from wbcsim.model import BODY_NAMES, INDEP_JOINTS, MinimalState, RobotModel, SpanningTreeState
+from wbcsim.model import (BODY_NAMES, INDEP_JOINTS, MinimalState, RobotModel, SpanningTreeState,
+                          selection_matrix)
 from wbcsim.rotations import exp_so3, hat
 from wbcsim.task_control import GainScheduler, LqrDesign
 from wbcsim.terrain_estimation import PointCloud
@@ -88,7 +92,7 @@ def forward_dynamics_free(model: RobotModel, y: MinimalState,
                           tau_a: np.ndarray) -> np.ndarray:
     """Contact-free accelerations (for ballistic checks)."""
     cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    rhs = cl.G.T @ (model.S.T @ np.asarray(tau_a, float)) - cl.C_y
+    rhs = cl.G.T @ (selection_matrix().T @ np.asarray(tau_a, float)) - cl.C_y
     return np.linalg.solve(cl.H_y, rhs)
 
 
@@ -121,3 +125,32 @@ def cloud_from_xyz_file(path: str) -> PointCloud:
 
 def cloud_to_xyz_file(cloud: PointCloud, path: str) -> None:
     np.savetxt(path, cloud.points, fmt="%.9g")
+
+
+def nearest_points(cloud: PointCloud, query: np.ndarray, k: int) -> np.ndarray:
+    """The k points nearest the query, nearest first, by SciPy's k-d tree."""
+    return cloud.points[np.atleast_1d(cKDTree(cloud.points).query(query, k=k)[1])]
+
+
+def eigenvalue_entropy(pts: np.ndarray) -> float:
+    """Shannon entropy of the normalized eigenvalues of the points'
+    covariance; 0*ln(0) taken as 0."""
+    lam = np.maximum(np.linalg.eigvalsh(np.cov(pts.T, bias=True)), 0.0)
+    if lam.sum() <= 0.0:
+        return 0.0
+    eta = lam[lam > 0.0] / lam.sum()
+    return float(-(eta * np.log(eta)).sum())
+
+
+def brute_force_k(cloud: PointCloud, query: np.ndarray, k_min: int, k_max: int) -> int:
+    """The k in [k_min, min(k_max, len(cloud))] of least eigenvalue entropy,
+    one covariance per k, ties toward smaller k."""
+    nb = nearest_points(cloud, query, min(k_max, len(cloud)))
+    return k_min + int(np.argmin([eigenvalue_entropy(nb[:k]) for k in range(k_min, len(nb) + 1)]))
+
+
+def pca_normal(cloud: PointCloud, query: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvector of the least eigenvalue of the k nearest neighbors'
+    covariance, oriented upward (+z, then +x when horizontal)."""
+    n = np.linalg.eigh(np.cov(nearest_points(cloud, query, k).T, bias=True))[1][:, 0]
+    return -n if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0) else n

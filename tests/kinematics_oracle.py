@@ -21,8 +21,7 @@ from wbcsim.rotations import cross3, exp_so3
 
 from helpers import rot_y
 
-FIELDS = ("R", "o", "axis_w", "joint_origin_w", "omega", "v_origin",
-          "omega_dot_bias", "a_origin_bias")
+FIELDS = ("R", "o", "axis_w", "omega", "v_origin", "omega_dot_bias", "a_origin_bias")
 
 
 def per_joint_kinematics(desc: RobotDescription, state: SpanningTreeState) -> dict:
@@ -32,19 +31,17 @@ def per_joint_kinematics(desc: RobotDescription, state: SpanningTreeState) -> di
     R = np.empty((n, 3, 3))
     o = np.empty((n, 3))
     axis_w = np.empty((NQ_TREE, 3))
-    joint_origin_w = np.empty((NQ_TREE, 3))
     R[BASE] = state.rot
     o[BASE] = state.pos
     for i, joint in enumerate(desc.joints):
         Rp, op = R[joint.parent], o[joint.parent]
-        joint_origin_w[i] = op + Rp @ joint.origin
         axis_w[i] = Rp @ joint.axis
         c = joint.child
         if joint.axis[0] == 0.0 and joint.axis[2] == 0.0:
             R[c] = Rp @ rot_y(joint.axis[1] * state.qj[i])
         else:
             R[c] = Rp @ exp_so3(np.asarray(joint.axis) * state.qj[i])
-        o[c] = joint_origin_w[i]
+        o[c] = op + Rp @ joint.origin
 
     u = state.vel
     omega = np.empty((n, 3))
@@ -65,9 +62,8 @@ def per_joint_kinematics(desc: RobotDescription, state: SpanningTreeState) -> di
         omega_dot_bias[c] = omega_dot_bias[p] + cross3(wp, axis_w[i]) * qd
         a_origin_bias[c] = (a_origin_bias[p] + cross3(omega_dot_bias[p], r)
                             + cross3(wp, cross3(wp, r)))
-    return dict(R=R, o=o, axis_w=axis_w, joint_origin_w=joint_origin_w,
-                omega=omega, v_origin=v_origin, omega_dot_bias=omega_dot_bias,
-                a_origin_bias=a_origin_bias)
+    return dict(R=R, o=o, axis_w=axis_w, omega=omega, v_origin=v_origin,
+                omega_dot_bias=omega_dot_bias, a_origin_bias=a_origin_bias)
 
 
 # every field of the cache's path-sum build and point pass
@@ -88,7 +84,6 @@ def path_sum_kinematics(desc: RobotDescription, state: SpanningTreeState) -> dic
         R[c] = R[p] @ R_joint[j]
     r, axis_w = (R[JOINT_PARENT] @ desc.joint_vectors).transpose(2, 0, 1)
     o = state.pos + JOINT_PATH @ r
-    joint_origin_w = o[JOINT_CHILD]
 
     u, qd = state.vel, state.vel[6:, None]
     omega = u[3:6] + JOINT_PATH @ (axis_w * qd)
@@ -99,7 +94,7 @@ def path_sum_kinematics(desc: RobotDescription, state: SpanningTreeState) -> dic
                                   + np.cross(wp, np.cross(wp, r)))
 
     axes = np.vstack([np.eye(3), axis_w])
-    axis_origins = np.vstack([np.tile(o[BASE], (3, 1)), joint_origin_w])
+    axis_origins = np.vstack([np.tile(o[BASE], (3, 1)), o[JOINT_CHILD]])
     angular_jacobians = np.zeros((len(desc.bodies), 3, NV_TREE))
     angular_jacobians[:, :, 3:] = (axes * ROTATION_MASK[:, :, None]).transpose(0, 2, 1)
 
@@ -116,9 +111,8 @@ def path_sum_kinematics(desc: RobotDescription, state: SpanningTreeState) -> dic
     point_velocities = v_origin[b] + np.cross(w, r)
     point_bias_acc = (a_origin_bias[b] + np.cross(omega_dot_bias[b], r)
                       + np.cross(w, np.cross(w, r)))
-    return dict(R=R, o=o, axis_w=axis_w, joint_origin_w=joint_origin_w,
-                omega=omega, v_origin=v_origin, omega_dot_bias=omega_dot_bias,
-                a_origin_bias=a_origin_bias, points=points, com_points=com_points,
+    return dict(R=R, o=o, axis_w=axis_w, omega=omega, v_origin=v_origin,
+                omega_dot_bias=omega_dot_bias, a_origin_bias=a_origin_bias, points=points, com_points=com_points,
                 point_jacobians=point_jacobians, angular_jacobians=angular_jacobians,
                 point_velocities=point_velocities, point_bias_acc=point_bias_acc)
 

@@ -15,7 +15,6 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from wbcsim.cli import _plane_cloud, load_scenario, main as cli_main
 from wbcsim.dynamics import (
@@ -28,16 +27,10 @@ from wbcsim.simulator import (LOG_COLUMNS, Controller, SensorConfig, run_scenari
                               synth_pointcloud)
 from wbcsim.task_control import balance_accel, lqr_gain
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
-from wbcsim.terrain_estimation import (
-    NormalMap,
-    estimate_normal,
-    eigenvalue_entropy,
-    incline_angle,
-    optimal_neighborhood,
-)
+from wbcsim.terrain_estimation import NormalMap, estimate_normal, incline_angle
 
 from conftest import random_minimal_state
-from helpers import perturbed
+from helpers import brute_force_k, perturbed
 from hqp_cascade import solve_hierarchy
 from test_dynamics import rnea_oracle
 from test_hqp import nullspace_lex_oracle, random_problem, to_levels
@@ -192,17 +185,16 @@ def test_normal_estimation_accuracy():
         cloud, n_true = _plane_cloud(rng, angle, n=400, noise=0.0)
         for _ in range(20):
             q = cloud.points[rng.integers(len(cloud))]
-            est = estimate_normal(cloud, q, 30)
-            err = np.degrees(np.arccos(np.clip(est.normal @ n_true, -1.0, 1.0)))
+            n, _ = estimate_normal(cloud, q, 30, 30)
+            err = np.degrees(np.arccos(np.clip(n @ n_true, -1.0, 1.0)))
             assert err < 0.01
 
     _, n_true = _plane_cloud(rng, 15.0, n=1, noise=0.0)
     errs = []
     for _ in range(1000):
         cloud, _ = _plane_cloud(rng, 15.0, n=120, noise=0.01)
-        est = estimate_normal(cloud, np.zeros(3), 30)
-        errs.append(np.degrees(np.arccos(np.clip(est.normal @ n_true,
-                                                 -1.0, 1.0))))
+        n, _ = estimate_normal(cloud, np.zeros(3), 30, 30)
+        errs.append(np.degrees(np.arccos(np.clip(n @ n_true, -1.0, 1.0))))
     assert np.mean(errs) < 2.0
 
     terrain = SlopeTerrain(angle_deg=15.0, start=0.5, blend=0.5)
@@ -218,14 +210,7 @@ def test_normal_estimation_accuracy():
         angle = rng.uniform(0.0, 40.0)
         cloud, _ = _plane_cloud(rng, angle, n=150, noise=0.02)
         q = cloud.points[rng.integers(len(cloud))]
-        k_adaptive = optimal_neighborhood(cloud, q, 10, 60)
-        tree = cKDTree(cloud.points)
-        ents = []
-        for k in range(10, min(60, len(cloud)) + 1):
-            _, idx = tree.query(q, k=k)
-            lam = np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True))
-            ents.append(eigenvalue_entropy(lam))
-        assert k_adaptive == 10 + int(np.argmin(ents))
+        assert estimate_normal(cloud, q, 10, 60)[1] == brute_force_k(cloud, q, 10, 60)
 
     assert time.perf_counter() - t0 < 60.0
 

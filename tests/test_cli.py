@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from wbcsim.cli import (apply_override, bench_normals, load_scenario, main,
                         parse_param, RunConfig)
 from wbcsim.model import YamlLoader
-from wbcsim.simulator import (LOG_COLUMNS, MetricsSummary, Scenario, ScenarioError,
+from wbcsim.simulator import (LOG_COLUMNS, MAX_CYCLES, MetricsSummary, Scenario, ScenarioError,
                               write_csv)
 
 METRICS_KEYS = set(MetricsSummary.__dataclass_fields__)
@@ -286,6 +286,25 @@ def test_huge_sim_rate_rejected_at_parse(flat_scn, tmp_path, capsys, sim_rate):
     assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"),
                  "--param", f"sim_rate={sim_rate!r}"]) == 2
     assert "sim_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"control_rate": 1e12, "sim_rate": 2e12},
+                                    {"duration": 1e300},
+                                    {"duration": 20000.002}])
+def test_huge_cycle_count_rejected_at_parse(flat_scn, tmp_path, capsys, params):
+    """More than MAX_CYCLES control cycles exit 2 before a run starts: 2
+    substeps a cycle at control_rate=1e12 passed MAX_SUBSTEPS and asked
+    3e11 cycles of 0.3 s; duration=1e300 asked 5e302; 20000.002 one too many."""
+    with pytest.raises(ScenarioError, match="'duration' x 'control_rate'"):
+        load_scenario(flat_scn, params)
+    args = [f"--param={key}={value!r}" for key, value in params.items()]
+    assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"), *args]) == 2
+    assert "'duration' x 'control_rate' must be at most 1e+07" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cycle_bound_admits_max_cycles(flat_scn):
+    assert load_scenario(flat_scn, {"duration": 20000.0}).timing()[2] == MAX_CYCLES
 
 
 # each override must exit 2 with a diagnostic naming the key, not a traceback

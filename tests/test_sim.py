@@ -12,7 +12,7 @@ from wbcsim import dynamics, simulator
 from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from wbcsim.hqp import HierarchySolver
-from wbcsim.model import KinematicsCache, MinimalState, RobotModel
+from wbcsim.model import KinematicsCache, MinimalState, RobotModel, selection_matrix
 from wbcsim.rotations import exp_so3, project_to_so3
 from wbcsim.simulator import (
     LOG_COLUMNS,
@@ -41,7 +41,7 @@ def static_actuation(model, y, terrain):
     n_r = terrain.normal(*model.kinematics(y).wheel_centers()[1][:2])
     cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r, mu=terrain.mu)
     # 0 = G^T J_gc F + G^T S^T tau - C_y  ->  solve for (F, tau)
-    A = np.hstack([cl.G.T @ cl.J_gc, cl.G.T @ model.S.T])
+    A = np.hstack([cl.G.T @ cl.J_gc, cl.G.T @ selection_matrix().T])
     sol = np.linalg.lstsq(A, cl.C_y, rcond=None)[0]
     return sol[4:], sol[:4]
 

@@ -7,19 +7,16 @@ import pytest
 from scipy.spatial import cKDTree
 
 from wbcsim.terrain_estimation import (
-    DegenerateNeighborhoodError,
-    InsufficientNeighborhoodError,
     NormalFilter,
     NormalMap,
     PointCloud,
-    eigenvalue_entropy,
     estimate_normal,
     incline_angle,
-    optimal_neighborhood,
     query_normal,
 )
 
-from helpers import cloud_from_xyz_file, cloud_to_xyz_file
+from helpers import (brute_force_k, cloud_from_xyz_file, cloud_to_xyz_file, eigenvalue_entropy,
+                     nearest_points, pca_normal)
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -38,17 +35,6 @@ def plane_cloud(rng, n=200, normal=UP, offset=0.0, extent=1.0, noise=0.0):
     if noise > 0.0:
         pts = pts + rng.normal(scale=noise, size=pts.shape)
     return PointCloud(points=pts)
-
-
-def brute_force_k(cloud, query, k_min, k_max):
-    tree = cKDTree(cloud.points)
-    ents = []
-    for k in range(k_min, min(k_max, len(cloud)) + 1):
-        _, idx = tree.query(query, k=k)
-        pts = cloud.points[idx]
-        lam = np.linalg.eigvalsh(np.cov(pts.T, bias=True))
-        ents.append(eigenvalue_entropy(lam))
-    return k_min + int(np.argmin(ents))
 
 
 # -- neighbor search --------------------------------------------------------
@@ -86,13 +72,10 @@ def test_planar_cloud_entropy_and_tiebreak():
     rng = np.random.default_rng(0)
     cloud = plane_cloud(rng, n=100)
     q = np.zeros(3)
-    _, idx = cKDTree(cloud.points).query(q, k=20)
-    lam = np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True))
     # isotropic planar spread: eta = (1/2, 1/2, 0), entropy = ln 2
-    assert eigenvalue_entropy(lam) == pytest.approx(np.log(2.0), abs=0.05)
+    assert eigenvalue_entropy(nearest_points(cloud, q, 20)) == pytest.approx(np.log(2), abs=0.05)
     # all k tie near ln 2; the scan must still agree with brute force
-    k = optimal_neighborhood(cloud, q, 10, 40)
-    assert k == brute_force_k(cloud, q, 10, 40)
+    assert estimate_normal(cloud, q, 10, 40)[1] == brute_force_k(cloud, q, 10, 40)
 
 
 def test_optimal_neighborhood_matches_brute_force():
@@ -100,7 +83,7 @@ def test_optimal_neighborhood_matches_brute_force():
     for _ in range(10):
         cloud = PointCloud(points=rng.normal(size=(120, 3)))
         q = rng.normal(size=3)
-        assert optimal_neighborhood(cloud, q, 5, 30) == brute_force_k(cloud, q, 5, 30)
+        assert estimate_normal(cloud, q, 5, 30)[1] == brute_force_k(cloud, q, 5, 30)
 
 
 def test_optimal_neighborhood_excludes_curved_region():
@@ -117,53 +100,65 @@ def test_optimal_neighborhood_excludes_curved_region():
     cloud = PointCloud(points=np.vstack([flat.points, sphere]))
     q = np.array([-0.3, 0.0, 0.0])
     k_min, k_max = 10, 100
-    k = optimal_neighborhood(cloud, q, k_min, k_max)
+    _, k = estimate_normal(cloud, q, k_min, k_max)
     assert k == brute_force_k(cloud, q, k_min, k_max)
     assert k < k_max
-
-    def entropy_at(kk):
-        _, idx = cKDTree(cloud.points).query(q, k=kk)
-        return eigenvalue_entropy(np.linalg.eigvalsh(np.cov(cloud.points[idx].T, bias=True)))
-
-    assert entropy_at(k) < entropy_at(k_max)
+    assert (eigenvalue_entropy(nearest_points(cloud, q, k))
+            < eigenvalue_entropy(nearest_points(cloud, q, k_max)))
 
 
 def test_optimal_neighborhood_insufficient_points():
     cloud = PointCloud(points=np.zeros((5, 3)))
-    with pytest.raises(InsufficientNeighborhoodError):
-        optimal_neighborhood(cloud, np.zeros(3), 10, 20)
+    assert estimate_normal(cloud, np.zeros(3), 10, 20) is None
 
 
 # -- normal estimation ------------------------------------------------------
 
+@pytest.mark.parametrize("noise", [0.0, 0.01, 0.05])
+def test_fixed_k_matches_pca_oracle(noise):
+    """k_min == k_max fixes k: for every k in [3, 60] the normal is the
+    np.cov PCA normal of the k nearest neighbors.  k_min > k_max raises."""
+    rng = np.random.default_rng(13)
+    for k in range(3, 61):
+        for _ in range(4):
+            cloud = plane_cloud(rng, n=120, normal=[*rng.uniform(-0.5, 0.5, 2), 1.0],
+                                noise=noise)
+            q = rng.uniform(-1.0, 1.0, 3)
+            n, got_k = estimate_normal(cloud, q, k, k)
+            assert got_k == k
+            np.testing.assert_allclose(n, pca_normal(cloud, q, k), rtol=0.0, atol=1e-9)
+    with pytest.raises(ValueError, match="k_min <= k_max"):
+        estimate_normal(cloud, q, 20, 10)
+
+
 def test_flat_plane_normal():
     rng = np.random.default_rng(3)
     cloud = plane_cloud(rng, n=50)
-    est = estimate_normal(cloud, np.zeros(3), 30)
-    assert np.allclose(est.normal, UP, atol=1e-12)
-    assert est.eigenvalues[2] == pytest.approx(0.0, abs=1e-20)
+    n, k = estimate_normal(cloud, np.zeros(3), 30, 30)
+    assert np.allclose(n, UP, atol=1e-12)
+    assert k == 30
 
 
 def test_inclined_plane_normal():
     rng = np.random.default_rng(4)
     n45 = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
     cloud = plane_cloud(rng, n=80, normal=n45, offset=0.3)
-    est = estimate_normal(cloud, cloud.points[0], 40)
-    assert np.allclose(est.normal, n45, atol=1e-10)
+    n, _ = estimate_normal(cloud, cloud.points[0], 40, 40)
+    assert np.allclose(n, n45, atol=1e-10)
 
 
 def test_normal_rotation_equivariance():
     from wbcsim.rotations import exp_so3
     rng = np.random.default_rng(5)
     cloud = plane_cloud(rng, n=100, normal=np.array([0.2, -0.1, 1.0]))
-    est = estimate_normal(cloud, np.zeros(3), 40)
+    n, _ = estimate_normal(cloud, np.zeros(3), 40, 40)
     R = exp_so3(np.array([0.05, -0.1, 0.4]))
     cloud2 = PointCloud(points=cloud.points @ R.T)
-    est2 = estimate_normal(cloud2, np.zeros(3), 40)
-    n_rot = R @ est.normal
+    n2, _ = estimate_normal(cloud2, np.zeros(3), 40, 40)
+    n_rot = R @ n
     if n_rot[2] < 0:
         n_rot = -n_rot
-    assert np.allclose(est2.normal, n_rot, atol=1e-8)
+    assert np.allclose(n2, n_rot, atol=1e-8)
 
 
 def test_normal_noisy_plane_monte_carlo():
@@ -173,16 +168,15 @@ def test_normal_noisy_plane_monte_carlo():
     errs = []
     for _ in range(200):
         cloud = plane_cloud(rng, n=120, normal=n_true, extent=0.5, noise=0.01)
-        est = estimate_normal(cloud, np.zeros(3), 30)
-        errs.append(np.degrees(np.arccos(np.clip(est.normal @ n_true, -1, 1))))
+        n, _ = estimate_normal(cloud, np.zeros(3), 30, 30)
+        errs.append(np.degrees(np.arccos(np.clip(n @ n_true, -1, 1))))
     assert np.mean(errs) < 2.0
 
 
 def test_degenerate_collinear_neighborhood():
     t = np.linspace(0, 1, 30)
     cloud = PointCloud(points=np.column_stack([t, t, t]))
-    with pytest.raises(DegenerateNeighborhoodError):
-        estimate_normal(cloud, np.zeros(3), 20)
+    assert estimate_normal(cloud, np.zeros(3), 20, 20) is None
 
 
 def test_rejects_nan_points():
@@ -228,8 +222,8 @@ def test_update_map_idempotent():
 
 
 def test_update_map_matches_per_cell_estimates():
-    """The batched update gives, cell by cell, the k* of optimal_neighborhood
-    and the normal of estimate_normal at the cell query point."""
+    """The map gives, cell by cell, the k of a brute-force entropy scan and
+    the np.cov PCA normal of that k at the cell query point."""
     rng = np.random.default_rng(11)
     n_true = np.array([-np.sin(0.3), 0.0, np.cos(0.3)])
     cloud = plane_cloud(rng, n=1200, normal=n_true, extent=1.5, noise=0.01)
@@ -242,24 +236,8 @@ def test_update_map_matches_per_cell_estimates():
         assert cell.sample_count == inside.sum()
         query = np.array([(ix + 0.5) * 0.1, (iy + 0.5) * 0.1,
                           cloud.points[inside, 2].mean()])
-        k = optimal_neighborhood(cloud, query, 10, 60)
-        assert cell.k == k
-        est = estimate_normal(cloud, query, k)
-        assert np.abs(cell.normal - est.normal).max() < 1e-9
-
-
-def test_map_csv_export(tmp_path):
-    rng = np.random.default_rng(10)
-    nmap = NormalMap(cell_size=0.25)
-    nmap.update(plane_cloud(rng, n=200))
-    path = tmp_path / "map.csv"
-    nmap.export_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "ix,iy,nx,ny,nz,count"
-    first = lines[1].split(",")
-    assert len(first) == 6
-    n = np.array([float(v) for v in first[2:5]])
-    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-6)
+        assert cell.k == brute_force_k(cloud, query, 10, 60)
+        assert np.abs(cell.normal - pca_normal(cloud, query, cell.k)).max() < 1e-9
 
 
 def test_pointcloud_file_roundtrip(tmp_path):
@@ -311,18 +289,19 @@ def test_incline_angle():
 
 
 def test_lookahead_targets_correct_cell():
-    nmap = NormalMap(cell_size=0.5)
+    """Two clouds: flat ground in the cell at the origin and a 20 deg slope
+    in the cell 0.9 m ahead; the lookahead query reads the slope's cell."""
+    rng = np.random.default_rng(15)
+    nmap = NormalMap(cell_size=0.5, k_min=5, k_max=20)
     ang = np.deg2rad(20.0)
     n_slope = np.array([np.sin(ang), 0.0, np.cos(ang)])
-    # build cells directly: flat at origin, slope 0.9 m ahead
-    from wbcsim.terrain_estimation import MapCell
-    nmap.cells = {
-        nmap.key_of(0.0, 0.0): MapCell(UP.copy(), 1, 0.0),
-        nmap.key_of(0.9, 0.0): MapCell(n_slope.copy(), 1, 0.0),
-    }
+    ahead = nmap.key_of(0.9, 0.0)
+    nmap.update(PointCloud(points=_patch_cloud(rng, [nmap.key_of(0.0, 0.0)] * 6, 0.5, UP)))
+    nmap.update(PointCloud(points=_patch_cloud(rng, [ahead] * 6, 0.5, n_slope)))
     filt = NormalFilter(alpha=1.0)
     n = query_normal(nmap, np.zeros(2), np.array([1.0, 0.0]), 0.9, filt)
-    assert np.allclose(n, n_slope)
+    assert np.array_equal(n, nmap.cells[ahead].normal)
+    assert incline_angle(n) > 10.0 > incline_angle(nmap.lookup(0.0, 0.0))
 
 
 # -- lazy map against the eager oracle --------------------------------------
@@ -379,10 +358,10 @@ def _assert_same_cells(lazy, eager):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_lazy_map_matches_eager_oracle(seed, tmp_path):
+def test_lazy_map_matches_eager_oracle(seed):
     """Over overlapping clouds, with degenerate and too-small frames, the lazy
-    map returns bit-equal lookups, the same cells in key order and the same
-    CSV bytes as the eager map it replaced."""
+    map returns bit-equal lookups and the same cells in key order as the
+    eager map it replaced."""
     from eager_normal_map import EagerNormalMap
     rng = np.random.default_rng(100 + seed)
     cell_size = 0.25                      # centres and edges are exact in binary
@@ -409,9 +388,6 @@ def test_lazy_map_matches_eager_oracle(seed, tmp_path):
     _assert_same_cells(lazy, eager)
     assert len(lazy.cells) == len(eager.cells)
     assert lazy.skipped_degenerate <= eager.skipped_degenerate
-    lazy.export_csv(str(tmp_path / "lazy.csv"))
-    eager.export_csv(str(tmp_path / "eager.csv"))
-    assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
 
 
 def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
