@@ -61,8 +61,6 @@ class ClosedLoopState:
 class ContactModel:
     n_l: np.ndarray
     n_r: np.ndarray
-    frame_l: np.ndarray          # columns (x, y, z), z = ground normal
-    frame_r: np.ndarray
     C_F: np.ndarray              # 2x4 velocity-dependent friction coefficients
 
 
@@ -183,7 +181,6 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     E = np.array(E).reshape(2, 4, 6)
     C_F = np.zeros((2, 4))
     C_F[0, 1], C_F[1, 3] = f
-    frames = E[:, :3, :3].transpose(0, 2, 1)     # per wheel, columns x, y, z
     # per wheel and row of E: the contact row, velocity and bias acceleration
     out = E @ st.wheels
     rows_y = out[:, :3, :NV_TREE] @ G
@@ -196,7 +193,7 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     (acc_xl, _, acc_zl), (acc_xr, _, acc_zr) = out[:, :3, NV_TREE + 1].tolist()
     Jdot_xz_u = np.array((acc_xl + drift[0], acc_zl, acc_xr + drift[1], acc_zr))
 
-    contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
+    contact = ContactModel(n_l=n[0], n_r=n[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
                               J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u, K=K,
                               contact=contact, p_cl=p[0], p_cr=p[1])

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-# NumPy loads its random module on first use; load it with the simulator, so
-# it is part of start-up rather than of a run's first control cycle
-from numpy.random import default_rng
 
 from .dynamics import (
     GRAVITY,
@@ -153,6 +150,10 @@ class Scenario:
         except OverflowError:
             raise ScenarioError("'duration', 'control_rate', 'sim_rate' or "
                                 "'sensor.rate_hz' out of range") from None
+        if self.estimation_mode == "estimated_normal":
+            # NumPy loads the random module the lidar's rng needs on first use:
+            # load it in set-up, not in the run's first control cycle
+            import numpy.random  # noqa: F401
 
     def timing(self) -> tuple[float, int, int, int]:
         """Physics step (s), physics steps per control cycle, control cycles,
@@ -209,6 +210,10 @@ MAX_SUBSTEPS = 1000
 # most control cycles of a run: at 204 B of log and about 0.6 ms of CPU a
 # cycle, 1e7 cycles hold about 2 GB of log and take about 1.7 CPU-hours
 MAX_CYCLES = 10_000_000
+# most lidar points a frame: a point costs about 2.4 us and 115 B to sample,
+# and 24 B held by the normal map while its frame has a pending record, so
+# 1e5 points take about 0.25 s and 12 MB a frame
+MAX_POINTS = 100_000
 
 
 def _number(key: str, v, integer: bool = False):
@@ -224,6 +229,8 @@ def _number(key: str, v, integer: bool = False):
         raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
     if name in ("start_xy", "lookahead", "z0", "knots_h", "height") and abs(x) > POSITION_LIMIT:
         raise ScenarioError(f"'{key}' must be within {POSITION_LIMIT:g} m of 0, got {v!r}")
+    if name == "points" and x > MAX_POINTS:
+        raise ScenarioError(f"'{key}' must be at most {MAX_POINTS:g}, got {v!r}")
     return v if integer else x
 
 
@@ -516,7 +523,8 @@ class CycleResult:
 class Controller:
     """A scenario's normal estimation and whole-body control, with the state
     they carry between cycles: CoM and yaw references, normal map and wheel
-    filters, LQR gain schedule, HQP solver, lidar rng and lidar cycle count."""
+    filters, LQR gain schedule, HQP solver, lidar cycle count and, with
+    estimated normals only, the lidar rng (None otherwise)."""
 
     def __init__(self, model: RobotModel, scenario: Scenario, seed: int = 0):
         self.model, self.scenario = model, scenario
@@ -528,7 +536,8 @@ class Controller:
         self.solver = HierarchySolver()
         self.nmap = NormalMap()
         self.filters = (NormalFilter(), NormalFilter())
-        self.rng = default_rng(seed)
+        self.rng = (np.random.default_rng(seed)
+                    if scenario.estimation_mode == "estimated_normal" else None)
         self.s_ref = None            # taken from the CoM on the first cycle
         self.yaw_ref = scenario.start_yaw
         self.cycles = 0

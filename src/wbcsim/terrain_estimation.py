@@ -9,7 +9,9 @@ read, and served through a lookahead query with exponential smoothing.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -128,10 +130,10 @@ class _Frame(NamedTuple):
 
 @dataclass(slots=True)
 class _Slot:
-    """One key: the cell it holds and the (row, frame) records newer than
-    it, oldest first, which may replace it."""
+    """One key: the cell it holds and the records newer than it, oldest first,
+    which may replace it, as int64 codes frame_id << 32 | row."""
     cell: MapCell | None = None
-    newer: list = field(default_factory=list)
+    newer: array = field(default_factory=lambda: array("q"))
 
 
 class NormalMap:
@@ -141,11 +143,11 @@ class NormalMap:
     when it is first read, from the newest cloud that covers it, falling
     back to older clouds while the newer estimates are degenerate.  Normals,
     counts and k equal those of re-estimating every occupied cell on every
-    update.  A non-degenerate estimate drops the key's older records, and a
-    cloud is freed once no record refers to it.  `skipped_degenerate`
-    counts degenerate estimates as reads find them, so an estimate
-    superseded before any read is never counted; every cell of a cloud too
-    small to estimate counts at once.
+    update.  A non-degenerate estimate drops the key's older records (8 B
+    each), and a frame is freed once none of its records is pending.
+    `skipped_degenerate` counts degenerate estimates as reads find them, so
+    an estimate superseded before any read is never counted; every cell of
+    a cloud too small to estimate counts at once.
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
@@ -157,6 +159,9 @@ class NormalMap:
         self.k_min = int(k_min)
         self.k_max = int(k_max)
         self._slots: defaultdict[tuple[int, int], _Slot] = defaultdict(_Slot)
+        self._frames: dict[int, _Frame] = {}       # by id, while a record is pending
+        self._pending: dict[int, int] = {}         # the number of those records, by id
+        self._ids = itertools.count()
         self.skipped_degenerate = 0
 
     @property
@@ -203,10 +208,13 @@ class NormalMap:
             self.skipped_degenerate += len(keys)
             return 0
 
-        frame = _Frame(cloud, np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts]),
-                       counts)
-        for row, key in enumerate(map(tuple, keys.tolist())):
-            self._slots[key].newer.append((row, frame))
+        # rows (cells) stay below 2**32; past 2**31 frames the append raises, not wraps
+        frame_id = next(self._ids)
+        queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
+        self._frames[frame_id] = _Frame(cloud, queries, counts)
+        self._pending[frame_id] = len(keys)
+        for code, key in enumerate(map(tuple, keys.tolist()), frame_id << 32):
+            self._slots[key].newer.append(code)
         return len(keys)
 
     def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
@@ -225,11 +233,21 @@ class NormalMap:
         if slot is None:
             return None
         while slot.newer:
-            cell = self._estimate(*slot.newer.pop())
+            code = slot.newer.pop()
+            cell = self._estimate(code & 0xFFFFFFFF, self._frames[code >> 32])
             if cell is not None:
                 slot.cell = cell
-                slot.newer.clear()
+                self._release(slot.newer)
+                del slot.newer[:]
+            self._release((code,))
         return slot.cell
+
+    def _release(self, codes) -> None:
+        """Drop pending records; free each frame once none of its records is left."""
+        for frame_id in (code >> 32 for code in codes):
+            self._pending[frame_id] -= 1
+            if not self._pending[frame_id]:
+                del self._pending[frame_id], self._frames[frame_id]
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied

@@ -180,8 +180,7 @@ def per_wheel_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> Clos
         F_r[:, 2] @ a_r,
     ])
 
-    contact = ContactModel(n_l=np.asarray(n_l, float), n_r=np.asarray(n_r, float),
-                           frame_l=F_l, frame_r=F_r, C_F=C_F)
+    contact = ContactModel(n_l=np.asarray(n_l, float), n_r=np.asarray(n_r, float), C_F=C_F)
     return ClosedLoopDynamics(H_y=H_y, C_y=C_y, G=G.copy(), J_gc=J_gc,
                               J_xz=J_xz, J_y=J_y16 @ G, Jdot_xz_u=Jdot_xz_u, K=K,
                               contact=contact, p_cl=p_cl, p_cr=p_cr)
@@ -210,7 +209,6 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
     E[:, 0, :3], E[:, 0, 3:] = x, -r * y
     E[:, 1, :3], E[:, 1, 3:] = y, r * x
     E[:, 2, :3] = n
-    frames = E[:, :, :3].transpose(0, 2, 1)  # per wheel, columns x, y, z
     out = E @ st.wheels
     rows, v, acc = out[:, :, :NV_TREE], out[:, :, NV_TREE], out[:, :, NV_TREE + 1]
     rows_y = rows @ G
@@ -229,7 +227,7 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
 
     Jdot_xz_u = acc[:, ::2].copy()
     Jdot_xz_u[:, 0] += (y @ head_dot) / nt * v[:, 1]
-    contact = ContactModel(n_l=n[0], n_r=n[1], frame_l=frames[0], frame_r=frames[1], C_F=C_F)
+    contact = ContactModel(n_l=n[0], n_r=n[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
                               J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u.ravel(), K=K,
                               contact=contact, p_cl=p[0], p_cr=p[1])

@@ -192,28 +192,45 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_run_loads_no_scipy(slope_scn):
-    """Loading the CLI and running an estimated-normal composite-terrain and
-    slope scenario loads no SciPy module, whose import alone costs more than
-    a short run, and a run itself imports nothing: every module it needs is
-    loaded before the first control cycle."""
-    runs = [{"duration": 0.1, "estimation_mode": "estimated_normal",
+    """Loading the CLI and running a scenario in each estimation mode loads
+    no SciPy module, whose import alone costs more than a short run, and a
+    run itself imports nothing: every module it needs is loaded before the
+    first control cycle.  Only the lidar draws random numbers, so the
+    true-normal and horizontal-normal runs, which come first, leave NumPy's
+    random module out, and with it secrets and hashlib (OpenSSL).  The
+    first lidar scenario is built by Scenario.from_dict, so its set-up, not
+    its run, must load the random module."""
+    runs = [{"duration": 0.1, "estimation_mode": "true_normal"},
+            {"duration": 0.1, "estimation_mode": "horizontal_normal"},
+            {"duration": 0.1, "estimation_mode": "estimated_normal",
              "terrain": {"kind": "composite", "knots_x": [0.2, 0.6, 1.0],
                          "knots_h": [0.0, 0.02, 0.03]}},
             {"duration": 0.1, "estimation_mode": "estimated_normal"}]
+    direct = {"terrain": {"kind": "slope", "angle_deg": 10.0, "start": 0.3},
+              "duration": 0.1, "estimation_mode": "estimated_normal",
+              "reference": [{"speed": 0.5}]}
     code = ("import sys\n"
             "from wbcsim import cli, simulator\n"
             "from wbcsim.model import RobotModel\n"
-            f"for params in {runs!r}:\n"
-            f"    scenario = cli.load_scenario({slope_scn!r}, params)\n"
+            f"makers = [lambda p=p: cli.load_scenario({slope_scn!r}, p) for p in {runs!r}]\n"
+            f"makers.insert(2, lambda: simulator.Scenario.from_dict({direct!r}))\n"
+            "for make in makers:\n"
+            "    scenario = make()\n"
             "    model = RobotModel()\n"
             "    loaded = set(sys.modules)\n"
             "    log, metrics = simulator.run_scenario(model, scenario, seed=1)\n"
             "    assert len(log) and not metrics.failed\n"
-            "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
-            "          sorted(set(sys.modules) - loaded))\n")
+            "    print(scenario.estimation_mode,\n"
+            "          sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),\n"
+            "          sorted(set(sys.modules) - loaded),\n"
+            "          sorted(m for m in ('numpy.random', 'secrets', 'hashlib')\n"
+            "                 if m in sys.modules))\n")
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[] []", "[] []"]
+    random = "['hashlib', 'numpy.random', 'secrets']"
+    assert proc.stdout.splitlines()[-5:] == [
+        "true_normal [] [] []", "horizontal_normal [] [] []",
+        *[f"estimated_normal [] [] {random}"] * 3]
 
 
 def test_start_up_loads_no_sweep_or_parser_modules(slope_scn):
@@ -326,6 +343,10 @@ BAD_PARAMS = [
     ("sensor.rate_hz=1000", "sensor.rate_hz"),
     # fewer points than a normal estimate needs: every frame recorded nothing
     ("sensor.points=5", "sensor.points"),
+    # past MAX_POINTS: 10**12 points asked numpy for 7.3 TiB in the first
+    # lidar frame, a MemoryError traceback
+    ("sensor.points=1000000000000", "sensor.points"),
+    ("sensor.points=100001", "sensor.points"),
     ("lookahead=abc", "lookahead"),
     ("start_xy=[0]", "start_xy"),
     ("kp=[1,2]", "kp"),

@@ -517,3 +517,25 @@ def test_newer_estimate_frees_the_older_cloud():
     assert nmap.lookup(0.125, 0.125) is not None
     gc.collect()
     assert ref() is None
+
+
+def test_a_cloud_over_two_keys_is_freed_once_neither_holds_a_record_of_it():
+    """A cloud stays held while either key it covers still has a pending
+    record of it, and is freed once both keys hold newer non-degenerate
+    estimates."""
+    import gc
+    import weakref
+    rng = np.random.default_rng(7)
+    nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
+    older = PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6 + [(1, 0)] * 6, 0.25, UP))
+    nmap.update(older)
+    ref = weakref.ref(older)
+    del older
+    for cell in ((0, 0), (1, 0)):
+        nmap.update(PointCloud(points=_patch_cloud(rng, [cell] * 6, 0.25, UP)))
+    assert nmap.lookup(0.125, 0.125) is not None      # key (0, 0), from its newer cloud
+    gc.collect()
+    assert ref() is not None                          # key (1, 0) still has a record of it
+    assert nmap.lookup(0.375, 0.125) is not None
+    gc.collect()
+    assert ref() is None
