@@ -210,9 +210,10 @@ MAX_SUBSTEPS = 1000
 # most control cycles of a run: at 204 B of log and about 0.6 ms of CPU a
 # cycle, 1e7 cycles hold about 2 GB of log and take about 1.7 CPU-hours
 MAX_CYCLES = 10_000_000
-# most lidar points a frame: a point costs about 2.4 us and 115 B to sample,
-# and 24 B held by the normal map while its frame has a pending record, so
-# 1e5 points take about 0.25 s and 12 MB a frame
+# most lidar points a frame: a point costs 0.3-1 us (by terrain kind) and 115 B
+# to sample, and the normal map holds 24 B a point and 41 B an occupied cell
+# while the frame has a pending record, so 1e5 points take at most about
+# 0.1 s and 12 MB a frame
 MAX_POINTS = 100_000
 
 

@@ -9,10 +9,7 @@ read, and served through a lookahead query with exponential smoothing.
 
 from __future__ import annotations
 
-import itertools
 import math
-from array import array
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -122,18 +119,38 @@ class MapCell:
 
 
 class _Frame(NamedTuple):
-    """One recorded cloud and its occupied cells in key order."""
+    """One recorded cloud and its occupied cells in key order.
+
+    Each cell is the int64 code (ix - lx) * span + (iy - ly) over the cloud's
+    key box [lx, hx] x [ly, hy], span = hy - ly + 1, and has one record,
+    pending until a read of its key makes or supersedes its estimate.
+    """
     cloud: PointCloud
     queries: np.ndarray                # (cells, 3): centre, mean height of the points
     counts: np.ndarray                 # points per cell
+    codes: np.ndarray                  # cell codes, ascending
+    pending: np.ndarray                # bool per cell
+    lx: int
+    ly: int
+    hx: int
+    hy: int
 
+    def row(self, ix: int, iy: int) -> int:
+        """Row of the pending record of key (ix, iy), or -1 if there is none."""
+        if not (self.lx <= ix <= self.hx and self.ly <= iy <= self.hy):
+            return -1
+        code = (ix - self.lx) * (self.hy - self.ly + 1) + (iy - self.ly)
+        row = int(self.codes.searchsorted(code))
+        found = row < len(self.codes) and self.codes[row] == code and self.pending[row]
+        return row if found else -1
 
-@dataclass(slots=True)
-class _Slot:
-    """One key: the cell it holds and the records newer than it, oldest first,
-    which may replace it, as int64 codes frame_id << 32 | row."""
-    cell: MapCell | None = None
-    newer: array = field(default_factory=lambda: array("q"))
+    def pending_keys(self, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
+        """ix and iy of the pending records with x0 <= ix <= x1, in key order."""
+        x0, x1 = max(x0, self.lx), min(x1, self.hx)
+        span = self.hy - self.ly + 1
+        a, b = self.codes.searchsorted([(x0 - self.lx) * span, (x1 - self.lx + 1) * span])
+        ix, iy = np.divmod(self.codes[a:b][self.pending[a:b]], span)
+        return ix + self.lx, iy + self.ly
 
 
 class NormalMap:
@@ -143,25 +160,32 @@ class NormalMap:
     when it is first read, from the newest cloud that covers it, falling
     back to older clouds while the newer estimates are degenerate.  Normals,
     counts and k equal those of re-estimating every occupied cell on every
-    update.  A non-degenerate estimate drops the key's older records (8 B
-    each), and a frame is freed once none of its records is pending.
-    `skipped_degenerate` counts degenerate estimates as reads find them, so
-    an estimate superseded before any read is never counted; every cell of
-    a cloud too small to estimate counts at once.
+    update.  Each frame keeps its cell codes with a pending flag per cell,
+    and only keys that have been read get an entry of their own.  A
+    non-degenerate estimate clears its key's older records, and a frame is
+    freed once none of its records is pending.  `skipped_degenerate` counts
+    degenerate estimates as reads find them, so an estimate superseded
+    before any read is never counted; every cell of a cloud too small to
+    estimate counts at once.
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
-        if cell_size <= 0.0:
-            raise ValueError("cell size must be positive")
+        if not 0.0 < cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
         if not 3 <= k_min < k_max:
             raise ValueError("require 3 <= k_min < k_max")
         self.cell_size = float(cell_size)
         self.k_min = int(k_min)
         self.k_max = int(k_max)
-        self._slots: defaultdict[tuple[int, int], _Slot] = defaultdict(_Slot)
         self._frames: dict[int, _Frame] = {}       # by id, while a record is pending
-        self._pending: dict[int, int] = {}         # the number of those records, by id
-        self._ids = itertools.count()
+        self._next_id = 0                          # id of the next frame recorded
+        # each read key: its cell, and the id of the first frame not yet
+        # searched for its records (every older one holds none pending)
+        self._read: dict[tuple[int, int], tuple[MapCell | None, int]] = {}
+        # the last miss's key, _next_id then, and the ix, iy of the keys
+        # around it that may hold a cell: a superset of them until the
+        # next update, since only an update adds pending records
+        self._around: tuple = ()
         self.skipped_degenerate = 0
 
     @property
@@ -199,22 +223,19 @@ class NormalMap:
         ixy = np.floor(xy / self.cell_size).astype(np.int64)
         # occupied cells, their counts and z sums; each cell as one int64
         # over the cloud's key box, which sorts as its (ix, iy) key does
-        code = (ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly)
-        _, first, inverse, counts = np.unique(
-            code, return_index=True, return_inverse=True, return_counts=True)
+        codes, first, inverse, counts = np.unique(
+            (ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly),
+            return_index=True, return_inverse=True, return_counts=True)
         keys = ixy[first]
         z_sum = np.bincount(inverse.ravel(), weights=cloud.points[:, 2], minlength=len(keys))
         if len(cloud) < self.k_min:
             self.skipped_degenerate += len(keys)
             return 0
 
-        # rows (cells) stay below 2**32; past 2**31 frames the append raises, not wraps
-        frame_id = next(self._ids)
         queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        self._frames[frame_id] = _Frame(cloud, queries, counts)
-        self._pending[frame_id] = len(keys)
-        for code, key in enumerate(map(tuple, keys.tolist()), frame_id << 32):
-            self._slots[key].newer.append(code)
+        self._frames[self._next_id] = _Frame(cloud, queries, counts, codes,
+                                             np.ones(len(codes), dtype=bool), lx, ly, hx, hy)
+        self._next_id += 1
         return len(keys)
 
     def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
@@ -228,46 +249,78 @@ class NormalMap:
 
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
         """The key's cell from its newest non-degenerate estimate; makes only
-        the estimates newer than the one the cell holds and drops the rest."""
-        slot = self._slots.get(key)
-        if slot is None:
-            return None
-        while slot.newer:
-            code = slot.newer.pop()
-            cell = self._estimate(code & 0xFFFFFFFF, self._frames[code >> 32])
-            if cell is not None:
-                slot.cell = cell
-                self._release(slot.newer)
-                del slot.newer[:]
-            self._release((code,))
-        return slot.cell
+        the estimates newer than the one the cell holds and clears the rest."""
+        cell, since = self._read.get(key, (None, 0))
+        if since == self._next_id:
+            return cell
+        records = []                                # (frame id, row), newest first
+        for frame_id in reversed(self._frames):
+            if frame_id < since:
+                break
+            row = self._frames[frame_id].row(*key)
+            if row >= 0:
+                records.append((frame_id, row))
+        made = None
+        for frame_id, row in records:
+            if made is None:
+                made = self._estimate(row, self._frames[frame_id])
+            self._release(frame_id, row)
+        if made is not None:
+            cell = made
+        self._read[key] = cell, self._next_id
+        return cell
 
-    def _release(self, codes) -> None:
-        """Drop pending records; free each frame once none of its records is left."""
-        for frame_id in (code >> 32 for code in codes):
-            self._pending[frame_id] -= 1
-            if not self._pending[frame_id]:
-                del self._pending[frame_id], self._frames[frame_id]
+    def _release(self, frame_id: int, row: int) -> None:
+        """Clear a pending record; free its frame once none of its records is left."""
+        frame = self._frames[frame_id]
+        frame.pending[row] = False
+        if not frame.pending.any():
+            del self._frames[frame_id]
+
+    def _near(self, x: float, y: float, kx: int, ky: int):
+        """Keys within SEARCH_RADIUS of (x, y), whose key is (kx, ky), that
+        may hold a cell, in (distance, key) order: the read keys that hold
+        one and the keys of pending records, some of them more than once."""
+        if self._around[:3] != (kx, ky, self._next_id):
+            r = math.ceil(SEARCH_RADIUS / self.cell_size) + 1
+            x0, x1, y0, y1 = kx - r, kx + r, ky - r, ky + r
+            near = [f.pending_keys(x0, x1) for f in self._frames.values()
+                    if f.lx <= x1 and x0 <= f.hx and f.ly <= y1 and y0 <= f.hy]
+            near.append(np.array([key for key, (cell, _) in self._read.items()
+                                  if cell is not None and x0 <= key[0] <= x1],
+                                 dtype=np.int64).reshape(-1, 2).T)
+            ix, iy = np.concatenate([k[0] for k in near]), np.concatenate([k[1] for k in near])
+            box = (y0 <= iy) & (iy <= y1)
+            self._around = kx, ky, self._next_id, ix[box], iy[box]
+        ix, iy = self._around[3:]
+        dx, dy = (ix + 0.5) * self.cell_size - x, (iy + 0.5) * self.cell_size - y
+        d2 = dx * dx + dy * dy
+        inside = d2 <= SEARCH_RADIUS**2
+        ix, iy, d2 = ix[inside], iy[inside], d2[inside]
+        for i in np.lexsort((iy, ix, d2)):
+            yield int(ix[i]), int(iy[i])
+
+    def _keys(self) -> list[tuple[int, int]]:
+        """Every key that may hold a cell, in key order."""
+        keys = set(self._read)
+        for f in self._frames.values():
+            ix, iy = f.pending_keys(f.lx, f.hx)
+            keys.update(zip(ix.tolist(), iy.tolist()))
+        return sorted(keys)
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
         cell within SEARCH_RADIUS, the least (ix, iy) key among equally near
         ones; None when nothing is found.
 
-        The fallback estimates the keys around (x, y) in that order and
-        stops at the first non-degenerate cell.
+        The fallback estimates the recorded keys around (x, y) in that order
+        and stops at the first non-degenerate cell.
         """
         key = self.key_of(x, y)
         cell = self._resolve(key)
         if cell is None:
-            r = int(np.ceil(SEARCH_RADIUS / self.cell_size)) + 1
-            near = np.mgrid[key[0] - r:key[0] + r + 1,         # in key order
-                            key[1] - r:key[1] + r + 1].reshape(2, -1).T
-            d2 = (((near + 0.5) * self.cell_size - [x, y]) ** 2).sum(axis=1)
-            for i in np.argsort(d2, kind="stable"):
-                if d2[i] > SEARCH_RADIUS**2:
-                    break
-                cell = self._resolve(tuple(near[i].tolist()))
+            for near in self._near(x, y, *key):
+                cell = self._resolve(near)
                 if cell is not None:
                     break
         return None if cell is None else cell.normal.copy()
@@ -287,11 +340,11 @@ class _Cells(Mapping):
 
     def __iter__(self):
         nmap = self._nmap
-        return iter(sorted(key for key in nmap._slots if nmap._resolve(key) is not None))
+        return iter([key for key in nmap._keys() if nmap._resolve(key) is not None])
 
     def __len__(self) -> int:
         nmap = self._nmap
-        return sum(nmap._resolve(key) is not None for key in nmap._slots)
+        return sum(nmap._resolve(key) is not None for key in nmap._keys())
 
 
 @dataclass

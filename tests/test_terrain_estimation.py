@@ -413,6 +413,55 @@ def test_map_rejects_a_cloud_beyond_int64_cell_keys(points):
         NormalMap().update(PointCloud(points=np.array(points)))
 
 
+@pytest.mark.parametrize("cell_size", [float("nan"), float("inf"), 0.0, -1.0])
+def test_map_rejects_a_cell_size_that_is_not_positive_and_finite(cell_size):
+    """A NaN cell size would blame every later point for being non-finite,
+    and an infinite one would put every cloud in key (0, 0)."""
+    with pytest.raises(ValueError, match="cell_size"):
+        NormalMap(cell_size=cell_size)
+
+
+def test_a_miss_holds_memory_bounded_by_the_recorded_cells():
+    """A miss enumerates the recorded keys near it, not every key within
+    SEARCH_RADIUS: with 2 mm cells that radius spans about 250,000 keys."""
+    import tracemalloc
+    rng = np.random.default_rng(8)
+    nmap = NormalMap(cell_size=0.002)
+    pts = np.column_stack([rng.uniform(0.0, 0.1, (200, 2)), rng.normal(scale=0.001, size=200)])
+    nmap.update(PointCloud(points=pts))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        n = nmap.lookup(0.4, 0.05)                    # 0.3 m beyond the cloud
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n is not None and n[2] > 0.99
+    assert peak < 1_000_000
+
+
+def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
+    """Beyond its clouds' points, the map holds each recorded cell's query,
+    count, code and pending flag, and nothing per key until a key is read."""
+    import tracemalloc
+    from wbcsim.simulator import SensorConfig, synth_pointcloud
+    from wbcsim.terrain import SlopeTerrain
+    rng = np.random.default_rng(9)
+    terrain = SlopeTerrain(angle_deg=15.0, start=1.0, blend=0.5)
+    clouds = [synth_pointcloud(terrain, (0.5 + 0.05 * i, 0.0), SensorConfig(), rng)
+              for i in range(10)]
+    nmap = NormalMap()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        recorded = sum(nmap.update(cloud) for cloud in clouds)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert recorded > 8000
+    assert held <= 64 * recorded
+
+
 @pytest.mark.parametrize("x, shown", [(1e300, "1e+300"), (1e18, "1e+18"),
                                       (float("nan"), "nan")])
 def test_lookup_rejects_a_point_beyond_int64_cell_keys(x, shown):
