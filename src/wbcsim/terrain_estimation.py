@@ -161,7 +161,7 @@ class NormalMap:
     back to older clouds while the newer estimates are degenerate.  Normals,
     counts and k equal those of re-estimating every occupied cell on every
     update.  Each frame keeps its cell codes with a pending flag per cell,
-    and only keys that have been read get an entry of their own.  A
+    and only recorded keys that have been read get an entry of their own.  A
     non-degenerate estimate clears its key's older records, and a frame is
     freed once none of its records is pending.  `skipped_degenerate` counts
     degenerate estimates as reads find them, so an estimate superseded
@@ -170,22 +170,20 @@ class NormalMap:
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
-        if not 0.0 < cell_size < math.inf:
-            raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
+        if not (0.0 < cell_size < math.inf and math.isfinite(SEARCH_RADIUS / cell_size)):
+            raise ValueError(f"cell_size must be positive and finite, and SEARCH_RADIUS / "
+                             f"cell_size finite, got {cell_size!r}")
         if not 3 <= k_min < k_max:
             raise ValueError("require 3 <= k_min < k_max")
         self.cell_size = float(cell_size)
         self.k_min = int(k_min)
         self.k_max = int(k_max)
         self._frames: dict[int, _Frame] = {}       # by id, while a record is pending
+        self._pending: dict[int, int] = {}         # the number of those records, by id
         self._next_id = 0                          # id of the next frame recorded
-        # each read key: its cell, and the id of the first frame not yet
-        # searched for its records (every older one holds none pending)
+        # each read key that held a record: its cell, and the id of the first
+        # frame not yet searched for its records (every older one holds none)
         self._read: dict[tuple[int, int], tuple[MapCell | None, int]] = {}
-        # the last miss's key, _next_id then, and the ix, iy of the keys
-        # around it that may hold a cell: a superset of them until the
-        # next update, since only an update adds pending records
-        self._around: tuple = ()
         self.skipped_degenerate = 0
 
     @property
@@ -235,6 +233,7 @@ class NormalMap:
         queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
         self._frames[self._next_id] = _Frame(cloud, queries, counts, codes,
                                              np.ones(len(codes), dtype=bool), lx, ly, hx, hy)
+        self._pending[self._next_id] = len(codes)
         self._next_id += 1
         return len(keys)
 
@@ -267,32 +266,29 @@ class NormalMap:
             self._release(frame_id, row)
         if made is not None:
             cell = made
-        self._read[key] = cell, self._next_id
+        if records or key in self._read:
+            self._read[key] = cell, self._next_id
         return cell
 
     def _release(self, frame_id: int, row: int) -> None:
         """Clear a pending record; free its frame once none of its records is left."""
-        frame = self._frames[frame_id]
-        frame.pending[row] = False
-        if not frame.pending.any():
-            del self._frames[frame_id]
+        self._frames[frame_id].pending[row] = False
+        self._pending[frame_id] -= 1
+        if not self._pending[frame_id]:
+            del self._pending[frame_id], self._frames[frame_id]
 
     def _near(self, x: float, y: float, kx: int, ky: int):
         """Keys within SEARCH_RADIUS of (x, y), whose key is (kx, ky), that
         may hold a cell, in (distance, key) order: the read keys that hold
         one and the keys of pending records, some of them more than once."""
-        if self._around[:3] != (kx, ky, self._next_id):
-            r = math.ceil(SEARCH_RADIUS / self.cell_size) + 1
-            x0, x1, y0, y1 = kx - r, kx + r, ky - r, ky + r
-            near = [f.pending_keys(x0, x1) for f in self._frames.values()
-                    if f.lx <= x1 and x0 <= f.hx and f.ly <= y1 and y0 <= f.hy]
-            near.append(np.array([key for key, (cell, _) in self._read.items()
-                                  if cell is not None and x0 <= key[0] <= x1],
-                                 dtype=np.int64).reshape(-1, 2).T)
-            ix, iy = np.concatenate([k[0] for k in near]), np.concatenate([k[1] for k in near])
-            box = (y0 <= iy) & (iy <= y1)
-            self._around = kx, ky, self._next_id, ix[box], iy[box]
-        ix, iy = self._around[3:]
+        r = math.ceil(SEARCH_RADIUS / self.cell_size) + 1
+        x0, x1, y0, y1 = kx - r, kx + r, ky - r, ky + r
+        near = [f.pending_keys(x0, x1) for f in self._frames.values()
+                if f.lx <= x1 and x0 <= f.hx and f.ly <= y1 and y0 <= f.hy]
+        near.append(np.array([key for key, (cell, _) in self._read.items()
+                              if cell is not None and x0 <= key[0] <= x1],
+                             dtype=np.int64).reshape(-1, 2).T)
+        ix, iy = np.concatenate([k[0] for k in near]), np.concatenate([k[1] for k in near])
         dx, dy = (ix + 0.5) * self.cell_size - x, (iy + 0.5) * self.cell_size - y
         d2 = dx * dx + dy * dy
         inside = d2 <= SEARCH_RADIUS**2

@@ -413,10 +413,11 @@ def test_map_rejects_a_cloud_beyond_int64_cell_keys(points):
         NormalMap().update(PointCloud(points=np.array(points)))
 
 
-@pytest.mark.parametrize("cell_size", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("cell_size", [float("nan"), float("inf"), 0.0, -1.0, 1e-320])
 def test_map_rejects_a_cell_size_that_is_not_positive_and_finite(cell_size):
     """A NaN cell size would blame every later point for being non-finite,
-    and an infinite one would put every cloud in key (0, 0)."""
+    an infinite one would put every cloud in key (0, 0), and one below
+    about 2.8e-309 would make the search radius in cells infinite."""
     with pytest.raises(ValueError, match="cell_size"):
         NormalMap(cell_size=cell_size)
 
@@ -438,6 +439,20 @@ def test_a_miss_holds_memory_bounded_by_the_recorded_cells():
         tracemalloc.stop()
     assert n is not None and n[2] > 0.99
     assert peak < 1_000_000
+
+
+def test_reading_keys_never_recorded_holds_nothing():
+    """Probing keys that no cloud recorded, by lookup or through `cells`,
+    leaves the map's memory bounded by the keys it recorded."""
+    nmap = NormalMap()
+    cells = [(ix, iy) for ix in range(4) for iy in range(4)]
+    nmap.update(PointCloud(points=_patch_cloud(np.random.default_rng(10), cells, 0.1, UP)))
+    for i in range(50):
+        assert (100 + i, -100) not in nmap.cells
+        with pytest.raises(KeyError):
+            nmap.cells[(-100, 100 + i)]
+        assert nmap.lookup(50.0 + i, 50.0) is None
+    assert nmap._read == {}
 
 
 def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
