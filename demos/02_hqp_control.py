@@ -10,7 +10,8 @@ The cycle is the one a scenario run executes (`Controller.cycle`).
 import numpy as np
 
 from wbcsim.model import TASK_NAMES, RobotModel
-from wbcsim.simulator import Controller, Scenario, initial_state
+from wbcsim.scenario import Scenario
+from wbcsim.simulator import Controller, initial_state
 from wbcsim.terrain import FlatTerrain
 
 

@@ -8,7 +8,8 @@ lookahead point and smooths the result with a first-order filter.
 
 import numpy as np
 
-from wbcsim.simulator import SensorConfig, synth_pointcloud
+from wbcsim.scenario import SensorConfig
+from wbcsim.simulator import synth_pointcloud
 from wbcsim.terrain import SlopeTerrain
 from wbcsim.terrain_estimation import (
     NormalFilter,

@@ -15,8 +15,8 @@ from importlib.resources import files
 
 import numpy as np
 
-from wbcsim.cli import load_scenario
 from wbcsim.model import RobotModel
+from wbcsim.scenario import load_scenario
 from wbcsim.simulator import LOG_COLUMNS, run_scenario
 
 

@@ -36,80 +36,18 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
-from .model import RobotModel, YamlLoader
-from .simulator import (
-    LOG_COLUMNS,
-    MetricsSummary,
-    Scenario,
-    ScenarioError,
-    SensorConfig,
-    run_scenario,
-    synth_pointcloud,
-    write_csv,
-)
+from .model import RobotModel
+from .scenario import ScenarioError, SensorConfig, load_scenario, parse_param, parse_sweep
+from .simulator import LOG_COLUMNS, MetricsSummary, run_scenario, synth_pointcloud, write_csv
 from .terrain import SlopeTerrain
 from .terrain_estimation import NormalMap, PointCloud, estimate_normal, incline_angle
 
 DEFAULT_SEED = 0
 PSI_COLUMNS = ("t", "psi_hat", "psi_true")   # of the log, in psi_trace.csv
 OUT_ENV_VAR = "WBCSIM_OUT"
-
-
-@dataclass
-class RunConfig:
-    scenario: str | None
-    out_dir: str
-    seed: int = DEFAULT_SEED
-    verbosity: int = 0
-    mode: str = "run"
-    params: dict = field(default_factory=dict)
-    sweep_key: str | None = None
-    sweep_values: list = field(default_factory=list)
-    jobs: int | None = None
-
-
-# -- configuration plumbing --------------------------------------------------
-
-def parse_param(text: str) -> tuple[str, object]:
-    """Split ``KEY=VALUE``; the value is YAML-typed (numbers, bools, lists)."""
-    key, sep, raw = text.partition("=")
-    if not sep or not key:
-        raise ScenarioError(f"override '{text}' is not of the form KEY=VALUE")
-    try:
-        value = yaml.load(raw, Loader=YamlLoader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"override '{text}': unparsable value: {exc}") from exc
-    return key.strip(), value
-
-
-def apply_override(cfg: dict, key: str, value) -> None:
-    """Set a possibly dotted key (``terrain.angle_deg=20``) in a config dict."""
-    node = cfg
-    parts = key.split(".")
-    for p in parts[:-1]:
-        nxt = node.setdefault(p, {})
-        if not isinstance(nxt, dict):
-            raise ScenarioError(f"override '{key}': '{p}' is not a section")
-        node = nxt
-    node[parts[-1]] = value
-
-
-def load_scenario(path: str, params: dict) -> Scenario:
-    with open(path, "rb") as fh:          # YAML reads the encoding, UTF-8 by default
-        try:
-            cfg = yaml.load(fh, Loader=YamlLoader)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ScenarioError("scenario file must contain a mapping")
-    for key, value in params.items():
-        apply_override(cfg, key, value)
-    return Scenario.from_dict(cfg)
 
 
 # -- run mode ----------------------------------------------------------------
@@ -137,14 +75,11 @@ def _run_and_write(scenario_path: str, params: dict, seed: int,
     return metrics
 
 
-def do_run(cfg: RunConfig) -> int:
-    if cfg.scenario is None:
-        print("error: --scenario is required for mode 'run'", file=sys.stderr)
-        return 2
-    metrics = _run_and_write(cfg.scenario, cfg.params, cfg.seed, cfg.out_dir)
-    if cfg.verbosity > 0 or metrics.failed or metrics.fell:
+def do_run(scenario: str, params: dict, seed: int, out_dir: str, verbosity: int = 0) -> int:
+    metrics = _run_and_write(scenario, params, seed, out_dir)
+    if verbosity > 0 or metrics.failed or metrics.fell:
         print(metrics.to_text(), end="")
-    print(f"artifacts written to {cfg.out_dir}")
+    print(f"artifacts written to {out_dir}")
     if metrics.failed:
         print(f"error: solver failure: {metrics.failure}", file=sys.stderr)
         return 1
@@ -159,55 +94,51 @@ def do_run(cfg: RunConfig) -> int:
 def _sweep_one(args: tuple) -> dict:
     scenario_path, params, key, value, seed, out_dir = args
     metrics = _run_and_write(scenario_path, {**params, key: value}, seed, out_dir)
-    row = {"sweep_value": value}
-    row.update(metrics.to_dict())
-    return row
+    return {"sweep_value": value, **metrics.to_dict()}
 
 
-def do_sweep(cfg: RunConfig) -> int:
-    if cfg.scenario is None:
-        print("error: --scenario is required for mode 'sweep'", file=sys.stderr)
-        return 2
-    if not cfg.sweep_key:
+def do_sweep(scenario: str, params: dict, sweep: str | None, seed: int, out_dir: str,
+             jobs: int | None = None) -> int:
+    if not sweep:
         print("error: mode 'sweep' needs --sweep KEY=V1,V2,...", file=sys.stderr)
         return 2
-    if not cfg.sweep_values:
-        print(f"error: --sweep {cfg.sweep_key} has no values", file=sys.stderr)
+    key, values = parse_sweep(sweep)
+    if not values:
+        print(f"error: --sweep {key} has no values", file=sys.stderr)
         return 2
-    jobs, first = [], {}                      # check every run before any starts
-    for i, value in enumerate(cfg.sweep_values):
-        load_scenario(cfg.scenario, {**cfg.params, cfg.sweep_key: value})
-        sub = f"{cfg.sweep_key.replace('.', '_')}_{str(value).replace('/', '_').replace(' ', '')}"
+    runs, first = [], {}                      # check every run before any starts
+    for i, value in enumerate(values):
+        load_scenario(scenario, {**params, key: value})
+        sub = f"{key.replace('.', '_')}_{str(value).replace('/', '_').replace(' ', '')}"
         j = first.setdefault(sub, i)
         if j != i:
-            print(f"error: --sweep {cfg.sweep_key}: values {j + 1} ({cfg.sweep_values[j]!r}) "
+            print(f"error: --sweep {key}: values {j + 1} ({values[j]!r}) "
                   f"and {i + 1} ({value!r}) would both write to '{sub}'", file=sys.stderr)
             return 2
-        jobs.append((cfg.scenario, cfg.params, cfg.sweep_key, value, cfg.seed,
-                     os.path.join(cfg.out_dir, sub)))
+        runs.append((scenario, params, key, value, seed, os.path.join(out_dir, sub)))
     # imported here, not at start-up: a run needs neither, and the pool's
     # module alone pulls in logging
     import concurrent.futures
     import csv
 
-    workers = min(len(jobs), cfg.jobs or os.cpu_count() or 1)
+    workers = min(len(runs), jobs or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_sweep_one, jobs))
+            rows = list(ex.map(_sweep_one, runs))
     else:
-        rows = [_sweep_one(j) for j in jobs]
+        rows = [_sweep_one(r) for r in runs]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     bad = [r for r in rows if r["failed"] or r["fell"]]
     for r in bad:
-        print(f"error: {cfg.sweep_key}={r['sweep_value']}: "
+        print(f"error: {key}={r['sweep_value']}: "
               f"{'solver failure: ' + r['failure'] if r['failed'] else 'robot fell'}",
               file=sys.stderr)
-    print(f"sweep artifacts written to {cfg.out_dir}")
+    print(f"sweep artifacts written to {out_dir}")
     return 1 if bad else 0
 
 
@@ -225,8 +156,8 @@ def _plane_cloud(rng, angle_deg, n, noise):
     return PointCloud(points=pts), normal
 
 
-def bench_normals(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def bench_normals(seed: int = DEFAULT_SEED) -> int:
+    rng = np.random.default_rng(seed)
     rows = []
     ok = True
 
@@ -315,23 +246,16 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < low:
             print(f"error: {opt} must be at least {low}, got {value}", file=sys.stderr)
             return 2
+    if args.scenario is None and args.mode != "bench-normals":
+        print(f"error: --scenario is required for mode '{args.mode}'", file=sys.stderr)
+        return 2
     try:
         params = dict(parse_param(p) for p in args.param)
-        sweep_key, sweep_values = None, []
-        if args.sweep:
-            sweep_key, raw = parse_param(args.sweep)
-            sweep_values = raw if isinstance(raw, list) else [
-                yaml.load(v, Loader=YamlLoader) for v in str(raw).split(",")]
-        cfg = RunConfig(scenario=args.scenario, out_dir=args.out,
-                        seed=args.seed, verbosity=args.verbose,
-                        mode=args.mode, params=params,
-                        sweep_key=sweep_key, sweep_values=sweep_values,
-                        jobs=args.jobs)
-        if cfg.mode == "bench-normals":
-            return bench_normals(cfg)
-        if cfg.mode == "sweep":
-            return do_sweep(cfg)
-        return do_run(cfg)
+        if args.mode == "bench-normals":
+            return bench_normals(args.seed)
+        if args.mode == "sweep":
+            return do_sweep(args.scenario, params, args.sweep, args.seed, args.out, args.jobs)
+        return do_run(args.scenario, params, args.seed, args.out, args.verbose)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,27 +15,14 @@ the inertia frame; the closed loop has 12, u_y.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from .rotations import cross3, cross_rows, euler_zyx, hat
-
-
-class YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe YAML that also reads 1e-9 and 4.0e5 as floats, as YAML 1.2 does.
-
-    It parses with libyaml when PyYAML has it, and in pure Python otherwise;
-    the resolvers are Python in both, so the values are the same."""
-
-
-YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
-
+from .scenario import read_yaml
 
 NQ_TREE = 10
 NV_TREE = 16
@@ -255,7 +242,7 @@ class RobotDescription:
     @classmethod
     def default(cls) -> "RobotDescription":
         text = resources.files("wbcsim.data").joinpath("robot_default.yaml").read_text()
-        return cls.from_dict(yaml.load(text, Loader=YamlLoader))
+        return cls.from_dict(read_yaml(text, "cannot parse robot_default.yaml"))
 
 
 @dataclass

@@ -3,19 +3,17 @@
 The simulator integrates the closed-loop EoM with bilateral rolling
 constraints (KKT solve for accelerations and contact forces), Baumgarte
 stabilization on the contact rows, semi-implicit Euler stepping with the
-base rotation integrated on the manifold.  Scenarios script the terrain,
-references, disturbances and the estimation mode of the controller.
+base rotation integrated on the manifold.  A run follows a scenario
+(`wbcsim.scenario`): its terrain, references, disturbances and the
+estimation mode of the controller.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
-import sys
 from array import array
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .dynamics import (
 from .hqp import HierarchySolver, HqpError, HqpSolution, dynamics_constraints
 from .model import EZ, KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
+from .scenario import Disturbance, Scenario, ScenarioError, SensorConfig
 from .task_control import (
     DEFAULT_Q,
     CareError,
@@ -37,10 +36,8 @@ from .task_control import (
     default_gains,
     pd_accel,
 )
-from .terrain import (AsymmetricTerrain, CompositeTerrain, FlatTerrain, LaneProfile,
-                      SlopeTerrain, Terrain)
+from .terrain import Terrain
 from .terrain_estimation import (
-    K_MIN,
     NormalFilter,
     NormalMap,
     PointCloud,
@@ -51,8 +48,6 @@ from .terrain_estimation import (
 BAUMGARTE_OMEGA = 50.0
 BAUMGARTE_ZETA = 1.0
 
-ESTIMATION_MODES = ("true_normal", "estimated_normal", "horizontal_normal")
-
 # The wheel contact is bilateral, so the simulated ground can pull a wheel
 # down, which real ground cannot.  A run has fallen once either wheel's pull,
 # summed over the whole run without decay (so brief pulls in a long run add
@@ -62,236 +57,6 @@ PULL_LIMIT_S = 0.05
 
 class SimulationError(RuntimeError):
     pass
-
-
-class ScenarioError(ValueError):
-    pass
-
-
-# -- configuration ----------------------------------------------------------
-
-@dataclass
-class SensorConfig:
-    radius: float = 2.5          # m
-    points: int = 1200           # per frame
-    noise: float = 0.01          # m, isotropic
-    rate_hz: float = 10.0
-
-
-@dataclass
-class Disturbance:
-    kind: str                    # push | block_impact
-    t_start: float
-    duration: float = 0.0        # push window (ramp 0 -> f_max)
-    f_max: float = 0.0           # N
-    # world direction; a push defaults to +x, a block impact to (as with a
-    # zero direction) the inward top-plate normal, -base z at impact time
-    direction: np.ndarray | None = None
-    mass: float = 0.0            # block kg
-    drop_height: float = 0.0     # m
-
-    def __post_init__(self):
-        if self.direction is None and self.kind == "push":
-            self.direction = np.array([1.0, 0.0, 0.0])
-
-
-@dataclass
-class ReferenceSegment:
-    t_start: float = 0.0
-    speed: float = 0.0           # m/s along heading
-    yaw_rate: float = 0.0        # rad/s
-    height: float = 0.25         # m
-
-
-@dataclass
-class Scenario:
-    name: str = "scenario"
-    terrain: Terrain = None
-    duration: float = 5.0
-    control_rate: float = 500.0
-    sim_rate: float = 1000.0
-    estimation_mode: str = "true_normal"
-    start_xy: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    start_yaw: float = 0.0
-    reference: list = field(default_factory=lambda: [ReferenceSegment()])
-    disturbances: list = field(default_factory=list)
-    sensor: SensorConfig = field(default_factory=SensorConfig)
-    lookahead: float = 0.0       # m ahead of each contact for normal queries
-    kp: np.ndarray | None = None      # pose-gain override (5 values)
-    lqr_q: np.ndarray | None = None   # balance weight override (4 diagonal values)
-    lqr_r: float = 1.0
-
-    def __post_init__(self):
-        if self.terrain is None:
-            raise ScenarioError("missing key 'terrain'")
-        if not self.control_rate > 0.0:
-            raise ScenarioError("'control_rate' must be > 0")
-        if not self.reference:
-            raise ScenarioError("'reference' must not be empty")
-        try:
-            # timing() rounds these ratios: one that is not whole would run the
-            # controller or the lidar at another rate than the one given
-            substeps = self.sim_rate / self.control_rate
-            for a, b, ratio in (("sim_rate", "control_rate", substeps),
-                                ("control_rate", "sensor.rate_hz",
-                                 self.control_rate / self.sensor.rate_hz)):
-                if not (ratio >= 1.0 and abs(ratio - round(ratio)) <= 1e-9 * ratio):
-                    raise ScenarioError(f"'{a}' / '{b}' must be a whole number >= 1, got {ratio:g}")
-            if substeps > MAX_SUBSTEPS:
-                raise ScenarioError(f"'sim_rate' / 'control_rate' must be at most "
-                                    f"{MAX_SUBSTEPS}, got {substeps:g}")
-            cycles = self.timing()[2]
-            if cycles < 1:
-                raise ScenarioError(f"'duration' of {self.duration:g} s is "
-                                    "shorter than one control cycle")
-            if cycles > MAX_CYCLES:
-                raise ScenarioError(f"'duration' x 'control_rate' must be at most {MAX_CYCLES:g} "
-                                    f"control cycles, got {cycles:.9g}")
-        except OverflowError:
-            raise ScenarioError("'duration', 'control_rate', 'sim_rate' or "
-                                "'sensor.rate_hz' out of range") from None
-        if self.estimation_mode == "estimated_normal":
-            # NumPy loads the random module the lidar's rng needs on first use:
-            # load it in set-up, not in the run's first control cycle
-            import numpy.random  # noqa: F401
-
-    def timing(self) -> tuple[float, int, int, int]:
-        """Physics step (s), physics steps per control cycle, control cycles,
-        and control cycles per lidar frame."""
-        dt_sim = 1.0 / self.sim_rate
-        n_sub = round(self.sim_rate / self.control_rate)
-        return (dt_sim, n_sub, round(self.duration / (n_sub * dt_sim)),
-                round(self.control_rate / self.sensor.rate_hz))
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "Scenario":
-        """Scenario from a scenario-file mapping.  Every section rejects unknown
-        keys and bad values with a ScenarioError naming the key path."""
-        def vector(n, optional=False):
-            return lambda key, v: (None if optional and v is None
-                                   else np.array(_list(key, v, _number, n)))
-
-        def disturbance(key, v):
-            d = _section(Disturbance, key, v, direction=vector(3))
-            if d.kind == "push" and not np.linalg.norm(d.direction) > 0.0:
-                raise ScenarioError(f"'{key}.direction' of a push must not be zero")
-            if d.kind == "push" and not d.duration > 0.0:
-                raise ScenarioError(f"'{key}.duration' of a push must be > 0")
-            return d
-
-        return _section(
-            cls, "", cfg, terrain=_terrain, sensor=partial(_section, SensorConfig),
-            start_xy=vector(2), kp=vector(5, True), lqr_q=vector(4, True),
-            reference=partial(_list, item=partial(_section, ReferenceSegment)),
-            disturbances=partial(_list, item=disturbance))
-
-    def segment_at(self, t: float) -> ReferenceSegment:
-        """The latest-starting segment begun by t, else the earliest one."""
-        ordered = sorted(self.reference, key=lambda r: r.t_start)
-        started = [r for r in ordered if r.t_start <= t]
-        return started[-1] if started else ordered[0]
-
-
-# scenario value checks by field name (list entries by the list's name):
-# lower bounds as (bound, whether the bound itself is allowed), and choices
-_LOWER = {"duration": (0.0, True), "control_rate": (0.0, False),
-          "rate_hz": (0.0, False), "radius": (0.0, False), "noise": (0.0, True),
-          "points": (K_MIN, True), "mass": (0.0, True), "drop_height": (0.0, True),
-          "lqr_r": (0.0, False), "kp": (0.0, False), "lqr_q": (0.0, False)}
-_CHOICES = {"kind": ("push", "block_impact"), "estimation_mode": ESTIMATION_MODES}
-# largest |value| (m) of the start position and the lookahead, whose points
-# the normal map's integer cell keys must hold, and of the ground and lane
-# heights and the reference height, at which the leg geometry still has
-# precision left
-POSITION_LIMIT = 1e6
-# most physics substeps per control cycle: a run's cost grows with the
-# ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
-MAX_SUBSTEPS = 1000
-# most control cycles of a run: at 204 B of log and about 0.6 ms of CPU a
-# cycle, 1e7 cycles hold about 2 GB of log and take about 1.7 CPU-hours
-MAX_CYCLES = 10_000_000
-# most lidar points a frame: a point costs 0.3-1 us (by terrain kind) and 115 B
-# to sample, and the normal map holds 24 B a point and 41 B an occupied cell
-# while the frame has a pending record, so 1e5 points take at most about
-# 0.1 s and 12 MB a frame
-MAX_POINTS = 100_000
-
-
-def _number(key: str, v, integer: bool = False):
-    """v as a finite float (or int), not a bool or string, within the _LOWER bound of its key."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
-        raise ScenarioError(f"'{key}' must be a finite number, got {v!r}")
-    x = float(v)
-    if integer and not isinstance(v, int):
-        raise ScenarioError(f"'{key}' must be an integer, got {v!r}")
-    name = key.rpartition(".")[2].partition("[")[0]
-    lo, closed = _LOWER.get(name, (-math.inf, True))
-    if x < lo or (x == lo and not closed):
-        raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
-    if name in ("start_xy", "lookahead", "z0", "knots_h", "height") and abs(x) > POSITION_LIMIT:
-        raise ScenarioError(f"'{key}' must be within {POSITION_LIMIT:g} m of 0, got {v!r}")
-    if name == "points" and x > MAX_POINTS:
-        raise ScenarioError(f"'{key}' must be at most {MAX_POINTS:g}, got {v!r}")
-    return v if integer else x
-
-
-def _list(key: str, v, item, n: int | None = None) -> list:
-    """The list v of length n (any if None), each entry checked by item(key, entry)."""
-    if not isinstance(v, list) or n not in (None, len(v)):
-        raise ScenarioError(f"'{key}' must be a list{f' of {n} numbers' if n else ''}, got {v!r}")
-    return [item(f"{key}[{i}]", x) for i, x in enumerate(v)]
-
-
-def _terrain(key: str, v) -> Terrain:
-    """The terrain section: `kind` (default flat) names the class, and
-    _section reads its parameters from the other keys."""
-    kinds = {c.kind: c for c in (FlatTerrain, SlopeTerrain, AsymmetricTerrain, CompositeTerrain)}
-    if not isinstance(v, dict):
-        raise ScenarioError(f"'{key}' must be a mapping, got {v!r}")
-    kind = v.get("kind", "flat")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ScenarioError(f"'{key}.kind' must be one of {tuple(kinds)}, got {kind!r}")
-    lane, knots = partial(_section, LaneProfile), partial(_list, item=_number)
-    try:
-        return _section(kinds[kind], key, {k: x for k, x in v.items() if k != "kind"},
-                        left=lane, right=lane, knots_x=knots, knots_h=knots)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"bad '{key}' section: {exc}") from None
-
-
-def _section(cls, path: str, cfg, **parse):
-    """cls(**kwargs) from the mapping cfg of the section at key `path`.
-
-    The keys are cls's parameters, those without a default required.  One in
-    `parse` is converted by that function of (key, value); any other by its
-    annotation (str, int or float), _LOWER and _CHOICES.
-    """
-    if not isinstance(cfg, dict):
-        raise ScenarioError(f"'{path}' must be a mapping, got {cfg!r}")
-    params = inspect.signature(cls).parameters
-    key = (lambda k: f"{path}.{k}") if path else str
-    unknown = [key(k) for k in cfg if k not in params]
-    if unknown:
-        raise ScenarioError(f"unknown scenario key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for name, p in params.items():
-        if name not in cfg:
-            if p.default is p.empty:
-                raise ScenarioError(f"missing key '{key(name)}'")
-        elif name in parse:
-            kwargs[name] = parse[name](key(name), cfg[name])
-        elif p.annotation == "str":
-            v, choices = cfg[name], _CHOICES.get(name)
-            if not isinstance(v, str) or (choices and v not in choices):
-                raise ScenarioError(f"'{key(name)}' must be "
-                                    f"{f'one of {choices}' if choices else 'a string'}"
-                                    f", got {v!r}")
-            kwargs[name] = v
-        else:
-            kwargs[name] = _number(key(name), cfg[name], integer=p.annotation == "int")
-    return cls(**kwargs)
 
 
 # -- state / logging --------------------------------------------------------

@@ -4,7 +4,7 @@ All terrains are height fields z = h(x, y) with C1 profiles (smoothstep
 ramps / monotone cubic knots) so the ground normal is continuous along any
 rolling path.  The asymmetric terrain keeps two independent lanes split at
 y = 0; each wheel stays in its own lane.  Heights and gradients are Python
-floats.  The scenario file's terrain section is parsed in `wbcsim.simulator`.
+floats.  The scenario file's terrain section is parsed in `wbcsim.scenario`.
 """
 
 from __future__ import annotations

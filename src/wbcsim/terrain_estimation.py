@@ -114,7 +114,6 @@ def _oriented_normal(lam: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
 @dataclass
 class MapCell:
     normal: np.ndarray
-    sample_count: int
     k: int = 0                         # neighbor count the normal was estimated from
 
 
@@ -127,7 +126,6 @@ class _Frame(NamedTuple):
     """
     cloud: PointCloud
     queries: np.ndarray                # (cells, 3): centre, mean height of the points
-    counts: np.ndarray                 # points per cell
     codes: np.ndarray                  # cell codes, ascending
     pending: np.ndarray                # bool per cell
     lx: int
@@ -158,10 +156,10 @@ class NormalMap:
 
     `update` only records the cells a cloud occupies.  A cell is estimated
     when it is first read, from the newest cloud that covers it, falling
-    back to older clouds while the newer estimates are degenerate.  Normals,
-    counts and k equal those of re-estimating every occupied cell on every
-    update.  Each frame keeps its cell codes with a pending flag per cell,
-    and only recorded keys that have been read get an entry of their own.  A
+    back to older clouds while the newer estimates are degenerate.  Normals
+    and k equal those of re-estimating every occupied cell on every update.
+    Each frame keeps its cell codes with a pending flag per cell, and only
+    recorded keys that have been read get an entry of their own.  A
     non-degenerate estimate clears its key's older records, and a frame is
     freed once none of its records is pending.  `skipped_degenerate` counts
     degenerate estimates as reads find them, so an estimate superseded
@@ -231,7 +229,7 @@ class NormalMap:
             return 0
 
         queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        self._frames[self._next_id] = _Frame(cloud, queries, counts, codes,
+        self._frames[self._next_id] = _Frame(cloud, queries, codes,
                                              np.ones(len(codes), dtype=bool), lx, ly, hx, hy)
         self._pending[self._next_id] = len(codes)
         self._next_id += 1
@@ -244,7 +242,7 @@ class NormalMap:
         if est is None:
             self.skipped_degenerate += 1
             return None
-        return MapCell(normal=est[0], sample_count=int(frame.counts[row]), k=est[1])
+        return MapCell(normal=est[0], k=est[1])
 
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
         """The key's cell from its newest non-degenerate estimate; makes only

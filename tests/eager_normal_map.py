@@ -71,9 +71,7 @@ class EagerNormalMap:
             self.skipped_degenerate += int(len(ok) - ok.sum())
             for i in np.flatnonzero(ok):
                 key = (int(keys[lo + i, 0]), int(keys[lo + i, 1]))
-                self.cells[key] = MapCell(normal=normals[i],
-                                          sample_count=int(counts[lo + i]),
-                                          k=int(ks[best[i]]))
+                self.cells[key] = MapCell(normal=normals[i], k=int(ks[best[i]]))
             written += int(ok.sum())
         return written
 

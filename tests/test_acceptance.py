@@ -16,15 +16,15 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from wbcsim.cli import _plane_cloud, load_scenario, main as cli_main
+from wbcsim.cli import _plane_cloud, main as cli_main
 from wbcsim.dynamics import (
     closed_loop_dynamics,
     mechanical_energy,
     spanning_tree_dynamics,
 )
 from wbcsim.model import NV_TREE
-from wbcsim.simulator import (LOG_COLUMNS, Controller, SensorConfig, run_scenario, step,
-                              synth_pointcloud)
+from wbcsim.scenario import SensorConfig, load_scenario
+from wbcsim.simulator import LOG_COLUMNS, Controller, run_scenario, step, synth_pointcloud
 from wbcsim.task_control import balance_accel, lqr_gain
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
 from wbcsim.terrain_estimation import NormalMap, estimate_normal, incline_angle

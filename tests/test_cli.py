@@ -18,11 +18,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from wbcsim.cli import (apply_override, bench_normals, load_scenario, main,
-                        parse_param, RunConfig)
-from wbcsim.model import YamlLoader
-from wbcsim.simulator import (LOG_COLUMNS, MAX_CYCLES, MetricsSummary, Scenario, ScenarioError,
-                              write_csv)
+from wbcsim import cli
+from wbcsim.cli import bench_normals, main
+from wbcsim.scenario import (MAX_CYCLES, Scenario, ScenarioError, YamlLoader, apply_override,
+                             load_scenario, parse_param)
+from wbcsim.simulator import LOG_COLUMNS, MetricsSummary, write_csv
 
 METRICS_KEYS = set(MetricsSummary.__dataclass_fields__)
 
@@ -249,28 +249,52 @@ def test_start_up_loads_no_sweep_or_parser_modules(slope_scn):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wbcsim"
+
+
+def _imports(path: Path):
+    """(module, imported names) of every import in the file at path, function-local
+    ones included; a relative module keeps its leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, []) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or ""), [a.name for a in node.names]
+
+
 def test_runtime_dependencies_are_the_imported_modules():
     """The third-party modules imported anywhere under src/wbcsim, function-local
     imports included, are exactly numpy and yaml, and they are the runtime
     dependencies pyproject.toml declares: SciPy is a test dependency only."""
-    root = Path(__file__).resolve().parents[1]
-    imported = set()
-    for path in (root / "src" / "wbcsim").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.partition(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.partition(".")[0])
+    imported = {module.partition(".")[0] for path in SRC.rglob("*.py")
+                for module, _ in _imports(path) if not module.startswith(".")}
     third_party = imported - set(sys.stdlib_module_names) - {"wbcsim"}
     assert third_party == {"numpy", "yaml"}
     tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
     def names(requirements):
         return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
 
     assert names(project["dependencies"]) == {{"yaml": "pyyaml"}.get(m, m) for m in third_party}
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_scenario_format_is_known_in_one_module():
+    """Only wbcsim/scenario.py imports yaml, and wbcsim/simulator.py imports no
+    terrain subclass: the scenario file's format, its YAML dialect and the
+    terrain classes its parser picks from live in the scenario module."""
+    import wbcsim.terrain as terrain
+    readers = {str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+               for module, _ in _imports(path) if module.partition(".")[0] == "yaml"}
+    assert readers == {"scenario.py"}
+    kinds = [name for module, names in _imports(SRC / "simulator.py")
+             if module in (".terrain", "wbcsim.terrain") for name in names
+             if isinstance(getattr(terrain, name), type)
+             and issubclass(getattr(terrain, name), terrain.Terrain)
+             and getattr(terrain, name) is not terrain.Terrain]
+    assert kinds == []
 
 
 # -- error paths -------------------------------------------------------------
@@ -305,18 +329,29 @@ def test_huge_sim_rate_rejected_at_parse(flat_scn, tmp_path, capsys, sim_rate):
     assert "sim_rate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params", [{"control_rate": 1e12, "sim_rate": 2e12},
-                                    {"duration": 1e300},
-                                    {"duration": 20000.002}])
-def test_huge_cycle_count_rejected_at_parse(flat_scn, tmp_path, capsys, params):
-    """More than MAX_CYCLES control cycles exit 2 before a run starts: 2
-    substeps a cycle at control_rate=1e12 passed MAX_SUBSTEPS and asked
-    3e11 cycles of 0.3 s; duration=1e300 asked 5e302; 20000.002 one too many."""
-    with pytest.raises(ScenarioError, match="'duration' x 'control_rate'"):
+CYCLE_BOUND = "'duration' x 'control_rate' must be at most 1e+07 control cycles"
+STEP_BOUND = "'duration' x 'sim_rate' must be at most 2e+07 physics steps"
+
+
+@pytest.mark.parametrize("params,bound", [
+    pytest.param({"control_rate": 1e12, "sim_rate": 2e12}, CYCLE_BOUND, id="params0"),
+    pytest.param({"duration": 1e300}, CYCLE_BOUND, id="params1"),
+    pytest.param({"duration": 20000.002}, CYCLE_BOUND, id="params2"),
+    pytest.param({"duration": 20000, "sim_rate": 500000}, STEP_BOUND, id="params3"),
+])
+def test_huge_cycle_count_rejected_at_parse(flat_scn, tmp_path, capsys, monkeypatch,
+                                            params, bound):
+    """More than MAX_CYCLES control cycles or MAX_STEPS physics steps exit 2
+    before a run starts: 2 substeps a cycle at control_rate=1e12 passed
+    MAX_SUBSTEPS and asked 3e11 cycles of 0.3 s; duration=1e300 asked
+    5e302; 20000.002 one too many; 20000 s at 1000 substeps a cycle asked
+    1e10 physics steps, about 27 CPU-days."""
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("a run started"))
+    with pytest.raises(ScenarioError, match=re.escape(bound)):
         load_scenario(flat_scn, params)
     args = [f"--param={key}={value!r}" for key, value in params.items()]
     assert main(["--scenario", flat_scn, "--out", str(tmp_path / "o"), *args]) == 2
-    assert "'duration' x 'control_rate' must be at most 1e+07" in capsys.readouterr().err
+    assert bound in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -357,10 +392,13 @@ BAD_PARAMS = [
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
     ("disturbances=[{kind: push, t_start: 0.0, f_max: 500.0}]",
      "disturbances[0].duration"),
-    # positions past wbcsim.simulator.POSITION_LIMIT overflowed the normal
+    # positions past wbcsim.scenario.POSITION_LIMIT overflowed the normal
     # map's integer cell keys
     ("lookahead=1e20", "lookahead"),
     ("start_xy=[1e300, 0]", "start_xy[0]"),
+    # a lidar radius or noise past it put the first frame's points there
+    ("sensor.radius=1.0e+300", "sensor.radius"),
+    ("sensor.noise=1.0e+300", "sensor.noise"),
     # a height field has no vertical or overhanging grade
     ("terrain={kind: slope, angle_deg: 90}", "angle_deg"),
     ("terrain={kind: slope, angle_deg: 135}", "angle_deg"),
@@ -537,6 +575,8 @@ BAD_OPTIONS = [
     (["--mode", "sweep", "--sweep", "duration=0.1,0.2", "--jobs", "0"], "--jobs"),
     # a bad value after a good one stops the sweep before any run
     (["--mode", "sweep", "--sweep", "duration=0.1,abc", "--jobs", "1"], "'duration'"),
+    # a value that is not YAML (a traceback before)
+    (["--mode", "sweep", "--sweep", "duration=0.1,[", "--jobs", "1"], "--sweep"),
 ]
 
 
@@ -595,7 +635,6 @@ def test_sweep_workers_capped_at_value_count(flat_scn, tmp_path, monkeypatch):
 # -- bench-normals -----------------------------------------------------------
 
 def test_bench_normals_passes(capsys):
-    cfg = RunConfig(scenario=None, out_dir=".", seed=1)
-    assert bench_normals(cfg) == 0
+    assert bench_normals(seed=1) == 0
     table = capsys.readouterr().out
     assert "ramp pipeline" in table and "FAIL" not in table

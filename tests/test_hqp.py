@@ -9,11 +9,11 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linprog
 
-from wbcsim.cli import load_scenario
 from wbcsim.dynamics import closed_loop_dynamics
 from wbcsim.hqp import (ConstraintSet, HierarchySolver, HqpError, _bounded_lex,
                         _projector, dynamics_constraints)
 from wbcsim.model import selection_matrix
+from wbcsim.scenario import load_scenario
 from wbcsim.simulator import run_scenario
 from wbcsim.task_control import assemble_task_stack
 

@@ -9,17 +9,14 @@ import pytest
 from importlib.resources import files
 
 from wbcsim import dynamics, simulator
-from wbcsim.cli import load_scenario
 from wbcsim.dynamics import GRAVITY, closed_loop_dynamics, mechanical_energy
 from wbcsim.hqp import HierarchySolver
 from wbcsim.model import KinematicsCache, MinimalState, RobotModel, selection_matrix
 from wbcsim.rotations import exp_so3, project_to_so3
+from wbcsim.scenario import Disturbance, Scenario, ScenarioError, SensorConfig, load_scenario
 from wbcsim.simulator import (
     LOG_COLUMNS,
     Controller,
-    Disturbance,
-    Scenario,
-    ScenarioError,
     SimState,
     apply_block_impact,
     forward_dynamics,
@@ -27,7 +24,6 @@ from wbcsim.simulator import (
     run_scenario,
     step,
     synth_pointcloud,
-    SensorConfig,
     _push_wrench,
 )
 from wbcsim.terrain import FlatTerrain, SlopeTerrain

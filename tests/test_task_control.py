@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wbcsim.cli import load_scenario
 from wbcsim.task_control import (
     DEFAULT_Q,
     CareError,
@@ -18,6 +17,7 @@ from wbcsim.task_control import (
     pendulum_state_matrices,
 )
 from wbcsim.model import TASK_NAMES, TaskJacobians
+from wbcsim.scenario import load_scenario
 
 from helpers import CountingGainScheduler, balance_constraints_residual
 

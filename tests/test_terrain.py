@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wbcsim.simulator import Scenario, ScenarioError
+from wbcsim.scenario import Scenario, ScenarioError
 from wbcsim.terrain import (
     AsymmetricTerrain,
     CompositeTerrain,

