@@ -1,0 +1,83 @@
+"""Reference runs: the first 0.2 s of seven configurations, pinned as data.
+
+The configurations are the four bundled scenarios at seed 3 and the three
+benchmark workloads (``perfbench/workloads.py``) at seed 1.  Each run's log
+array and metrics are stored in ``tests/data/reference_runs.npz``, which
+``tests/test_artifacts.py`` compares bit for bit with a fresh run.
+
+A change that moves the arithmetic on purpose regenerates the data, from the
+repository root::
+
+    PYTHONPATH=src python tests/reference_runs.py [NAME ...]
+
+With names, only those configurations are rerun and the others keep their
+stored data.
+"""
+
+import json
+import sys
+from importlib.resources import files
+from pathlib import Path
+
+import numpy as np
+
+from wbcsim.model import RobotModel
+from wbcsim.scenario import load_scenario
+from wbcsim.simulator import run_scenario
+
+DATA = Path(__file__).resolve().parent / "data" / "reference_runs.npz"
+WINDOW = 0.2                  # s of each run
+# name: (bundled scenario, seed, overrides)
+CONFIGS = {
+    "disturbance": ("disturbance", 3, {}),
+    "asymmetric": ("asymmetric", 3, {}),
+    "slope_impact": ("slope_impact", 3, {}),
+    "slope_uturn": ("slope_uturn", 3, {}),
+    "flat_push": ("disturbance", 1, {
+        "estimation_mode": "true_normal",
+        "disturbances": [{"kind": "push", "t_start": 0.05, "duration": 0.1,
+                          "f_max": 8.0, "direction": [1.0, 0.0, 0.0]}]}),
+    "slope_lidar": ("slope_uturn", 1, {"start_xy": [0.7, 0.0],
+                                       "estimation_mode": "estimated_normal"}),
+    "slope_saturate": ("slope_impact", 1, {"estimation_mode": "horizontal_normal"}),
+}
+
+
+def run(name: str, model: RobotModel | None = None) -> tuple[np.ndarray, str]:
+    """The log array and the metrics, as sorted JSON, of one configuration's window."""
+    scenario_name, seed, params = CONFIGS[name]
+    path = files("wbcsim").joinpath(f"data/scenarios/{scenario_name}.scn")
+    scenario = load_scenario(str(path), {**params, "duration": WINDOW})
+    log, metrics = run_scenario(model or RobotModel(), scenario, seed=seed)
+    return log, json.dumps(metrics.to_dict(), sort_keys=True)
+
+
+def load() -> dict[str, tuple[np.ndarray, str]]:
+    """The stored log array and metrics JSON of every configuration."""
+    with np.load(DATA) as data:
+        return {name: (data[f"{name}.log"], str(data[f"{name}.metrics"]))
+                for name in CONFIGS}
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown configuration(s): {', '.join(unknown)}; "
+              f"known: {', '.join(CONFIGS)}", file=sys.stderr)
+        return 2
+    runs = load() if names and DATA.exists() else {}
+    model = RobotModel()
+    for name in names or CONFIGS:
+        runs[name] = run(name, model)
+    DATA.parent.mkdir(exist_ok=True)
+    arrays = {}
+    for name, (log, metrics) in runs.items():
+        arrays[f"{name}.log"] = log
+        arrays[f"{name}.metrics"] = np.array(metrics)
+    np.savez_compressed(DATA, **arrays)
+    print(f"wrote {len(runs)} configurations to {DATA}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

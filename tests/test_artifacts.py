@@ -1,0 +1,66 @@
+"""A run's artifacts: pinned reference windows and the documented contract."""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wbcsim.cli import main
+from wbcsim.simulator import LOG_COLUMNS
+
+import reference_runs
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture(scope="module")
+def references():
+    return reference_runs.load()
+
+
+def first_difference(got: np.ndarray, want: np.ndarray) -> str:
+    """Where two logs first differ: the cycle and column, or their lengths."""
+    n = min(len(got), len(want))
+    rows, cols = np.nonzero(got[:n] != want[:n])
+    if len(rows):
+        i, j = rows[0], cols[0]
+        return (f"cycle {i}, column {LOG_COLUMNS[j]!r}: "
+                f"{float(got[i, j])!r} != {float(want[i, j])!r} (reference)")
+    return f"{len(got)} cycles != {len(want)} (reference)"
+
+
+@pytest.mark.parametrize("name", reference_runs.CONFIGS)
+def test_run_matches_its_reference_window(model, references, name):
+    """The first 0.2 s of each configuration gives the stored log array and
+    metrics bit for bit; regenerate them with tests/reference_runs.py only
+    for a deliberate change to the arithmetic."""
+    log, metrics = reference_runs.run(name, model)
+    want_log, want_metrics = references[name]
+    assert log.shape[1] == want_log.shape[1] == len(LOG_COLUMNS)
+    assert np.array_equal(log, want_log), f"{name}: {first_difference(log, want_log)}"
+    assert metrics == want_metrics
+
+
+def test_first_difference_names_the_cycle_and_column():
+    want = np.zeros((3, len(LOG_COLUMNS)))
+    got = want.copy()
+    got[2, LOG_COLUMNS.index("psi_hat")] = 0.5
+    assert first_difference(got, want) == "cycle 2, column 'psi_hat': 0.5 != 0.0 (reference)"
+    assert first_difference(want[:2], want) == "2 cycles != 3 (reference)"
+
+
+def test_artifacts_match_their_documented_contract(tmp_path):
+    """metrics.json holds exactly the README's closed key list, and the
+    log.csv header is LOG_COLUMNS."""
+    text = " ".join(README.read_text().split())
+    documented = re.search(r"The metrics keys form a closed, documented set: `([^`]*)`", text)
+    assert documented, "README lost its metrics key list"
+    scn = tmp_path / "flat.scn"
+    scn.write_text("terrain: {kind: flat}\nduration: 0.01\n")
+    assert main(["--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
+    metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+    assert list(metrics) == sorted(documented.group(1).split(", "))
+    header = (tmp_path / "o" / "log.csv").read_text().splitlines()[0]
+    assert tuple(header.split(",")) == LOG_COLUMNS
