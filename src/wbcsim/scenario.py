@@ -199,9 +199,9 @@ MAX_SUBSTEPS = 1000
 MAX_CYCLES = 10_000_000
 MAX_STEPS = 20_000_000
 # most lidar points a frame: a point costs 0.3-1 us (by terrain kind) and 115 B
-# to sample, and the normal map holds 24 B a point and 33 B an occupied cell
-# while the frame has a pending record, so 1e5 points take at most about
-# 0.1 s and 12 MB a frame
+# to sample, and the normal map holds 24 B a point and 32 B an occupied cell
+# of each of its newest MAX_FRAMES frames, so 1e5 points take at most about
+# 0.1 s and 12 MB to sample, and the map at most about 40 MB
 MAX_POINTS = 100_000
 
 

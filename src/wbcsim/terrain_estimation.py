@@ -21,6 +21,9 @@ SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 # default fewest neighbors of a normal estimate; a cloud with fewer points
 # gives the normal map no estimate at all
 K_MIN = 10
+# most clouds the normal map holds; the oldest any estimate of a bundled
+# lidar run read was 10 updates old
+MAX_FRAMES = 16
 
 
 @dataclass
@@ -121,50 +124,48 @@ class _Frame(NamedTuple):
     """One recorded cloud and its occupied cells in key order.
 
     Each cell is the int64 code (ix - lx) * span + (iy - ly) over the cloud's
-    key box [lx, hx] x [ly, hy], span = hy - ly + 1, and has one record,
-    pending until a read of its key makes or supersedes its estimate.
+    key box [lx, hx] x [ly, hy], span = hy - ly + 1.
     """
     cloud: PointCloud
     queries: np.ndarray                # (cells, 3): centre, mean height of the points
     codes: np.ndarray                  # cell codes, ascending
-    pending: np.ndarray                # bool per cell
     lx: int
     ly: int
     hx: int
     hy: int
 
     def row(self, ix: int, iy: int) -> int:
-        """Row of the pending record of key (ix, iy), or -1 if there is none."""
+        """Row of the record of key (ix, iy), or -1 if there is none."""
         if not (self.lx <= ix <= self.hx and self.ly <= iy <= self.hy):
             return -1
         code = (ix - self.lx) * (self.hy - self.ly + 1) + (iy - self.ly)
         row = int(self.codes.searchsorted(code))
-        found = row < len(self.codes) and self.codes[row] == code and self.pending[row]
-        return row if found else -1
+        return row if row < len(self.codes) and self.codes[row] == code else -1
 
-    def pending_keys(self, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
-        """ix and iy of the pending records with x0 <= ix <= x1, in key order."""
+    def keys(self, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
+        """ix and iy of the records with x0 <= ix <= x1, in key order."""
         x0, x1 = max(x0, self.lx), min(x1, self.hx)
         span = self.hy - self.ly + 1
         a, b = self.codes.searchsorted([(x0 - self.lx) * span, (x1 - self.lx + 1) * span])
-        ix, iy = np.divmod(self.codes[a:b][self.pending[a:b]], span)
+        ix, iy = np.divmod(self.codes[a:b], span)
         return ix + self.lx, iy + self.ly
 
 
 class NormalMap:
     """Sparse 2D grid of estimated ground normals, estimated on first read.
 
-    `update` only records the cells a cloud occupies.  A cell is estimated
-    when it is first read, from the newest cloud that covers it, falling
-    back to older clouds while the newer estimates are degenerate.  Normals
-    and k equal those of re-estimating every occupied cell on every update.
-    Each frame keeps its cell codes with a pending flag per cell, and only
-    recorded keys that have been read get an entry of their own.  A
-    non-degenerate estimate clears its key's older records, and a frame is
-    freed once none of its records is pending.  `skipped_degenerate` counts
-    degenerate estimates as reads find them, so an estimate superseded
-    before any read is never counted; every cell of a cloud too small to
-    estimate counts at once.
+    `update` only records the cells a cloud occupies, and drops the oldest
+    cloud once more than MAX_FRAMES are held.  A cell is estimated when it
+    is read, from the newest cloud that covers it, falling back to older
+    clouds while the newer estimates are degenerate; a key read again
+    searches only the clouds recorded since.  While every cloud is held,
+    normals and k equal those of re-estimating every occupied cell on every
+    update.  Only recorded keys that have been read get an entry of their
+    own, so a read key keeps its cell once its clouds are dropped, and a key
+    recorded only in dropped clouds reads as empty.  `skipped_degenerate`
+    counts degenerate estimates as reads find them, so an estimate
+    superseded before any read is never counted; every cell of a cloud too
+    small to estimate counts at once.
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
@@ -176,8 +177,7 @@ class NormalMap:
         self.cell_size = float(cell_size)
         self.k_min = int(k_min)
         self.k_max = int(k_max)
-        self._frames: dict[int, _Frame] = {}       # by id, while a record is pending
-        self._pending: dict[int, int] = {}         # the number of those records, by id
+        self._frames: dict[int, _Frame] = {}       # the newest MAX_FRAMES, by id
         self._next_id = 0                          # id of the next frame recorded
         # each read key that held a record: its cell, and the id of the first
         # frame not yet searched for its records (every older one holds none)
@@ -189,7 +189,7 @@ class NormalMap:
         """Estimated cells in (ix, iy) key order.
 
         `key in cells` and `cells[key]` estimate that key only; iteration,
-        `len` and `items` estimate every pending cell.
+        `len` and `items` estimate every recorded cell.
         """
         return _Cells(self)
 
@@ -229,10 +229,10 @@ class NormalMap:
             return 0
 
         queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        self._frames[self._next_id] = _Frame(cloud, queries, codes,
-                                             np.ones(len(codes), dtype=bool), lx, ly, hx, hy)
-        self._pending[self._next_id] = len(codes)
+        self._frames[self._next_id] = _Frame(cloud, queries, codes, lx, ly, hx, hy)
         self._next_id += 1
+        if len(self._frames) > MAX_FRAMES:
+            del self._frames[next(iter(self._frames))]
         return len(keys)
 
     def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
@@ -245,43 +245,34 @@ class NormalMap:
         return MapCell(normal=est[0], k=est[1])
 
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
-        """The key's cell from its newest non-degenerate estimate; makes only
-        the estimates newer than the one the cell holds and clears the rest."""
+        """The key's cell from its newest non-degenerate estimate; searches
+        only the frames recorded since the key was last read, newest first."""
         cell, since = self._read.get(key, (None, 0))
         if since == self._next_id:
             return cell
-        records = []                                # (frame id, row), newest first
+        found = False
         for frame_id in reversed(self._frames):
             if frame_id < since:
                 break
-            row = self._frames[frame_id].row(*key)
+            frame = self._frames[frame_id]
+            row = frame.row(*key)
             if row >= 0:
-                records.append((frame_id, row))
-        made = None
-        for frame_id, row in records:
-            if made is None:
-                made = self._estimate(row, self._frames[frame_id])
-            self._release(frame_id, row)
-        if made is not None:
-            cell = made
-        if records or key in self._read:
+                found = True
+                made = self._estimate(row, frame)
+                if made is not None:
+                    cell = made
+                    break
+        if found or key in self._read:
             self._read[key] = cell, self._next_id
         return cell
-
-    def _release(self, frame_id: int, row: int) -> None:
-        """Clear a pending record; free its frame once none of its records is left."""
-        self._frames[frame_id].pending[row] = False
-        self._pending[frame_id] -= 1
-        if not self._pending[frame_id]:
-            del self._pending[frame_id], self._frames[frame_id]
 
     def _near(self, x: float, y: float, kx: int, ky: int):
         """Keys within SEARCH_RADIUS of (x, y), whose key is (kx, ky), that
         may hold a cell, in (distance, key) order: the read keys that hold
-        one and the keys of pending records, some of them more than once."""
+        one and the keys of the frames' records, some of them more than once."""
         r = math.ceil(SEARCH_RADIUS / self.cell_size) + 1
         x0, x1, y0, y1 = kx - r, kx + r, ky - r, ky + r
-        near = [f.pending_keys(x0, x1) for f in self._frames.values()
+        near = [f.keys(x0, x1) for f in self._frames.values()
                 if f.lx <= x1 and x0 <= f.hx and f.ly <= y1 and y0 <= f.hy]
         near.append(np.array([key for key, (cell, _) in self._read.items()
                               if cell is not None and x0 <= key[0] <= x1],
@@ -298,7 +289,7 @@ class NormalMap:
         """Every key that may hold a cell, in key order."""
         keys = set(self._read)
         for f in self._frames.values():
-            ix, iy = f.pending_keys(f.lx, f.hx)
+            ix, iy = f.keys(f.lx, f.hx)
             keys.update(zip(ix.tolist(), iy.tolist()))
         return sorted(keys)
 

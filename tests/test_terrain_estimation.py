@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from wbcsim.terrain_estimation import (
+    MAX_FRAMES,
     NormalFilter,
     NormalMap,
     PointCloud,
@@ -367,6 +368,7 @@ def test_lazy_map_matches_eager_oracle(seed):
     lazy = NormalMap(cell_size=cell_size, k_min=5, k_max=20)
     eager = EagerNormalMap(cell_size=cell_size, k_min=5, k_max=20)
     assert lazy.lookup(0.1, 0.1) is None
+    assert MAX_FRAMES >= 10               # the eager map drops no cloud
     for _ in range(10):
         cloud = PointCloud(points=_random_frame(rng, cell_size))
         skipped = eager.skipped_degenerate, lazy.skipped_degenerate
@@ -455,8 +457,8 @@ def test_reading_keys_never_recorded_holds_nothing():
 
 
 def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
-    """Beyond its clouds' points, the map holds each recorded cell's query,
-    count, code and pending flag, and nothing per key until a key is read."""
+    """Beyond its clouds' points, the map holds each recorded cell's query
+    and code, and nothing per key until a key is read."""
     import tracemalloc
     from wbcsim.scenario import SensorConfig
     from wbcsim.simulator import synth_pointcloud
@@ -567,40 +569,65 @@ def test_lookup_breaks_an_exact_tie_by_the_least_key(monkeypatch):
     assert not np.allclose(n, nmap.cells[(2, 0)].normal, atol=0.05)
 
 
-def test_newer_estimate_frees_the_older_cloud():
-    """Once a read finds a non-degenerate estimate of a key, the key's older
-    records are dropped, and a cloud no record refers to is freed."""
+def _cell_cloud(rng, cells, normal=UP):
+    """Six noisy points of the plane normal . p = 0 in each 0.25 m cell given."""
+    normal = np.asarray(normal, float) / np.linalg.norm(normal)
+    return PointCloud(points=_patch_cloud(rng, [c for c in cells for _ in range(6)], 0.25,
+                                          normal))
+
+
+def test_a_map_of_many_clouds_holds_the_newest_max_frames():
+    """update drops the oldest cloud once more than MAX_FRAMES are held, and
+    a dropped cloud is freed."""
     import gc
     import weakref
     rng = np.random.default_rng(6)
     nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
-    older = PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6, 0.25, UP))
-    nmap.update(older)
-    nmap.update(PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6, 0.25, UP)))
-    ref = weakref.ref(older)
-    del older
-    assert nmap.lookup(0.125, 0.125) is not None
+    refs = []
+    for i in range(3 * MAX_FRAMES):
+        cloud = _cell_cloud(rng, [(i, 0)])
+        refs.append(weakref.ref(cloud))
+        nmap.update(cloud)
+        del cloud
+        assert len(nmap._frames) == min(i + 1, MAX_FRAMES)
     gc.collect()
-    assert ref() is None
+    assert [ref() is not None for ref in refs] == [False] * 2 * MAX_FRAMES + [True] * MAX_FRAMES
+    assert list(nmap.cells) == [(i, 0) for i in range(2 * MAX_FRAMES, 3 * MAX_FRAMES)]
 
 
-def test_a_cloud_over_two_keys_is_freed_once_neither_holds_a_record_of_it():
-    """A cloud stays held while either key it covers still has a pending
-    record of it, and is freed once both keys hold newer non-degenerate
-    estimates."""
+def test_a_key_recorded_only_in_a_dropped_cloud_falls_back():
+    """A key never read whose only record was in a dropped cloud reads as
+    empty, so its lookup falls back to the nearest cell still recorded."""
+    rng = np.random.default_rng(7)
+    slope = [0.3, 0.0, 1.0]
+    kept, capped = (NormalMap(cell_size=0.25, k_min=5, k_max=20) for _ in range(2))
+    for nmap, frames in ((kept, MAX_FRAMES - 1), (capped, MAX_FRAMES)):
+        nmap.update(_cell_cloud(rng, [(0, 0)]))
+        for _ in range(frames):
+            nmap.update(_cell_cloud(rng, [(1, 0)], slope))
+    assert (0, 0) in kept.cells
+    assert np.array_equal(kept.lookup(0.125, 0.125), kept.cells[(0, 0)].normal)
+    assert (0, 0) not in capped.cells
+    n = capped.lookup(0.125, 0.125)
+    assert np.array_equal(n, capped.cells[(1, 0)].normal) and n[0] > 0.2
+
+
+def test_a_read_key_keeps_its_cell_after_its_cloud_is_dropped():
+    """A cloud over two keys, one of them read: once the cloud is dropped and
+    freed, the read key keeps its cell and the unread one reads as empty."""
     import gc
     import weakref
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(8)
     nmap = NormalMap(cell_size=0.25, k_min=5, k_max=20)
-    older = PointCloud(points=_patch_cloud(rng, [(0, 0)] * 6 + [(1, 0)] * 6, 0.25, UP))
-    nmap.update(older)
+    older = _cell_cloud(rng, [(0, 0), (1, 0)])
     ref = weakref.ref(older)
+    nmap.update(older)
     del older
-    for cell in ((0, 0), (1, 0)):
-        nmap.update(PointCloud(points=_patch_cloud(rng, [cell] * 6, 0.25, UP)))
-    assert nmap.lookup(0.125, 0.125) is not None      # key (0, 0), from its newer cloud
-    gc.collect()
-    assert ref() is not None                          # key (1, 0) still has a record of it
-    assert nmap.lookup(0.375, 0.125) is not None
+    n = nmap.lookup(0.125, 0.125)
+    for _ in range(MAX_FRAMES):
+        nmap.update(_cell_cloud(rng, [(20, 0)]))
     gc.collect()
     assert ref() is None
+    assert np.array_equal(nmap.lookup(0.125, 0.125), n)
+    assert list(nmap.cells) == [(0, 0), (20, 0)]
+    assert np.array_equal(nmap.lookup(0.375, 0.125), n)     # (1, 0) falls back to (0, 0)
