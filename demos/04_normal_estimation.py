@@ -6,10 +6,12 @@ minimizing the eigenvalue entropy; the controller reads the map at a
 lookahead point and smooths the result with a first-order filter.
 """
 
+import random
+
 import numpy as np
 
 from wbcsim.scenario import SensorConfig
-from wbcsim.simulator import synth_pointcloud
+from wbcsim.simulator import gaussians, synth_pointcloud, uniforms
 from wbcsim.terrain import SlopeTerrain
 from wbcsim.terrain_estimation import (
     NormalFilter,
@@ -22,15 +24,15 @@ from wbcsim.terrain_estimation import (
 
 
 def main():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)          # the lidar's generator
 
     # a noisy 25-degree plane: PCA with an entropy-selected neighborhood
     ang = np.radians(25.0)
     n_true = np.array([np.sin(ang), 0.0, np.cos(ang)])
     t1 = np.array([np.cos(ang), 0.0, -np.sin(ang)])
-    c = rng.uniform(-1, 1, (300, 2))
+    c = 2.0 * uniforms(rng, 600).reshape(300, 2) - 1.0
     pts = c[:, :1] * t1 + c[:, 1:] * [[0.0, 1.0, 0.0]]
-    cloud = PointCloud(points=pts + rng.normal(scale=0.01, size=pts.shape))
+    cloud = PointCloud(points=pts + 0.01 * gaussians(rng, pts.size).reshape(pts.shape))
     n, k = estimate_normal(cloud, np.zeros(3), 10, 60)
     err = np.degrees(np.arccos(np.clip(n @ n_true, -1, 1)))
     print(f"noisy 25 deg plane: adaptive k = {k}, normal error {err:.3f} deg")

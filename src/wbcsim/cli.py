@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 
 import numpy as np
 
 from .model import RobotModel
 from .scenario import ScenarioError, SensorConfig, load_scenario, parse_param, parse_sweep
-from .simulator import LOG_COLUMNS, MetricsSummary, run_scenario, synth_pointcloud, write_csv
+from .simulator import (LOG_COLUMNS, MetricsSummary, gaussians, run_scenario, synth_pointcloud,
+                        uniforms, write_csv)
 from .terrain import SlopeTerrain
 from .terrain_estimation import NormalMap, PointCloud, estimate_normal, incline_angle
 
@@ -149,15 +151,15 @@ def _plane_cloud(rng, angle_deg, n, noise):
     normal = np.array([np.sin(ang), 0.0, np.cos(ang)])
     t1 = np.array([np.cos(ang), 0.0, -np.sin(ang)])
     t2 = np.array([0.0, 1.0, 0.0])
-    c = rng.uniform(-1.0, 1.0, (n, 2))
+    c = 2.0 * uniforms(rng, 2 * n).reshape(n, 2) - 1.0
     pts = c[:, :1] * t1 + c[:, 1:] * t2
     if noise > 0.0:
-        pts = pts + rng.normal(scale=noise, size=pts.shape)
+        pts = pts + noise * gaussians(rng, pts.size).reshape(pts.shape)
     return PointCloud(points=pts), normal
 
 
 def bench_normals(seed: int = DEFAULT_SEED) -> int:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     ok = True
 
@@ -166,7 +168,7 @@ def bench_normals(seed: int = DEFAULT_SEED) -> int:
         cloud, n_true = _plane_cloud(rng, angle, n=400, noise=0.0)
         errs = []
         for _ in range(20):
-            q = cloud.points[rng.integers(len(cloud))]
+            q = cloud.points[rng.randrange(len(cloud))]
             n, _ = estimate_normal(cloud, q, 30, 30)
             errs.append(np.degrees(np.arccos(np.clip(n @ n_true, -1.0, 1.0))))
         rows.append((f"plane {angle:4.0f} deg, noiseless",

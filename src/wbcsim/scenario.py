@@ -132,10 +132,6 @@ class Scenario:
         except OverflowError:
             raise ScenarioError("'duration', 'control_rate', 'sim_rate' or "
                                 "'sensor.rate_hz' out of range") from None
-        if self.estimation_mode == "estimated_normal":
-            # NumPy loads the random module the lidar's rng needs on first use:
-            # load it in set-up, not in the run's first control cycle
-            import numpy.random  # noqa: F401
 
     def timing(self) -> tuple[float, int, int, int]:
         """Physics step (s), physics steps per control cycle, control cycles,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from array import array
 from dataclasses import dataclass
 
@@ -256,19 +257,35 @@ def initial_state(model: RobotModel, terrain: Terrain,
 
 # -- synthetic LiDAR --------------------------------------------------------
 
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """n uniform draws in [0, 1) from rng, 53 bits each, read in a fixed
+    byte order so that every platform draws the same values."""
+    return (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11) * 2.0**-53
+
+
+def gaussians(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normal draws from rng: Box-Muller (Box & Muller, 1958)
+    over uniforms(rng, n), one more when n is odd."""
+    u = uniforms(rng, n + n % 2).reshape(2, -1)
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))             # 1 - u in (0, 1]
+    th = 2.0 * np.pi * u[1]
+    return np.concatenate([r * np.cos(th), r * np.sin(th)])[:n]
+
+
 def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
-                     rng: np.random.Generator) -> PointCloud:
+                     rng: random.Random) -> PointCloud:
     """Uniform disc sample of the terrain surface with isotropic noise."""
     if cfg.radius <= 0.0:
         raise ValueError("sensor radius must be positive")
-    r = cfg.radius * np.sqrt(rng.uniform(0.0, 1.0, cfg.points))
-    th = rng.uniform(0.0, 2.0 * np.pi, cfg.points)
+    u = uniforms(rng, 2 * cfg.points)
+    r = cfg.radius * np.sqrt(u[:cfg.points])
+    th = 2.0 * np.pi * u[cfg.points:]
     xs = center_xy[0] + r * np.cos(th)
     ys = center_xy[1] + r * np.sin(th)
     zs = np.array([terrain.height(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
     pts = np.column_stack([xs, ys, zs])
     if cfg.noise > 0.0:
-        pts = pts + rng.normal(scale=cfg.noise, size=pts.shape)
+        pts = pts + cfg.noise * gaussians(rng, pts.size).reshape(pts.shape)
     return PointCloud(points=pts)
 
 
@@ -289,8 +306,7 @@ class CycleResult:
 class Controller:
     """A scenario's normal estimation and whole-body control, with the state
     they carry between cycles: CoM and yaw references, normal map and wheel
-    filters, LQR gain schedule, HQP solver, lidar cycle count and, with
-    estimated normals only, the lidar rng (None otherwise)."""
+    filters, LQR gain schedule, HQP solver, lidar cycle count and lidar rng."""
 
     def __init__(self, model: RobotModel, scenario: Scenario, seed: int = 0):
         self.model, self.scenario = model, scenario
@@ -302,8 +318,7 @@ class Controller:
         self.solver = HierarchySolver()
         self.nmap = NormalMap()
         self.filters = (NormalFilter(), NormalFilter())
-        self.rng = (np.random.default_rng(seed)
-                    if scenario.estimation_mode == "estimated_normal" else None)
+        self.rng = random.Random(seed)
         self.s_ref = None            # taken from the CoM on the first cycle
         self.yaw_ref = scenario.start_yaw
         self.cycles = 0

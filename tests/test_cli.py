@@ -195,11 +195,10 @@ def test_run_loads_no_scipy(slope_scn):
     """Loading the CLI and running a scenario in each estimation mode loads
     no SciPy module, whose import alone costs more than a short run, and a
     run itself imports nothing: every module it needs is loaded before the
-    first control cycle.  Only the lidar draws random numbers, so the
-    true-normal and horizontal-normal runs, which come first, leave NumPy's
-    random module out, and with it secrets and hashlib (OpenSSL).  The
-    first lidar scenario is built by Scenario.from_dict, so its set-up, not
-    its run, must load the random module."""
+    first control cycle.  The lidar draws from the standard library's
+    random module, which NumPy loads, so no run loads NumPy's random module,
+    and with it secrets and hashlib (OpenSSL); nor does a lidar scenario
+    built by Scenario.from_dict."""
     runs = [{"duration": 0.1, "estimation_mode": "true_normal"},
             {"duration": 0.1, "estimation_mode": "horizontal_normal"},
             {"duration": 0.1, "estimation_mode": "estimated_normal",
@@ -227,10 +226,9 @@ def test_run_loads_no_scipy(slope_scn):
             "                 if m in sys.modules))\n")
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    random = "['hashlib', 'numpy.random', 'secrets']"
     assert proc.stdout.splitlines()[-5:] == [
         "true_normal [] [] []", "horizontal_normal [] [] []",
-        *[f"estimated_normal [] [] {random}"] * 3]
+        *["estimated_normal [] [] []"] * 3]
 
 
 def test_start_up_loads_no_sweep_or_parser_modules(slope_scn):

@@ -1,6 +1,8 @@
 """Simulator tests: statics, ballistics, energy audit, impacts, scenario parsing."""
 
 import functools
+import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -20,10 +22,12 @@ from wbcsim.simulator import (
     SimState,
     apply_block_impact,
     forward_dynamics,
+    gaussians,
     initial_state,
     run_scenario,
     step,
     synth_pointcloud,
+    uniforms,
     _push_wrench,
 )
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
@@ -328,13 +332,45 @@ def test_push_wrench_ramp():
 
 def test_synth_pointcloud_on_surface():
     terrain = SlopeTerrain(angle_deg=15.0, start=0.0)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     cloud = synth_pointcloud(terrain, (1.0, 0.0), SensorConfig(noise=0.0), rng)
     assert len(cloud) == 1200
     r = np.hypot(cloud.points[:, 0] - 1.0, cloud.points[:, 1])
     assert r.max() <= 2.5 + 1e-9
     zs = np.array([terrain.height(x, y) for x, y in cloud.points[:, :2]])
     assert np.abs(cloud.points[:, 2] - zs).max() < 1e-12
+
+
+def test_uniforms_are_the_top_53_bits_of_each_little_endian_word():
+    """The lidar's uniforms for seed 1, pinned, and each the top 53 bits of
+    a little-endian 64-bit word of the generator's bytes over 2**53."""
+    assert uniforms(random.Random(1), 4).tolist() == [
+        0.5692038708679295, 0.802265059400218, 0.06310682412324808, 0.11791870213464573]
+    raw = random.Random(7).randbytes(8 * 1000)
+    want = [(int.from_bytes(raw[i:i + 8], "little") >> 11) / 2**53
+            for i in range(0, len(raw), 8)]
+    u = uniforms(random.Random(7), 1000)
+    assert u.tolist() == want
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert uniforms(random.Random(7), 0).shape == (0,)
+
+
+def test_gaussians_are_box_muller_over_the_uniforms():
+    """Each pair is Box-Muller over uniforms u and v, half the draws apart,
+    and 200,001 draws have mean 0 and standard deviation 1 within 5 standard
+    errors."""
+    n = 200_001
+    g = gaussians(random.Random(3), n)
+    u = uniforms(random.Random(3), n + 1)
+    half = (n + 1) // 2
+    for i in (0, 1, half - 1):
+        r = math.sqrt(-2.0 * math.log(1.0 - u[i]))
+        assert g[i] == pytest.approx(r * math.cos(2.0 * math.pi * u[half + i]), abs=1e-12)
+    assert g[half] == pytest.approx(math.sqrt(-2.0 * math.log(1.0 - u[0]))
+                                    * math.sin(2.0 * math.pi * u[half]), abs=1e-12)
+    assert len(g) == n and np.isfinite(g).all()
+    assert abs(g.mean()) < 5.0 / math.sqrt(n)
+    assert abs(g.std() - 1.0) < 5.0 / math.sqrt(2.0 * n)
 
 
 # -- scenario parsing --------------------------------------------------------
