@@ -189,7 +189,7 @@ POSITION_LIMIT = 1e6
 # ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
 MAX_SUBSTEPS = 1000
 # most control cycles and physics steps (duration x sim_rate) of a run: 1e7
-# cycles hold about 2 GB of log at 204 B a cycle, and at about 0.75 ms of CPU
+# cycles hold about 2 GB of log at 208 B a cycle, and at about 0.75 ms of CPU
 # a 2-substep cycle and 0.23 ms a substep (2-core Xeon), a run within both
 # bounds takes at most about 2.1 CPU-hours
 MAX_CYCLES = 10_000_000
