@@ -185,6 +185,20 @@ _CHOICES = {"kind": ("push", "block_impact"),
 # hold, and of the ground and lane heights and the reference height, at
 # which the leg geometry still has precision left
 POSITION_LIMIT = 1e6
+# largest pose gain (kp) and balance weight (lqr_q, lqr_r), and least balance
+# weight: weights out of [WEIGHT_FLOOR, GAIN_LIMIT] can fail the balance
+# gain's Riccati solve in the first control cycle, and no weights within did
+# in 15,000 random designs
+GAIN_LIMIT = 1e6
+WEIGHT_FLOOR = 0.01
+# largest |value| of a key, with its unit.  Far past them, a reference speed,
+# a push or a block failed the run's first cycles (task rows not finite, a
+# math domain error, a NaN velocity); at them, a run completes its first cycles
+_LIMITS = {**dict.fromkeys(("start_xy", "lookahead", "radius", "noise", "z0", "knots_h",
+                            "height"), (POSITION_LIMIT, " m")),
+           "speed": (1e3, " m/s"), "yaw_rate": (1e3, " rad/s"), "f_max": (1e4, " N"),
+           "mass": (100.0, " kg"), "drop_height": (100.0, " m"),
+           **dict.fromkeys(("kp", "lqr_q", "lqr_r"), (GAIN_LIMIT, ""))}
 # most physics substeps per control cycle: a run's cost grows with the
 # ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
 MAX_SUBSTEPS = 1000
@@ -202,7 +216,7 @@ MAX_POINTS = 100_000
 
 
 def _number(key: str, v, integer: bool = False):
-    """v as a finite float (or int), not a bool or string, within the _LOWER bound of its key."""
+    """v as a finite float (or int), not a bool or string, within the bounds of its key."""
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
         raise ScenarioError(f"'{key}' must be a finite number, got {v!r}")
     x = float(v)
@@ -212,9 +226,11 @@ def _number(key: str, v, integer: bool = False):
     lo, closed = _LOWER.get(name, (-math.inf, True))
     if x < lo or (x == lo and not closed):
         raise ScenarioError(f"'{key}' must be {'>=' if closed else '>'} {lo:g}, got {v!r}")
-    if (name in ("start_xy", "lookahead", "radius", "noise", "z0", "knots_h", "height")
-            and abs(x) > POSITION_LIMIT):
-        raise ScenarioError(f"'{key}' must be within {POSITION_LIMIT:g} m of 0, got {v!r}")
+    limit, unit = _LIMITS.get(name, (math.inf, ""))
+    if abs(x) > limit:
+        raise ScenarioError(f"'{key}' must be within {limit:g}{unit} of 0, got {v!r}")
+    if name in ("lqr_q", "lqr_r") and x < WEIGHT_FLOOR:
+        raise ScenarioError(f"'{key}' must be at least {WEIGHT_FLOOR:g}, got {v!r}")
     if name == "points" and x > MAX_POINTS:
         raise ScenarioError(f"'{key}' must be at most {MAX_POINTS:g}, got {v!r}")
     return v if integer else x

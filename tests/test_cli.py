@@ -418,6 +418,37 @@ BAD_PARAMS = [
      "right: {start: -5, height: 1.0e+20}}", "terrain.left.height"),
     ("terrain={kind: composite, knots_x: [0, 1], knots_h: [0, 1.0e+200]}",
      "terrain.knots_h[1]"),
+    # references, pushes, blocks, gains and weights past their bounds failed
+    # the run's first cycle with exit 1: task rows not finite, a math domain
+    # error naming no key, a NaN velocity, a Riccati solve that diverged
+    ("reference=[{speed: 1.0e+300}]", "reference[0].speed"),
+    ("reference=[{speed: -1001}]", "reference[0].speed"),
+    ("reference=[{yaw_rate: 1.0e+300}]", "reference[0].yaw_rate"),
+    ("disturbances=[{kind: push, t_start: 0, duration: 0.1, f_max: 1.0e+300}]",
+     "disturbances[0].f_max"),
+    ("disturbances=[{kind: block_impact, t_start: 0, mass: 1.0e+300}]", "disturbances[0].mass"),
+    ("disturbances=[{kind: block_impact, t_start: 0, mass: 1, drop_height: 1.0e+300}]",
+     "disturbances[0].drop_height"),
+    ("kp=[1, 1, 1, 1, 1.0e+300]", "kp[4]"),
+    ("lqr_q=[1.0e+300, 1, 1, 1]", "lqr_q[0]"),
+    ("lqr_q=[1, 1, 1, 1.0e-9]", "lqr_q[3]"),
+    ("lqr_r=1.0e-300", "lqr_r"),
+    ("lqr_r=1.0e+300", "lqr_r"),
+]
+
+# runs at the edges of those bounds
+EDGE_PARAMS = [
+    ["reference=[{speed: 1000, yaw_rate: 1000}]"],
+    ["reference=[{speed: -1000, yaw_rate: -1000}]"],
+    ["disturbances=[{kind: push, t_start: 0, duration: 0.01, f_max: 10000}]"],
+    ["disturbances=[{kind: push, t_start: 0, duration: 0.01, f_max: -10000}]"],
+    ["disturbances=[{kind: block_impact, t_start: 0, mass: 100, drop_height: 0.5}]"],
+    ["disturbances=[{kind: block_impact, t_start: 0, mass: 1, drop_height: 100}]"],
+    ["disturbances=[{kind: block_impact, t_start: 0, mass: 100, drop_height: 100}]"],
+    ["kp=[1.0e+6, 1.0e+6, 1.0e+6, 1.0e+6, 1.0e+6]"],
+    ["lqr_q=[1.0e+6, 1.0e+6, 1.0e+6, 1.0e+6]", "lqr_r=0.01"],
+    ["lqr_q=[0.01, 1.0e+6, 1.0e+6, 0.01]", "lqr_r=0.01"],
+    ["lqr_q=[0.01, 0.01, 0.01, 0.01]", "lqr_r=1.0e+6"],
 ]
 
 
@@ -442,6 +473,19 @@ def test_yaml_loader_agrees_with_pure_python_twin():
         pure = yaml.load(text, Loader=PurePythonLoader)
         assert repr(fast) == repr(pure), text
     assert isinstance(yaml.load("1e-9", Loader=YamlLoader), float)
+
+
+@pytest.mark.parametrize("params", EDGE_PARAMS, ids=" ".join)
+def test_run_at_the_edge_of_a_bound_completes_its_first_cycles(flat_scn, tmp_path, params):
+    """A run at a bound of a reference, push, block, gain or weight runs its
+    first cycles without a solver failure (a block this heavy may topple it)."""
+    out = tmp_path / "o"
+    args = ["--scenario", flat_scn, "--out", str(out), "--param", "duration=0.01"]
+    rc = main(args + [a for p in params for a in ("--param", p)])
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert rc in (0, 1) and not metrics["failed"], metrics["failure"]
+    assert len((out / "log.csv").read_text().splitlines()) > 1
+    assert rc == 0 or metrics["fell"]
 
 
 @pytest.mark.parametrize("param,key", BAD_PARAMS)
@@ -484,12 +528,15 @@ def test_random_overrides_give_scenario_or_scenario_error(slope_path, params):
         pass
 
 
-def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys):
+def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys, monkeypatch):
     """A balance weight too large for the Riccati solve ends the run as a
-    recorded solver failure: exit 1, metrics written, no traceback."""
+    recorded solver failure: exit 1, metrics written, no traceback.  Such a
+    weight is out of the scenario file's bounds, so the controller's default
+    weights stand in for it."""
+    from wbcsim import simulator
+    monkeypatch.setattr(simulator, "DEFAULT_Q", np.diag([1e200, 1.0, 1.0, 1.0]))
     out = tmp_path / "out"
-    assert main(["--scenario", flat_scn, "--out", str(out),
-                 "--param", "lqr_q=[1e200,1,1,1]"]) == 1
+    assert main(["--scenario", flat_scn, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: solver failure: t=0.000: Riccati solve did not converge" in err
     assert "Traceback" not in err and "Warning" not in err
