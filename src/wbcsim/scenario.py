@@ -185,15 +185,13 @@ _CHOICES = {"kind": ("push", "block_impact"),
 # hold, and of the ground and lane heights and the reference height, at
 # which the leg geometry still has precision left
 POSITION_LIMIT = 1e6
-# largest pose gain (kp) and balance weight (lqr_q, lqr_r), and least balance
-# weight: weights out of [WEIGHT_FLOOR, GAIN_LIMIT] can fail the balance
-# gain's Riccati solve in the first control cycle, and no weights within did
-# in 15,000 random designs
+# largest |value| of a key, with its unit.  Far past them, a reference speed,
+# a push or a block failed the run's first cycle (task rows not finite, a math
+# domain error, a NaN velocity), and balance weights (lqr_q, lqr_r) out of
+# [WEIGHT_FLOOR, GAIN_LIMIT] can fail the balance gain's Riccati solve; none
+# within did in 15,000 random designs
 GAIN_LIMIT = 1e6
 WEIGHT_FLOOR = 0.01
-# largest |value| of a key, with its unit.  Far past them, a reference speed,
-# a push or a block failed the run's first cycles (task rows not finite, a
-# math domain error, a NaN velocity); at them, a run completes its first cycles
 _LIMITS = {**dict.fromkeys(("start_xy", "lookahead", "radius", "noise", "z0", "knots_h",
                             "height"), (POSITION_LIMIT, " m")),
            "speed": (1e3, " m/s"), "yaw_rate": (1e3, " rad/s"), "f_max": (1e4, " N"),
@@ -209,7 +207,7 @@ MAX_SUBSTEPS = 1000
 MAX_CYCLES = 10_000_000
 MAX_STEPS = 20_000_000
 # most lidar points a frame: a point costs 0.3-1 us (by terrain kind) and 115 B
-# to sample, and the normal map holds 24 B a point and 32 B an occupied cell
+# to sample, and the normal map holds 24 B a point and 8 B an occupied cell
 # of each of its newest MAX_FRAMES frames, so 1e5 points take at most about
 # 0.1 s and 12 MB to sample, and the map at most about 40 MB
 MAX_POINTS = 100_000

@@ -266,9 +266,8 @@ def uniforms(rng: random.Random, n: int) -> np.ndarray:
 def gaussians(rng: random.Random, n: int) -> np.ndarray:
     """n standard normal draws from rng: Box-Muller (Box & Muller, 1958)
     over uniforms(rng, n), one more when n is odd."""
-    u = uniforms(rng, n + n % 2).reshape(2, -1)
-    r = np.sqrt(-2.0 * np.log1p(-u[0]))             # 1 - u in (0, 1]
-    th = 2.0 * np.pi * u[1]
+    u, v = uniforms(rng, n + n % 2).reshape(2, -1)
+    r, th = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v     # 1 - u in (0, 1]
     return np.concatenate([r * np.cos(th), r * np.sin(th)])[:n]
 
 
@@ -277,9 +276,8 @@ def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
     """Uniform disc sample of the terrain surface with isotropic noise."""
     if cfg.radius <= 0.0:
         raise ValueError("sensor radius must be positive")
-    u = uniforms(rng, 2 * cfg.points)
-    r = cfg.radius * np.sqrt(u[:cfg.points])
-    th = 2.0 * np.pi * u[cfg.points:]
+    u, v = uniforms(rng, 2 * cfg.points).reshape(2, -1)
+    r, th = cfg.radius * np.sqrt(u), 2.0 * np.pi * v
     xs = center_xy[0] + r * np.cos(th)
     ys = center_xy[1] + r * np.sin(th)
     zs = np.array([terrain.height(x, y) for x, y in zip(xs.tolist(), ys.tolist())])

@@ -127,20 +127,19 @@ class _Frame(NamedTuple):
     key box [lx, hx] x [ly, hy], span = hy - ly + 1.
     """
     cloud: PointCloud
-    queries: np.ndarray                # (cells, 3): centre, mean height of the points
     codes: np.ndarray                  # cell codes, ascending
     lx: int
     ly: int
     hx: int
     hy: int
 
-    def row(self, ix: int, iy: int) -> int:
-        """Row of the record of key (ix, iy), or -1 if there is none."""
+    def holds(self, ix: int, iy: int) -> bool:
+        """Whether key (ix, iy) is one of the cells."""
         if not (self.lx <= ix <= self.hx and self.ly <= iy <= self.hy):
-            return -1
+            return False
         code = (ix - self.lx) * (self.hy - self.ly + 1) + (iy - self.ly)
         row = int(self.codes.searchsorted(code))
-        return row if row < len(self.codes) and self.codes[row] == code else -1
+        return row < len(self.codes) and self.codes[row] == code
 
     def keys(self, x0: int, x1: int) -> tuple[np.ndarray, np.ndarray]:
         """ix and iy of the records with x0 <= ix <= x1, in key order."""
@@ -217,28 +216,28 @@ class NormalMap:
         if (hx - lx + 1) * (hy - ly + 1) >= 2**62:
             raise ValueError("point cloud too wide for the map's int64 cell keys")
         ixy = np.floor(xy / self.cell_size).astype(np.int64)
-        # occupied cells, their counts and z sums; each cell as one int64
-        # over the cloud's key box, which sorts as its (ix, iy) key does
-        codes, first, inverse, counts = np.unique(
-            (ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly),
-            return_index=True, return_inverse=True, return_counts=True)
-        keys = ixy[first]
-        z_sum = np.bincount(inverse.ravel(), weights=cloud.points[:, 2], minlength=len(keys))
+        # the occupied cells, each as one int64 over the cloud's key box,
+        # which sorts as its (ix, iy) key does; np.unique would load numpy.ma
+        codes = np.sort((ixy[:, 0] - lx) * (hy - ly + 1) + (ixy[:, 1] - ly))
+        codes = codes[np.append(True, codes[1:] != codes[:-1])]
         if len(cloud) < self.k_min:
-            self.skipped_degenerate += len(keys)
+            self.skipped_degenerate += len(codes)
             return 0
-
-        queries = np.column_stack([(keys + 0.5) * self.cell_size, z_sum / counts])
-        self._frames[self._next_id] = _Frame(cloud, queries, codes, lx, ly, hx, hy)
+        self._frames[self._next_id] = _Frame(cloud, codes, lx, ly, hx, hy)
         self._next_id += 1
         if len(self._frames) > MAX_FRAMES:
             del self._frames[next(iter(self._frames))]
-        return len(keys)
+        return len(codes)
 
-    def _estimate(self, row: int, frame: _Frame) -> MapCell | None:
-        """One recorded cell: estimate_normal at its query point, or None
-        when degenerate."""
-        est = estimate_normal(frame.cloud, frame.queries[row], self.k_min, self.k_max)
+    def _estimate(self, key: tuple[int, int], frame: _Frame) -> MapCell | None:
+        """The cell of a key the frame holds: estimate_normal at the cell's
+        centre and the mean height of the frame's points in it, or None when
+        degenerate."""
+        pts = frame.cloud.points
+        z = pts[(np.floor(pts[:, :2] / self.cell_size) == key).all(axis=1), 2].tolist()
+        query = np.array([(key[0] + 0.5) * self.cell_size, (key[1] + 0.5) * self.cell_size,
+                          sum(z) / len(z)])              # heights summed in point order
+        est = estimate_normal(frame.cloud, query, self.k_min, self.k_max)
         if est is None:
             self.skipped_degenerate += 1
             return None
@@ -251,14 +250,12 @@ class NormalMap:
         if since == self._next_id:
             return cell
         found = False
-        for frame_id in reversed(self._frames):
+        for frame_id, frame in reversed(self._frames.items()):
             if frame_id < since:
                 break
-            frame = self._frames[frame_id]
-            row = frame.row(*key)
-            if row >= 0:
+            if frame.holds(*key):
                 found = True
-                made = self._estimate(row, frame)
+                made = self._estimate(key, frame)
                 if made is not None:
                     cell = made
                     break
@@ -328,8 +325,7 @@ class _Cells(Mapping):
         return iter([key for key in nmap._keys() if nmap._resolve(key) is not None])
 
     def __len__(self) -> int:
-        nmap = self._nmap
-        return sum(nmap._resolve(key) is not None for key in nmap._keys())
+        return sum(1 for _ in self)
 
 
 @dataclass

@@ -458,8 +458,8 @@ def test_reading_keys_never_recorded_holds_nothing():
 
 
 def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
-    """Beyond its clouds' points, the map holds each recorded cell's query
-    and code, and nothing per key until a key is read."""
+    """Beyond its clouds' points, the map holds each recorded cell's code,
+    and nothing per key until a key is read."""
     import tracemalloc
     from wbcsim.scenario import SensorConfig
     from wbcsim.simulator import synth_pointcloud
@@ -491,9 +491,9 @@ def _count_estimates(monkeypatch, nmap):
     made = []
     estimate = nmap._estimate
 
-    def counting(row, frame):
-        made.append(row)
-        return estimate(row, frame)
+    def counting(key, frame):
+        made.append(key)
+        return estimate(key, frame)
 
     monkeypatch.setattr(nmap, "_estimate", counting)
     return made
