@@ -21,8 +21,8 @@ SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 # default fewest neighbors of a normal estimate; a cloud with fewer points
 # gives the normal map no estimate at all
 K_MIN = 10
-# most clouds the normal map holds; the oldest any estimate of a bundled
-# lidar run read was 10 updates old
+# most clouds the normal map holds; no estimate of a bundled lidar run read a
+# frame more than 10 updates old
 MAX_FRAMES = 16
 
 
