@@ -172,7 +172,10 @@ class RobotDescription:
             I = np.asarray(b.inertia, dtype=float)
             if not np.allclose(I, I.T, atol=1e-12):
                 raise ValueError(f"body {b.name} inertia not symmetric")
-            if np.linalg.eigvalsh(I).min() <= 0.0:
+            # Sylvester's criterion: every leading principal minor positive
+            (xx, xy, xz), (_, yy, yz), (_, _, zz) = I.tolist()
+            det = xx * (yy * zz - yz * yz) - xy * (xy * zz - yz * xz) + xz * (xy * yz - yy * xz)
+            if not (xx > 0.0 and xx * yy - xy * xy > 0.0 and det > 0.0):
                 raise ValueError(f"body {b.name} inertia not positive definite")
         for i, j in enumerate(self.joints):
             if j.parent != JOINT_PARENT[i] or j.child != JOINT_CHILD[i]:

@@ -188,8 +188,11 @@ POSITION_LIMIT = 1e6
 # largest |value| of a key, with its unit.  Far past them, a reference speed,
 # a push or a block failed the run's first cycle (task rows not finite, a math
 # domain error, a NaN velocity), and balance weights (lqr_q, lqr_r) out of
-# [WEIGHT_FLOOR, GAIN_LIMIT] can fail the balance gain's Riccati solve; none
-# within did in 15,000 random designs
+# [WEIGHT_FLOOR, GAIN_LIMIT] can fail the balance gain's Riccati solve.  Its
+# Newton-Kleinman solve met SciPy's solution within 2.2e-11 relative at the
+# box's 32 corners at pendulum heights 0.05 and 0.5 m, in at most 26
+# iterations, and failed none of 15,000 random designs with weights in
+# [1e-4, 1e6]
 GAIN_LIMIT = 1e6
 WEIGHT_FLOOR = 0.01
 _LIMITS = {**dict.fromkeys(("start_xy", "lookahead", "radius", "noise", "z0", "knots_h",

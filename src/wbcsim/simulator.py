@@ -249,9 +249,11 @@ def initial_state(model: RobotModel, terrain: Terrain,
         spin = np.zeros(12)
         spin[[8, 11]] = speed / r_w
         u0 = min((u0 + spin, u0 - spin), key=lambda u: np.linalg.norm(cl.J_xz @ u))
-    # project onto the rolling-constraint manifold (min-norm correction)
-    c = cl.J_xz @ u0
-    du = np.linalg.lstsq(cl.J_xz, -c, rcond=None)[0]
+    # project onto the rolling-constraint manifold: the min-norm correction
+    # J^T (J J^T)^-1 (-c), J of full row rank in contact; a singular J J^T
+    # raises LinAlgError, a ValueError
+    J = cl.J_xz
+    du = J.T @ np.linalg.solve(J @ J.T, -(J @ u0))
     return dataclasses.replace(y, vel=u0 + du)
 
 

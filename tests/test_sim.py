@@ -32,6 +32,7 @@ from wbcsim.simulator import (
 )
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
 
+import reference_runs
 from helpers import exp_so3_matrix, forward_dynamics_free, svd_project_to_so3
 
 
@@ -567,6 +568,45 @@ def test_controller_cycle_is_the_runs_first_cycle(model, name, mode):
     assert (res.psi_hat, res.psi_true) == (row["psi_hat"], row["psi_true"])
     if mode == "estimated_normal":
         assert res.psi_hat != res.psi_true     # the lidar map, not the terrain
+
+
+# -- LAPACK use ------------------------------------------------------------------
+
+# the numpy.linalg routines other than solve (an LU) and norm (no factorization)
+FACTORIZATIONS = ("eig", "eigvals", "eigh", "eigvalsh", "lstsq", "inv", "det", "svd",
+                  "qr", "cholesky", "pinv")
+
+
+@pytest.mark.parametrize("name, overrides, allowed", [
+    ("flat_push", {}, ()),
+    # the block strikes at 0.1 s, and torque bounds hold in the cycles after it
+    ("slope_saturate", {"duration": 0.3, "disturbances": [
+        {"kind": "block_impact", "t_start": 0.1, "mass": 6.0, "drop_height": 0.4}]}, ()),
+    ("slope_lidar", {}, ("eigh", "eigvalsh")),
+])
+def test_run_factorizes_only_by_solve(monkeypatch, name, overrides, allowed):
+    """Building the robot model and running a true-normal run with a push, or
+    a horizontal-normal run with a block impact and torque bounds, calls
+    LAPACK only through np.linalg.solve; a lidar run's PCA adds eigh and
+    eigvalsh."""
+    def refused(fn):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{fn} called")
+        return call
+
+    for fn in FACTORIZATIONS:
+        if fn not in allowed:
+            monkeypatch.setattr(np.linalg, fn, refused(fn))
+    scenario_name, seed, params = reference_runs.CONFIGS[name]
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath(f"data/scenarios/{scenario_name}.scn")),
+        {**params, "duration": reference_runs.WINDOW, **overrides})
+    model = RobotModel()
+    log, m = run_scenario(model, scenario, seed=seed)
+    assert not m.failed and not m.fell
+    if name == "slope_saturate":
+        tau = log[:, [LOG_COLUMNS.index(c) for c in LOG_COLUMNS if c.startswith("tau_")]]
+        assert np.abs(tau).max() == model.desc.torque_limit
 
 
 class _TypeRecordingSlope(SlopeTerrain):

@@ -1,5 +1,6 @@
 """Pose PD / balance LQR tests, with SciPy's Riccati solver as the oracle."""
 
+import itertools
 from importlib.resources import files
 
 import numpy as np
@@ -17,7 +18,7 @@ from wbcsim.task_control import (
     pendulum_state_matrices,
 )
 from wbcsim.model import TASK_NAMES, TaskJacobians
-from wbcsim.scenario import load_scenario
+from wbcsim.scenario import GAIN_LIMIT, WEIGHT_FLOOR, load_scenario
 
 from helpers import CountingGainScheduler, balance_constraints_residual
 
@@ -99,14 +100,28 @@ def _bundled_balance_weights():
 
 @pytest.mark.parametrize("q, r", _bundled_balance_weights())
 def test_care_matches_scipy_over_scheduled_heights(q, r):
-    """The Hamiltonian eigenvector solve gives SciPy's CARE solution (an
-    ordered generalized Schur method) over the pendulum heights the
-    scheduler asks for, clamped at 0.05 m, for each bundled weight set."""
+    """The Newton-Kleinman solve gives SciPy's CARE solution (an ordered
+    generalized Schur method) over the pendulum heights the scheduler asks
+    for, clamped at 0.05 m, for each bundled weight set."""
     Q = np.diag(np.asarray(q, dtype=float))
     for r_z in np.linspace(0.05, 0.5, 19):
         d = lqr_gain(r_z, Q, r)
         P = scipy.linalg.solve_continuous_are(d.A, d.B, Q, np.array([[r]]))
         np.testing.assert_allclose(d.P, P, rtol=0.0, atol=1e-12 * np.abs(P).max())
+
+
+@pytest.mark.parametrize("r_z", [0.05, 0.5])
+def test_care_over_the_scenario_weight_box(r_z):
+    """At every corner of [WEIGHT_FLOOR, GAIN_LIMIT] for the four Q entries
+    and R, the balance gain passes lqr_gain's residual check (it raises
+    CareError otherwise), is stabilizing by its closed-loop eigenvalues, and
+    its P is SciPy's within 1e-9 max|P|."""
+    for *q, r in itertools.product((WEIGHT_FLOOR, GAIN_LIMIT), repeat=5):
+        Q = np.diag(q)
+        d = lqr_gain(r_z, Q, r)
+        assert np.linalg.eigvals(d.A - d.B @ d.K[None, :]).real.max() < 0.0
+        P = scipy.linalg.solve_continuous_are(d.A, d.B, Q, np.array([[r]]))
+        np.testing.assert_allclose(d.P, P, rtol=0.0, atol=1e-9 * np.abs(P).max())
 
 
 def test_care_solution_spd():
@@ -205,11 +220,14 @@ def test_lqr_input_validation():
         lqr_gain(0.25, R=0.0)
     with pytest.raises(ValueError):
         lqr_gain(0.25, Q=np.diag([1.0, 1.0, -1.0, 1.0]))
-    # extreme weights: the solve overflows, or its stable subspace is singular
+    # extreme weights overflow the solve
     with pytest.raises(CareError, match="did not converge"):
         lqr_gain(0.25, Q=np.diag([1e200, 1.0, 1.0, 1.0]))
-    with pytest.raises(CareError, match="Riccati solve failed"):
+    with pytest.raises(CareError, match="did not converge"):
         lqr_gain(0.25, R=1e-300)
+    # with q_3 = 0 the start gain is zero: its Lyapunov system is singular
+    with pytest.raises(CareError, match="Riccati solve failed"):
+        lqr_gain(0.25, Q=np.diag([1.0, 1.0, 0.0, 1.0]))
 
 
 # -- equilibrium diagnostics ------------------------------------------------
