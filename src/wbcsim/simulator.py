@@ -429,7 +429,7 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
                 state = step(model, state, res.sol.tau_a, dt_sim, terrain, wrench,
                              cl=cl_step)
                 cl_step = None
-        except (CareError, HqpError, SimulationError, ValueError) as exc:
+        except (ArithmeticError, CareError, HqpError, SimulationError, ValueError) as exc:
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break
 

@@ -570,6 +570,31 @@ def test_bad_normal_in_a_physics_substep_is_a_solver_failure(flat_scn, tmp_path,
     assert json.loads((out / "metrics.json").read_text())["failed"] is True
 
 
+def test_arithmetic_error_mid_run_is_a_solver_failure(flat_scn, tmp_path, capsys,
+                                                     monkeypatch):
+    """An ArithmeticError raised in a cycle, such as a ZeroDivisionError from
+    the task pass's division by the contact geometry, ends the run as a
+    recorded solver failure: exit 1, the cycles before it logged, no traceback."""
+    from wbcsim.model import RobotModel
+    task_jacobians = RobotModel.task_jacobians
+    calls = []
+
+    def dividing_by_zero(self, *args):
+        calls.append(None)
+        if len(calls) == 10:
+            raise ZeroDivisionError("float division by zero")
+        return task_jacobians(self, *args)
+
+    monkeypatch.setattr(RobotModel, "task_jacobians", dividing_by_zero)
+    out = tmp_path / "out"
+    assert main(["--scenario", flat_scn, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: solver failure: t=0.018: float division by zero" in err
+    assert "Traceback" not in err
+    assert json.loads((out / "metrics.json").read_text())["failed"] is True
+    assert len((out / "log.csv").read_text().splitlines()) == 1 + 9
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["--scenario", str(tmp_path / "nope.scn"),
                  "--out", str(tmp_path / "o")]) == 2
