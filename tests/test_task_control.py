@@ -13,6 +13,7 @@ from wbcsim.task_control import (
     assemble_task_stack,
     balance_accel,
     default_gains,
+    is_hurwitz,
     lqr_gain,
     pd_accel,
     pendulum_state_matrices,
@@ -139,6 +140,23 @@ def test_closed_loop_stable_over_height_range():
         d = lqr_gain(r_z, Q, R)
         ev = np.linalg.eigvals(d.A - d.B @ d.K[None, :])
         assert ev.real.max() < 0.0
+
+
+def test_hurwitz_test_agrees_with_closed_loop_eigenvalues():
+    """The Routh-Hurwitz test on the closed-loop quartic calls a gain
+    stabilizing exactly when every eigenvalue of A - B K has negative real
+    part, over random gains of mixed signs and magnitudes."""
+    rng = np.random.default_rng(36)
+    stable = 0
+    for _ in range(2000):
+        r_z = rng.uniform(0.05, 0.5)
+        K = rng.normal(size=4) * 10.0 ** rng.uniform(-1, 3, 4)
+        K = np.where(rng.random(4) < 0.85, np.abs(K), K)
+        A, B = pendulum_state_matrices(r_z)
+        want = np.linalg.eigvals(A - B @ K[None, :]).real.max() < 0.0
+        assert is_hurwitz(K, r_z) == want, (r_z, K)
+        stable += want
+    assert 100 < stable < 1900                  # both outcomes are exercised
 
 
 def test_open_loop_structure():
