@@ -114,8 +114,9 @@ def lqr_gain(r_z: float, Q: np.ndarray = DEFAULT_Q,
     Newton-Kleinman iteration (Kleinman 1968): from a stabilizing K, P
     solves the Lyapunov equation (A - BK)^T P + P (A - BK) = -(Q + R K^T K),
     one LU of its 16x16 Kronecker form, and K <- B^T P / R, until K stops
-    changing.  The start gain puts the four closed-loop poles at -p, with
-    p^4 = w^2 sqrt(q_3 / R) the optimum's constant coefficient.
+    changing (by at most 1e-12 of its largest entry).  The start gain puts
+    the four closed-loop poles at -p, with p^4 = w^2 sqrt(q_3 / R) the
+    optimum's constant coefficient.
     """
     Q = np.asarray(Q, dtype=float)
     R = float(R)
