@@ -23,15 +23,17 @@ from .model import (
     WHEEL_R,
     KinematicsCache,
     RobotModel,
-    SIDES,
     TREE_ROWS,
-    ground_normals,
 )
 
 GRAVITY = 9.81
 GRAVITY_ACC = np.array([0.0, 0.0, -GRAVITY])
 # lateral slip speed (m/s) at which the friction coefficient saturates at mu
 FRICTION_V_REF = 0.05
+# accepted deviation of a ground normal's length from 1 (the absolute plus
+# relative tolerance of np.isclose(norm, 1, atol=1e-6), without its overhead)
+UNIT_TOL = 1e-6 + 1e-5
+SIDES = ("left", "right")
 
 
 @dataclass
@@ -58,13 +60,6 @@ class ClosedLoopState:
 
 
 @dataclass
-class ContactModel:
-    n_l: np.ndarray
-    n_r: np.ndarray
-    C_F: np.ndarray              # 2x4 velocity-dependent friction coefficients
-
-
-@dataclass
 class ClosedLoopDynamics:
     H_y: np.ndarray              # 12x12
     C_y: np.ndarray              # 12
@@ -74,7 +69,8 @@ class ClosedLoopDynamics:
     J_y: np.ndarray              # 2x12 lateral rows, row 0 left wheel, row 1 right
     Jdot_xz_u: np.ndarray        # (4,) bias accelerations, order (x_l, z_l, x_r, z_r)
     K: np.ndarray                # 16x16 contact KKT [H_y, -G^T J_gc; J_xz, 0]
-    contact: ContactModel
+    n: np.ndarray                # (2, 3) ground normals, left then right, unit and upward
+    f: np.ndarray                # (2,) lateral friction F_y = f F_z of each wheel
     p_cl: np.ndarray
     p_cr: np.ndarray
 
@@ -136,7 +132,8 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
                          n_l: np.ndarray, n_r: np.ndarray,
                          mu: float = 0.8) -> ClosedLoopDynamics:
     """Reduce the tree EoM of the state in kc through G and build the
-    ground-contact map at the given normals, both wheels at once.
+    ground-contact map at the given normals, both wheels at once; the task
+    pass, the HQP and the physics step all read this one record.
 
     The contact rows are taken at the wheel material point currently at the
     contact, expressed in the contact frame axes (x the heading in the
@@ -148,19 +145,24 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     """
     G = model.G
     st = _closed_loop_state(model, kc)
-    n = ground_normals(n_l, n_r)
+    n = np.array([n_l, n_r], dtype=float)
     r = model.desc.wheel_radius
     p = kc.points[WHEEL_POINTS] - r * n
 
     # Per wheel on Python floats (far cheaper than array calls on 3-vectors):
-    # x the heading projected into the ground plane, t / |t|, y = n x x, the
-    # lateral friction F_y = f F_z with f = -mu clamp(v_y / FRICTION_V_REF,
-    # -1, 1), and the rows x, y, n and n + f y of E.  The last one is the
-    # z-force column of J_gc, F_C = (x_l, z_l, x_r, z_r).
+    # the normal, checked to be unit and upward, x the heading projected into
+    # the ground plane, t / |t|, y = n x x, the lateral friction F_y = f F_z
+    # with f = -mu clamp(v_y / FRICTION_V_REF, -1, 1), and the rows x, y, n
+    # and n + f y of E.  The last one is the z-force column of J_gc, F_C =
+    # (x_l, z_l, x_r, z_r).
     hx, hy, hz = st.head
     dx, dy, dz = st.head_dot
     E, f, drift = [], [], []
     for side, (a, b, c), (v0, v1, v2, w0, w1, w2) in zip(SIDES, n.tolist(), st.wheel_vel):
+        if not abs(math.sqrt(a * a + b * b + c * c) - 1.0) <= UNIT_TOL:
+            raise ValueError(f"{side} ground normal is not unit length")
+        if c <= 0.0:
+            raise ValueError(f"{side} ground normal must point into the upper hemisphere")
         s = a * hx + b * hy + c * hz
         tx, ty, tz = hx - s * a, hy - s * b, hz - s * c
         nt = math.sqrt(tx * tx + ty * ty + tz * tz)
@@ -179,8 +181,6 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
         # to the x row's drift
         drift.append((dx * y0 + dy * y1 + dz * y2) / nt * v_y)
     E = np.array(E).reshape(2, 4, 6)
-    C_F = np.zeros((2, 4))
-    C_F[0, 1], C_F[1, 3] = f
     # per wheel and row of E: the contact row, velocity and bias acceleration
     out = E @ st.wheels
     rows_y = out[:, :3, :NV_TREE] @ G
@@ -192,11 +192,9 @@ def closed_loop_dynamics(model: RobotModel, kc: KinematicsCache,
     # The lever (-r n) is fixed, so the drift has no centripetal part over it.
     (acc_xl, _, acc_zl), (acc_xr, _, acc_zr) = out[:, :3, NV_TREE + 1].tolist()
     Jdot_xz_u = np.array((acc_xl + drift[0], acc_zl, acc_xr + drift[1], acc_zr))
-
-    contact = ContactModel(n_l=n[0], n_r=n[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
                               J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u, K=K,
-                              contact=contact, p_cl=p[0], p_cr=p[1])
+                              n=n, f=np.array(f), p_cl=p[0], p_cr=p[1])
 
 
 def mechanical_energy(kc: KinematicsCache) -> float:

@@ -26,14 +26,6 @@ class HqpError(RuntimeError):
 
 
 @dataclass
-class ConstraintSet:
-    K: np.ndarray                # 16x16 contact KKT: K (udot_y, F_C) = b + B tau_a
-    b: np.ndarray                # (16,)
-    B: np.ndarray                # 16x6
-    torque_limit: float          # box |tau_j| <= torque_limit
-
-
-@dataclass
 class HqpSolution:
     x: np.ndarray
     tau_a: np.ndarray
@@ -43,20 +35,13 @@ class HqpSolution:
     active_sets: list            # per level, the bound rows held at its solution
 
 
-def dynamics_constraints(cl: ClosedLoopDynamics, B: np.ndarray,
-                         torque_limit: float) -> ConstraintSet:
-    """Equality rows (12 dynamics + 4 rolling) and the torque box; B is the
-    model's constant [G^T S^T; 0] (RobotModel.B)."""
-    return ConstraintSet(K=cl.K, b=np.concatenate([-cl.C_y, -cl.Jdot_xz_u]),
-                         B=B, torque_limit=float(torque_limit))
-
-
-def feasible_start(constraints: ConstraintSet):
-    """x0, T with (x0 + T tau, tau) meeting the equalities for every tau;
-    tau = 0 is in the box, so (x0, 0) is feasible."""
+def feasible_start(cl: ClosedLoopDynamics, B: np.ndarray):
+    """x0, T with (x0 + T tau, tau) meeting the 16 equality rows (12
+    dynamics + 4 rolling) K (udot_y, F_C) = -(C_y, Jdot_xz_u) + B tau for
+    every tau; tau = 0 is in the box, so (x0, 0) is feasible."""
     try:                                 # one LU of K for all 7 right sides
-        KiB = np.linalg.solve(constraints.K, np.column_stack(
-            [constraints.b, constraints.B]))
+        KiB = np.linalg.solve(cl.K, np.column_stack(
+            [np.concatenate([-cl.C_y, -cl.Jdot_xz_u]), B]))
     except np.linalg.LinAlgError as exc:
         raise HqpError(f"dynamics equalities singular: {exc}") from None
     if not np.isfinite(KiB).all():
@@ -129,13 +114,17 @@ def _bounded_lex(M: np.ndarray, r: np.ndarray, lim: float):
 
 
 class HierarchySolver:
-    """Lexicographic solver over the torques, one level per task row; stateless."""
+    """Lexicographic solver over the torques, one level per task row; B =
+    [G^T S^T; 0] (RobotModel.B) and the box |tau_j| <= torque_limit are the robot's."""
 
-    def solve(self, stack: TaskStack, constraints: ConstraintSet) -> HqpSolution:
-        x0, T = feasible_start(constraints)
+    def __init__(self, B: np.ndarray, torque_limit: float):
+        self.B, self.torque_limit = B, float(torque_limit)
+
+    def solve(self, stack: TaskStack, cl: ClosedLoopDynamics) -> HqpSolution:
+        x0, T = feasible_start(cl, self.B)
         M = stack.J @ T[:12]
         r = stack.b - stack.J @ x0[:12]
-        tau, tight = _bounded_lex(M, r, constraints.torque_limit)
+        tau, tight = _bounded_lex(M, r, self.torque_limit)
         x = np.concatenate([x0 + T @ tau, tau])
         residuals = np.abs(stack.J @ x[:12] - stack.b)
         return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(), udot_y=x[:12].copy(),

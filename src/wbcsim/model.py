@@ -55,9 +55,6 @@ ACTUATED_JOINTS = INDEP_JOINTS
 HIP_JOINTS = [0, 5]
 
 EZ = np.array([0.0, 0.0, 1.0])
-# accepted deviation of a ground normal's length from 1 (the absolute plus
-# relative tolerance of np.isclose(norm, 1, atol=1e-6), without its overhead)
-UNIT_TOL = 1e-6 + 1e-5
 
 
 def _joint_expansion() -> np.ndarray:
@@ -116,7 +113,6 @@ JACOBIAN_TEMPLATE = np.zeros((len(JACOBIAN_MASK), 3, NV_TREE))
 JACOBIAN_TEMPLATE[:len(POINT_BODIES), :, :3] = np.eye(3)
 TREE_ROWS = np.r_[:N_BODIES, len(POINT_BODIES):len(JACOBIAN_MASK)]
 EYE3 = np.eye(3)
-SIDES = ("left", "right")
 
 
 def loop_closure_matrix() -> np.ndarray:
@@ -288,18 +284,6 @@ class TaskJacobians:
     r_z: float                   # CoM height over the contact midpoint
 
 
-def ground_normals(n_l: np.ndarray, n_r: np.ndarray) -> np.ndarray:
-    """(2, 3) left and right ground normals, checked to be unit and upward
-    (on Python floats: for two 3-vectors far cheaper than array calls)."""
-    n = np.array([n_l, n_r], dtype=float)
-    for side, (a, b, c) in zip(SIDES, n.tolist()):
-        if not abs(math.sqrt(a * a + b * b + c * c) - 1.0) <= UNIT_TOL:
-            raise ValueError(f"{side} ground normal is not unit length")
-        if c <= 0.0:
-            raise ValueError(f"{side} ground normal must point into the upper hemisphere")
-    return n
-
-
 class KinematicsCache:
     """World poses, velocities and bias accelerations of one closed-loop state
     y, kept with the tree state it expands to.
@@ -453,19 +437,14 @@ class RobotModel:
     def kinematics(self, y: MinimalState) -> KinematicsCache:
         return KinematicsCache(self.desc, y, self.expand_coordinates(y))
 
-    def contact_points(self, kc: KinematicsCache, n_l: np.ndarray,
-                       n_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Contact point of each wheel: center - wheel_radius * normal."""
-        p = kc.points[WHEEL_POINTS] - self.desc.wheel_radius * ground_normals(n_l, n_r)
-        return p[0], p[1]
-
     # -- task space --------------------------------------------------------
 
-    def task_jacobians(self, kc: KinematicsCache, n_l: np.ndarray,
-                       n_r: np.ndarray) -> TaskJacobians:
-        """The cycle's task-space pass at the contact points of the given
-        normals: the analytic 6x12 task rows (h, beta, r_com_x, alpha, phi,
-        gamma), their Jdot*u_y terms and the task values.
+    def task_jacobians(self, kc: KinematicsCache, p_cl: np.ndarray,
+                       p_cr: np.ndarray) -> TaskJacobians:
+        """The cycle's task-space pass at the contact points of the
+        controller's closed-loop dynamics: the analytic 6x12 task rows (h,
+        beta, r_com_x, alpha, phi, gamma), their Jdot*u_y terms and the task
+        values.
 
         Jdot*u_y is each task's second time derivative along the current
         velocity with udot = 0.  It is assembled from the Jacobians and bias
@@ -474,7 +453,6 @@ class RobotModel:
         rows the rate of the Euler-rate map: with E(theta) theta_dot = w,
         theta_ddot = -E^-1 Edot theta_dot at constant w.
         """
-        p_cl, p_cr = self.contact_points(kc, n_l, n_r)
         x_n, nh, x_d, x_dd = kc.heading_axis
         # On Python floats, far cheaper than array calls on 3-vectors.  x_N,
         # x_d and x_dd lie in the ground plane: their z is 0.

@@ -24,7 +24,7 @@ from .dynamics import (
     closed_loop_dynamics,
     mechanical_energy,
 )
-from .hqp import HierarchySolver, HqpError, HqpSolution, dynamics_constraints
+from .hqp import HierarchySolver, HqpError, HqpSolution
 from .model import EZ, KinematicsCache, MinimalState, OutOfReachError, RobotModel, leg_ik
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .scenario import Disturbance, Scenario, ScenarioError, SensorConfig
@@ -144,7 +144,7 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
 
     cvel = cl.J_xz @ y.vel
     gap = np.zeros(4)
-    for i, p, n in ((1, cl.p_cl, cl.contact.n_l), (3, cl.p_cr, cl.contact.n_r)):
+    for i, p, n in ((1, cl.p_cl, cl.n[0]), (3, cl.p_cr, cl.n[1])):
         x, y, z = p.tolist()
         gap[i] = n[2] * (z - terrain.height(x, y))
     drift = (cl.Jdot_xz_u + 2.0 * BAUMGARTE_ZETA * BAUMGARTE_OMEGA * cvel
@@ -173,12 +173,12 @@ def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
         raise SimulationError(f"NaN/Inf velocity at t = {state.t:.4f}")
 
     # energy audit: actuator power at the actuated joints, whose rates are
-    # u_y[6:], disturbance power, lateral friction dissipation (F_y = C_F
-    # row . F_C against v_y)
+    # u_y[6:], disturbance power, lateral friction dissipation (F_y = f F_z
+    # against v_y)
     work_in = state.work_in + dt * float(np.asarray(tau_a, float) @ u_new[6:])
     if ext_wrench is not None:
         work_in += dt * float(ext_wrench @ u_new[:6])
-    F_y = cl.contact.C_F @ F_C
+    F_y = cl.f * F_C[[1, 3]]
     dissipated = state.dissipated - dt * float(F_y @ (cl.J_y @ u_new))
     return SimState(y=MinimalState(pos=y.pos + dt * u_new[:3],
                                    rot=project_to_so3(exp_so3(dt * u_new[3:6]) @ y.rot),
@@ -315,7 +315,7 @@ class Controller:
         self.gains = default_gains() if scenario.kp is None else default_gains(scenario.kp)
         self.sched = GainScheduler(DEFAULT_Q if scenario.lqr_q is None
                                    else np.diag(scenario.lqr_q), scenario.lqr_r)
-        self.solver = HierarchySolver()
+        self.solver = HierarchySolver(model.B, model.desc.torque_limit)
         self.nmap = NormalMap()
         self.filters = (NormalFilter(), NormalFilter())
         self.rng = random.Random(seed)
@@ -339,14 +339,14 @@ class Controller:
         psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
         psi_true = 0.5 * (incline_angle(nl) + incline_angle(nr))
 
-        seg = sc.segment_at(t)
-        self.yaw_ref = wrap_angle(self.yaw_ref + seg.yaw_rate * self.dt)
-        tj = model.task_jacobians(kc, nl_hat, nr_hat)
         # the true-normal dynamics serve the first physics substep and,
         # with true normals, the controller
         cl = closed_loop_dynamics(model, kc, nl, nr, mu=sc.terrain.mu)
         cl_hat = (cl if nl_hat is nl
                   else closed_loop_dynamics(model, kc, nl_hat, nr_hat, mu=sc.terrain.mu))
+        seg = sc.segment_at(t)
+        self.yaw_ref = wrap_angle(self.yaw_ref + seg.yaw_rate * self.dt)
+        tj = model.task_jacobians(kc, cl_hat.p_cl, cl_hat.p_cr)
 
         # pd_accel wraps the yaw error across the +/-pi seam
         ref_L = np.array([0.0, seg.height, 0.0, 0.0, self.yaw_ref])
@@ -359,8 +359,7 @@ class Controller:
         bal_a = balance_accel(design.K, ref_com, tj.Lambda_com)
 
         stack = assemble_task_stack(pose_a, bal_a, tj)
-        constraints = dynamics_constraints(cl_hat, model.B, model.desc.torque_limit)
-        sol = self.solver.solve(stack, constraints)
+        sol = self.solver.solve(stack, cl_hat)
         s_ref = self.s_ref
         self.s_ref += seg.speed * self.dt
         self.cycles += 1

@@ -20,8 +20,9 @@ import numpy as np
 
 from wbcsim.dynamics import (
     FRICTION_V_REF,
+    SIDES,
+    UNIT_TOL,
     ClosedLoopDynamics,
-    ContactModel,
     _closed_loop_state,
     spanning_tree_dynamics,
 )
@@ -31,15 +32,12 @@ from wbcsim.model import (
     JOINT_PATH,
     NV_MIN,
     NV_TREE,
-    SIDES,
     SHANK_L,
     SHANK_R,
-    UNIT_TOL,
     WHEEL_L,
     WHEEL_POINTS,
     WHEEL_R,
     TaskJacobians,
-    ground_normals,
 )
 from wbcsim.rotations import cross3, cross_rows, euler_zyx, hat, rot_z
 
@@ -180,10 +178,10 @@ def per_wheel_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> Clos
         F_r[:, 2] @ a_r,
     ])
 
-    contact = ContactModel(n_l=np.asarray(n_l, float), n_r=np.asarray(n_r, float), C_F=C_F)
     return ClosedLoopDynamics(H_y=H_y, C_y=C_y, G=G.copy(), J_gc=J_gc,
                               J_xz=J_xz, J_y=J_y16 @ G, Jdot_xz_u=Jdot_xz_u, K=K,
-                              contact=contact, p_cl=p_cl, p_cr=p_cr)
+                              n=np.array([n_l, n_r], dtype=float), f=C_F[[0, 1], [1, 3]],
+                              p_cl=p_cl, p_cr=p_cr)
 
 
 def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLoopDynamics:
@@ -194,13 +192,19 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
     st = _closed_loop_state(model, kc)
     head = kc.R[BASE][:, 0]
     head_dot = cross3(kc.omega[BASE], head)
-    n = ground_normals(n_l, n_r)
+    n = np.array([n_l, n_r], dtype=float)
     r = model.desc.wheel_radius
     p = kc.points[WHEEL_POINTS] - r * n
 
     t = head - (n @ head)[:, None] * n
     nt = np.sqrt((t * t).sum(axis=1))
-    for side, ok in zip(SIDES, (nt >= 1e-8).tolist()):
+    unit = np.abs(np.sqrt((n * n).sum(axis=1)) - 1.0) <= UNIT_TOL
+    for side, is_unit, up, ok in zip(SIDES, unit.tolist(), (n[:, 2] > 0.0).tolist(),
+                                     (nt >= 1e-8).tolist()):
+        if not is_unit:
+            raise ValueError(f"{side} ground normal is not unit length")
+        if not up:
+            raise ValueError(f"{side} ground normal must point into the upper hemisphere")
         if not ok:
             raise ValueError(f"{side} ground normal is parallel to the heading")
     x = t / nt[:, None]
@@ -214,8 +218,6 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
     rows_y = rows @ G
 
     c = -mu * np.minimum(np.maximum(v[:, 1] / FRICTION_V_REF, -1.0), 1.0)
-    C_F = np.zeros((2, 4))
-    C_F[0, 1], C_F[1, 3] = c
     J_gc_rows = rows[:, ::2].copy()          # per wheel, rows x and z
     J_gc_rows[:, 1] += c[:, None] * rows[:, 1]
     J_gc = J_gc_rows.reshape(4, NV_TREE).T
@@ -227,10 +229,9 @@ def array_closed_loop_dynamics(model, kc, n_l, n_r, mu: float = 0.8) -> ClosedLo
 
     Jdot_xz_u = acc[:, ::2].copy()
     Jdot_xz_u[:, 0] += (y @ head_dot) / nt * v[:, 1]
-    contact = ContactModel(n_l=n[0], n_r=n[1], C_F=C_F)
     return ClosedLoopDynamics(H_y=st.H_y, C_y=st.C_y, G=G, J_gc=J_gc,
                               J_xz=J_xz, J_y=rows_y[:, 1], Jdot_xz_u=Jdot_xz_u.ravel(), K=K,
-                              contact=contact, p_cl=p[0], p_cr=p[1])
+                              n=n, f=c, p_cl=p[0], p_cr=p[1])
 
 
 def per_point_task_jacobians(model, kc, n_l, n_r) -> TaskJacobians:

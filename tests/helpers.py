@@ -1,6 +1,7 @@
 """Helpers that only the tests use: finite-difference state moves, rotations
 about +y, the SVD rotation projection and the matrix-form exponential map,
-coordinate and pose views of a state, ballistic accelerations, point-cloud
+coordinate and pose views of a state, the task pass at given normals,
+ballistic accelerations, point-cloud
 files, the normal estimator's oracles (eigenvalue entropy, a brute-force
 entropy scan over k and a fixed-k PCA normal), an equilibrium residual and
 an LQR solve counter."""
@@ -73,6 +74,13 @@ def extract_independent(q: SpanningTreeState) -> MinimalState:
         qj=q.qj[INDEP_JOINTS].copy(),
         vel=q.vel[[0, 1, 2, 3, 4, 5, 6, 10, 9, 11, 15, 14]].copy(),
     )
+
+
+def task_rows(model: RobotModel, kc, n_l: np.ndarray, n_r: np.ndarray):
+    """The task pass of the state in kc at the contact points of the given
+    normals, taken from their closed-loop dynamics as a control cycle does."""
+    cl = closed_loop_dynamics(model, kc, n_l, n_r)
+    return model.task_jacobians(kc, cl.p_cl, cl.p_cr)
 
 
 def loop_jacobian(model: RobotModel) -> np.ndarray:

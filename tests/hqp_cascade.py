@@ -3,7 +3,7 @@ test oracle of the run-path solver in ``wbcsim.hqp``.
 
 On a run-path problem the six task rows are padded with zeros over F_C and
 tau, and the contact KKT K (udot_y, F_C) = b + B tau becomes the equality
-rows [K, -B] x = b (:func:`solve_stack`).
+rows [K, -B] x = b (:func:`solve_stack`), b = -(C_y, Jdot_xz_u).
 
 Each priority level minimizes ||A_i x - b_i||^2 subject to the equality
 rows, the inequality rows, and achieved-value pins A_j x = A_j x_j* from
@@ -28,7 +28,7 @@ CYCLE_LIMIT = 200
 FEAS_TOL = 1e-8
 ACTIVE_TOL = 1e-10
 
-# the torque box of wbcsim.hqp.dynamics_constraints as rows A_ineq x <= b_ineq
+# the torque box of wbcsim.hqp.HierarchySolver as rows A_ineq x <= b_ineq
 TORQUE_BOX = np.zeros((12, NX))
 TORQUE_BOX[0::2, TAU_SLICE] = np.eye(6)
 TORQUE_BOX[1::2, TAU_SLICE] = -np.eye(6)
@@ -182,14 +182,15 @@ def solve_level(A: np.ndarray, b: np.ndarray,
     raise CycleLimitError(f"active set did not settle in {CYCLE_LIMIT} iterations")
 
 
-def solve_stack(stack, constraints) -> HqpSolution:
-    """The cascade on a ``TaskStack`` and a ``ConstraintSet``: one padded
-    level per task row, the equality rows [K, -B] and the torque box."""
+def solve_stack(stack, cl, B, torque_limit) -> HqpSolution:
+    """The cascade on a ``TaskStack`` and a ``ClosedLoopDynamics``: one padded
+    level per task row, the equality rows [K, -B] x = -(C_y, Jdot_xz_u) and
+    the torque box |tau| <= torque_limit."""
     A = np.hstack([stack.J, np.zeros((len(stack.b), NX - 12))])
     levels = [Level(A=A[i:i + 1], b=stack.b[i:i + 1]) for i in range(len(A))]
-    return solve_hierarchy(levels, np.hstack([constraints.K, -constraints.B]),
-                           constraints.b, TORQUE_BOX,
-                           np.full(12, constraints.torque_limit))
+    return solve_hierarchy(levels, np.hstack([cl.K, -B]),
+                           -np.concatenate([cl.C_y, cl.Jdot_xz_u]), TORQUE_BOX,
+                           np.full(12, torque_limit))
 
 
 def solve_hierarchy(levels, E, f, A_ineq=None, b_ineq=None) -> HqpSolution:

@@ -178,12 +178,8 @@ def test_closed_loop_dynamics_matches_per_wheel_oracle(robot):
             cl = closed_loop_dynamics(model, kc, n_l, n_r, mu=mu)
             expected = per_wheel_closed_loop_dynamics(model, model.kinematics(y), n_l, n_r, mu)
             for name in ("H_y", "C_y", "G", "J_gc", "J_xz", "J_y", "Jdot_xz_u", "K",
-                         "p_cl", "p_cr"):
+                         "n", "f", "p_cl", "p_cr"):
                 np.testing.assert_allclose(getattr(cl, name), getattr(expected, name),
-                                           rtol=0.0, atol=1e-12, err_msg=name)
-            for name in ("n_l", "n_r", "C_F"):
-                np.testing.assert_allclose(getattr(cl.contact, name),
-                                           getattr(expected.contact, name),
                                            rtol=0.0, atol=1e-12, err_msg=name)
 
 
@@ -208,14 +204,11 @@ def test_float_contact_pass_matches_array_form(robot):
         mu = rng.uniform(0.2, 1.0)
         got = closed_loop_dynamics(model, kc, *normals, mu=mu)
         want = array_closed_loop_dynamics(model, kc, *normals, mu=mu)
-        for name in ("J_gc", "J_xz", "J_y", "Jdot_xz_u", "K", "p_cl", "p_cr"):
+        for name in ("J_gc", "J_xz", "J_y", "Jdot_xz_u", "K", "n", "f", "p_cl", "p_cr"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                        rtol=0.0, atol=1e-12, err_msg=name)
-        for name in ("n_l", "n_r", "C_F"):
-            np.testing.assert_allclose(getattr(got.contact, name), getattr(want.contact, name),
-                                       rtol=0.0, atol=1e-12, err_msg=name)
         # clamp(v_y / FRICTION_V_REF, -1, 1) of each wheel, whole when saturated
-        clamps.update(np.trunc(got.contact.C_F[[0, 1], [1, 3]] / -mu).tolist())
+        clamps.update(np.trunc(got.f / -mu).tolist())
     assert clamps == {-1.0, 0.0, 1.0}
 
 
@@ -226,11 +219,13 @@ def test_float_contact_pass_matches_array_form(robot):
     ([1.0, 0.0, 1e-9], "is parallel to the heading"),   # the heading is +x
 ])
 def test_closed_loop_dynamics_rejects_bad_normal_naming_side(model, side, normal, problem):
+    """The run path and its array-form oracle reject the same normals."""
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     normals = [EZ, EZ]
     normals[side == "right"] = np.array(normal)
-    with pytest.raises(ValueError, match=f"^{side} ground normal {problem}$"):
-        closed_loop_dynamics(model, model.kinematics(y), *normals)
+    for build in (closed_loop_dynamics, array_closed_loop_dynamics):
+        with pytest.raises(ValueError, match=f"^{side} ground normal {problem}$"):
+            build(model, model.kinematics(y), *normals)
 
 
 def test_coriolis_skew_proxy(model, states):

@@ -2,6 +2,7 @@
 lexicographic oracle, and the run-path torque-space solver against the
 cascade over the padded six task rows."""
 
+import dataclasses
 from importlib.resources import files
 
 import numpy as np
@@ -10,8 +11,7 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 from wbcsim.dynamics import closed_loop_dynamics
-from wbcsim.hqp import (ConstraintSet, HierarchySolver, HqpError, _bounded_lex,
-                        _projector, dynamics_constraints)
+from wbcsim.hqp import HierarchySolver, HqpError, _bounded_lex, _projector, feasible_start
 from wbcsim.model import selection_matrix
 from wbcsim.scenario import load_scenario
 from wbcsim.simulator import run_scenario
@@ -181,21 +181,23 @@ def test_dynamics_constraint_layout(model):
     rng = np.random.default_rng(47)
     y = random_minimal_state(rng)
     cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    cs = dynamics_constraints(cl, model.B, 40.0)
-    assert cs.K is cl.K
-    assert cs.K.shape == (16, 16)
-    assert np.array_equal(cs.K[:12, :12], cl.H_y)
-    assert np.array_equal(cs.K[:12, 12:], -cl.G.T @ cl.J_gc)
-    assert np.array_equal(cs.K[12:, :12], cl.J_xz)
-    assert np.all(cs.K[12:, 12:] == 0.0)
-    assert np.array_equal(cs.b[:12], -cl.C_y)
-    assert np.array_equal(cs.b[12:], -cl.Jdot_xz_u)
-    assert cs.B.shape == (16, 6)
-    assert np.array_equal(cs.B[:12], cl.G.T @ selection_matrix().T)
-    assert np.all(cs.B[12:] == 0.0)
+    K, B = cl.K, model.B
+    assert K.shape == (16, 16)
+    assert np.array_equal(K[:12, :12], cl.H_y)
+    assert np.array_equal(K[:12, 12:], -cl.G.T @ cl.J_gc)
+    assert np.array_equal(K[12:, :12], cl.J_xz)
+    assert np.all(K[12:, 12:] == 0.0)
+    # the start meets K x0 = b, b = -(C_y, Jdot_xz_u), and K T = B
+    x0, T = feasible_start(cl, B)
+    assert np.allclose(K[:12] @ x0, -cl.C_y, rtol=0.0, atol=1e-9)
+    assert np.allclose(K[12:] @ x0, -cl.Jdot_xz_u, rtol=0.0, atol=1e-9)
+    assert np.allclose(K @ T, B, rtol=0.0, atol=1e-9)
+    assert B.shape == (16, 6)
+    assert np.array_equal(B[:12], cl.G.T @ selection_matrix().T)
+    assert np.all(B[12:] == 0.0)
     # the actuated joints are the independent joints, in the same order
-    assert np.all(cs.B[:6] == 0.0) and np.array_equal(cs.B[6:12], np.eye(6))
-    assert cs.torque_limit == 40.0
+    assert np.all(B[:6] == 0.0) and np.array_equal(B[6:12], np.eye(6))
+    assert HierarchySolver(B, 40).torque_limit == 40.0
 
 
 def test_full_solve_satisfies_eom_and_bounds(model):
@@ -203,14 +205,15 @@ def test_full_solve_satisfies_eom_and_bounds(model):
     rng = np.random.default_rng(48)
     for _ in range(5):
         y = random_minimal_state(rng)
-        cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-        cs = dynamics_constraints(cl, model.B, 40.0)
-        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
+        kc = model.kinematics(y)
+        cl = closed_loop_dynamics(model, kc, EZ, EZ)
+        b = -np.concatenate([cl.C_y, cl.Jdot_xz_u])
+        tj = model.task_jacobians(kc, cl.p_cl, cl.p_cr)
         stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
-        for solve in (HierarchySolver().solve, solve_stack):
-            sol = solve(stack, cs)
-            assert np.abs(cs.K @ sol.x[:16] - cs.B @ sol.tau_a - cs.b).max() < 1e-8
-            assert np.all(TORQUE_BOX @ sol.x <= cs.torque_limit + 1e-10)
+        for sol in (HierarchySolver(model.B, 40.0).solve(stack, cl),
+                    solve_stack(stack, cl, model.B, 40.0)):
+            assert np.abs(cl.K @ sol.x[:16] - model.B @ sol.tau_a - b).max() < 1e-8
+            assert np.all(TORQUE_BOX @ sol.x <= 40.0 + 1e-10)
             assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
             # EoM residual in closed-loop coordinates
             lhs = cl.H_y @ sol.udot_y + cl.C_y
@@ -231,13 +234,14 @@ def test_level_index_in_error(model):
 
 # -- run-path solver against the cascade --------------------------------------
 
-def _assert_matches_cascade(stack, cs):
+def _assert_matches_cascade(model, stack, cl):
     """Same residual profile and torques as the cascade; True when a torque
     bound is active in the cascade's solution.  The cascade is trusted only
     where its own torques stay inside the box."""
-    sol = HierarchySolver().solve(stack, cs)
-    ref = solve_stack(stack, cs)
-    assert np.all(np.abs(ref.tau_a) <= cs.torque_limit + 1e-7)
+    limit = model.desc.torque_limit
+    sol = HierarchySolver(model.B, limit).solve(stack, cl)
+    ref = solve_stack(stack, cl, model.B, limit)
+    assert np.all(np.abs(ref.tau_a) <= limit + 1e-7)
     assert np.allclose(sol.residuals, ref.residuals, rtol=1e-9, atol=1e-7)
     assert np.allclose(sol.tau_a, ref.tau_a, rtol=0.0, atol=1e-7)
     return any(ref.active_sets)
@@ -256,13 +260,13 @@ def test_torque_space_solver_matches_cascade_200_physical_problems(model):
     for _ in range(200):
         y = random_minimal_state(rng)
         n_l, n_r = tilted(), tilted()
-        cl = closed_loop_dynamics(model, model.kinematics(y), n_l, n_r)
-        cs = dynamics_constraints(cl, model.B, 40.0)
-        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
+        kc = model.kinematics(y)
+        cl = closed_loop_dynamics(model, kc, n_l, n_r)
+        tj = model.task_jacobians(kc, cl.p_cl, cl.p_cr)
         scale = 10.0 ** rng.uniform(0.0, 3.0)
         stack = assemble_task_stack(scale * rng.normal(size=5),
                                     scale * rng.normal(), tj)
-        saturated += _assert_matches_cascade(stack, cs)
+        saturated += _assert_matches_cascade(model, stack, cl)
     assert saturated >= 50
 
 
@@ -272,10 +276,10 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
     seen = []
     solve = HierarchySolver.solve
 
-    def recording(self, stack, cs):
-        sol = solve(self, stack, cs)
+    def recording(self, stack, cl):
+        sol = solve(self, stack, cl)
         if any(sol.active_sets):
-            seen.append((stack, cs))
+            seen.append((stack, cl))
         return sol
 
     monkeypatch.setattr(HierarchySolver, "solve", recording)
@@ -285,22 +289,22 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
     run_scenario(model, scenario, seed=5)
     monkeypatch.undo()
     assert len(seen) >= 5
-    for stack, cs in seen:
-        assert _assert_matches_cascade(stack, cs)
+    for stack, cl in seen:
+        assert _assert_matches_cascade(model, stack, cl)
 
 
 def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
     rng = np.random.default_rng(50)
     y = random_minimal_state(rng)
-    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
-    cs = dynamics_constraints(cl, model.B, 40.0)
+    kc = model.kinematics(y)
+    cl = closed_loop_dynamics(model, kc, EZ, EZ)
     stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
-                                model.task_jacobians(model.kinematics(y), EZ, EZ))
+                                model.task_jacobians(kc, cl.p_cl, cl.p_cr))
     for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):
-        bad = ConstraintSet(K=cs.K.copy(), b=cs.b, B=cs.B, torque_limit=40.0)
+        bad = dataclasses.replace(cl, K=cl.K.copy())
         bad.K[:, col] = value
         with pytest.raises(HqpError, match=match):
-            HierarchySolver().solve(stack, bad)
+            HierarchySolver(model.B, 40.0).solve(stack, bad)
 
 
 # -- run-path solver against a linear-programming oracle ---------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wbcsim.dynamics import spanning_tree_dynamics
+from wbcsim.dynamics import closed_loop_dynamics, spanning_tree_dynamics
 from wbcsim.model import (
     BODY_NAMES,
     INDEP_JOINTS,
@@ -21,7 +21,7 @@ from wbcsim.rotations import exp_so3, wrap_angle
 
 from conftest import random_minimal_state, random_normal, tilted_robot
 from helpers import (extract_independent, forward_kinematics, log_so3, loop_jacobian,
-                     perturbed)
+                     perturbed, task_rows)
 from closed_loop_oracle import euler_rates_from_omega, per_point_task_jacobians
 from kinematics_oracle import (CACHE_FIELDS, FIELDS, einsum_tree_dynamics,
                                path_sum_kinematics, per_joint_kinematics)
@@ -200,7 +200,8 @@ def test_batched_state_pass_matches_per_term_oracle(robot):
 
 def test_contact_point_flat(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
-    p_cl, p_cr = model.contact_points(model.kinematics(y), EZ, EZ)
+    cl = closed_loop_dynamics(model, model.kinematics(y), EZ, EZ)
+    p_cl, p_cr = cl.p_cl, cl.p_cr
     wl = forward_kinematics(model, y)["wheel_center_l"]
     assert np.allclose(p_cl, wl - 0.09 * EZ)
     assert p_cl[2] == pytest.approx(wl[2] - 0.09)
@@ -209,7 +210,7 @@ def test_contact_point_flat(model):
 def test_contact_point_slope_geometry(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     n = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    p_cl, _ = model.contact_points(model.kinematics(y), n, EZ)
+    p_cl = closed_loop_dynamics(model, model.kinematics(y), n, EZ).p_cl
     wl = forward_kinematics(model, y)["wheel_center_l"]
     assert np.allclose(wl - p_cl, 0.09 * n)
     assert np.linalg.norm(wl - p_cl) == pytest.approx(0.09, abs=1e-12)
@@ -218,16 +219,16 @@ def test_contact_point_slope_geometry(model):
 def test_contact_point_rejects_bad_normals(model):
     y = MinimalState(np.array([0.0, 0.0, 0.5]), np.eye(3), np.zeros(6))
     with pytest.raises(ValueError):
-        model.contact_points(model.kinematics(y), np.array([0.0, 0.0, 2.0]), EZ)
+        closed_loop_dynamics(model, model.kinematics(y), np.array([0.0, 0.0, 2.0]), EZ)
     with pytest.raises(ValueError):
-        model.contact_points(model.kinematics(y), EZ, np.array([0.0, 0.0, -1.0]))
+        closed_loop_dynamics(model, model.kinematics(y), EZ, np.array([0.0, 0.0, -1.0]))
 
 
 # -- task state -------------------------------------------------------------
 
 def task_pass(model, y, n_l, n_r):
     """The task pass of y at the contact points of the given normals."""
-    return model.task_jacobians(model.kinematics(y), n_l, n_r)
+    return task_rows(model, model.kinematics(y), n_l, n_r)
 
 
 def symmetric_stance(model, h=0.25, x=0.0):
@@ -242,14 +243,14 @@ def symmetric_stance(model, h=0.25, x=0.0):
 def test_task_state_symmetric(model):
     y = symmetric_stance(model, 0.25)
     kc = model.kinematics(y)
-    tj = model.task_jacobians(kc, EZ, EZ)
+    tj = task_rows(model, kc, EZ, EZ)
     phi, h, alpha, beta, gamma = tj.Lambda
     assert phi == pytest.approx(0.0, abs=1e-10)
     assert alpha == pytest.approx(0.0, abs=1e-12)
     assert beta == pytest.approx(0.0, abs=1e-12)
     # the wheels sit side by side: no offset along the heading
-    p_cl, p_cr = model.contact_points(kc, EZ, EZ)
-    assert (p_cl - p_cr) @ kc.heading_axis[0] == pytest.approx(0.0, abs=1e-10)
+    cl = closed_loop_dynamics(model, kc, EZ, EZ)
+    assert (cl.p_cl - cl.p_cr) @ kc.heading_axis[0] == pytest.approx(0.0, abs=1e-10)
     assert h == pytest.approx(0.25, abs=1e-9)
 
 
@@ -300,7 +301,7 @@ def task_values(model, y):
 
 def test_task_jacobian_height_row(model):
     y = symmetric_stance(model)
-    tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
+    tj = task_rows(model, model.kinematics(y), EZ, EZ)
     row = tj.J[0]
     assert row[2] == pytest.approx(1.0, abs=1e-9)   # base vertical velocity
     assert abs(row[0]) < 1e-9 and abs(row[1]) < 1e-9
@@ -317,7 +318,7 @@ def test_task_jacobians_match_finite_difference(model):
         fd = (vp - vm) / (2 * eps)
         for i in angular:
             fd[i] = wrap_angle(vp[i] - vm[i]) / (2 * eps)
-        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
+        tj = task_rows(model, model.kinematics(y), EZ, EZ)
         assert np.allclose(tj.J @ y.vel, fd, atol=1e-5)
 
 
@@ -331,15 +332,15 @@ def test_task_jacobian_bias_matches_second_difference(model):
         vm = task_values(model, perturbed(y, y.vel, -eps))
         # second difference along the flow (udot = 0): d2(task)/dt2 = Jdot u
         fd2 = (vp - 2 * v0 + vm) / eps**2
-        tj = model.task_jacobians(model.kinematics(y), EZ, EZ)
+        tj = task_rows(model, model.kinematics(y), EZ, EZ)
         assert np.allclose(tj.Jdot_u, fd2, atol=1e-4)
 
 
 def finite_difference_jdot_u(model, y, n_l, n_r, eps=1e-6):
     """Jdot*u_y by central differencing of the analytic task rows along the
     state flow (the method the library used before the analytic form)."""
-    Jp = model.task_jacobians(model.kinematics(perturbed(y, y.vel, eps)), n_l, n_r).J
-    Jm = model.task_jacobians(model.kinematics(perturbed(y, y.vel, -eps)), n_l, n_r).J
+    Jp = task_rows(model, model.kinematics(perturbed(y, y.vel, eps)), n_l, n_r).J
+    Jm = task_rows(model, model.kinematics(perturbed(y, y.vel, -eps)), n_l, n_r).J
     return ((Jp - Jm) / (2.0 * eps)) @ y.vel
 
 
@@ -354,7 +355,7 @@ def test_task_jacobian_bias_matches_finite_difference_oracle(model, normals):
         n_r = np.array([0.1, -0.2, 1.0]) / np.linalg.norm([0.1, -0.2, 1.0])
     for _ in range(20):
         y = random_minimal_state(rng)
-        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
+        tj = task_rows(model, model.kinematics(y), n_l, n_r)
         fd = finite_difference_jdot_u(model, y, n_l, n_r)
         assert np.allclose(tj.Jdot_u, fd, rtol=0.0, atol=1e-7)
 
@@ -368,7 +369,7 @@ def test_task_jacobians_match_per_point_oracle(robot):
     for _ in range(50):
         y = random_minimal_state(rng)
         n_l, n_r = random_normal(rng), random_normal(rng)
-        tj = model.task_jacobians(model.kinematics(y), n_l, n_r)
+        tj = task_rows(model, model.kinematics(y), n_l, n_r)
         expected = per_point_task_jacobians(model, model.kinematics(y), n_l, n_r)
         for name in ("J", "Jdot_u", "Lambda", "Lambda_dot", "Lambda_com", "r_z"):
             np.testing.assert_allclose(getattr(tj, name), getattr(expected, name),
@@ -386,7 +387,7 @@ def test_euler_rows_match_inverted_rate_map(model):
         y.rot = (exp_so3([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
                  @ exp_so3([0.0, rng.uniform(-1.4, 1.4), 0.0])
                  @ exp_so3([rng.uniform(-1.4, 1.4), 0.0, 0.0]))
-        tj = model.task_jacobians(model.kinematics(y), up, up)
+        tj = task_rows(model, model.kinematics(y), up, up)
         np.testing.assert_allclose(tj.J[[3, 1, 5], 3:6],
                                    euler_rates_from_omega(y.rot), rtol=0.0, atol=1e-12)
 
