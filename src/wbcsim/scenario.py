@@ -151,7 +151,13 @@ class Scenario:
 
         def disturbance(key, v):
             d = _section(Disturbance, key, v, direction=vector(3))
-            if d.kind == "push" and not np.linalg.norm(d.direction) > 0.0:
+            with np.errstate(over="ignore"):   # an overflowing length is rejected below
+                length = np.linalg.norm(d.direction) if d.direction is not None else 1.0
+            # a run divides a nonzero direction by this length (a block's zero one is the default)
+            if np.any(d.direction) and not 0.0 < length < math.inf:
+                raise ScenarioError(f"'{key}.direction' must have a length in floating-point "
+                                    f"range, got {v['direction']!r}")
+            if d.kind == "push" and not length > 0.0:
                 raise ScenarioError(f"'{key}.direction' of a push must not be zero")
             if d.kind == "push" and not d.duration > 0.0:
                 raise ScenarioError(f"'{key}.duration' of a push must be > 0")
@@ -182,9 +188,13 @@ _CHOICES = {"kind": ("push", "block_impact"),
             "estimation_mode": ("true_normal", "estimated_normal", "horizontal_normal")}
 # largest |value| (m) of the start position, the lookahead and the sensor's
 # radius and noise, whose points the normal map's integer cell keys must
-# hold, and of the ground and lane heights and the reference height, at
-# which the leg geometry still has precision left
+# hold, and of the ground and lane heights, the slope and lane starts and
+# the reference height, at which the leg geometry still has precision left
 POSITION_LIMIT = 1e6
+# largest friction coefficient, far above any physical one (rubber on dry
+# concrete is about 1): mu = 1e300 overflowed the contact rows.  It is no
+# stability limit: the regularized friction is stiff at moderate mu already
+MU_LIMIT = 10.0
 # largest |value| of a key, with its unit.  Far past them, a reference speed,
 # a push or a block failed the run's first cycle (task rows not finite, a math
 # domain error, a NaN velocity), and balance weights (lqr_q, lqr_r) out of
@@ -196,7 +206,8 @@ POSITION_LIMIT = 1e6
 GAIN_LIMIT = 1e6
 WEIGHT_FLOOR = 0.01
 _LIMITS = {**dict.fromkeys(("start_xy", "lookahead", "radius", "noise", "z0", "knots_h",
-                            "height"), (POSITION_LIMIT, " m")),
+                            "height", "start"), (POSITION_LIMIT, " m")),
+           "mu": (MU_LIMIT, ""),
            "speed": (1e3, " m/s"), "yaw_rate": (1e3, " rad/s"), "f_max": (1e4, " N"),
            "mass": (100.0, " kg"), "drop_height": (100.0, " m"),
            **dict.fromkeys(("kp", "lqr_q", "lqr_r"), (GAIN_LIMIT, ""))}

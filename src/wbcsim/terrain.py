@@ -29,7 +29,7 @@ class Terrain:
 
     def __init__(self, mu: float = 0.8):
         if mu < 0.0:
-            raise ValueError("friction coefficient must be non-negative")
+            raise ValueError("friction coefficient 'mu' must be non-negative")
         self.mu = float(mu)
 
     def normal(self, x: float, y: float) -> np.ndarray:

@@ -2,13 +2,17 @@
 
 import ast
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 from importlib.resources import files
@@ -16,7 +20,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wbcsim import cli
 from wbcsim.cli import bench_normals, main
@@ -434,6 +438,15 @@ BAD_PARAMS = [
     ("lqr_q=[1, 1, 1, 1.0e-9]", "lqr_q[3]"),
     ("lqr_r=1.0e-300", "lqr_r"),
     ("lqr_r=1.0e+300", "lqr_r"),
+    # a friction coefficient that overflowed the contact rows, a slope start
+    # that put the ground at 1e300 m, and directions whose length overflowed
+    # (the push became zero) or underflowed (the block's velocity NaN)
+    ("terrain={kind: flat, mu: 1.0e+300}", "terrain.mu"),
+    ("terrain={kind: slope, angle_deg: 10, start: -1.0e+300}", "terrain.start"),
+    ("disturbances=[{kind: push, t_start: 0, duration: 0.1, f_max: 8, "
+     "direction: [1.0e+300, 1, 0]}]", "disturbances[0].direction"),
+    ("disturbances=[{kind: block_impact, t_start: 0, mass: 1, "
+     "direction: [1.0e-200, 1.0e-200, 0]}]", "disturbances[0].direction"),
 ]
 
 # runs at the edges of those bounds
@@ -449,6 +462,14 @@ EDGE_PARAMS = [
     ["lqr_q=[1.0e+6, 1.0e+6, 1.0e+6, 1.0e+6]", "lqr_r=0.01"],
     ["lqr_q=[0.01, 1.0e+6, 1.0e+6, 0.01]", "lqr_r=0.01"],
     ["lqr_q=[0.01, 0.01, 0.01, 0.01]", "lqr_r=1.0e+6"],
+    ["terrain={kind: flat, mu: 10}"],
+    # the ground at about 5.7e9 m under the start pose
+    ["terrain={kind: slope, angle_deg: 89.99, start: -1.0e+6}"],
+    ["terrain={kind: slope, angle_deg: 89.99, start: -1.0e+6}", "estimation_mode=estimated_normal"],
+    ["disturbances=[{kind: push, t_start: 0, duration: 0.01, f_max: 8, "
+     "direction: [1.0e+150, 1, 0]}]"],
+    ["disturbances=[{kind: block_impact, t_start: 0, mass: 1, drop_height: 0.5, "
+     "direction: [1.0e-150, 1.0e-150, 0]}]"],
 ]
 
 
@@ -477,8 +498,9 @@ def test_yaml_loader_agrees_with_pure_python_twin():
 
 @pytest.mark.parametrize("params", EDGE_PARAMS, ids=" ".join)
 def test_run_at_the_edge_of_a_bound_completes_its_first_cycles(flat_scn, tmp_path, params):
-    """A run at a bound of a reference, push, block, gain or weight runs its
-    first cycles without a solver failure (a block this heavy may topple it)."""
+    """A run at a bound of a reference, push, block, gain, weight, friction
+    coefficient, slope start or direction length runs its first cycles
+    without a solver failure (a block this heavy may topple it)."""
     out = tmp_path / "o"
     args = ["--scenario", flat_scn, "--out", str(out), "--param", "duration=0.01"]
     rc = main(args + [a for p in params for a in ("--param", p)])
@@ -526,6 +548,102 @@ def test_random_overrides_give_scenario_or_scenario_error(slope_path, params):
         assert isinstance(load_scenario(slope_path, params), Scenario)
     except ScenarioError:
         pass
+
+
+# -- every override either exits 2 naming its key, or runs ---------------------
+
+def _flow(fields: dict, name: str) -> str:
+    """The YAML flow mapping of fields with the value of `name` drawn ('@')."""
+    return "{" + ", ".join(f"{k}: {'@' if k == name else v}" for k, v in fields.items()) + "}"
+
+
+def _entry(values: list, i: int) -> str:
+    """The YAML flow list of values with entry i drawn ('@')."""
+    return "[" + ", ".join("@" if j == i else v for j, v in enumerate(values)) + "]"
+
+
+LIDAR = "estimation_mode=estimated_normal"
+SLOPE = {"kind": "slope", "angle_deg": "10", "start": "0.3", "blend": "0.3", "mu": "0.8"}
+LANE = {"height": "0.05", "start": "0.1", "ramp": "0.3"}
+REFERENCE = {"t_start": "0", "speed": "0.5", "yaw_rate": "0.5", "height": "0.25"}
+PUSH = {"kind": "push", "t_start": "0", "duration": "0.01", "f_max": "8", "direction": "[1, 0, 0]"}
+BLOCK = {"kind": "block_impact", "t_start": "0", "mass": "1", "drop_height": "0.5",
+         "direction": "[0, 0, -1]"}
+# (overrides with one value drawn ('@'), the text the error line must hold):
+# every scalar key of every section and every entry of a list of numbers.  A
+# terrain class's own check names the key without its path (angle_deg,
+# blend, ramp, mu, the knots)
+OVERRIDE_CASES = [
+    *(([f"{k}=@"], k) for k in ("name", "duration", "control_rate", "sim_rate",
+                                "estimation_mode", "start_yaw", "lqr_r")),
+    (["lookahead=@", LIDAR], "lookahead"),
+    *(([f"{k}={_entry(base, i)}"], f"{k}[{i}]")
+      for k, base in (("start_xy", ["0", "0"]), ("kp", ["100"] * 5), ("lqr_q", ["1"] * 4))
+      for i in range(len(base))),
+    (["terrain={kind: flat, z0: @}"], "terrain.z0"),
+    (["terrain={kind: flat, mu: @}"], "mu"),
+    *(([f"terrain={_flow(SLOPE, k)}", LIDAR], k) for k in SLOPE),
+    *(([f"terrain={{kind: asymmetric_support, {side}: {_flow(LANE, k)}}}"], k)
+      for side in ("left", "right") for k in LANE),
+    *(([f"terrain={{kind: composite, knots_x: {_entry(['0', '0.5', '1'], i)}, "
+        "knots_h: [0, 0.05, 0.05]}"], "knots") for i in range(3)),
+    *(([f"terrain={{kind: composite, knots_x: [0, 0.5, 1], "
+        f"knots_h: {_entry(['0', '0.05', '0.05'], i)}}}"], "knots") for i in range(3)),
+    *(([f"reference=[{_flow(REFERENCE, k)}]"], f"reference[0].{k}") for k in REFERENCE),
+    *(([f"disturbances=[{_flow(fields, k)}]"], f"disturbances[0].{k}")
+      for fields in (PUSH, BLOCK) for k in fields),
+    *(([f"disturbances=[{_flow({**fields, 'direction': _entry(['0'] * 3, i)}, '')}]"],
+       "disturbances[0].direction") for fields in (PUSH, BLOCK) for i in range(3)),
+    *(([f"sensor.{k}=@", LIDAR], f"sensor.{k}") for k in ("radius", "points", "noise",
+                                                           "rate_hz")),
+]
+EDGE_VALUES = ["0", "1.0e-300", "-1.0e-300", "1.0e+200", "-1.0e+200", "1.0e+300",
+               "-1.0e+300", ".nan", ".inf", "-.inf", str(10**30), "abc", "true", "[1, 2]"]
+
+
+def check_override(scn: str, params: list, key: str) -> None:
+    """A 0.01 s CLI run with the overrides params either exits 2 with an
+    error line that holds key, or logs a cycle and does not fail at t = 0;
+    neither prints a traceback or raises a warning."""
+    args = ["--scenario", scn, "--param", "duration=0.01"]
+    args += [a for p in params for a in ("--param", p)]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        out = Path(tmp) / "o"
+        rc = main(args + ["--out", str(out)])
+        if rc != 2:
+            cycles = len((out / "log.csv").read_text().splitlines()) - 1
+            failure = json.loads((out / "metrics.json").read_text())["failure"]
+    err = err.getvalue()
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert not [str(w.message) for w in caught]
+    if rc == 2:
+        assert any(line.startswith("error:") and key in line for line in err.splitlines()), err
+    else:
+        assert rc in (0, 1) and cycles >= 1 and not failure.startswith("t=0.000"), failure
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.sampled_from(OVERRIDE_CASES), value=st.sampled_from(EDGE_VALUES))
+@example(case=(["terrain={kind: flat, mu: @}"], "mu"), value="1.0e+300")
+@example(case=(["terrain={kind: slope, angle_deg: 10, start: @}", LIDAR], "terrain.start"),
+         value="-1.0e+300")
+@example(case=([f"disturbances=[{_flow(PUSH, 'direction')}]"], "disturbances[0].direction"),
+         value="[1.0e+300, 1, 0]")
+@example(case=([f"disturbances=[{_flow(BLOCK, 'direction')}]"], "disturbances[0].direction"),
+         value="[1.0e-200, 1.0e-200, 0]")
+def test_every_override_exits_2_naming_its_key_or_runs(case, value):
+    """Each scalar key of each section, at edge values and of wrong types,
+    either exits 2 naming the key or runs its first cycles (ROADMAP item
+    12).  The examples are the inputs that reached the run unbounded: a
+    friction coefficient that overflowed the contact rows, a slope start
+    that put the ground at 1e300 m, and push and block directions whose
+    length overflowed or underflowed."""
+    params, key = case
+    scn = files("wbcsim").joinpath("data/scenarios/disturbance.scn")
+    check_override(str(scn), [p.replace("@", value) for p in params], key)
 
 
 def test_failed_lqr_design_is_a_solver_failure(flat_scn, tmp_path, capsys, monkeypatch):
