@@ -12,6 +12,14 @@ repository root::
 
 With names, only those configurations are rerun and the others keep their
 stored data.
+
+A change that keeps the arithmetic compares full-length runs as well: ::
+
+    PYTHONPATH=src python tests/reference_runs.py --artifacts DIR
+
+writes the CLI artifacts (``log.csv``, ``metrics.*``, ``psi_trace.csv``) of
+the eleven runs in ``FULL_RUNS`` into one subdirectory of DIR per run.  Run
+it in two checkouts, then ``diff -r DIR_A DIR_B`` shows every difference.
 """
 
 import json
@@ -21,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wbcsim.cli import main as cli_main
 from wbcsim.model import RobotModel
 from wbcsim.scenario import load_scenario
 from wbcsim.simulator import run_scenario
@@ -42,6 +51,21 @@ CONFIGS = {
     "slope_saturate": ("slope_impact", 1, {"estimation_mode": "horizontal_normal"}),
 }
 
+# name: (bundled scenario, seed, overrides) of the full-length runs that
+# --artifacts writes: the bundled scenarios at seed 3 with their own normals,
+# three of them with estimated normals and slope_impact with horizontal ones,
+# and the benchmark workloads at seed 1 with their benchmark durations
+FULL_RUNS = {
+    **{name: CONFIGS[name] for name in ("disturbance", "asymmetric", "slope_impact",
+                                        "slope_uturn")},
+    **{f"{name}_estimated": (name, 3, {"estimation_mode": "estimated_normal"})
+       for name in ("asymmetric", "disturbance", "slope_impact")},
+    "slope_impact_horizontal": ("slope_impact", 3, {"estimation_mode": "horizontal_normal"}),
+    **{name: (*CONFIGS[name][:2], {**CONFIGS[name][2], "duration": duration})
+       for name, duration in (("flat_push", 0.2), ("slope_lidar", 0.4),
+                              ("slope_saturate", 1.2))},
+}
+
 
 def run(name: str, model: RobotModel | None = None) -> tuple[np.ndarray, str]:
     """The log array and the metrics, as sorted JSON, of one configuration's window."""
@@ -59,7 +83,24 @@ def load() -> dict[str, tuple[np.ndarray, str]]:
                 for name in CONFIGS}
 
 
+def write_artifacts(out: Path) -> int:
+    """The CLI artifacts of every FULL_RUNS entry, each in out/<name>."""
+    for name, (scenario_name, seed, params) in FULL_RUNS.items():
+        path = files("wbcsim").joinpath(f"data/scenarios/{scenario_name}.scn")
+        args = ["--scenario", str(path), "--out", str(out / name), "--seed", str(seed)]
+        for key, value in params.items():
+            args += ["--param", f"{key}={json.dumps(value)}"]
+        if cli_main(args) == 2:          # 0 for a run that stands, 1 for a fall
+            return 2
+    return 0
+
+
 def main(names: list[str]) -> int:
+    if names[:1] == ["--artifacts"]:
+        if len(names) != 2:
+            print("usage: reference_runs.py --artifacts DIR", file=sys.stderr)
+            return 2
+        return write_artifacts(Path(names[1]))
     unknown = sorted(set(names) - set(CONFIGS))
     if unknown:
         print(f"unknown configuration(s): {', '.join(unknown)}; "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wbcsim.cli import main
+from wbcsim.scenario import parse_param
 from wbcsim.simulator import LOG_COLUMNS
 
 import reference_runs
@@ -64,3 +65,20 @@ def test_artifacts_match_their_documented_contract(tmp_path):
     assert list(metrics) == sorted(documented.group(1).split(", "))
     header = (tmp_path / "o" / "log.csv").read_text().splitlines()[0]
     assert tuple(header.split(",")) == LOG_COLUMNS
+
+
+def test_full_runs_reach_the_cli_as_configured(tmp_path, monkeypatch):
+    """``reference_runs.py --artifacts DIR`` runs the CLI once per FULL_RUNS
+    entry, into DIR/<name>, with the entry's scenario, seed and overrides
+    as the CLI reads them back."""
+    calls = []
+    monkeypatch.setattr(reference_runs, "cli_main", lambda args: calls.append(args) or 0)
+    assert reference_runs.main(["--artifacts", str(tmp_path)]) == 0
+    assert len(calls) == len(reference_runs.FULL_RUNS) == 11
+    for args, (name, (scenario, seed, params)) in zip(calls, reference_runs.FULL_RUNS.items()):
+        option = {a: b for a, b in zip(args, args[1:]) if a in ("--scenario", "--out", "--seed")}
+        assert option["--scenario"].endswith(f"{scenario}.scn")
+        assert option["--out"] == str(tmp_path / name)
+        assert option["--seed"] == str(seed)
+        overrides = [b for a, b in zip(args, args[1:]) if a == "--param"]
+        assert dict(parse_param(p) for p in overrides) == params
