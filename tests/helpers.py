@@ -1,10 +1,9 @@
 """Helpers that only the tests use: finite-difference state moves, rotations
 about +y, the SVD rotation projection and the matrix-form exponential map,
 coordinate and pose views of a state, the task pass at given normals,
-ballistic accelerations, point-cloud
-files, the normal estimator's oracles (eigenvalue entropy, a brute-force
-entropy scan over k and a fixed-k PCA normal), an equilibrium residual and
-an LQR solve counter."""
+ballistic accelerations, point-cloud files, the normal estimator's oracles
+(eigenvalue entropy, a brute-force entropy scan over k and a fixed-k PCA
+normal), an equilibrium residual and an LQR solve counter."""
 
 from __future__ import annotations
 

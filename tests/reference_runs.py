@@ -83,7 +83,7 @@ def load() -> dict[str, tuple[np.ndarray, str]]:
                 for name in CONFIGS}
 
 
-def write_artifacts(out: Path) -> int:
+def write_full_runs(out: Path) -> int:
     """The CLI artifacts of every FULL_RUNS entry, each in out/<name>."""
     for name, (scenario_name, seed, params) in FULL_RUNS.items():
         path = files("wbcsim").joinpath(f"data/scenarios/{scenario_name}.scn")
@@ -100,7 +100,7 @@ def main(names: list[str]) -> int:
         if len(names) != 2:
             print("usage: reference_runs.py --artifacts DIR", file=sys.stderr)
             return 2
-        return write_artifacts(Path(names[1]))
+        return write_full_runs(Path(names[1]))
     unknown = sorted(set(names) - set(CONFIGS))
     if unknown:
         print(f"unknown configuration(s): {', '.join(unknown)}; "
