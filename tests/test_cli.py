@@ -636,8 +636,8 @@ def check_override(scn: str, params: list, key: str) -> None:
          value="[1.0e-200, 1.0e-200, 0]")
 def test_every_override_exits_2_naming_its_key_or_runs(case, value):
     """Each scalar key of each section, at edge values and of wrong types,
-    either exits 2 naming the key or runs its first cycles (ROADMAP item
-    12).  The examples are the inputs that reached the run unbounded: a
+    either exits 2 naming the key or runs its first cycles.  The examples
+    are the inputs that reached the run unbounded: a
     friction coefficient that overflowed the contact rows, a slope start
     that put the ground at 1e300 m, and push and block directions whose
     length overflowed or underflowed."""
