@@ -4,14 +4,17 @@ The dynamics and rolling constraints are hard equalities that fix the 12
 accelerations and 4 contact forces once the 6 torques are known, so the six
 priority levels are solved lexicographically over the torques, within their
 limits; each level's achieved value is kept while the next is optimized.
-The cycle is the one a scenario run executes (`Controller.cycle`).
+The cycle is the one a scenario run executes (`Controller.cycle`): it
+takes the state's contact record at the true ground normals
+(`contact_dynamics`), the one the physics step integrates, and here controls
+with those normals too.
 """
 
 import numpy as np
 
 from wbcsim.model import TASK_NAMES, RobotModel
 from wbcsim.scenario import Scenario
-from wbcsim.simulator import Controller, initial_state
+from wbcsim.simulator import Controller, contact_dynamics, initial_state
 from wbcsim.terrain import FlatTerrain
 
 
@@ -23,7 +26,9 @@ def main():
     # the scenario's default reference: the pose task wants height 0.25 and
     # level attitude; the balance task wants the CoM over the contact line at
     # zero forward speed
-    sol = Controller(model, scenario).cycle(model.kinematics(y), 0.0).sol
+    kc = model.kinematics(y)
+    cl = contact_dynamics(model, kc, scenario.terrain)
+    sol = Controller(model, scenario).cycle(kc, cl, 0.0).sol
 
     print("priority levels (residual after solve, active torque bounds):")
     for name, r, act in zip(TASK_NAMES, sol.residuals, sol.active_sets):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ClosedLoopDynamics
-from .task_control import TaskStack
 
 CYCLE_LIMIT = 200            # active-set iterations per level
 DEP_TOL = 1e-20              # squared norm ratio below which a row is dependent
@@ -120,12 +119,12 @@ class HierarchySolver:
     def __init__(self, B: np.ndarray, torque_limit: float):
         self.B, self.torque_limit = B, float(torque_limit)
 
-    def solve(self, stack: TaskStack, cl: ClosedLoopDynamics) -> HqpSolution:
+    def solve(self, J: np.ndarray, b: np.ndarray, cl: ClosedLoopDynamics) -> HqpSolution:
         x0, T = feasible_start(cl, self.B)
-        M = stack.J @ T[:12]
-        r = stack.b - stack.J @ x0[:12]
+        M = J @ T[:12]
+        r = b - J @ x0[:12]
         tau, tight = _bounded_lex(M, r, self.torque_limit)
         x = np.concatenate([x0 + T @ tau, tau])
-        residuals = np.abs(stack.J @ x[:12] - stack.b)
+        residuals = np.abs(J @ x[:12] - b)
         return HqpSolution(x=x, tau_a=tau, F_C=x[12:16].copy(), udot_y=x[:12].copy(),
                            residuals=residuals, active_sets=tight)

@@ -29,12 +29,12 @@ from .model import EZ, KinematicsCache, MinimalState, OutOfReachError, RobotMode
 from .rotations import exp_so3, project_to_so3, rot_z, wrap_angle
 from .scenario import Disturbance, Scenario, ScenarioError, SensorConfig
 from .task_control import (
+    DEFAULT_KP,
     DEFAULT_Q,
     CareError,
     GainScheduler,
     assemble_task_stack,
     balance_accel,
-    default_gains,
     pd_accel,
 )
 from .terrain import Terrain
@@ -121,23 +121,22 @@ def write_csv(path: str, columns, log: np.ndarray) -> None:
 
 # -- forward dynamics -------------------------------------------------------
 
-def true_normals(kc: KinematicsCache, terrain: Terrain):
-    """Terrain normals under the left and right wheel centers of kc."""
+def contact_dynamics(model: RobotModel, kc: KinematicsCache,
+                     terrain: Terrain) -> ClosedLoopDynamics:
+    """kc's closed-loop dynamics at the terrain normals under its wheel centers."""
     (xl, yl, _), (xr, yr, _) = (w.tolist() for w in kc.wheel_centers())
-    return terrain.normal(xl, yl), terrain.normal(xr, yr)
+    return closed_loop_dynamics(model, kc, terrain.normal(xl, yl), terrain.normal(xr, yr),
+                                mu=terrain.mu)
 
 
-def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
-                     terrain: Terrain, ext_wrench: np.ndarray | None = None,
-                     cl: ClosedLoopDynamics | None = None):
+def forward_dynamics(model: RobotModel, y: MinimalState, cl: ClosedLoopDynamics,
+                     tau_a: np.ndarray, terrain: Terrain,
+                     ext_wrench: np.ndarray | None = None):
     """Accelerations and contact forces from the constrained EoM KKT solve.
 
-    ext_wrench is a world-frame (force, moment) pair acting on the base;
-    cl, when given, is the closed-loop dynamics of y at the true normals.
+    cl is contact_dynamics at y; ext_wrench is a world-frame (force, moment)
+    pair acting on the base.
     """
-    if cl is None:
-        kc = model.kinematics(y)
-        cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
     rhs_top = model.B[:12] @ np.asarray(tau_a, float) - cl.C_y
     if ext_wrench is not None:
         rhs_top = rhs_top + np.concatenate([ext_wrench, np.zeros(6)])
@@ -154,20 +153,16 @@ def forward_dynamics(model: RobotModel, y: MinimalState, tau_a: np.ndarray,
         sol = np.linalg.solve(cl.K, np.concatenate([rhs_top, -drift]))
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"singular contact KKT system: {exc}") from exc
-    return sol[:12], sol[12:16], cl
+    return sol[:12], sol[12:16]
 
 
-def step(model: RobotModel, state: SimState, tau_a: np.ndarray, dt: float,
-         terrain: Terrain, ext_wrench: np.ndarray | None = None,
-         cl: ClosedLoopDynamics | None = None) -> SimState:
-    """Semi-implicit Euler step; rotation integrated via the exponential map.
-
-    cl, when given, is the closed-loop dynamics of state.y at the true normals.
-    """
+def step(model: RobotModel, state: SimState, cl: ClosedLoopDynamics, tau_a: np.ndarray,
+         dt: float, terrain: Terrain, ext_wrench: np.ndarray | None = None) -> SimState:
+    """Semi-implicit Euler step from state, cl its contact_dynamics; exp-map rotation."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     y = state.y
-    udot, F_C, cl = forward_dynamics(model, y, tau_a, terrain, ext_wrench, cl)
+    udot, F_C = forward_dynamics(model, y, cl, tau_a, terrain, ext_wrench)
     u_new = y.vel + dt * udot
     if not np.isfinite(u_new).all():
         raise SimulationError(f"NaN/Inf velocity at t = {state.t:.4f}")
@@ -206,7 +201,7 @@ def apply_block_impact(model: RobotModel, state: SimState, terrain: Terrain,
     imp = J_mag * direction
 
     kc = model.kinematics(state.y)
-    cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
+    cl = contact_dynamics(model, kc, terrain)
     rhs = np.concatenate([imp, np.zeros(9), -cl.J_xz @ state.y.vel])
     du = np.linalg.solve(cl.K, rhs)[:12]
 
@@ -234,13 +229,14 @@ def initial_state(model: RobotModel, terrain: Terrain,
                    for hx, hy in hips_xy]
         pos[2] = 0.5 * (terrain.height(*hips_xy[0]) + terrain.height(*hips_xy[1])) + height
         hips = pos + desc.hip_origins @ R.T
-        (q_hl, q_kl), (q_hr, q_kr) = (leg_ik(desc, R.T @ (tg - hip))
-                                      for tg, hip in zip(targets, hips))
+        offsets = [R.T @ (tg - hip) for tg, hip in zip(targets, hips)]
+        if max(o[2] for o in offsets) >= 0.0:
+            raise OutOfReachError("wheel target at or above its hip")
+        (q_hl, q_kl), (q_hr, q_kr) = (leg_ik(desc, o) for o in offsets)
     y = MinimalState(pos=pos, rot=R, qj=np.array([q_hl, q_kl, 0.0, q_hr, q_kr, 0.0]),
                      vel=np.zeros(12))
     u0 = np.concatenate([speed * R[:, 0], np.zeros(9)])
-    kc = model.kinematics(y)
-    cl = closed_loop_dynamics(model, kc, *true_normals(kc, terrain), mu=terrain.mu)
+    cl = contact_dynamics(model, model.kinematics(y), terrain)
     # seed the wheel spin consistent with rolling at the requested speed
     # (otherwise the min-norm correction below prefers stopping the base
     # over spinning the wheels); pick the spin sign that best satisfies
@@ -294,7 +290,6 @@ def synth_pointcloud(terrain: Terrain, center_xy, cfg: SensorConfig,
 @dataclass
 class CycleResult:
     """What one control cycle computed."""
-    cl: ClosedLoopDynamics       # at the true normals; the first substep reuses it
     Lambda: np.ndarray           # (phi, h, alpha, beta, gamma)
     Lambda_com: np.ndarray       # (r, rdot, s, sdot)
     psi_hat: float               # mean incline of the controller's normals, deg
@@ -312,7 +307,8 @@ class Controller:
         self.model, self.scenario = model, scenario
         dt_sim, n_sub, _, self.lidar_every = scenario.timing()
         self.dt = n_sub * dt_sim
-        self.gains = default_gains() if scenario.kp is None else default_gains(scenario.kp)
+        self.kp = DEFAULT_KP if scenario.kp is None else scenario.kp
+        self.kd = np.sqrt(self.kp)
         self.sched = GainScheduler(DEFAULT_Q if scenario.lqr_q is None
                                    else np.diag(scenario.lqr_q), scenario.lqr_r)
         self.solver = HierarchySolver(model.B, model.desc.torque_limit)
@@ -323,34 +319,29 @@ class Controller:
         self.yaw_ref = scenario.start_yaw
         self.cycles = 0
 
-    def cycle(self, kc: KinematicsCache, t: float) -> CycleResult:
-        """Estimate the ground normals at kc's state, run the tasks for time t, solve the HQP."""
+    def cycle(self, kc: KinematicsCache, cl: ClosedLoopDynamics, t: float) -> CycleResult:
+        """Estimate the ground normals at kc's state, run the tasks for time t,
+        solve the HQP; cl is the state's contact_dynamics, at the true normals."""
         model, sc = self.model, self.scenario
-        nl, nr = true_normals(kc, sc.terrain)
         if sc.estimation_mode == "true_normal":
-            nl_hat, nr_hat = nl, nr
+            cl_hat = cl
         elif sc.estimation_mode == "horizontal_normal":
-            nl_hat, nr_hat = EZ.copy(), EZ.copy()
+            cl_hat = closed_loop_dynamics(model, kc, EZ, EZ, mu=sc.terrain.mu)
         else:
             if self.cycles % self.lidar_every == 0:
                 self.nmap.update(synth_pointcloud(sc.terrain, kc.y.pos[:2], sc.sensor, self.rng))
-            nl_hat, nr_hat = (query_normal(self.nmap, w[:2], kc.y.rot[:, 0], sc.lookahead, f)
-                              for w, f in zip(kc.wheel_centers(), self.filters))
-        psi_hat = 0.5 * (incline_angle(nl_hat) + incline_angle(nr_hat))
-        psi_true = 0.5 * (incline_angle(nl) + incline_angle(nr))
-
-        # the true-normal dynamics serve the first physics substep and,
-        # with true normals, the controller
-        cl = closed_loop_dynamics(model, kc, nl, nr, mu=sc.terrain.mu)
-        cl_hat = (cl if nl_hat is nl
-                  else closed_loop_dynamics(model, kc, nl_hat, nr_hat, mu=sc.terrain.mu))
+            n_hat = [query_normal(self.nmap, w[:2], kc.y.rot[:, 0], sc.lookahead, f)
+                     for w, f in zip(kc.wheel_centers(), self.filters)]
+            cl_hat = closed_loop_dynamics(model, kc, *n_hat, mu=sc.terrain.mu)
+        psi_hat = 0.5 * (incline_angle(cl_hat.n[0]) + incline_angle(cl_hat.n[1]))
+        psi_true = 0.5 * (incline_angle(cl.n[0]) + incline_angle(cl.n[1]))
         seg = sc.segment_at(t)
         self.yaw_ref = wrap_angle(self.yaw_ref + seg.yaw_rate * self.dt)
         tj = model.task_jacobians(kc, cl_hat.p_cl, cl_hat.p_cr)
 
         # pd_accel wraps the yaw error across the +/-pi seam
         ref_L = np.array([0.0, seg.height, 0.0, 0.0, self.yaw_ref])
-        pose_a = pd_accel(ref_L, np.zeros(5), tj.Lambda, tj.Lambda_dot, self.gains)
+        pose_a = pd_accel(ref_L, tj.Lambda, tj.Lambda_dot, self.kp, self.kd)
 
         if self.s_ref is None or seg.yaw_rate != 0.0:
             self.s_ref = float(tj.Lambda_com[2])
@@ -358,12 +349,12 @@ class Controller:
         design = self.sched.gain(max(tj.r_z, 0.05))
         bal_a = balance_accel(design.K, ref_com, tj.Lambda_com)
 
-        stack = assemble_task_stack(pose_a, bal_a, tj)
-        sol = self.solver.solve(stack, cl_hat)
+        b = assemble_task_stack(pose_a, bal_a, tj)
+        sol = self.solver.solve(tj.J, b, cl_hat)
         s_ref = self.s_ref
         self.s_ref += seg.speed * self.dt
         self.cycles += 1
-        return CycleResult(cl, tj.Lambda, tj.Lambda_com, psi_hat, psi_true, sol, s_ref)
+        return CycleResult(tj.Lambda, tj.Lambda_com, psi_hat, psi_true, sol, s_ref)
 
 
 def _push_wrench(dist: Disturbance, t: float) -> np.ndarray | None:
@@ -410,24 +401,24 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
         if k == 0:
             e_start = mechanical_energy(kc)
         try:
-            res = controller.cycle(kc, t)
-            # the first substep starts from the controller's state and reuses
-            # its closed-loop dynamics unless an impact has changed the
-            # velocity in between
-            cl_step = res.cl
+            # each stepped state's contact record, built once; the cycle's serves
+            # the first substep too unless an impact changes the velocity
+            cl = contact_dynamics(model, kc, terrain)
+            res = controller.cycle(kc, cl, t)
             while pending_impacts and pending_impacts[0].t_start <= t:
                 d = pending_impacts.pop(0)
                 apply_block_impact(model, state, terrain, d.mass, d.drop_height, d.direction)
-                cl_step = None
+                cl = None
             for _ in range(n_sub):
                 wrench = None
                 for d in pushes:
                     w = _push_wrench(d, state.t)
                     if w is not None:
                         wrench = w if wrench is None else wrench + w
-                state = step(model, state, res.sol.tau_a, dt_sim, terrain, wrench,
-                             cl=cl_step)
-                cl_step = None
+                if cl is None:
+                    cl = contact_dynamics(model, model.kinematics(state.y), terrain)
+                state = step(model, state, cl, res.sol.tau_a, dt_sim, terrain, wrench)
+                cl = None
         except (ArithmeticError, CareError, HqpError, SimulationError, ValueError) as exc:
             failed, failure = True, f"t={state.t:.3f}: {exc}"
             break

@@ -25,6 +25,7 @@ from .rotations import wrap_angle
 # Lambda order (phi, h, alpha, beta, gamma); angular entries get wrapped errors
 ANGULAR_TASKS = [0, 2, 3, 4]
 
+# pose stiffness per Lambda entry; the Controller damps with kd = sqrt(kp)
 DEFAULT_KP = np.array([100.0, 400.0, 400.0, 400.0, 50.0])
 DEFAULT_Q = np.diag([100.0, 1.0, 10.0, 1.0])
 DEFAULT_R = 1.0
@@ -32,33 +33,13 @@ DEFAULT_R = 1.0
 RESCHEDULE_DZ = 0.01
 
 
-@dataclass
-class PoseGains:
-    kp: np.ndarray               # (5,) per Lambda entry
-    kd: np.ndarray               # (5,)
-
-    def __post_init__(self):
-        self.kp = np.asarray(self.kp, dtype=float).reshape(5)
-        self.kd = np.asarray(self.kd, dtype=float).reshape(5)
-        if not (np.all(self.kp > 0.0) and np.all(self.kd > 0.0)):
-            raise ValueError("pose gains must be positive")
-
-
-def default_gains(kp: np.ndarray = DEFAULT_KP) -> PoseGains:
-    """Critically-damped-ish rule kd = sqrt(kp)."""
-    kp = np.asarray(kp, dtype=float) * np.ones(5)
-    if np.any(kp <= 0.0):
-        raise ValueError("pose gains must be positive")
-    return PoseGains(kp=kp, kd=np.sqrt(kp))
-
-
-def pd_accel(ref_L: np.ndarray, ref_Ldot: np.ndarray,
-             L: np.ndarray, Ldot: np.ndarray, gains: PoseGains) -> np.ndarray:
-    """a_n = kp_n (ref - L)_n + kd_n (ref_dot - Ldot)_n, angle errors wrapped."""
+def pd_accel(ref_L: np.ndarray, L: np.ndarray, Ldot: np.ndarray,
+             kp: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """a_n = kp_n (ref - L)_n + kd_n (0 - Ldot)_n toward a set point, angle
+    errors wrapped."""
     err = np.asarray(ref_L, float) - np.asarray(L, float)
     err[ANGULAR_TASKS] = wrap_angle(err[ANGULAR_TASKS])
-    rate_err = np.asarray(ref_Ldot, float) - np.asarray(Ldot, float)
-    return gains.kp * err + gains.kd * rate_err
+    return kp * err + kd * (0.0 - np.asarray(Ldot, float))
 
 
 @dataclass
@@ -176,15 +157,10 @@ def balance_accel(K: np.ndarray, ref_Lcom: np.ndarray, Lcom: np.ndarray) -> floa
     return float(-np.asarray(K, float) @ e)
 
 
-@dataclass
-class TaskStack:
-    J: np.ndarray                # 6x12, J_i udot_y = b_i is level i, highest first
-    b: np.ndarray                # (6,)
-
-
 def assemble_task_stack(pose_acc: np.ndarray, bal_acc: float,
-                        tj: TaskJacobians) -> TaskStack:
-    """Order the six desired accelerations by priority as task rows.
+                        tj: TaskJacobians) -> np.ndarray:
+    """The right sides b of the six task rows tj.J udot_y = b, ordered by
+    priority, highest first.
 
     pose_acc follows the Lambda order (phi, h, alpha, beta, gamma); TASK_ROWS
     places it and the balance acceleration in the task-Jacobian row order,
@@ -196,4 +172,4 @@ def assemble_task_stack(pose_acc: np.ndarray, bal_acc: float,
     b = des - tj.Jdot_u
     if not (np.isfinite(b).all() and np.isfinite(tj.J).all()):
         raise ValueError("task rows must be finite")
-    return TaskStack(J=tj.J, b=b)
+    return b

@@ -1,9 +1,10 @@
 """Helpers that only the tests use: finite-difference state moves, rotations
 about +y, the SVD rotation projection and the matrix-form exponential map,
-coordinate and pose views of a state, the task pass at given normals,
-ballistic accelerations, point-cloud files, the normal estimator's oracles
-(eigenvalue entropy, a brute-force entropy scan over k and a fixed-k PCA
-normal), an equilibrium residual and an LQR solve counter."""
+coordinate and pose views of a state, the task pass at given normals, a
+state's contact record, ballistic accelerations, point-cloud files, the
+normal estimator's oracles (eigenvalue entropy, a brute-force entropy scan
+over k and a fixed-k PCA normal), an equilibrium residual and an LQR solve
+counter."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from wbcsim.dynamics import GRAVITY, closed_loop_dynamics
 from wbcsim.model import (BODY_NAMES, INDEP_JOINTS, MinimalState, RobotModel, SpanningTreeState,
                           selection_matrix)
 from wbcsim.rotations import exp_so3, hat
+from wbcsim.simulator import contact_dynamics
 from wbcsim.task_control import GainScheduler, LqrDesign
 from wbcsim.terrain_estimation import PointCloud
 
@@ -80,6 +82,11 @@ def task_rows(model: RobotModel, kc, n_l: np.ndarray, n_r: np.ndarray):
     normals, taken from their closed-loop dynamics as a control cycle does."""
     cl = closed_loop_dynamics(model, kc, n_l, n_r)
     return model.task_jacobians(kc, cl.p_cl, cl.p_cr)
+
+
+def contact(model: RobotModel, y: MinimalState, terrain):
+    """The plant's contact record at y, the one step and forward_dynamics take."""
+    return contact_dynamics(model, model.kinematics(y), terrain)
 
 
 def loop_jacobian(model: RobotModel) -> np.ndarray:

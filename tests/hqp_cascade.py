@@ -182,12 +182,12 @@ def solve_level(A: np.ndarray, b: np.ndarray,
     raise CycleLimitError(f"active set did not settle in {CYCLE_LIMIT} iterations")
 
 
-def solve_stack(stack, cl, B, torque_limit) -> HqpSolution:
-    """The cascade on a ``TaskStack`` and a ``ClosedLoopDynamics``: one padded
-    level per task row, the equality rows [K, -B] x = -(C_y, Jdot_xz_u) and
-    the torque box |tau| <= torque_limit."""
-    A = np.hstack([stack.J, np.zeros((len(stack.b), NX - 12))])
-    levels = [Level(A=A[i:i + 1], b=stack.b[i:i + 1]) for i in range(len(A))]
+def solve_stack(J, b, cl, B, torque_limit) -> HqpSolution:
+    """The cascade on the task rows J udot_y = b and a ``ClosedLoopDynamics``:
+    one padded level per task row, the equality rows [K, -B] x = -(C_y,
+    Jdot_xz_u) and the torque box |tau| <= torque_limit."""
+    A = np.hstack([J, np.zeros((len(b), NX - 12))])
+    levels = [Level(A=A[i:i + 1], b=b[i:i + 1]) for i in range(len(A))]
     return solve_hierarchy(levels, np.hstack([cl.K, -B]),
                            -np.concatenate([cl.C_y, cl.Jdot_xz_u]), TORQUE_BOX,
                            np.full(12, torque_limit))

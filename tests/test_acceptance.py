@@ -31,7 +31,7 @@ from wbcsim.terrain import FlatTerrain, SlopeTerrain
 from wbcsim.terrain_estimation import NormalMap, estimate_normal, incline_angle
 
 from conftest import random_minimal_state
-from helpers import brute_force_k, perturbed
+from helpers import brute_force_k, contact, perturbed
 from hqp_cascade import solve_hierarchy
 from test_dynamics import rnea_oracle
 from test_hqp import nullspace_lex_oracle, random_problem, to_levels
@@ -127,7 +127,8 @@ def test_zero_torque_frictionless_energy_conservation(model):
     e0 = mechanical_energy(model.kinematics(state.y))
     worst = 0.0
     for _ in range(1000):
-        state = step(model, state, np.zeros(6), 1e-3, terrain)
+        state = step(model, state, contact(model, state.y, terrain), np.zeros(6), 1e-3,
+                     terrain)
         e = mechanical_energy(model.kinematics(state.y))
         worst = max(worst, abs(e - e0))
     assert worst / abs(e0) < 1e-3
@@ -277,8 +278,8 @@ def test_com_deviation_is_measured_against_the_tracked_reference(model, monkeypa
     tracked = []
     cycle = Controller.cycle
 
-    def observed(self, kc, t):
-        res = cycle(self, kc, t)
+    def observed(self, kc, cl, t):
+        res = cycle(self, kc, cl, t)
         s_ref = self.s_ref - self.scenario.segment_at(t).speed * self.dt
         tracked.append(abs(res.Lambda_com[2] - s_ref))
         return res

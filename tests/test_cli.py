@@ -235,6 +235,29 @@ def test_run_loads_no_scipy(slope_scn):
         *["estimated_normal [] [] []"] * 3]
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_benchmark_worker_runs_a_scenario(tmp_path, traced):
+    """perfbench/worker.py calls wbcsim functions by name; run it as
+    perfbench/run.py does, in a fresh process with src on PYTHONPATH, so
+    that a renamed entry point fails here and not only in the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    scenario = str(files("wbcsim").joinpath("data/scenarios/disturbance.scn"))
+    spec = {"scenario": scenario, "params": {"duration": 0.02}, "seed": 1,
+            "out_dir": str(tmp_path), "trace": traced}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"),
+                           json.dumps(spec)], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ready"
+    result = json.loads(lines[-1])
+    assert result["cycles"] > 0 and not result["failed"], result
+    assert (tmp_path / "spans.csv").is_file() == traced
+
+
 def test_start_up_loads_no_sweep_or_parser_modules(slope_scn):
     """Importing the CLI, loading a scenario and building the model load
     neither the sweep's process pool (and with it logging) nor argparse:
@@ -390,6 +413,11 @@ BAD_PARAMS = [
     ("kp=[1,1,1,1,-1]", "kp[4]"),
     ("reference=[{height: 5}]", "reference[0].height"),
     ("reference=[{t_start: 1}, {t_start: 0, height: 5}]", "reference[1].height"),
+    # a start height at or below the wheel radius folded the legs up over
+    # the hips (0, 0.05) or put the wheel centers level with them (0.09)
+    ("reference=[{height: 0}]", "reference[0].height"),
+    ("reference=[{height: 0.05}]", "reference[0].height"),
+    ("reference=[{height: 0.09}]", "reference[0].height"),
     ("disturbances=[{kind: push, t_start: 0, duration: 0.05, f_max: 8, "
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
     ("disturbances=[{kind: push, t_start: 0.0, f_max: 500.0}]",

@@ -209,9 +209,9 @@ def test_full_solve_satisfies_eom_and_bounds(model):
         cl = closed_loop_dynamics(model, kc, EZ, EZ)
         b = -np.concatenate([cl.C_y, cl.Jdot_xz_u])
         tj = model.task_jacobians(kc, cl.p_cl, cl.p_cr)
-        stack = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
-        for sol in (HierarchySolver(model.B, 40.0).solve(stack, cl),
-                    solve_stack(stack, cl, model.B, 40.0)):
+        b_task = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
+        for sol in (HierarchySolver(model.B, 40.0).solve(tj.J, b_task, cl),
+                    solve_stack(tj.J, b_task, cl, model.B, 40.0)):
             assert np.abs(cl.K @ sol.x[:16] - model.B @ sol.tau_a - b).max() < 1e-8
             assert np.all(TORQUE_BOX @ sol.x <= 40.0 + 1e-10)
             assert np.abs(sol.tau_a).max() <= 40.0 + 1e-10
@@ -234,13 +234,13 @@ def test_level_index_in_error(model):
 
 # -- run-path solver against the cascade --------------------------------------
 
-def _assert_matches_cascade(model, stack, cl):
+def _assert_matches_cascade(model, J, b, cl):
     """Same residual profile and torques as the cascade; True when a torque
     bound is active in the cascade's solution.  The cascade is trusted only
     where its own torques stay inside the box."""
     limit = model.desc.torque_limit
-    sol = HierarchySolver(model.B, limit).solve(stack, cl)
-    ref = solve_stack(stack, cl, model.B, limit)
+    sol = HierarchySolver(model.B, limit).solve(J, b, cl)
+    ref = solve_stack(J, b, cl, model.B, limit)
     assert np.all(np.abs(ref.tau_a) <= limit + 1e-7)
     assert np.allclose(sol.residuals, ref.residuals, rtol=1e-9, atol=1e-7)
     assert np.allclose(sol.tau_a, ref.tau_a, rtol=0.0, atol=1e-7)
@@ -264,9 +264,8 @@ def test_torque_space_solver_matches_cascade_200_physical_problems(model):
         cl = closed_loop_dynamics(model, kc, n_l, n_r)
         tj = model.task_jacobians(kc, cl.p_cl, cl.p_cr)
         scale = 10.0 ** rng.uniform(0.0, 3.0)
-        stack = assemble_task_stack(scale * rng.normal(size=5),
-                                    scale * rng.normal(), tj)
-        saturated += _assert_matches_cascade(model, stack, cl)
+        b = assemble_task_stack(scale * rng.normal(size=5), scale * rng.normal(), tj)
+        saturated += _assert_matches_cascade(model, tj.J, b, cl)
     assert saturated >= 50
 
 
@@ -276,10 +275,10 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
     seen = []
     solve = HierarchySolver.solve
 
-    def recording(self, stack, cl):
-        sol = solve(self, stack, cl)
+    def recording(self, J, b, cl):
+        sol = solve(self, J, b, cl)
         if any(sol.active_sets):
-            seen.append((stack, cl))
+            seen.append((J, b, cl))
         return sol
 
     monkeypatch.setattr(HierarchySolver, "solve", recording)
@@ -289,8 +288,8 @@ def test_torque_space_solver_matches_cascade_on_saturated_cycles(model, monkeypa
     run_scenario(model, scenario, seed=5)
     monkeypatch.undo()
     assert len(seen) >= 5
-    for stack, cl in seen:
-        assert _assert_matches_cascade(model, stack, cl)
+    for J, b, cl in seen:
+        assert _assert_matches_cascade(model, J, b, cl)
 
 
 def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
@@ -298,13 +297,13 @@ def test_singular_or_nonfinite_dynamics_raise_hqp_error(model):
     y = random_minimal_state(rng)
     kc = model.kinematics(y)
     cl = closed_loop_dynamics(model, kc, EZ, EZ)
-    stack = assemble_task_stack(rng.normal(size=5), rng.normal(),
-                                model.task_jacobians(kc, cl.p_cl, cl.p_cr))
+    tj = model.task_jacobians(kc, cl.p_cl, cl.p_cr)
+    b = assemble_task_stack(rng.normal(size=5), rng.normal(), tj)
     for col, value, match in ((3, 0.0, "singular"), (0, np.nan, "not finite")):
         bad = dataclasses.replace(cl, K=cl.K.copy())
         bad.K[:, col] = value
         with pytest.raises(HqpError, match=match):
-            HierarchySolver(model.B, 40.0).solve(stack, bad)
+            HierarchySolver(model.B, 40.0).solve(tj.J, b, bad)
 
 
 # -- run-path solver against a linear-programming oracle ---------------------

@@ -21,6 +21,7 @@ from wbcsim.simulator import (
     Controller,
     SimState,
     apply_block_impact,
+    contact_dynamics,
     forward_dynamics,
     gaussians,
     initial_state,
@@ -33,7 +34,7 @@ from wbcsim.simulator import (
 from wbcsim.terrain import FlatTerrain, SlopeTerrain
 
 import reference_runs
-from helpers import exp_so3_matrix, forward_dynamics_free, svd_project_to_so3
+from helpers import contact, exp_so3_matrix, forward_dynamics_free, svd_project_to_so3
 
 
 def static_actuation(model, y, terrain):
@@ -86,7 +87,8 @@ def settled_hanging_state(model, terrain, n_settle=6000):
     y = initial_state(model, terrain, height=0.25)
     state = SimState(y=y, F_C=np.zeros(4))
     for _ in range(n_settle):
-        state = step(model, state, -0.8 * state.y.vel[6:], 1e-3, terrain)
+        state = step(model, state, contact(model, state.y, terrain), -0.8 * state.y.vel[6:],
+                     1e-3, terrain)
     state.y.vel[:] = 0.0
     state.work_in = state.dissipated = 0.0
     return state
@@ -125,7 +127,7 @@ def test_static_equilibrium_zero_acceleration(model):
     terrain = FlatTerrain()
     y = balanced_state(model, terrain, height=0.25)
     tau, _ = static_actuation(model, y, terrain)
-    udot, _, _ = forward_dynamics(model, y, tau, terrain)
+    udot, _ = forward_dynamics(model, y, contact(model, y, terrain), tau, terrain)
     assert np.abs(udot).max() < 1e-6
 
 
@@ -133,7 +135,7 @@ def test_contact_forces_support_weight(model):
     terrain = FlatTerrain()
     y = balanced_state(model, terrain, height=0.25)
     tau, _ = static_actuation(model, y, terrain)
-    _, F_C, _ = forward_dynamics(model, y, tau, terrain)
+    _, F_C = forward_dynamics(model, y, contact(model, y, terrain), tau, terrain)
     weight = model.desc.total_mass * GRAVITY
     # F_C = (x_l, z_l, x_r, z_r); vertical components carry the weight
     assert F_C[1] + F_C[3] == pytest.approx(weight, abs=0.5)
@@ -183,7 +185,8 @@ def test_zero_torque_frictionless_energy(model):
     e0 = mechanical_energy(model.kinematics(state.y))
     worst = 0.0
     for _ in range(1000):                      # 1 s at dt = 1e-3
-        state = step(model, state, np.zeros(6), 1e-3, terrain)
+        state = step(model, state, contact(model, state.y, terrain), np.zeros(6), 1e-3,
+                     terrain)
         e = mechanical_energy(model.kinematics(state.y))
         worst = max(worst, abs(e - e0))
     assert worst / abs(e0) < 1e-3
@@ -197,7 +200,7 @@ def test_penetration_stays_below_1mm(model):
     tau, _ = static_actuation(model, y, terrain)
     worst = 0.0
     for _ in range(500):
-        state = step(model, state, tau, 1e-3, terrain)
+        state = step(model, state, contact(model, state.y, terrain), tau, 1e-3, terrain)
         kc = model.kinematics(state.y)
         for w in kc.wheel_centers():
             n = terrain.normal(w[0], w[1])
@@ -213,7 +216,7 @@ def test_work_audit_tracks_energy(model):
     tau = np.array([0.0, 0.0, 1.5, 0.0, 0.0, 1.5])   # drive both wheels
     e0 = mechanical_energy(model.kinematics(y))
     for _ in range(500):
-        state = step(model, state, tau, 1e-3, terrain)
+        state = step(model, state, contact(model, state.y, terrain), tau, 1e-3, terrain)
     e1 = mechanical_energy(model.kinematics(state.y))
     resid = abs((e1 - e0) - (state.work_in - state.dissipated))
     # open-loop hard acceleration; first-order integration error dominates
@@ -229,7 +232,8 @@ def test_integrator_first_order_convergence(model):
         state = SimState(y=initial_state(model, terrain, height=0.25),
                          F_C=np.zeros(4))
         for _ in range(int(round(0.4 / dt))):
-            state = step(model, state, np.zeros(6), dt, terrain)
+            state = step(model, state, contact(model, state.y, terrain), np.zeros(6), dt,
+                         terrain)
         return state.y.pos[2]
 
     ref = final_height(1e-4)
@@ -547,7 +551,8 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
 
 
 @pytest.mark.parametrize("name, mode", [("disturbance", "true_normal"),
-                                        ("slope_uturn", "estimated_normal")])
+                                        ("slope_uturn", "estimated_normal"),
+                                        ("slope_impact", "horizontal_normal")])
 def test_controller_cycle_is_the_runs_first_cycle(model, name, mode):
     """One Controller.cycle from the run's initial state gives the first
     logged cycle of run_scenario bit for bit: the demos and any trace of
@@ -558,7 +563,9 @@ def test_controller_cycle_is_the_runs_first_cycle(model, name, mode):
     seg0 = scenario.segment_at(0.0)
     y0 = initial_state(model, scenario.terrain, scenario.start_xy, scenario.start_yaw,
                        seg0.height, seg0.speed)
-    res = Controller(model, scenario, seed=5).cycle(model.kinematics(y0), 0.0)
+    kc = model.kinematics(y0)
+    cl = contact_dynamics(model, kc, scenario.terrain)
+    res = Controller(model, scenario, seed=5).cycle(kc, cl, 0.0)
     row = dict(zip(LOG_COLUMNS, log[0]))
     for got, cols in ((res.sol.tau_a, ("tau_hl", "tau_kl", "tau_wl",
                                        "tau_hr", "tau_kr", "tau_wr")),

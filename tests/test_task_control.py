@@ -8,18 +8,20 @@ import pytest
 import scipy.linalg
 
 from wbcsim.task_control import (
+    DEFAULT_KP,
     DEFAULT_Q,
     CareError,
     assemble_task_stack,
     balance_accel,
-    default_gains,
     is_hurwitz,
     lqr_gain,
     pd_accel,
     pendulum_state_matrices,
 )
 from wbcsim.model import TASK_NAMES, TaskJacobians
-from wbcsim.scenario import GAIN_LIMIT, WEIGHT_FLOOR, load_scenario
+from wbcsim.scenario import GAIN_LIMIT, WEIGHT_FLOOR, Scenario, load_scenario
+from wbcsim.simulator import Controller
+from wbcsim.terrain import FlatTerrain
 
 from helpers import CountingGainScheduler, balance_constraints_residual
 
@@ -29,49 +31,54 @@ GRAV = 9.81
 # -- PD pose tasks ----------------------------------------------------------
 
 def test_pd_zero_error():
-    g = default_gains()
-    a = pd_accel(np.zeros(5), np.zeros(5), np.zeros(5), np.zeros(5), g)
+    a = pd_accel(np.zeros(5), np.zeros(5), np.zeros(5), DEFAULT_KP, np.sqrt(DEFAULT_KP))
     assert np.allclose(a, 0.0)
 
 
 def test_pd_height_example():
-    g = default_gains(np.array([100.0] * 5))
-    assert g.kd[1] == pytest.approx(10.0)
+    kp = np.array([100.0] * 5)
     L = np.zeros(5)
     ref = np.zeros(5)
     ref[1] = 0.05                              # height error 0.05 m
-    a = pd_accel(ref, np.zeros(5), L, np.zeros(5), g)
+    a = pd_accel(ref, L, np.zeros(5), kp, np.sqrt(kp))
     assert a[1] == pytest.approx(5.0)
+    Ldot = np.zeros(5)
+    Ldot[1] = 0.1                              # rising at 0.1 m/s: damped by kd = 10
+    a = pd_accel(ref, L, Ldot, kp, np.sqrt(kp))
+    assert a[1] == pytest.approx(4.0)
 
 
 def test_pd_yaw_wraps():
-    g = default_gains(np.ones(5))
+    g = np.ones(5)
     ref = np.zeros(5)
     L = np.zeros(5)
     ref[4], L[4] = 3.1, -3.1                    # error wraps to -(2pi - 6.2)
-    a = pd_accel(ref, np.zeros(5), L, np.zeros(5), g)
+    a = pd_accel(ref, L, np.zeros(5), g, g)
     assert a[4] == pytest.approx(6.2 - 2 * np.pi, abs=1e-12)
     # height is a length, never wrapped
     ref2 = np.zeros(5)
     ref2[1] = 7.0
-    a2 = pd_accel(ref2, np.zeros(5), np.zeros(5), np.zeros(5), g)
+    a2 = pd_accel(ref2, np.zeros(5), np.zeros(5), g, g)
     assert a2[1] == pytest.approx(7.0)
 
 
 def test_pd_affine_in_error():
     rng = np.random.default_rng(30)
-    g = default_gains(rng.uniform(1, 100, 5))
-    ref, refd = rng.normal(size=5) * 0.3, rng.normal(size=5)
-    a1 = pd_accel(ref, refd, np.zeros(5), np.zeros(5), g)
-    a2 = pd_accel(2 * ref, 2 * refd, np.zeros(5), np.zeros(5), g)
+    kp = rng.uniform(1, 100, 5)
+    ref, Ldot = rng.normal(size=5) * 0.3, rng.normal(size=5)
+    a1 = pd_accel(ref, np.zeros(5), Ldot, kp, np.sqrt(kp))
+    a2 = pd_accel(2 * ref, np.zeros(5), 2 * Ldot, kp, np.sqrt(kp))
     assert np.allclose(a2, 2 * a1, atol=1e-12)
 
 
-def test_default_gains_rule():
-    g = default_gains(np.array([100.0, 400.0, 25.0, 1.0, 49.0]))
-    assert np.allclose(g.kd, [10.0, 20.0, 5.0, 1.0, 7.0])
-    with pytest.raises(ValueError):
-        default_gains(np.array([-1.0] * 5))
+def test_controller_damps_with_sqrt_kp(model):
+    kp = np.array([100.0, 400.0, 25.0, 1.0, 49.0])
+    c = Controller(model, Scenario(terrain=FlatTerrain(), kp=kp))
+    assert np.array_equal(c.kp, kp)
+    assert np.allclose(c.kd, [10.0, 20.0, 5.0, 1.0, 7.0])
+    c = Controller(model, Scenario(terrain=FlatTerrain()))
+    assert np.array_equal(c.kp, DEFAULT_KP)
+    assert np.allclose(c.kd, [10.0, 20.0, 20.0, 20.0, np.sqrt(50.0)])
 
 
 # -- LQR --------------------------------------------------------------------
@@ -275,13 +282,12 @@ def test_stack_order_and_rows():
     rng = np.random.default_rng(33)
     tj = _random_tj(rng)
     pose = rng.normal(size=5)                  # (phi, h, alpha, beta, gamma)
-    stack = assemble_task_stack(pose, 1.7, tj)
+    b = assemble_task_stack(pose, 1.7, tj)
     assert TASK_NAMES == ("height", "pitch", "balance", "roll", "split", "yaw")
     des = [pose[1], pose[3], 1.7, pose[2], pose[0], pose[4]]
-    assert stack.J.shape == (6, 12) and stack.b.shape == (6,)
+    assert b.shape == (6,)
     for i in range(6):
-        assert np.array_equal(stack.J[i], tj.J[i])
-        assert stack.b[i] == des[i] - tj.Jdot_u[i]
+        assert b[i] == des[i] - tj.Jdot_u[i]
 
 
 def test_stack_rejects_nonfinite():
