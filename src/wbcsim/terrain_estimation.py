@@ -3,6 +3,7 @@
 Adaptive-neighborhood PCA: for a query point, the neighbor count k is
 chosen to minimize the Shannon entropy of the normalized covariance
 eigenvalues; the normal is the eigenvector of the smallest eigenvalue.
+The 3x3 eigenvalues and that eigenvector are computed in closed form.
 Estimates are kept in a sparse 2D grid map, made when a cell is first
 read, and served through a lookahead query with exponential smoothing.
 """
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 UP = np.array([0.0, 0.0, 1.0])
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 # default fewest neighbors of a normal estimate; a cloud with fewer points
 # gives the normal map no estimate at all
@@ -53,26 +55,56 @@ class PointCloud:
         return idx[np.argsort(d2[idx], kind="stable")[:k]]
 
 
+# a symmetric 3x3 matrix as its entries (xx, yy, zz, xy, xz, yz): their (i, j),
+# Frobenius weights and diagonal, and the factors of the terms of its square's
+_I, _J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_WEIGHT, _DIAG = np.array([1.0, 1, 1, 2, 2, 2]), np.array([1.0, 1, 1, 0, 0, 0])
+_SQUARE = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])[np.array([_I, _J])]
+
+
 def _prefix_covariances(nb: np.ndarray, k_min: int):
     """Covariance of the k nearest neighbors for every k in [k_min, k_max].
 
     nb is (m, k_max, 3), each row sorted by distance.  Prefix sums give every
-    prefix covariance at once.  Returns ks and covariances (m, len(ks), 3, 3).
+    prefix covariance at once.  Returns ks and the covariances' entries
+    (xx, yy, zz, xy, xz, yz), (m, len(ks), 6).
     """
     nb = nb - nb.mean(axis=1, keepdims=True)     # center once for stability
     ks = np.arange(k_min, nb.shape[1] + 1)
     csum = np.cumsum(nb, axis=1)[:, ks - 1]
-    csum2 = np.cumsum(nb[:, :, :, None] * nb[:, :, None, :], axis=1)[:, ks - 1]
+    csum2 = np.cumsum(nb[..., _I] * nb[..., _J], axis=1)[:, ks - 1]
     mu = csum / ks[:, None]
-    return ks, csum2 / ks[:, None, None] - mu[..., :, None] * mu[..., None, :]
+    return ks, csum2 / ks[:, None] - mu[..., _I] * mu[..., _J]
 
 
-def _min_entropy_index(cov: np.ndarray) -> np.ndarray:
-    """Index along axis 1 of the covariance with the least eigenvalue entropy.
+def _eigenvalues(c: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric 3x3 matrices of entries c (..., 6).
+
+    Smith's (1961) q + r cos((theta + 2 pi j) / 3), with theta the angle
+    between the traceless part b and that of b @ b, as Frobenius unit
+    vectors, by Kahan's 2 atan2(|b - w|, |b + w|): a repeated eigenvalue
+    keeps full precision.  Exact to rounding for entries of magnitude 1e-150
+    to 1e150; NaN where one is not finite.  Sums run along the last axis, so
+    a matrix gives the same bits in any batch.
+    """
+    q = c[..., :3].sum(axis=-1, keepdims=True) / 3.0
+    b = c - q * _DIAG
+    r = np.sqrt((_WEIGHT * b * b).sum(axis=-1, keepdims=True))
+    b /= np.maximum(r, 1e-300)
+    w = (b[..., _SQUARE[0]] * b[..., _SQUARE[1]]).sum(axis=-1) - _DIAG / 3.0
+    w /= np.maximum(np.sqrt((_WEIGHT * w * w).sum(axis=-1, keepdims=True)), 1e-300)
+    theta = np.arctan2(np.sqrt((_WEIGHT * (b - w) ** 2).sum(axis=-1, keepdims=True)),
+                       np.sqrt((_WEIGHT * (b + w) ** 2).sum(axis=-1, keepdims=True)))
+    phase = theta * (2.0 / 3.0) + [2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, 0.0]
+    return np.sort(q + math.sqrt(2.0 / 3.0) * r * np.cos(phase), axis=-1)
+
+
+def _min_entropy_index(lam: np.ndarray) -> np.ndarray:
+    """Index along axis 1 of the eigenvalues lam (..., 3) of least entropy.
 
     argmin returns the first minimum, so exact ties keep the smaller k.
     """
-    lam = np.maximum(np.linalg.eigvalsh(cov), 0.0)
+    lam = np.maximum(lam, 0.0)
     tot = lam.sum(axis=-1)
     eta = lam / np.where(tot > 0.0, tot, 1.0)[..., None]
     h = -np.where(eta > 0.0, eta * np.log(np.where(eta > 0.0, eta, 1.0)), 0.0).sum(axis=-1)
@@ -88,8 +120,8 @@ def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k_min: int = K_M
     neighbors have the least eigenvalue entropy, ties toward smaller k;
     k_min == k_max fixes k.  None when the cloud has fewer than k_min points
     or the neighborhood is collinear.  One sorted neighbor query serves every
-    k: prefix sums give every prefix covariance, and the 3x3 eigenvalues are
-    batched.
+    k: prefix sums give every prefix covariance, and one batched closed form
+    their eigenvalues, which the normal of the chosen k reuses.
     """
     if not 3 <= k_min <= k_max:
         raise ValueError("require 3 <= k_min <= k_max")
@@ -97,21 +129,46 @@ def estimate_normal(cloud: PointCloud, query_point: np.ndarray, k_min: int = K_M
         return None
     idx = cloud.nearest(query_point, min(k_max, len(cloud)))
     ks, cov = _prefix_covariances(cloud.points[idx][None], k_min)
-    best = _min_entropy_index(cov)[0]
-    n = _oriented_normal(*np.linalg.eigh(cov[0, best]))
+    lam = _eigenvalues(cov)
+    best = _min_entropy_index(lam)[0]
+    n = _oriented_normal(cov[0, best], lam[0, best])
     return None if n is None else (n, int(ks[best]))
 
 
-def _oriented_normal(lam: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
-    """The eigenvector of the least of ascending eigenvalues lam, oriented
-    upward; None when the neighborhood is collinear: the middle eigenvalue
-    vanishes against the largest, or an eigenvalue is NaN."""
-    if not (lam[1] > 1e-12 * max(lam[2], 1e-300) and lam[2] > 0.0):
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _null_vector(c: list[float], e: float) -> tuple[float, float, float]:
+    """The largest cross product of two rows of the matrix of entries c, minus e I."""
+    xx, yy, zz, xy, xz, yz = c
+    a, b, d = (xx - e, xy, xz), (xy, yy - e, yz), (xz, yz, zz - e)
+    return max((_cross(a, b), _cross(a, d), _cross(b, d)), key=lambda v: math.hypot(*v))
+
+
+def _oriented_normal(c: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
+    """The unit eigenvector of the least of the ascending eigenvalues lam of
+    the matrix of entries c, oriented upward, on Python floats; None when the
+    neighborhood is collinear (lam[1] vanishes against lam[2], or NaN).
+
+    It is the null vector n of c - lam[0] I.  When lam[0] lies nearer lam[1]
+    than lam[2] does, rounding may tilt n toward the null vector t of
+    c - lam[2] I, so n becomes t x (n x t), or t x the axis least along t
+    when that vanishes.  UP when c is scalar.
+    """
+    lo, mid, hi = lam.tolist()
+    if not (mid > 1e-12 * max(hi, 1e-300) and hi > 0.0):
         return None
-    n = vec[:, 0]
-    if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0):
-        n = -n
-    return n
+    n = _null_vector(c.tolist(), lo)
+    if mid - lo < hi - mid:
+        t = _null_vector(c.tolist(), hi)
+        t = [x / math.hypot(*t) for x in t]
+        n = _cross(t, _cross(n, t))
+        n = n if any(n) else _cross(t, _AXES[min(range(3), key=lambda i: abs(t[i]))])
+    size = math.hypot(*n)
+    if size == 0.0:
+        return UP.copy()
+    return np.array(n) / (-size if n[2] < 0.0 or (n[2] == 0.0 and n[0] < 0.0) else size)
 
 
 @dataclass

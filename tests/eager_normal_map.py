@@ -2,8 +2,9 @@
 :class:`wbcsim.terrain_estimation.NormalMap`.
 
 Each ``update`` estimates every cell the cloud occupies, right away: one
-k_max tree query for all cells, then the entropy scan and the
-eigen-decomposition batched over UPDATE_CHUNK cells at a time.  A cell
+k_max tree query for all cells, then the closed-form eigenvalues and the
+entropy scan batched over UPDATE_CHUNK cells at a time, and each cell's
+normal from its chosen k's eigenvalues.  A cell
 whose estimate is degenerate keeps its older estimate.  The lookup
 fallback scans every key and takes the nearest cell, the least (ix, iy)
 key among equally near ones; `cells` keeps insertion order, so the tests
@@ -15,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from wbcsim.terrain_estimation import (SEARCH_RADIUS, MapCell, PointCloud,
-                                       _min_entropy_index, _prefix_covariances)
+from wbcsim.terrain_estimation import (SEARCH_RADIUS, MapCell, PointCloud, _eigenvalues,
+                                       _min_entropy_index, _oriented_normal,
+                                       _prefix_covariances)
 
 UPDATE_CHUNK = 64          # cells per batch in EagerNormalMap.update
 
@@ -58,21 +60,19 @@ class EagerNormalMap:
         _, idx = cKDTree(pts).query(queries, k=min(self.k_max, len(cloud)))
         idx = idx.reshape(len(keys), -1)
         written = 0
-        # cells in chunks bound the (cells, k, 3, 3) temporaries
+        # cells in chunks bound the (cells, k, 6, 6) temporaries
         for lo in range(0, len(keys), UPDATE_CHUNK):
             ks, cov = _prefix_covariances(pts[idx[lo:lo + UPDATE_CHUNK]], self.k_min)
-            best = _min_entropy_index(cov)
-            lam, vec = np.linalg.eigh(cov[np.arange(len(best)), best])   # ascending
-            normals = vec[:, :, 0]
-            flip = (normals[:, 2] < 0.0) | ((normals[:, 2] == 0.0) & (normals[:, 0] < 0.0))
-            normals[flip] *= -1.0
-            # collinear when the middle eigenvalue vanishes against the largest
-            ok = (lam[:, 1] > 1e-12 * np.maximum(lam[:, 2], 1e-300)) & (lam[:, 2] > 0.0)
-            self.skipped_degenerate += int(len(ok) - ok.sum())
-            for i in np.flatnonzero(ok):
+            lam = _eigenvalues(cov)
+            best = _min_entropy_index(lam)
+            for i, b in enumerate(best.tolist()):
+                normal = _oriented_normal(cov[i, b], lam[i, b])
+                if normal is None:        # collinear
+                    self.skipped_degenerate += 1
+                    continue
                 key = (int(keys[lo + i, 0]), int(keys[lo + i, 1]))
-                self.cells[key] = MapCell(normal=normals[i], k=int(ks[best[i]]))
-            written += int(ok.sum())
+                self.cells[key] = MapCell(normal=normal, k=int(ks[b]))
+                written += 1
         return written
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:

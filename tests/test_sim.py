@@ -589,13 +589,13 @@ FACTORIZATIONS = ("eig", "eigvals", "eigh", "eigvalsh", "lstsq", "inv", "det", "
     # the block strikes at 0.1 s, and torque bounds hold in the cycles after it
     ("slope_saturate", {"duration": 0.3, "disturbances": [
         {"kind": "block_impact", "t_start": 0.1, "mass": 6.0, "drop_height": 0.4}]}, ()),
-    ("slope_lidar", {}, ("eigh", "eigvalsh")),
+    ("slope_lidar", {}, ()),
 ])
 def test_run_factorizes_only_by_solve(monkeypatch, name, overrides, allowed):
-    """Building the robot model and running a true-normal run with a push, or
-    a horizontal-normal run with a block impact and torque bounds, calls
-    LAPACK only through np.linalg.solve; a lidar run's PCA adds eigh and
-    eigvalsh."""
+    """Building the robot model and running a true-normal run with a push, a
+    horizontal-normal run with a block impact and torque bounds, or a lidar
+    run, whose PCA takes its eigenvalues and normals in closed form, calls
+    LAPACK only through np.linalg.solve."""
     def refused(fn):
         def call(*args, **kwargs):
             raise AssertionError(f"np.linalg.{fn} called")

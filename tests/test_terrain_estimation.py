@@ -12,6 +12,8 @@ from wbcsim.terrain_estimation import (
     NormalFilter,
     NormalMap,
     PointCloud,
+    _eigenvalues,
+    _oriented_normal,
     estimate_normal,
     incline_angle,
     query_normal,
@@ -184,6 +186,124 @@ def test_degenerate_collinear_neighborhood():
 def test_rejects_nan_points():
     with pytest.raises(ValueError):
         PointCloud(points=np.array([[0.0, 0.0, np.nan]]))
+
+
+# -- closed-form eigen-decomposition against np.linalg.eigh ----------------------
+
+ENTRIES = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])     # (xx, yy, zz, xy, xz, yz)
+
+
+def _assert_matches_eigh(cov):
+    """The closed-form eigenvalues within 1e-13 of the largest of eigh's, and
+    the normal within 1e-14 lam_max / (lam_mid - lam_min) radians of eigh's
+    least eigenvector, up to sign."""
+    lam, vec = np.linalg.eigh(cov)
+    got = _eigenvalues(cov[ENTRIES])
+    assert np.abs(got - lam).max() <= 1e-13 * lam[2], (got, lam)
+    n = _oriented_normal(cov[ENTRIES], got)
+    assert abs(np.linalg.norm(n) - 1.0) < 1e-15
+    assert np.linalg.norm(np.cross(n, vec[:, 0])) <= 1e-14 * lam[2] / (lam[1] - lam[0])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+def test_closed_form_matches_eigh_on_random_covariances(scale):
+    """Random symmetric positive definite matrices, one at a time and as one
+    batch, which gives the same bits."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(300, 3, 3))
+    covs = scale * x @ x.transpose(0, 2, 1)
+    for cov in covs:
+        _assert_matches_eigh(cov)
+    batch = _eigenvalues(covs[:, ENTRIES[0], ENTRIES[1]])
+    assert all(np.array_equal(batch[i], _eigenvalues(c[ENTRIES])) for i, c in enumerate(covs))
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_matches_eigh_on_planar_covariances(seed):
+    """A disc of points on a tilted plane, evenly spread (a double top
+    eigenvalue to rounding) and at random, and an exact plane of random
+    points: least eigenvalue 0."""
+    rng = np.random.default_rng(40 + seed)
+    t = np.arange(12) * np.pi / 6
+    even = np.column_stack([np.cos(t), np.sin(t), np.zeros(12)])
+    r, phi = np.sqrt(rng.uniform(size=200)), rng.uniform(0.0, 2 * np.pi, 200)
+    disc = np.column_stack([r * np.cos(phi), r * np.sin(phi), np.zeros(200)])
+    patch = np.column_stack([rng.uniform(-1.0, 1.0, (200, 2)) * [1.0, 0.3], np.zeros(200)])
+    for pts in (even, disc, patch):
+        _assert_matches_eigh(np.cov((pts @ _rotation(rng).T).T, bias=True))
+
+
+def test_collinear_nan_and_zero_covariances_have_no_normal():
+    """Collinear points: eigenvalues within 1e-13 of eigh's largest, and no
+    normal, as eigh's eigenvalues give none; the zero matrix: zero
+    eigenvalues and no normal; a NaN entry: NaN eigenvalues and no normal."""
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        t = rng.uniform(-1.0, 1.0, (40, 1))
+        cov = np.cov((rng.normal(size=3) + t * rng.normal(size=3)).T, bias=True)
+        lam, got = np.linalg.eigvalsh(cov), _eigenvalues(cov[ENTRIES])
+        assert np.abs(got - lam).max() <= 1e-13 * lam[2]
+        assert not lam[1] > 1e-12 * lam[2]
+        assert _oriented_normal(cov[ENTRIES], got) is None
+    zero = np.zeros(6)
+    assert _eigenvalues(zero).tolist() == [0.0, 0.0, 0.0]
+    assert _oriented_normal(zero, _eigenvalues(zero)) is None
+    for i in range(6):
+        c = np.array([2.0, 1.0, 0.5, 0.1, 0.0, 0.2])
+        c[i] = np.nan
+        assert np.isnan(_eigenvalues(c)).all()
+        assert _oriented_normal(c, _eigenvalues(c)) is None
+
+
+def test_repeated_least_eigenvalue_and_scalar_matrix_normals():
+    """When C - lam_min I has rank 1 the normal is the largest cross product
+    of its largest row with an axis, and when C is scalar it is UP: unit
+    eigenvectors of the least eigenvalue, the same at every call, also when
+    the computed lam_min is a rounding off the repeated one."""
+    exact = np.array([1.0, 1.0, 5.0])
+    top_z = np.array([1.0, 1.0, 5.0, 0.0, 0.0, 0.0])
+    assert _oriented_normal(top_z, exact).tolist() == [0.0, 1.0, 0.0]
+    top_x = np.array([5.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert _oriented_normal(top_x, exact).tolist() == [0.0, 0.0, 1.0]
+    lam = _eigenvalues(top_z)
+    assert np.abs(lam - exact).max() < 1e-14
+    assert abs(_oriented_normal(top_z, lam) @ [0.0, 0.0, 1.0]) < 1e-14
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        q = _rotation(rng)
+        for lam in ([1.0, 1.0, 5.0], [1.0, 1.0 + 1e-15, 5.0]):
+            cov = q @ np.diag(lam) @ q.T
+            n = _oriented_normal(cov[ENTRIES], _eigenvalues(cov[ENTRIES]))
+            assert np.allclose(cov @ n, n, rtol=0.0, atol=1e-14)
+            assert abs(n @ q[:, 2]) < 1e-14
+            assert np.array_equal(n, _oriented_normal(cov[ENTRIES], _eigenvalues(cov[ENTRIES])))
+    scalar = np.array([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+    assert _eigenvalues(scalar).tolist() == [2.0, 2.0, 2.0]
+    assert np.array_equal(_oriented_normal(scalar, _eigenvalues(scalar)), UP)
+
+
+def test_bench_normals_picks_the_brute_force_k(monkeypatch, capsys):
+    """Every adaptive-k estimate of `--mode bench-normals` (its lidar ramp
+    pipeline, k in [30, 200]) picks the k of an eigvalsh entropy scan."""
+    from wbcsim import cli, terrain_estimation
+    calls = []
+
+    def recording(cloud, query, k_min=10, k_max=60):
+        calls.append((cloud, query, k_min, k_max))
+        return estimate_normal(cloud, query, k_min, k_max)
+
+    monkeypatch.setattr(terrain_estimation, "estimate_normal", recording)
+    assert cli.bench_normals() == 0
+    capsys.readouterr()
+    assert len(calls) > 10 and all(call[2:] == (30, 200) for call in calls)
+    for cloud, query, k_min, k_max in calls:
+        assert estimate_normal(cloud, query, k_min, k_max)[1] == brute_force_k(
+            cloud, query, k_min, k_max)
 
 
 # -- normal map -------------------------------------------------------------
