@@ -371,15 +371,17 @@ def run_scenario(model: RobotModel, scenario: Scenario, seed: int = 0):
     array with a row per control cycle run."""
     terrain = scenario.terrain
     seg0 = scenario.segment_at(0.0)
-    try:
-        y = initial_state(model, terrain, scenario.start_xy, scenario.start_yaw,
-                          seg0.height, seg0.speed)
-    except OutOfReachError as exc:
-        key = f"reference[{scenario.reference.index(seg0)}].height"
-        raise ScenarioError(f"'{key}' of {seg0.height:g} m: {exc}") from None
-    except ValueError as exc:
-        raise ScenarioError(f"start pose 'start_xy' {scenario.start_xy.tolist()}, 'start_yaw' "
-                            f"{scenario.start_yaw:g}: {exc}") from None
+    for i, seg in enumerate(scenario.reference):     # each height must fit the start pose
+        try:
+            placed = initial_state(model, terrain, scenario.start_xy, scenario.start_yaw,
+                                   seg.height, seg.speed)
+        except OutOfReachError as exc:
+            raise ScenarioError(f"'reference[{i}].height' of {seg.height:g} m: {exc}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"start pose 'start_xy' {scenario.start_xy.tolist()}, "
+                                f"'start_yaw' {scenario.start_yaw:g}: {exc}") from None
+        if seg is seg0:
+            y = placed
     state = SimState(y=y, F_C=np.zeros(4))
     controller = Controller(model, scenario, seed)
     dt_sim, n_sub, n_ctrl, _ = scenario.timing()

@@ -418,6 +418,10 @@ BAD_PARAMS = [
     ("reference=[{height: 0}]", "reference[0].height"),
     ("reference=[{height: 0.05}]", "reference[0].height"),
     ("reference=[{height: 0.09}]", "reference[0].height"),
+    # a later segment's height was not checked: the legs folded up over the
+    # hips (0) or could not reach the ground (0.6) and the run fell
+    ("reference=[{height: 0.25}, {t_start: 0.02, height: 0}]", "reference[1].height"),
+    ("reference=[{height: 0.25}, {t_start: 0.02, height: 0.6}]", "reference[1].height"),
     ("disturbances=[{kind: push, t_start: 0, duration: 0.05, f_max: 8, "
      "direction: [0, 0, 0]}]", "disturbances[0].direction"),
     ("disturbances=[{kind: push, t_start: 0.0, f_max: 500.0}]",
