@@ -20,6 +20,14 @@ A change that keeps the arithmetic compares full-length runs as well: ::
 writes the CLI artifacts (``log.csv``, ``metrics.*``, ``psi_trace.csv``) of
 the eleven runs in ``FULL_RUNS`` into one subdirectory of DIR per run.  Run
 it in two checkouts, then ``diff -r DIR_A DIR_B`` shows every difference.
+
+After a regeneration, ::
+
+    PYTHONPATH=src python tests/reference_runs.py --moves OLD.npz
+
+prints, for each window, every log column and metric that moved from the
+data in OLD.npz (a copy of the file before regenerating) and its largest
+|difference|.
 """
 
 import json
@@ -32,7 +40,7 @@ import numpy as np
 from wbcsim.cli import main as cli_main
 from wbcsim.model import RobotModel
 from wbcsim.scenario import load_scenario
-from wbcsim.simulator import run_scenario
+from wbcsim.simulator import LOG_COLUMNS, run_scenario
 
 DATA = Path(__file__).resolve().parent / "data" / "reference_runs.npz"
 WINDOW = 0.2                  # s of each run
@@ -95,11 +103,57 @@ def write_full_runs(out: Path) -> int:
     return 0
 
 
+def _largest_move(new, old) -> float | None:
+    """The largest |new - old| of two arrays of a shape, or None when they are
+    bit-equal; inf where only one of a pair is NaN."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    if np.array_equal(new, old, equal_nan=True):
+        return None
+    with np.errstate(invalid="ignore"):
+        diff = np.where(np.isnan(new) & np.isnan(old), 0.0, np.abs(new - old))
+    return float(np.where(np.isnan(diff), np.inf, diff).max())
+
+
+def moves(old_path: Path) -> list[str]:
+    """For each window, one line naming every log column and metric that moved
+    from the data in old_path, each with its largest |difference|."""
+    with np.load(old_path) as data:
+        old = {name: (data[f"{name}.log"], str(data[f"{name}.metrics"]))
+               for name in CONFIGS if f"{name}.log" in data}
+    lines = []
+    for name, (log, metrics) in load().items():
+        if name not in old:
+            lines.append(f"{name}: not in {old_path}")
+            continue
+        old_log, old_metrics = old[name]
+        rows = min(len(log), len(old_log))
+        moved = [f"{col} {d:.2g}" for col, d in
+                 ((col, _largest_move(log[:rows, j], old_log[:rows, j]))
+                  for j, col in enumerate(LOG_COLUMNS)) if d is not None]
+        if len(log) != len(old_log):
+            moved.append(f"{len(old_log)} -> {len(log)} rows")
+        new_m, old_m = json.loads(metrics), json.loads(old_metrics)
+        for key in sorted(new_m.keys() | old_m.keys()):
+            a, b = new_m.get(key), old_m.get(key)
+            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                d = _largest_move(a, b)
+                if d is not None:
+                    moved.append(f"metrics.{key} {d:.2g}")
+            elif a != b:
+                moved.append(f"metrics.{key} {b!r} -> {a!r}")
+        lines.append(f"{name}: {', '.join(moved) if moved else 'unchanged'}")
+    return lines
+
+
 def main(names: list[str]) -> int:
-    if names[:1] == ["--artifacts"]:
+    usage = {"--artifacts": "DIR", "--moves": "OLD.npz"}
+    if names[:1] and names[0] in usage:
         if len(names) != 2:
-            print("usage: reference_runs.py --artifacts DIR", file=sys.stderr)
+            print(f"usage: reference_runs.py {names[0]} {usage[names[0]]}", file=sys.stderr)
             return 2
+        if names[0] == "--moves":
+            print("\n".join(moves(Path(names[1]))))
+            return 0
         return write_full_runs(Path(names[1]))
     unknown = sorted(set(names) - set(CONFIGS))
     if unknown:

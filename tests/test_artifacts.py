@@ -82,3 +82,31 @@ def test_full_runs_reach_the_cli_as_configured(tmp_path, monkeypatch):
         assert option["--seed"] == str(seed)
         overrides = [b for a, b in zip(args, args[1:]) if a == "--param"]
         assert dict(parse_param(p) for p in overrides) == params
+
+
+def test_moves_names_every_moved_column_and_metric(tmp_path, capsys, references):
+    """``reference_runs.py --moves OLD.npz`` prints one line per window: the
+    log columns and metrics that differ from OLD.npz, each with its largest
+    |difference|, a changed row count, or 'unchanged'."""
+    arrays = {}
+    for name, (log, metrics) in references.items():
+        arrays[f"{name}.log"], arrays[f"{name}.metrics"] = log, np.array(metrics)
+    log = references["disturbance"][0].copy()
+    log[3, LOG_COLUMNS.index("phi")] += 0.25
+    log[5, LOG_COLUMNS.index("phi")] -= 0.5
+    log[0, LOG_COLUMNS.index("F_zl")] = np.nan
+    metrics = json.loads(references["disturbance"][1])
+    metrics["roll_sd"] += 1e-3
+    arrays["disturbance.log"] = log
+    arrays["disturbance.metrics"] = np.array(json.dumps(metrics, sort_keys=True))
+    arrays["asymmetric.log"] = references["asymmetric"][0][:-2]
+    np.savez(tmp_path / "old.npz", **arrays)
+
+    assert reference_runs.main(["--moves", str(tmp_path / "old.npz")]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert list(lines) == list(reference_runs.CONFIGS)
+    assert lines["disturbance"] == "phi 0.5, F_zl inf, metrics.roll_sd 0.001"
+    rows = len(references["asymmetric"][0])
+    assert lines["asymmetric"] == f"{rows - 2} -> {rows} rows"
+    assert all(lines[name] == "unchanged" for name in list(lines)[2:])
+    assert reference_runs.main(["--moves"]) == 2
