@@ -2,10 +2,10 @@
 
 Adaptive-neighborhood PCA: for a query point, the neighbor count k is
 chosen to minimize the Shannon entropy of the normalized covariance
-eigenvalues; the normal is the eigenvector of the smallest eigenvalue.
-The 3x3 eigenvalues and that eigenvector are computed in closed form.
-Estimates are kept in a sparse 2D grid map, made when a cell is first
-read, and served through a lookahead query with exponential smoothing.
+eigenvalues; the normal is the eigenvector of the smallest eigenvalue,
+both in closed form.  Estimates are kept in a sparse 2D grid map, made
+when a cell is first read, and served through a lookahead query with
+exponential smoothing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 UP = np.array([0.0, 0.0, 1.0])
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 SEARCH_RADIUS = 0.5        # m, lookup fallback to the nearest occupied cell
 # default fewest neighbors of a normal estimate; a cloud with fewer points
 # gives the normal map no estimate at all
@@ -26,6 +25,12 @@ K_MIN = 10
 # most clouds the normal map holds; no estimate of a bundled lidar run read a
 # frame more than 10 updates old
 MAX_FRAMES = 16
+# a symmetric 3x3 matrix as its entries (xx, yy, zz, xy, xz, yz): their (i, j),
+# Frobenius weights and diagonal, and the entry pairs of each square's entry
+_I, _J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_WEIGHT, _DIAG = np.array([1.0, 1, 1, 2, 2, 2]), np.array([1.0, 1, 1, 0, 0, 0])
+_SQUARE = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])[np.array([_I, _J])]
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass
@@ -55,13 +60,6 @@ class PointCloud:
         return idx[np.argsort(d2[idx], kind="stable")[:k]]
 
 
-# a symmetric 3x3 matrix as its entries (xx, yy, zz, xy, xz, yz): their (i, j),
-# Frobenius weights and diagonal, and the factors of the terms of its square's
-_I, _J = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_WEIGHT, _DIAG = np.array([1.0, 1, 1, 2, 2, 2]), np.array([1.0, 1, 1, 0, 0, 0])
-_SQUARE = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])[np.array([_I, _J])]
-
-
 def _prefix_covariances(nb: np.ndarray, k_min: int):
     """Covariance of the k nearest neighbors for every k in [k_min, k_max].
 
@@ -80,12 +78,12 @@ def _prefix_covariances(nb: np.ndarray, k_min: int):
 def _eigenvalues(c: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric 3x3 matrices of entries c (..., 6).
 
-    Smith's (1961) q + r cos((theta + 2 pi j) / 3), with theta the angle
-    between the traceless part b and that of b @ b, as Frobenius unit
-    vectors, by Kahan's 2 atan2(|b - w|, |b + w|): a repeated eigenvalue
-    keeps full precision.  Exact to rounding for entries of magnitude 1e-150
-    to 1e150; NaN where one is not finite.  Sums run along the last axis, so
-    a matrix gives the same bits in any batch.
+    Smith's (1961) q + r cos((theta + 2 pi j) / 3), theta the angle between
+    the traceless part b and the traceless part w of b @ b (a unit b's square
+    has trace 1) as Frobenius unit vectors, by Kahan's 2 atan2(|b - w|, |b + w|),
+    which keeps full precision at a repeated eigenvalue.  Exact to rounding
+    for entries of magnitude 1e-150 to 1e150; NaN where one is not finite.
+    Sums run along the last axis, so a matrix gives the same bits in any batch.
     """
     q = c[..., :3].sum(axis=-1, keepdims=True) / 3.0
     b = c - q * _DIAG
@@ -159,9 +157,10 @@ def _oriented_normal(c: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
     lo, mid, hi = lam.tolist()
     if not (mid > 1e-12 * max(hi, 1e-300) and hi > 0.0):
         return None
-    n = _null_vector(c.tolist(), lo)
+    c = c.tolist()
+    n = _null_vector(c, lo)
     if mid - lo < hi - mid:
-        t = _null_vector(c.tolist(), hi)
+        t = _null_vector(c, hi)
         t = [x / math.hypot(*t) for x in t]
         n = _cross(t, _cross(n, t))
         n = n if any(n) else _cross(t, _AXES[min(range(3), key=lambda i: abs(t[i]))])

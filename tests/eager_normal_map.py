@@ -4,8 +4,8 @@
 Each ``update`` estimates every cell the cloud occupies, right away: one
 k_max tree query for all cells, then the closed-form eigenvalues and the
 entropy scan batched over UPDATE_CHUNK cells at a time, and each cell's
-normal from its chosen k's eigenvalues.  A cell
-whose estimate is degenerate keeps its older estimate.  The lookup
+normal from its chosen k's eigenvalues.  A cell whose estimate is
+degenerate keeps its older estimate.  The lookup
 fallback scans every key and takes the nearest cell, the least (ix, iy)
 key among equally near ones; `cells` keeps insertion order, so the tests
 compare it with the lazy map's key-ordered `cells` sorted.
@@ -60,7 +60,7 @@ class EagerNormalMap:
         _, idx = cKDTree(pts).query(queries, k=min(self.k_max, len(cloud)))
         idx = idx.reshape(len(keys), -1)
         written = 0
-        # cells in chunks bound the (cells, k, 6, 6) temporaries
+        # cells in chunks bound the (cells, k, 6, 3) temporaries
         for lo in range(0, len(keys), UPDATE_CHUNK):
             ks, cov = _prefix_covariances(pts[idx[lo:lo + UPDATE_CHUNK]], self.k_min)
             lam = _eigenvalues(cov)
