@@ -112,6 +112,10 @@ def do_sweep(scenario: str, params: dict, sweep: str | None, seed: int, out_dir:
     for i, value in enumerate(values):
         load_scenario(scenario, {**params, key: value})
         sub = f"{key.replace('.', '_')}_{str(value).replace('/', '_').replace(' ', '')}"
+        if "\0" in sub:
+            print(f"error: --sweep {key}: value {i + 1} ({value!r}) holds a NUL byte, "
+                  f"which no directory name can hold", file=sys.stderr)
+            return 2
         j = first.setdefault(sub, i)
         if j != i:
             print(f"error: --sweep {key}: values {j + 1} ({values[j]!r}) "

@@ -11,8 +11,7 @@ exponential smoothing.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -216,11 +215,12 @@ class NormalMap:
     searches only the clouds recorded since.  While every cloud is held,
     normals and k equal those of re-estimating every occupied cell on every
     update.  Only recorded keys that have been read get an entry of their
-    own, so a read key keeps its cell once its clouds are dropped, and a key
-    recorded only in dropped clouds reads as empty.  `skipped_degenerate`
-    counts degenerate estimates as reads find them, so an estimate
-    superseded before any read is never counted; every cell of a cloud too
-    small to estimate counts at once.
+    own, and `cells` holds each one's newest non-degenerate cell, so a read
+    key keeps its cell once its clouds are dropped, and a key recorded only
+    in dropped clouds reads as empty.  `skipped_degenerate` counts
+    degenerate estimates as reads find them, so an estimate superseded
+    before any read is never counted; every cell of a cloud too small to
+    estimate counts at once.
     """
 
     def __init__(self, cell_size: float = 0.10, k_min: int = K_MIN, k_max: int = 60):
@@ -234,19 +234,12 @@ class NormalMap:
         self.k_max = int(k_max)
         self._frames: dict[int, _Frame] = {}       # the newest MAX_FRAMES, by id
         self._next_id = 0                          # id of the next frame recorded
-        # each read key that held a record: its cell, and the id of the first
-        # frame not yet searched for its records (every older one holds none)
-        self._read: dict[tuple[int, int], tuple[MapCell | None, int]] = {}
+        # each read key's newest non-degenerate cell, in read order
+        self.cells: dict[tuple[int, int], MapCell] = {}
+        # each read key that held a record: the id of the first frame not yet
+        # searched for its records (every older one holds none)
+        self._since: dict[tuple[int, int], int] = {}
         self.skipped_degenerate = 0
-
-    @property
-    def cells(self) -> Mapping[tuple[int, int], MapCell]:
-        """Estimated cells in (ix, iy) key order.
-
-        `key in cells` and `cells[key]` estimate that key only; iteration,
-        `len` and `items` estimate every recorded cell.
-        """
-        return _Cells(self)
 
     def key_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell key of (x, y); a ValueError if it is not finite or its key reaches 2**62."""
@@ -302,22 +295,22 @@ class NormalMap:
     def _resolve(self, key: tuple[int, int]) -> MapCell | None:
         """The key's cell from its newest non-degenerate estimate; searches
         only the frames recorded since the key was last read, newest first."""
-        cell, since = self._read.get(key, (None, 0))
+        since = self._since.get(key, 0)
         if since == self._next_id:
-            return cell
+            return self.cells.get(key)
         found = False
         for frame_id, frame in reversed(self._frames.items()):
             if frame_id < since:
                 break
             if frame.holds(*key):
                 found = True
-                made = self._estimate(key, frame)
-                if made is not None:
-                    cell = made
+                cell = self._estimate(key, frame)
+                if cell is not None:
+                    self.cells[key] = cell
                     break
-        if found or key in self._read:
-            self._read[key] = cell, self._next_id
-        return cell
+        if found or key in self._since:
+            self._since[key] = self._next_id
+        return self.cells.get(key)
 
     def _near(self, x: float, y: float, kx: int, ky: int):
         """Keys within SEARCH_RADIUS of (x, y), whose key is (kx, ky), that
@@ -327,8 +320,7 @@ class NormalMap:
         x0, x1, y0, y1 = kx - r, kx + r, ky - r, ky + r
         near = [f.keys(x0, x1) for f in self._frames.values()
                 if f.lx <= x1 and x0 <= f.hx and f.ly <= y1 and y0 <= f.hy]
-        near.append(np.array([key for key, (cell, _) in self._read.items()
-                              if cell is not None and x0 <= key[0] <= x1],
+        near.append(np.array([key for key in self.cells if x0 <= key[0] <= x1],
                              dtype=np.int64).reshape(-1, 2).T)
         ix, iy = np.concatenate([k[0] for k in near]), np.concatenate([k[1] for k in near])
         dx, dy = (ix + 0.5) * self.cell_size - x, (iy + 0.5) * self.cell_size - y
@@ -337,14 +329,6 @@ class NormalMap:
         ix, iy, d2 = ix[inside], iy[inside], d2[inside]
         for i in np.lexsort((iy, ix, d2)):
             yield int(ix[i]), int(iy[i])
-
-    def _keys(self) -> list[tuple[int, int]]:
-        """Every key that may hold a cell, in key order."""
-        keys = set(self._read)
-        for f in self._frames.values():
-            ix, iy = f.keys(f.lx, f.hx)
-            keys.update(zip(ix.tolist(), iy.tolist()))
-        return sorted(keys)
 
     def lookup(self, x: float, y: float) -> np.ndarray | None:
         """Normal of the cell at (x, y), falling back to the nearest occupied
@@ -364,38 +348,16 @@ class NormalMap:
         return None if cell is None else cell.normal.copy()
 
 
-class _Cells(Mapping):
-    """The estimated cells of a NormalMap, read-only; see NormalMap.cells."""
-
-    def __init__(self, nmap: NormalMap):
-        self._nmap = nmap
-
-    def __getitem__(self, key: tuple[int, int]) -> MapCell:
-        cell = self._nmap._resolve(key)
-        if cell is None:
-            raise KeyError(key)
-        return cell
-
-    def __iter__(self):
-        nmap = self._nmap
-        return iter([key for key in nmap._keys() if nmap._resolve(key) is not None])
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 @dataclass
 class NormalFilter:
     """Exponential moving average over queried normals (low-pass)."""
 
     alpha: float = 0.1
-    value: np.ndarray = field(default_factory=lambda: UP.copy())
-    initialized: bool = False
+    value: np.ndarray | None = None
 
     def push(self, n: np.ndarray) -> np.ndarray:
-        if not self.initialized:
+        if self.value is None:
             self.value = np.asarray(n, dtype=float).copy()
-            self.initialized = True
         else:
             blended = (1.0 - self.alpha) * self.value + self.alpha * np.asarray(n, float)
             self.value = blended / np.linalg.norm(blended)

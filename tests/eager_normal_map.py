@@ -8,7 +8,8 @@ normal from its chosen k's eigenvalues.  A cell whose estimate is
 degenerate keeps its older estimate.  The lookup
 fallback scans every key and takes the nearest cell, the least (ix, iy)
 key among equally near ones; `cells` keeps insertion order, so the tests
-compare it with the lazy map's key-ordered `cells` sorted.
+compare it sorted with `estimated_cells` of the lazy map, which estimates
+every cell the lazy map would serve, in key order.
 """
 
 from __future__ import annotations
@@ -16,11 +17,23 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from wbcsim.terrain_estimation import (SEARCH_RADIUS, MapCell, PointCloud, _eigenvalues,
-                                       _min_entropy_index, _oriented_normal,
+from wbcsim.terrain_estimation import (SEARCH_RADIUS, MapCell, NormalMap, PointCloud,
+                                       _eigenvalues, _min_entropy_index, _oriented_normal,
                                        _prefix_covariances)
 
 UPDATE_CHUNK = 64          # cells per batch in EagerNormalMap.update
+
+
+def estimated_cells(nmap: NormalMap) -> dict[tuple[int, int], MapCell]:
+    """Every cell of the lazy map, in (ix, iy) key order: each key of its
+    `cells`, its search marks and its held frames' records, read as a lookup
+    reads it, degenerate keys left out."""
+    keys = set(nmap.cells).union(nmap._since)
+    for f in nmap._frames.values():
+        ix, iy = f.keys(f.lx, f.hx)
+        keys.update(zip(ix.tolist(), iy.tolist()))
+    cells = {key: nmap._resolve(key) for key in sorted(keys)}
+    return {key: cell for key, cell in cells.items() if cell is not None}
 
 
 class EagerNormalMap:

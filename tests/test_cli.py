@@ -797,6 +797,10 @@ BAD_OPTIONS = [
     (["--mode", "sweep", "--sweep", "duration=0.1,abc", "--jobs", "1"], "'duration'"),
     # a value that is not YAML (a traceback before)
     (["--mode", "sweep", "--sweep", "duration=0.1,[", "--jobs", "1"], "--sweep"),
+    # a value no directory name can hold, after a good one (a traceback after
+    # the first run before)
+    (["--mode", "sweep", "--sweep", 'name=["c", "a\\0b"]', "--param", "duration=0.01",
+      "--jobs", "1"], "--sweep name"),
 ]
 
 

@@ -19,6 +19,7 @@ from wbcsim.terrain_estimation import (
     query_normal,
 )
 
+from eager_normal_map import estimated_cells
 from helpers import (brute_force_k, cloud_from_xyz_file, cloud_to_xyz_file, eigenvalue_entropy,
                      nearest_points, pca_normal)
 
@@ -314,7 +315,7 @@ def test_update_map_flat_ground():
     nmap = NormalMap(cell_size=0.25)
     written = nmap.update(cloud)
     assert written > 0
-    for cell in nmap.cells.values():
+    for cell in estimated_cells(nmap).values():
         assert np.allclose(cell.normal, UP, atol=1e-9)
         assert abs(np.linalg.norm(cell.normal) - 1.0) < 1e-9
 
@@ -325,10 +326,10 @@ def test_update_map_union_of_disjoint_clouds():
     c2 = PointCloud(points=plane_cloud(rng, n=200, extent=0.5).points + [5.0, 0.0, 0.0])
     nmap = NormalMap(cell_size=0.25)
     nmap.update(c1)
-    keys1 = set(nmap.cells)
+    keys1 = set(estimated_cells(nmap))
     nmap.update(c2)
-    assert keys1 <= set(nmap.cells)
-    assert len(nmap.cells) > len(keys1)
+    assert keys1 <= set(estimated_cells(nmap))
+    assert len(estimated_cells(nmap)) > len(keys1)
 
 
 def test_update_map_idempotent():
@@ -336,11 +337,12 @@ def test_update_map_idempotent():
     cloud = plane_cloud(rng, n=300, normal=np.array([0.3, 0.0, 1.0]))
     nmap = NormalMap(cell_size=0.25)
     nmap.update(cloud)
-    before = {k: c.normal.copy() for k, c in nmap.cells.items()}
+    before = {k: c.normal.copy() for k, c in estimated_cells(nmap).items()}
     nmap.update(cloud)
-    assert set(before) == set(nmap.cells)
+    after = estimated_cells(nmap)
+    assert set(before) == set(after)
     for k in before:
-        assert np.allclose(nmap.cells[k].normal, before[k], atol=1e-12)
+        assert np.allclose(after[k].normal, before[k], atol=1e-12)
 
 
 def test_update_map_matches_per_cell_estimates():
@@ -351,8 +353,9 @@ def test_update_map_matches_per_cell_estimates():
     cloud = plane_cloud(rng, n=1200, normal=n_true, extent=1.5, noise=0.01)
     nmap = NormalMap(cell_size=0.1, k_min=10, k_max=60)
     written = nmap.update(cloud)
-    assert written == len(nmap.cells) > 100
-    for (ix, iy), cell in nmap.cells.items():
+    cells = estimated_cells(nmap)
+    assert written == len(cells) > 100
+    for (ix, iy), cell in cells.items():
         inside = ((np.floor(cloud.points[:, 0] / 0.1) == ix)
                   & (np.floor(cloud.points[:, 1] / 0.1) == iy))
         query = np.array([(ix + 0.5) * 0.1, (iy + 0.5) * 0.1,
@@ -471,9 +474,10 @@ def _lookup_points(rng, cell_size):
 
 
 def _assert_same_cells(lazy, eager):
-    assert list(lazy.cells) == sorted(eager.cells)
+    cells = estimated_cells(lazy)
+    assert list(cells) == sorted(eager.cells)
     for key, cell in eager.cells.items():
-        got = lazy.cells[key]
+        got = cells[key]
         assert np.array_equal(got.normal, cell.normal)
         assert got.k == cell.k
 
@@ -508,14 +512,15 @@ def test_lazy_map_matches_eager_oracle(seed):
         if rng.random() < 0.2:
             _assert_same_cells(lazy, eager)
     _assert_same_cells(lazy, eager)
-    assert len(lazy.cells) == len(eager.cells)
+    assert len(estimated_cells(lazy)) == len(eager.cells)
     assert lazy.skipped_degenerate <= eager.skipped_degenerate
 
 
 def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
     """Cells on both sides of the origin, first met out of key order: one
     int64 code per cell over the cloud's key box gives the cells and counts
-    of the eager map's row-wise unique, and `cells` iterates in key order."""
+    of the eager map's row-wise unique, and `estimated_cells` lists them in
+    key order."""
     from eager_normal_map import EagerNormalMap
     rng = np.random.default_rng(99)
     cells = [(ix, iy) for ix in range(-6, 6) for iy in range(-4, 4) if rng.random() < 0.6]
@@ -525,7 +530,7 @@ def test_lazy_map_records_keys_of_both_signs_as_the_eager_map():
     eager = EagerNormalMap(cell_size=0.25, k_min=5, k_max=20)
     assert lazy.update(cloud) == eager.update(cloud) == len(cells)
     _assert_same_cells(lazy, eager)
-    assert [key for key in lazy.cells] == sorted(cells)
+    assert list(estimated_cells(lazy)) == sorted(cells)
 
 
 @pytest.mark.parametrize("points", [[[1e300, 0.0, 0.0]] * 12,
@@ -574,7 +579,7 @@ def test_reading_keys_never_recorded_holds_nothing():
         with pytest.raises(KeyError):
             nmap.cells[(-100, 100 + i)]
         assert nmap.lookup(50.0 + i, 50.0) is None
-    assert nmap._read == {}
+    assert nmap._since == {} and nmap.cells == {}
 
 
 def test_map_holds_a_few_dozen_bytes_per_recorded_cell():
@@ -622,7 +627,8 @@ def _count_estimates(monkeypatch, nmap):
 def test_lazy_map_estimates_only_what_is_read(monkeypatch):
     """update searches no neighbors; a hit estimates one cell with one
     search, a miss the occupied cells in (distance, key) order up to the
-    first non-degenerate one."""
+    first non-degenerate one.  `cells` holds just the cells lookups made,
+    and reading it estimates nothing."""
     from wbcsim.scenario import SensorConfig
     from wbcsim.simulator import synth_pointcloud
     from wbcsim.terrain import SlopeTerrain
@@ -637,10 +643,12 @@ def test_lazy_map_estimates_only_what_is_read(monkeypatch):
                         lambda self, q, k: searches.append(k) or nearest(self, q, k))
     assert nmap.update(cloud) > 800
     assert searches == [] and made == []
+    assert nmap.cells == {}
 
     occupied = {nmap.key_of(*p[:2]) for p in cloud.points}
     assert nmap.lookup(*cloud.points[0, :2]) is not None      # an occupied cell
     assert len(made) == 1 and searches == [nmap.k_max]
+    assert set(nmap.cells) == {nmap.key_of(*cloud.points[0, :2])}
 
     # a miss: an empty cell inside the cloud, next to occupied ones
     hole = next((ix, iy) for ix in range(5, 20) for iy in range(-5, 5)
@@ -651,6 +659,11 @@ def test_lazy_map_estimates_only_what_is_read(monkeypatch):
     d2 = [float((((np.array(k) + 0.5) * nmap.cell_size - [x, y]) ** 2).sum())
           for k in occupied]
     assert len(made) == d2.count(min(d2))       # the nearest cells, no others
+    assert hole not in nmap.cells and made[-1] in nmap.cells
+
+    counts = len(made), nmap.skipped_degenerate
+    assert len(nmap.cells) == len(list(nmap.cells.items())) == 2
+    assert (len(made), nmap.skipped_degenerate) == counts
 
 
 def test_lazy_map_miss_skips_degenerate_cells(monkeypatch):
@@ -686,7 +699,7 @@ def test_lookup_breaks_an_exact_tie_by_the_least_key(monkeypatch):
     n = nmap.lookup(0.375, 0.125)
     assert len(made) == 1
     assert np.array_equal(n, nmap.cells[(0, 0)].normal)
-    assert not np.allclose(n, nmap.cells[(2, 0)].normal, atol=0.05)
+    assert not np.allclose(n, estimated_cells(nmap)[(2, 0)].normal, atol=0.05)
 
 
 def _cell_cloud(rng, cells, normal=UP):
@@ -712,7 +725,7 @@ def test_a_map_of_many_clouds_holds_the_newest_max_frames():
         assert len(nmap._frames) == min(i + 1, MAX_FRAMES)
     gc.collect()
     assert [ref() is not None for ref in refs] == [False] * 2 * MAX_FRAMES + [True] * MAX_FRAMES
-    assert list(nmap.cells) == [(i, 0) for i in range(2 * MAX_FRAMES, 3 * MAX_FRAMES)]
+    assert list(estimated_cells(nmap)) == [(i, 0) for i in range(2 * MAX_FRAMES, 3 * MAX_FRAMES)]
 
 
 def test_a_key_recorded_only_in_a_dropped_cloud_falls_back():
@@ -725,9 +738,9 @@ def test_a_key_recorded_only_in_a_dropped_cloud_falls_back():
         nmap.update(_cell_cloud(rng, [(0, 0)]))
         for _ in range(frames):
             nmap.update(_cell_cloud(rng, [(1, 0)], slope))
-    assert (0, 0) in kept.cells
+    assert (0, 0) in estimated_cells(kept)
     assert np.array_equal(kept.lookup(0.125, 0.125), kept.cells[(0, 0)].normal)
-    assert (0, 0) not in capped.cells
+    assert (0, 0) not in estimated_cells(capped)
     n = capped.lookup(0.125, 0.125)
     assert np.array_equal(n, capped.cells[(1, 0)].normal) and n[0] > 0.2
 
@@ -749,5 +762,5 @@ def test_a_read_key_keeps_its_cell_after_its_cloud_is_dropped():
     gc.collect()
     assert ref() is None
     assert np.array_equal(nmap.lookup(0.125, 0.125), n)
-    assert list(nmap.cells) == [(0, 0), (20, 0)]
+    assert list(estimated_cells(nmap)) == [(0, 0), (20, 0)]
     assert np.array_equal(nmap.lookup(0.375, 0.125), n)     # (1, 0) falls back to (0, 0)
