@@ -50,6 +50,7 @@ from .terrain_estimation import NormalMap, PointCloud, estimate_normal, incline_
 DEFAULT_SEED = 0
 PSI_COLUMNS = ("t", "psi_hat", "psi_true")   # of the log, in psi_trace.csv
 OUT_ENV_VAR = "WBCSIM_OUT"
+NAME_MAX = 255           # longest file name, in bytes, on ext4, XFS and Btrfs
 
 
 # -- run mode ----------------------------------------------------------------
@@ -115,6 +116,11 @@ def do_sweep(scenario: str, params: dict, sweep: str | None, seed: int, out_dir:
         if "\0" in sub:
             print(f"error: --sweep {key}: value {i + 1} ({value!r}) holds a NUL byte, "
                   f"which no directory name can hold", file=sys.stderr)
+            return 2
+        size = len(os.fsencode(sub))
+        if size > NAME_MAX:
+            print(f"error: --sweep {key}: value {i + 1} would name a directory of {size} "
+                  f"bytes, more than the {NAME_MAX} a name can hold", file=sys.stderr)
             return 2
         j = first.setdefault(sub, i)
         if j != i:

@@ -90,7 +90,7 @@ class Scenario:
     name: str = "scenario"
     duration: float = 5.0
     control_rate: float = 500.0
-    sim_rate: float = 1000.0
+    sim_rate: float | None = None     # physics rate; unset, the control rate
     estimation_mode: str = "true_normal"
     start_xy: np.ndarray = field(default_factory=lambda: np.zeros(2))
     start_yaw: float = 0.0
@@ -105,6 +105,8 @@ class Scenario:
     def __post_init__(self):
         if not self.control_rate > 0.0:
             raise ScenarioError("'control_rate' must be > 0")
+        if self.sim_rate is None:
+            self.sim_rate = self.control_rate
         if not self.reference:
             raise ScenarioError("'reference' must not be empty")
         try:
@@ -193,7 +195,11 @@ _CHOICES = {"kind": ("push", "block_impact"),
 POSITION_LIMIT = 1e6
 # largest friction coefficient, far above any physical one (rubber on dry
 # concrete is about 1): mu = 1e300 overflowed the contact rows.  It is no
-# stability limit: the regularized friction is stiff at moderate mu already
+# stability limit: the regularized friction is stiff.  At seed 3 over 2 s,
+# with the default physics rate (the 500 Hz control rate) disturbance.scn
+# stands to mu 5 and falls at 10, and slope_uturn.scn with true normals
+# stands to mu 3; at sim_rate = 1000 both fall from mu 3, and disturbance.scn
+# stands at mu 10 only at sim_rate = 5000
 MU_LIMIT = 10.0
 # largest |value| of a key, with its unit.  Far past them, a reference speed,
 # a push or a block failed the run's first cycle (task rows not finite, a math
@@ -215,9 +221,10 @@ _LIMITS = {**dict.fromkeys(("start_xy", "lookahead", "radius", "noise", "z0", "k
 # ratio, and sim_rate = 1e12 would ask 2e9 substeps of every cycle
 MAX_SUBSTEPS = 1000
 # most control cycles and physics steps (duration x sim_rate) of a run: 1e7
-# cycles hold about 2 GB of log at 208 B a cycle, and at about 0.75 ms of CPU
-# a 2-substep cycle and 0.23 ms a substep (2-core Xeon), a run within both
-# bounds takes at most about 2.1 CPU-hours
+# cycles hold about 2 GB of log at 208 B a cycle.  A cycle costs about 0.52 ms
+# of CPU at one substep and 0.28 ms more for each further one (2-core Xeon), so
+# a run within both bounds takes at most about 2.2 CPU-hours, and 1e7 cycles
+# at the default rate about 1.4
 MAX_CYCLES = 10_000_000
 MAX_STEPS = 20_000_000
 # most lidar points a frame: a point costs 0.3-1 us (by terrain kind) and 115 B

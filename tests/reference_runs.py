@@ -1,7 +1,9 @@
-"""Reference runs: the first 0.2 s of seven configurations, pinned as data.
+"""Reference runs: the first 0.2 s of eight configurations, pinned as data.
 
-The configurations are the four bundled scenarios at seed 3 and the three
-benchmark workloads (``perfbench/workloads.py``) at seed 1.  Each run's log
+The configurations are the four bundled scenarios at seed 3, the three
+benchmark workloads (``perfbench/workloads.py``) at seed 1, and
+``disturbance`` at seed 3 with two physics substeps a control cycle
+(``sim_rate=1000``), the multi-substep path of the run loop.  Each run's log
 array and metrics are stored in ``tests/data/reference_runs.npz``, which
 ``tests/test_artifacts.py`` compares bit for bit with a fresh run.
 
@@ -57,6 +59,7 @@ CONFIGS = {
     "slope_lidar": ("slope_uturn", 1, {"start_xy": [0.7, 0.0],
                                        "estimation_mode": "estimated_normal"}),
     "slope_saturate": ("slope_impact", 1, {"estimation_mode": "horizontal_normal"}),
+    "disturbance_1khz": ("disturbance", 3, {"sim_rate": 1000}),
 }
 
 # name: (bundled scenario, seed, overrides) of the full-length runs that

@@ -370,7 +370,7 @@ def test_huge_cycle_count_rejected_at_parse(flat_scn, tmp_path, capsys, monkeypa
     before a run starts: 2 substeps a cycle at control_rate=1e12 passed
     MAX_SUBSTEPS and asked 3e11 cycles of 0.3 s; duration=1e300 asked
     5e302; 20000.002 one too many; 20000 s at 1000 substeps a cycle asked
-    1e10 physics steps, about 27 CPU-days."""
+    1e10 physics steps, about 32 CPU-days."""
     monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("a run started"))
     with pytest.raises(ScenarioError, match=re.escape(bound)):
         load_scenario(flat_scn, params)
@@ -801,6 +801,10 @@ BAD_OPTIONS = [
     # the first run before)
     (["--mode", "sweep", "--sweep", 'name=["c", "a\\0b"]', "--param", "duration=0.01",
       "--jobs", "1"], "--sweep name"),
+    # a value whose directory name is longer than a file name can be (an
+    # errno 36 after the first run before)
+    (["--mode", "sweep", "--sweep", f'name=["c", "{"a" * 300}"]', "--param",
+      "duration=0.01", "--jobs", "1"], "--sweep name"),
 ]
 
 

@@ -409,6 +409,14 @@ def test_bundled_scenarios_parse():
         assert sc.duration > 0.0
 
 
+@pytest.mark.parametrize("control_rate", [500.0, 250.0])
+def test_unset_sim_rate_is_the_control_rate(control_rate):
+    """Unset, the physics rate is the control rate: one substep a cycle."""
+    sc = Scenario.from_dict({"terrain": {"kind": "flat"}, "control_rate": control_rate})
+    assert sc.sim_rate == control_rate
+    assert sc.timing()[:2] == (1.0 / control_rate, 1)
+
+
 def test_segment_at_takes_segments_in_start_time_order():
     sc = Scenario.from_dict({"terrain": {"kind": "flat"}, "reference": [
         {"t_start": 1.0, "speed": 1.0}, {"t_start": 0.0, "speed": 2.0}]})
@@ -440,6 +448,18 @@ def test_short_stationkeeping(model):
     assert not m.fell and not m.failed
     assert m.height_mean == pytest.approx(0.25, abs=0.01)
     assert m.energy_residual_frac < 0.01
+
+
+def test_disturbance_stands_at_mu_5(model):
+    """At the default physics rate (the 500 Hz control rate) the lateral
+    friction damper stays stable at mu 5; at 1 kHz physics this run fell
+    at 0.090 s."""
+    scenario = load_scenario(
+        str(files("wbcsim").joinpath("data/scenarios/disturbance.scn")),
+        {"duration": 0.3, "terrain.mu": 5.0})
+    log, m = run_scenario(model, scenario, seed=3)
+    assert not m.fell and not m.failed
+    assert len(log) == 150
 
 
 # -- fall rule ----------------------------------------------------------------
@@ -495,14 +515,19 @@ def test_bad_estimated_normal_fails_the_run_naming_side(model, monkeypatch, side
 
 # -- per-cycle sharing ----------------------------------------------------------
 
-@pytest.mark.parametrize("name, mode, closed_loop_calls", [
-    ("disturbance", "true_normal", 2), ("slope_uturn", "estimated_normal", 3),
-    ("disturbance", "horizontal_normal", 3)])
-def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name,
-                                                        mode, closed_loop_calls):
-    """Between two HQP solves lie one control cycle and its two physics
-    substeps: one cache for the controller's state (which also serves the
-    first substep) and one for the second substep's state."""
+@pytest.mark.parametrize("sim_rate, states", [(None, 1), (1000.0, 2)],
+                         ids=["default_rate", "sim_rate_1000"])
+@pytest.mark.parametrize("name, mode, own_records", [
+    ("disturbance", "true_normal", 0), ("slope_uturn", "estimated_normal", 1),
+    ("disturbance", "horizontal_normal", 1)])
+def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name, mode,
+                                                        own_records, sim_rate, states):
+    """Between two HQP solves lie one control cycle and its physics substeps,
+    which step from `states` states: one at the default rate, which is the
+    control rate, and two at sim_rate=1000.  Each state gets one cache, one
+    tree evaluation and one plant contact record, the controller's state's
+    serving the cycle and the first substep; a controller whose normals are
+    not the true ones builds one more contact record at its own normals."""
     counts = Counter()
 
     def counted(key, fn):
@@ -537,14 +562,16 @@ def test_each_cycle_builds_each_quantity_once_per_state(model, monkeypatch, name
         return solve(self, *args)
 
     monkeypatch.setattr(HierarchySolver, "solve", marked_solve)
+    rate = {} if sim_rate is None else {"sim_rate": sim_rate}
     scenario = load_scenario(
         str(files("wbcsim").joinpath(f"data/scenarios/{name}.scn")),
-        {"duration": 0.04, "estimation_mode": mode})
+        {"duration": 0.04, "estimation_mode": mode, **rate})
+    assert scenario.timing()[1] == states
     _, m = run_scenario(model, scenario, seed=1)
     assert not m.failed and not m.fell
     assert len(per_cycle) == 20
-    expected = {"builds": 2, "closed_loop": closed_loop_calls, "tree": 2,
-                "heading_axis": 1, "com_jacobian": 1, "point_jacobians": 2,
+    expected = {"builds": states, "closed_loop": states + own_records, "tree": states,
+                "heading_axis": 1, "com_jacobian": 1, "point_jacobians": states,
                 "task_jacobians": 1}
     for before, after in zip(per_cycle, per_cycle[1:]):
         assert {k: after[k] - before[k] for k in expected} == expected
